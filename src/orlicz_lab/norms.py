@@ -16,8 +16,10 @@ Array layout: nodal values have shape ``(n,)`` in 1D and ``(n, n)`` in 2D
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, DomainError, OrliczLabError
 from .util import bisect_decreasing
@@ -138,8 +140,65 @@ class GridDomain:
         m = self.n - 1
         return (m,) if self.ndim == 1 else (m, m)
 
+    @cached_property
+    def stiffness_pattern(self) -> "StiffnessPattern":
+        """Sparsity of stiffness matrices on the interior nodes, built on
+        first use."""
+        return StiffnessPattern(self)
+
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"<GridDomain {self.kind} n={self.n} h={self.h:.3g}>"
+
+
+class StiffnessPattern:
+    """Interior sparsity of ``sum_c G_c^T A_c G_c`` over the cells.
+
+    ``G_c`` is the local stencil of :func:`gradient_components` (both ends
+    of the cell in 1D; base, right and top corner in 2D) and ``A_c`` a
+    per-cell ``ndim x ndim`` tensor.  The pattern keeps the entries between
+    interior nodes (flat indices ``idx``), their scatter into CSC storage
+    and the positions of the diagonal, so assembly only computes values.
+    """
+
+    def __init__(self, dom: GridDomain):
+        n = dom.n
+        if dom.ndim == 1:
+            base = np.arange(n - 1)
+            self.stencil = np.array([[-1.0, 1.0]]) / dom.h
+            nodes = np.stack([base, base + 1])
+        else:
+            ii, jj = np.meshgrid(np.arange(n - 1), np.arange(n - 1),
+                                 indexing="ij")
+            base = (ii * n + jj).ravel()
+            self.stencil = np.array([[-1.0, 1.0, 0.0],
+                                     [-1.0, 0.0, 1.0]]) / dom.h
+            nodes = np.stack([base, base + n, base + 1])
+        self.idx = np.flatnonzero(dom.interior.ravel())
+        size = self.idx.size
+        red = np.full(dom.interior.size, -1, dtype=np.int64)
+        red[self.idx] = np.arange(size)
+        # local entry (i, j) of a cell couples nodes[i] with nodes[j]
+        rows = red[np.repeat(nodes, len(nodes), axis=0)].ravel()
+        cols = red[np.tile(nodes, (len(nodes), 1))].ravel()
+        self.keep = (rows >= 0) & (cols >= 0)
+        keys, self.scatter = np.unique(cols[self.keep] * size
+                                       + rows[self.keep], return_inverse=True)
+        self.indices = keys % size
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(keys // size, minlength=size))])
+        self.diag = np.searchsorted(keys, np.arange(size) * (size + 1))
+        self.shape = (size, size)
+
+    def assemble(self, tensor: np.ndarray) -> np.ndarray:
+        """CSC values for per-cell tensors of shape ``(ndim, ndim, cells)``."""
+        local = np.einsum("ki,klc,lj->ijc", self.stencil, tensor,
+                          self.stencil)
+        return np.bincount(self.scatter, weights=local.ravel()[self.keep],
+                           minlength=self.indices.size)
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
 
 
 class WeightField:
@@ -479,6 +538,21 @@ def domain_from_config(cfg: dict) -> GridDomain:
     if n is None or extent is None:
         raise ConfigError("domain config needs 'n' and 'extent'")
     try:
-        return GridDomain(str(shape), list(np.atleast_1d(extent)), int(n))
+        whole = int(n) == n
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ConfigError(f"domain 'n' must be an integer, got {n!r}")
+    want = 1 if shape == "disc" else 2
+    try:
+        ext = np.atleast_1d(np.asarray(extent, dtype=float))
+    except (TypeError, ValueError):
+        ext = None
+    if ext is None or ext.shape != (want,):
+        raise ConfigError(
+            f"domain extent for a {shape} must be a list of {want} "
+            f"number(s), got {extent!r}")
+    try:
+        return GridDomain(str(shape), list(ext), int(n))
     except DomainError as exc:
         raise ConfigError(str(exc)) from None

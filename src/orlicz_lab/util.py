@@ -175,12 +175,13 @@ def bisect_decreasing(g, lo, hi, iters: int = 200, target_tol: float = 1e-10):
 def thread_count() -> int:
     """Worker cap for parallel sweeps, from ``ORLICZ_LAB_THREADS``.
 
-    Unset or invalid values mean serial execution; results never depend on
-    this because every sweep merges by key.
+    Unset or invalid values mean serial execution, and the cap never
+    exceeds the core count; results never depend on this because every
+    sweep merges by key.
     """
     raw = os.environ.get("ORLICZ_LAB_THREADS", "")
     try:
         n = int(raw)
     except ValueError:
         return 1
-    return max(1, n)
+    return max(1, min(n, os.cpu_count() or 1))

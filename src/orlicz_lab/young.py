@@ -91,6 +91,14 @@ class YoungFunction:
     def _derivative_raw(self, t):  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def _second_derivative_raw(self, t):
+        """Central difference of the density with a relative step, one-sided
+        where the stencil would leave ``[0, horizon]``."""
+        step = 6e-6 * np.maximum(t, 1e-12)
+        lo = np.maximum(t - step, 0.0)
+        hi = np.minimum(t + step, self.horizon)
+        return (self._derivative_raw(hi) - self._derivative_raw(lo)) / (hi - lo)
+
     def params(self) -> dict:
         return {}
 
@@ -116,6 +124,13 @@ class YoungFunction:
         arr, scalar = _checked(t)
         with np.errstate(over="ignore"):
             out = self._derivative_raw(arr)
+        return _ret(out, scalar)
+
+    def second_derivative(self, t):
+        """Derivative of the density; ``inf`` where it blows up at 0."""
+        arr, scalar = _checked(t)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = self._second_derivative_raw(arr)
         return _ret(out, scalar)
 
     def derivative_inverse(self, s):
@@ -202,6 +217,9 @@ class Power(YoungFunction):
     def _derivative_raw(self, t):
         return self.coeff * self.p * t ** (self.p - 1.0)
 
+    def _second_derivative_raw(self, t):
+        return self.coeff * self.p * (self.p - 1.0) * t ** (self.p - 2.0)
+
     def derivative_inverse(self, s):
         arr, scalar = _checked(s, "s")
         out = (arr / (self.coeff * self.p)) ** (1.0 / (self.p - 1.0))
@@ -230,6 +248,10 @@ class PowerSum(YoungFunction):
 
     def _derivative_raw(self, t):
         return t ** (self.p - 1.0) + t ** (self.q - 1.0)
+
+    def _second_derivative_raw(self, t):
+        return ((self.p - 1.0) * t ** (self.p - 2.0)
+                + (self.q - 1.0) * t ** (self.q - 2.0))
 
 
 class Plasticity(YoungFunction):
@@ -272,6 +294,21 @@ class Plasticity(YoungFunction):
                     / (1.0 + tp))
         return out
 
+    def _second_derivative_raw(self, t):
+        a, b = self.alpha, self.beta
+        t = np.asarray(t, dtype=float)
+        # Phi ~ t^(a+b) at 0, so Phi'' tends to inf, 2 or 0 there
+        out = np.full_like(t, math.inf if a + b < 2.0 else
+                           (2.0 if a + b == 2.0 else 0.0))
+        pos = t > 0
+        tp = t[pos]
+        lg = np.log1p(tp)
+        tq = 1.0 + tp
+        out[pos] = (a * (a - 1.0) * tp ** (a - 2.0) * lg ** b
+                    + 2.0 * a * b * tp ** (a - 1.0) * lg ** (b - 1.0) / tq
+                    + b * tp ** a * lg ** (b - 2.0) * ((b - 1.0) - lg) / tq ** 2)
+        return out
+
 
 class Elasticity(YoungFunction):
     """``(1 + t**2)**gamma - 1`` with ``gamma > 1/2``."""
@@ -296,6 +333,10 @@ class Elasticity(YoungFunction):
 
     def _derivative_raw(self, t):
         return 2.0 * self.gamma * t * (1.0 + t * t) ** (self.gamma - 1.0)
+
+    def _second_derivative_raw(self, t):
+        g, tt = self.gamma, t * t
+        return 2.0 * g * (1.0 + tt) ** (g - 2.0) * (1.0 + (2.0 * g - 1.0) * tt)
 
 
 class Newtonian(YoungFunction):
@@ -340,6 +381,20 @@ class Newtonian(YoungFunction):
         out[pos] = tp ** (1.0 - self.alpha) * np.arcsinh(tp) ** self.beta
         return out
 
+    def _second_derivative_raw(self, t):
+        a, b = self.alpha, self.beta
+        t = np.asarray(t, dtype=float)
+        # the density is ~ t^(1-a+b) at 0
+        out = np.full_like(t, math.inf if b < a else
+                           (1.0 - a + b if b == a else 0.0))
+        pos = t > 0
+        tp = t[pos]
+        ash = np.arcsinh(tp)
+        out[pos] = ((1.0 - a) * tp ** (-a) * ash ** b
+                    + b * tp ** (1.0 - a) * ash ** (b - 1.0)
+                    / np.sqrt(1.0 + tp * tp))
+        return out
+
 
 class ExpSquare(YoungFunction):
     """``(exp(t**2) - 1) / 2``, the standard doubling-condition violator."""
@@ -354,6 +409,9 @@ class ExpSquare(YoungFunction):
 
     def _derivative_raw(self, t):
         return t * np.exp(t * t)
+
+    def _second_derivative_raw(self, t):
+        return (1.0 + 2.0 * t * t) * np.exp(t * t)
 
 
 class Tabulated(YoungFunction):
@@ -387,6 +445,7 @@ class Tabulated(YoungFunction):
         self.knots, self.values = knots, values
         self._interp = PchipInterpolator(knots, values, extrapolate=False)
         self._dinterp = self._interp.derivative()
+        self._d2interp = self._interp.derivative(2)
         super().__init__()
 
     @classmethod
@@ -428,6 +487,9 @@ class Tabulated(YoungFunction):
     def _derivative_raw(self, t):
         out = self._dinterp(self._guard(np.asarray(t, dtype=float)))
         return np.maximum(out, 0.0)
+
+    def _second_derivative_raw(self, t):
+        return self._d2interp(self._guard(np.asarray(t, dtype=float)))
 
     def _validate(self):
         # The generic probe samples past small tables; the constructor

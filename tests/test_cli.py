@@ -149,6 +149,17 @@ def test_spectrum_sorted_and_thread_independent(tmp_path, monkeypatch):
     assert outs[0] == outs[1]
 
 
+def test_thread_cap_is_the_core_count(monkeypatch):
+    from orlicz_lab import util
+    monkeypatch.setattr(util.os, "cpu_count", lambda: 2)
+    for raw, want in (("64", 2), ("2", 2), ("1", 1), ("0", 1), ("x", 1)):
+        monkeypatch.setenv("ORLICZ_LAB_THREADS", raw)
+        assert util.thread_count() == want
+    monkeypatch.setattr(util.os, "cpu_count", lambda: None)
+    monkeypatch.setenv("ORLICZ_LAB_THREADS", "8")
+    assert util.thread_count() == 1
+
+
 def test_spectrum_range_form(tmp_path):
     cfg = write_cfg(tmp_path, {
         "phi": {"kind": "power", "p": 2},
@@ -216,6 +227,15 @@ def test_invalid_young_config_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, payload)
     assert main(["eig", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "zap" in capsys.readouterr().err
+
+
+def test_malformed_domain_extent_exits_2(tmp_path, capsys):
+    payload = dict(EIG_CFG, domain={
+        "shape": "disc", "n": 33, "extent": [[-0.5, 0.5], [-0.5, 0.5]]})
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["eig", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: domain extent") and err.count("\n") == 1
 
 
 def test_exhausted_solver_exits_3(tmp_path, capsys):

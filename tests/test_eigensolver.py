@@ -251,3 +251,70 @@ def test_spectrum_sweep_collects_failures_and_continues():
     for alpha, message in sweep.failures:
         assert alpha in (1.0, 2.0)
         assert "no convergence" in message
+
+
+# ---------------------------------------------------------------------------
+# tangent stiffness and iteration budgets under refinement
+
+def _unit_box(n):
+    return {"shape": "box", "n": n, "extent": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("cfg", [_unit_box(17),
+                                 {"shape": "disc", "n": 21, "extent": [1.0]}],
+                         ids=["box", "disc"])
+@pytest.mark.parametrize("phi", [ol.Power(3.0), ol.PowerSum(2.0, 4.0)],
+                         ids=["power3", "powersum24"])
+def test_tangent_is_the_hessian_where_curvature_dominates(cfg, phi):
+    # phi' >= phi/t for both members, so the max rule keeps the exact
+    # second variation of I
+    from orlicz_lab.eigensolver import _tangent_tensor
+    setup = build_setup(phi, ol.Power(2.0), cfg)
+    dom = setup.dom
+    rng = np.random.default_rng(3)
+    u = ol.smooth_candidates(dom, 2, seed=5)[1]
+    v = random_zero_trace(dom, rng).values
+    pat = dom.stiffness_pattern
+    got = pat.matrix(pat.assemble(_tangent_tensor(setup, u))) \
+        @ v.ravel()[pat.idx]
+    eps = 1e-5
+
+    def weak(vals):
+        dens = ol.gateaux_I(setup, ol.GridFunction(dom, vals)).density
+        return (dom.node_qw * dens).ravel()[pat.idx]
+
+    want = (weak(u + eps * v) - weak(u - eps * v)) / (2.0 * eps)
+    assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [33, 49, 65, 97, 129])
+def test_box_cubic_iterations_bounded_under_refinement(n):
+    setup = build_setup(ol.Power(3.0), ol.Power(2.0), _unit_box(n))
+    pair = ol.minimize_on_level(setup, 1.0, opts=ol.SolverOptions(tol=1e-8))
+    assert pair.iterations <= 30
+
+
+def test_reference_disc_iterations_bounded():
+    setup = build_setup(ol.Power(3.0), ol.Power(2.0),
+                        {"shape": "disc", "n": 41, "extent": [1.0]})
+    pair = ol.minimize_on_level(setup, 1.0, opts=ol.SolverOptions(tol=1e-6))
+    assert pair.iterations <= 30
+
+
+_KNOTS = np.geomspace(1e-3, 1e3, 200)
+_CATALOG_PHI = [ol.Power(1.5), ol.Power(2.5), ol.Power(4.0),
+                ol.PowerSum(2.0, 4.0), ol.Plasticity(2.0, 1.0),
+                ol.Elasticity(1.5), ol.Newtonian(0.5, 1.0),
+                ol.Tabulated(_KNOTS, _KNOTS ** 2 / 2.0 + _KNOTS ** 3 / 3.0)]
+
+
+@pytest.mark.parametrize("cfg", [_unit_box(33), _interval(257)],
+                         ids=["box33", "interval257"])
+@pytest.mark.parametrize("psi", [ol.Power(2.0), ol.PowerSum(1.5, 2.5)],
+                         ids=["power2", "powersum"])
+def test_catalog_iterations_bounded(cfg, psi):
+    for phi in _CATALOG_PHI:
+        setup = build_setup(phi, psi, cfg)
+        pair = ol.minimize_on_level(setup, 1.0,
+                                    opts=ol.SolverOptions(tol=1e-8))
+        assert pair.iterations <= 40, phi.label()

@@ -61,6 +61,22 @@ def test_domain_rejects_bad_configs():
         ol.domain_from_config({"shape": "box", "n": 16})
 
 
+
+@pytest.mark.parametrize("cfg", [
+    {"shape": "disc", "n": 33, "extent": [[-0.5, 0.5], [-0.5, 0.5]]},
+    {"shape": "disc", "n": 33, "extent": [1.0, 2.0]},
+    {"shape": "box", "n": 33, "extent": [1.0]},
+    {"shape": "interval", "n": 33, "extent": ["a", "b"]},
+    {"shape": "interval", "n": 33, "extent": [0.0, [1.0]]},
+    {"shape": "interval", "n": 32.5, "extent": [0.0, 1.0]},
+    {"shape": "interval", "n": "33", "extent": [0.0, 1.0]},
+], ids=["disc-pairs", "disc-two", "box-one", "strings", "ragged",
+        "n-fraction", "n-string"])
+def test_domain_from_config_rejects_malformed_entries(cfg):
+    with pytest.raises(ConfigError):
+        ol.domain_from_config(cfg)
+
+
 # ---------------------------------------------------------------------------
 # weights and grid functions
 

@@ -274,6 +274,14 @@ def test_count_critical_points_finds_nontrivial_cluster():
     assert found >= 2
 
 
+def test_count_critical_points_merges_starts_at_one_state():
+    # every start is one-signed, so each descent ends at the positive
+    # ground state of I - lam J; stopping short of it would split that
+    # state into several clusters
+    setup = small_disc(n=61)
+    assert ol.count_critical_points(setup, 1.5, 4, seed=0) == 2
+
+
 # ---------------------------------------------------------------------------
 # reports
 

@@ -87,6 +87,30 @@ def test_evaluate_and_derivative_are_vectorized():
     assert np.all(np.diff(ders) >= -1e-12)
 
 
+
+def test_second_derivative_matches_difference_of_density():
+    knots = np.geomspace(1e-2, 1e2, 60)
+    members = [ol.Power(1.5), ol.Power(3.0), ol.PowerSum(2.0, 4.0),
+               ol.Plasticity(2.0, 1.0), ol.Plasticity(1.0, 1.0),
+               ol.Elasticity(1.5), ol.Elasticity(0.75),
+               ol.Newtonian(0.5, 1.0), ol.ExpSquare(),
+               ol.Tabulated(knots, knots ** 3 / 3.0),
+               ol.Power(3.0).conjugate()]
+    # midpoints between tabulated knots, where the cubic pieces are smooth
+    ts = np.sqrt(knots[5:55:7] * knots[6:56:7])
+    for phi in members:
+        # the exp-square density overflows past t ~ 26
+        pts = ts[ts < 5.0] if phi.kind == "exp-square" else ts
+        step = 1e-5 * pts
+        want = (phi.derivative(pts + step)
+                - phi.derivative(pts - step)) / (2.0 * step)
+        got = phi.second_derivative(pts)
+        assert got.shape == pts.shape
+        assert np.allclose(got, want, rtol=1e-6, atol=0.0), phi.label()
+    assert ol.Power(3.0).second_derivative(0.0) == 0.0
+    assert ol.PowerSum(2.0, 4.0).second_derivative(0.0) == 1.0
+    assert ol.Power(1.5).second_derivative(0.0) == math.inf
+
 def test_simonenko_indices_closed_forms():
     for p in (1.5, 2.0, 3.0, 5.0):
         l, m = ol.simonenko_indices(ol.Power(p))
