@@ -9,8 +9,8 @@ system exactly.
 
 The dual norm of such a density is evaluated against the finite zero-trace
 nodal basis; each basis hat touches at most three cells, so its Sobolev norm
-follows from the inverses of the Young functions (closed form in 1D, a short
-bracketed bisection in 2D).  That turns the residual check into one
+follows from the inverses of the Young functions (one batched root solve
+of a three-cell modular in 2D).  That turns the residual check into one
 vectorized pass.
 """
 
@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import ConditionFailure, DomainError
 from .norms import (GridDomain, GridFunction, WeightField,
-                    gradient_adjoint, gradient_components, luxemburg_values,
-                    modular_values)
-from .util import bisect_decreasing
+                    gradient_adjoint, gradient_components, gradient_magnitude,
+                    modular_values, scale_to_modular)
+from .util import invert_increasing
 from .young import YoungFunction, dominates_essentially, simonenko_indices
 
 __all__ = [
@@ -118,9 +118,9 @@ class EnergySetup:
         xi_state[inter] = 1.0 / np.asarray(
             self.psi.inverse(1.0 / tiny[inter]), dtype=float)
         # Gradient part.  In 1D the hat meets 2 cells with magnitude 1/h, so
-        # Phi inverts in closed form.  In 2D the base-corner stencil sees the
-        # hat in 3 cells (sqrt(2)/h once, 1/h twice); that mixed modular is
-        # inverted by batched bisection between closed-form brackets.
+        # Phi inverts directly.  In 2D the base-corner stencil sees the hat
+        # in 3 cells (sqrt(2)/h once, 1/h twice); that mixed modular goes to
+        # the root kernel between brackets from the inverse of Phi.
         h = dom.h
         wc = self.w_cells
         xi_grad = np.zeros(dom.node_shape)
@@ -140,17 +140,17 @@ class EnergySetup:
             a = cq * own[inter]
             b = cq * (left[inter] + below[inter])
             root2 = np.sqrt(2.0)
-            fat = np.asarray(self.phi.inverse(1.0 / (a + b)), dtype=float)
-            lo = 0.5 / (h * fat)
-            hi = 2.0 * root2 / (h * fat)
+            # with s = 1/xi the modular lies between (a + b) Phi(s/h) and
+            # (a + b) Phi(sqrt(2) s/h), which brackets s
+            fat = h * np.asarray(self.phi.inverse(1.0 / (a + b)), dtype=float)
             phi = self.phi
 
-            def gap(xi):
-                return (a * phi(root2 / (h * xi))
-                        + b * phi(1.0 / (h * xi)) - 1.0)
+            def modular(s):
+                return a * phi(root2 * s / h) + b * phi(s / h)
 
-            xi_grad[inter] = bisect_decreasing(gap, lo, hi, iters=160,
-                                               target_tol=1e-13)
+            xi_grad[inter] = 1.0 / invert_increasing(
+                modular, np.ones_like(a), lo=fat / root2, hi=fat,
+                what=f"{phi.label()} basis norm")
         return np.where(inter, xi_state + xi_grad, np.inf)
 
     def __repr__(self):  # pragma: no cover - cosmetic
@@ -167,9 +167,7 @@ def _check_member(setup: EnergySetup, u: GridFunction):
 def energy_I(setup: EnergySetup, u: GridFunction) -> float:
     """Diffusion energy: cell quadrature of ``w Phi(|grad u|)``."""
     _check_member(setup, u)
-    mag = np.hypot(*gradient_components(setup.dom, u.values)) \
-        if setup.dom.ndim == 2 else \
-        np.abs(gradient_components(setup.dom, u.values)[0])
+    mag = gradient_magnitude(setup.dom, u.values)
     return float(modular_values(setup.phi, setup.w_cells,
                                 setup.dom.cell_qw, mag[None, ...])[0])
 
@@ -211,36 +209,6 @@ def gateaux_J(setup: EnergySetup, u: GridFunction) -> DualGridFunction:
     return DualGridFunction(setup.dom, density)
 
 
-def _scale_to_level(setup: EnergySetup, u: GridFunction, target: float,
-                    energy, l_idx: float, m_idx: float) -> GridFunction:
-    if target <= 0:
-        raise DomainError("level must be positive")
-    base = energy(setup, u)
-    if base <= 0.0:
-        raise DomainError("cannot project the zero function onto a level set")
-    ratio = target / base
-    # Two-sided homogeneity brackets the scaling factor.
-    lo = 0.999 * min(ratio ** (1.0 / l_idx), ratio ** (1.0 / m_idx))
-    hi = 1.001 * max(ratio ** (1.0 / l_idx), ratio ** (1.0 / m_idx))
-    for _ in range(40):  # the bracket is tight; widen only if needed
-        if energy(setup, u.scaled(hi)) >= target:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = energy(setup, u.scaled(mid))
-        if abs(val - target) <= 1e-12 * target:
-            lo = hi = mid
-            break
-        if val < target:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) <= 1e-16 * hi:
-            break
-    return u.scaled(0.5 * (lo + hi))
-
-
 def project_to_level(setup: EnergySetup, u: GridFunction,
                      alpha: float) -> GridFunction:
     """Scale ``u`` onto the constraint set ``J = alpha``.
@@ -248,17 +216,28 @@ def project_to_level(setup: EnergySetup, u: GridFunction,
     The scaling factor exists and is unique: ``s -> J(su)`` is continuous,
     strictly increasing, 0 at 0 and unbounded, and the two-sided growth
     bounds ``min(s^l1, s^m1) J(u) <= J(su) <= max(s^l1, s^m1) J(u)``
-    bracket it.  The returned level matches to 1e-10 relative.
+    bracket it.  The returned level matches to 1e-12 relative.
     """
-    return _scale_to_level(setup, u, alpha, energy_J,
-                           setup.psi_l, setup.psi_m)
+    _check_member(setup, u)
+    return _scaled(u, scale_to_modular(
+        setup.psi, setup.w1.values, setup.dom.node_qw, u.values[None], alpha,
+        (setup.psi_l, setup.psi_m)))
 
 
 def scale_to_energy_level(setup: EnergySetup, u: GridFunction,
                           level: float) -> GridFunction:
     """Scale ``u`` so the diffusion energy ``I`` hits ``level`` exactly."""
-    return _scale_to_level(setup, u, level, energy_I,
-                           setup.phi_l, setup.phi_m)
+    _check_member(setup, u)
+    mag = gradient_magnitude(setup.dom, u.values)
+    return _scaled(u, scale_to_modular(
+        setup.phi, setup.w_cells, setup.dom.cell_qw, mag[None], level,
+        (setup.phi_l, setup.phi_m)))
+
+
+def _scaled(u: GridFunction, scale: np.ndarray) -> GridFunction:
+    if not np.isfinite(scale[0]):
+        raise DomainError("cannot project the zero function onto a level set")
+    return u.scaled(float(scale[0]))
 
 
 def dual_norm(setup: EnergySetup, functional: DualGridFunction) -> float:

@@ -5,9 +5,9 @@ by 1, and the modular ``int_Omega w Phi(|u|) dx``.  Here the domain is a
 uniform grid over an interval, a square box, or a disc inside its bounding
 box; integrals are composite trapezoid sums (mask-clipped on the disc), and
 gradients live on cells as forward differences.  The Luxemburg norm is the
-level parameter that brings the modular of ``u / xi`` to 1, found by
-bisection; that map is continuous and strictly decreasing on a grid, so the
-root is unique.
+level parameter that brings the modular of ``u / xi`` to 1; that map is
+continuous and strictly decreasing on a grid, so the root is unique.
+:func:`scale_to_modular` finds it, and every other modular level.
 
 Array layout: nodal values have shape ``(n,)`` in 1D and ``(n, n)`` in 2D
 (row-major, x index first).  Cell quantities have one fewer entry per axis.
@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DomainError, OrliczLabError
-from .util import bisect_decreasing
+from .util import invert_increasing
 from .young import YoungFunction
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "gradient_adjoint",
     "modular",
     "modular_values",
+    "scale_to_modular",
     "luxemburg_norm",
     "luxemburg_values",
     "gradient_norm",
@@ -354,30 +355,50 @@ def modular(phi: YoungFunction, w: WeightField, u: GridFunction) -> float:
                                 u.values[None, ...])[0])
 
 
+def scale_to_modular(phi: YoungFunction, weight: np.ndarray, qw,
+                     rows: np.ndarray, target: float,
+                     indices=None) -> np.ndarray:
+    """Per-row factors ``s`` with ``modular(s * row) = target``; ``inf``
+    for a zero row.
+
+    With ``ratio = target / modular(row)`` for the row scaled to
+    ``max|row| = 1``, the growth indices ``(l, m)`` (default
+    ``phi.indices()``, else ``(1, inf)``, which convexity alone gives)
+    bracket the factor between ``ratio^(1/l)`` and ``ratio^(1/m)``; for a
+    power the bracket has zero width and is the answer.
+    """
+    if not target > 0:
+        raise DomainError("level must be positive")
+    rows = np.asarray(rows, dtype=float)
+    amax = np.max(np.abs(rows).reshape(rows.shape[0], -1), axis=1)
+    live = amax > 0
+    scale = np.full(rows.shape[0], np.inf)
+    if not np.any(live):
+        return scale
+    shape = (-1,) + (1,) * (rows.ndim - 1)
+    unit = rows[live] / amax[live].reshape(shape)
+    l, m = indices or phi.indices() or (1.0, np.inf)
+    ratio = target / modular_values(phi, weight, qw, unit)
+    ends = (ratio ** (1.0 / l), ratio ** (1.0 / m))
+
+    def level(s):
+        return modular_values(phi, weight, qw, unit * s.reshape(shape))
+
+    scale[live] = invert_increasing(
+        level, np.full(ratio.shape, float(target)), lo=np.minimum(*ends),
+        hi=np.maximum(*ends), horizon=phi.horizon,
+        what=f"{phi.label()} modular") / amax[live]
+    return scale
+
+
 def luxemburg_values(phi: YoungFunction, weight: np.ndarray, qw,
                      rows: np.ndarray) -> np.ndarray:
     """Batched Luxemburg norms of the rows (leading axis indexes functions).
 
-    Bisection on ``xi -> modular(row / xi) - 1`` over the robust bracket
-    ``[1e-12, 1e12] * max|row|``; an infinite modular counts as positive,
-    which keeps fast-growing Young functions inside the loop.
+    The norm is ``1 / s`` for the factor ``s`` that brings the modular of
+    ``s * row`` to 1; a zero row has norm 0.
     """
-    rows = np.asarray(rows, dtype=float)
-    amax = np.max(np.abs(rows).reshape(rows.shape[0], -1), axis=1)
-    out = np.zeros(rows.shape[0])
-    live = amax > 0
-    if not np.any(live):
-        return out
-    sub = rows[live]
-    scale = amax[live]
-
-    def g(xi):
-        return modular_values(phi, weight, qw,
-                              sub / xi.reshape((-1,) + (1,) * (sub.ndim - 1))) - 1.0
-
-    out[live] = bisect_decreasing(g, 1e-12 * scale, 1e12 * scale,
-                                  iters=160, target_tol=1e-12)
-    return out
+    return 1.0 / scale_to_modular(phi, weight, qw, rows, 1.0)
 
 
 def luxemburg_norm(phi: YoungFunction, w: WeightField, u: GridFunction) -> float:

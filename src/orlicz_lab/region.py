@@ -38,8 +38,8 @@ from .errors import ConditionFailure, DomainError
 from .functionals import (DualGridFunction, EnergySetup, dual_norm, energy_I,
                           energy_J, gateaux_I, gateaux_J)
 from .norms import (GridFunction, gradient_magnitude, modular_values,
-                    poincare_estimate, smooth_candidates, sobolev_norm)
-from .util import bisect_decreasing
+                    poincare_estimate, scale_to_modular, smooth_candidates,
+                    sobolev_norm)
 from .young import sqrt_convexity_holds
 
 __all__ = [
@@ -152,8 +152,8 @@ def constant_norm(setup: EnergySetup, c: float, on: str = "annulus") -> float:
 
     ``on="omega"`` integrates the weight over the whole domain;
     ``on="annulus"`` restricts it to D/2 < |x - x0| < D, the support of
-    the test-function gradient.  The modular of a constant inverts in
-    closed form, so no bisection is involved.
+    the test-function gradient.  The modular of a constant inverts
+    through the inverse of the Young function.
     """
     if c == 0:
         return 0.0
@@ -230,7 +230,7 @@ def default_c1(setup: EnergySetup, trials: int = 24, seed: int = 0) -> float:
 def _sup_reaction_on_shell(setup: EnergySetup, r: float, samples: int,
                            seed: int) -> float:
     """Sampled sup of J over random zero-trace fields rescaled onto the
-    shell I = r (batched bisection in the scale factor)."""
+    shell I = r (one batched scaling of all samples)."""
     if samples < 1:
         raise DomainError("need at least one sample")
     dom = setup.dom
@@ -238,28 +238,13 @@ def _sup_reaction_on_shell(setup: EnergySetup, r: float, samples: int,
     # candidate is the deterministic reference bump, so drop it
     cands = smooth_candidates(dom, samples + 1, seed)[1:]
     mags = np.stack([gradient_magnitude(dom, c) for c in cands])
-    wc = setup.w_cells
-    base = modular_values(setup.phi, wc, dom.cell_qw, mags)
-    live = base > 0
+    scales = scale_to_modular(setup.phi, setup.w_cells, dom.cell_qw, mags, r,
+                              (setup.phi_l, setup.phi_m))
+    live = np.isfinite(scales)
     if not np.any(live):
         raise DomainError("all shell samples are degenerate")
-    mags = mags[live]
-    vals = cands[live]
-    base = base[live]
-    l, m = setup.phi_l, setup.phi_m
-    ratio = r / base
-    lo = 0.5 * np.minimum(ratio ** (1.0 / l), ratio ** (1.0 / m))
-    hi = 2.0 * np.maximum(ratio ** (1.0 / l), ratio ** (1.0 / m))
-
-    def gap(s):
-        shape = (-1,) + (1,) * (mags.ndim - 1)
-        return r - modular_values(setup.phi, wc, dom.cell_qw,
-                                  mags * s.reshape(shape))
-
-    # I is increasing in the scale, so r - I(s u) decreases in s
-    scales = bisect_decreasing(gap, lo, hi, iters=160, target_tol=1e-12 * r)
-    shape = (-1,) + (1,) * (vals.ndim - 1)
-    scaled = vals * scales.reshape(shape)
+    shape = (-1,) + (1,) * (cands.ndim - 1)
+    scaled = cands[live] * scales[live].reshape(shape)
     js = modular_values(setup.psi, setup.w1.values, dom.node_qw, scaled)
     return float(np.max(js))
 
@@ -410,34 +395,10 @@ def region_report(setup: EnergySetup, d: float, r: float,
                   samples: int = 48, seed: int = 0,
                   c1: Optional[float] = None, two_n: bool = False,
                   probe_starts: int = 0) -> RegionReport:
-    """Evaluate every region quantity for one (d, r) pair.
-
-    With ``probe_starts`` > 0 and a nonempty admissible window, the
-    critical-point probe runs at the window midpoint.
-    """
-    inp = RegionInput(setup, d, r)
-    if c1 is None:
-        c1 = default_c1(setup, seed=seed)
-    v = build_test_function(setup, inp.d)
-    i_vd = energy_I(setup, v)
-    j_vd = energy_J(setup, v)
-    lo, hi, sup_j = lambda_interval(setup, d, r, samples=samples, seed=seed)
-    rep = RegionReport(
-        d=d, r=r, I_vd=i_vd, J_vd=j_vd,
-        bounds_ine=energy_bounds_ine(setup, d),
-        gamma_d=gamma_d(setup, d),
-        w_tilde_r=w_tilde_r(setup, r, c1),
-        sup_J_r=sup_j,
-        lambda_interval=(lo, hi),
-        admissible=admissible(setup, d, r, c1=c1, two_n=two_n),
-        c1=c1,
-        gamma_d_annulus=gamma_d(setup, d, on="annulus"),
-        r_cap=r_condition_cap(setup, d, two_n=two_n),
-    )
-    if probe_starts > 0 and rep.admissible and lo < hi:
-        rep.critical_points_found = count_critical_points(
-            setup, math.sqrt(lo * hi), probe_starts, seed=seed)
-    return rep
+    """Evaluate every region quantity for one (d, r) pair: the single cell
+    of :func:`grid_search` over ``[d] x [r]``."""
+    return grid_search(setup, [d], [r], samples=samples, seed=seed, c1=c1,
+                       two_n=two_n, probe_starts=probe_starts)[0]
 
 
 def grid_search(setup: EnergySetup, d_values, r_values,
@@ -446,37 +407,41 @@ def grid_search(setup: EnergySetup, d_values, r_values,
                 probe_starts: int = 0) -> list:
     """Evaluate the region report over the (d, r) grid.
 
+    Every pair is validated as a :class:`RegionInput` before any work.
     The constant c1 and the per-r shell suprema are computed once and
     shared across the grid.  Returns the reports in row-major (d, r)
     order; callers filter on ``admissible`` and window nonemptiness.
+    With ``probe_starts`` > 0, the critical-point probe runs at the
+    window midpoint of every admissible pair with a nonempty window.
     """
-    _check_region_conditions(setup)
+    d_values = [float(d) for d in d_values]
+    r_values = [float(r) for r in r_values]
+    for d in d_values:
+        for r in r_values:
+            RegionInput(setup, d, r)
     if c1 is None:
         c1 = default_c1(setup, seed=seed)
     sup_cache = {}
     reports = []
     for d in d_values:
-        v = build_test_function(setup, float(d))
+        v = build_test_function(setup, d)
         i_vd = energy_I(setup, v)
         j_vd = energy_J(setup, v)
-        bounds = energy_bounds_ine(setup, float(d))
-        g_omega = gamma_d(setup, float(d))
-        g_ann = gamma_d(setup, float(d), on="annulus")
-        cap = r_condition_cap(setup, float(d), two_n=two_n)
+        bounds = energy_bounds_ine(setup, d)
+        g_omega = gamma_d(setup, d)
+        g_ann = gamma_d(setup, d, on="annulus")
+        cap = r_condition_cap(setup, d, two_n=two_n)
         for r in r_values:
-            key = float(r)
-            if key not in sup_cache:
-                sup_cache[key] = _sup_reaction_on_shell(
-                    setup, key, samples, seed)
-            sup_j = sup_cache[key]
-            lo, hi = i_vd / j_vd, key / sup_j
+            if r not in sup_cache:
+                sup_cache[r] = _sup_reaction_on_shell(setup, r, samples, seed)
+            sup_j = sup_cache[r]
+            lo, hi = i_vd / j_vd, r / sup_j
             rep = RegionReport(
-                d=float(d), r=key, I_vd=i_vd, J_vd=j_vd,
+                d=d, r=r, I_vd=i_vd, J_vd=j_vd,
                 bounds_ine=bounds, gamma_d=g_omega,
-                w_tilde_r=w_tilde_r(setup, key, c1),
+                w_tilde_r=w_tilde_r(setup, r, c1),
                 sup_J_r=sup_j, lambda_interval=(lo, hi),
-                admissible=(key < cap
-                            and w_tilde_r(setup, key, c1) < g_omega),
+                admissible=admissible(setup, d, r, c1=c1, two_n=two_n),
                 c1=c1, gamma_d_annulus=g_ann, r_cap=cap)
             if probe_starts > 0 and rep.admissible and lo < hi:
                 rep.critical_points_found = count_critical_points(

@@ -1,14 +1,15 @@
 """Small numerical kernels used throughout the package.
 
 Everything here is vectorized numpy: fixed-order Gauss-Legendre segment
-quadrature, cumulative integral tables over log-spaced grids, and bracketed
-bisection for monotone scalar maps (single and batched).  These are the only
+quadrature, cumulative integral tables over log-spaced grids, and one
+batched root kernel for monotone scalar maps.  These are the only
 root-finding and quadrature routines the package uses, so their tolerances
 are centralized here.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -19,7 +20,6 @@ __all__ = [
     "gauss_panels",
     "CumulativeTable",
     "invert_increasing",
-    "bisect_decreasing",
     "thread_count",
 ]
 
@@ -27,6 +27,14 @@ __all__ = [
 # degree 15, which keeps per-panel error near machine precision for the
 # smooth integrands used here.
 _GX, _GW = np.polynomial.legendre.leggauss(8)
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
+_LN2 = math.log(2.0)
+# false position with the Illinois rule converges superlinearly; this cap
+# only guards against a map that is not monotone
+_MAX_STEPS = 200
 
 
 def gauss_panels(f, left, right):
@@ -91,85 +99,92 @@ class CumulativeTable:
         return out
 
 
-def invert_increasing(f, y, max_hi: float = 1e280, iters: int = 80,
+def invert_increasing(f, y, lo=None, hi=None, horizon: float = math.inf,
                       what: str = "function"):
-    """Invert a nondecreasing map ``f`` with ``f(0) = 0`` at points ``y >= 0``.
+    """Solve ``f(s) = y`` for a nondecreasing ``f`` with ``f(0) = 0``, batched.
 
-    Brackets each target by doubling/halving from 1, then bisects.  After
-    bracketing, every element's bracket spans a factor of two, so ``iters``
-    bisection steps give relative accuracy ``2**-iters``.  Raises
-    :class:`HorizonError` if doubling passes ``max_hi`` without covering a
-    target, which for Young-function derivatives means the queried slope is
-    beyond any representable argument.
+    ``f`` maps a flat array of arguments, one per target, to values; ``lo
+    <= hi`` are scalars or arrays of the shape of ``y``.  The search
+    starts from the bracket ``[lo, hi]`` (default ``[1/2, 1]``), capped at
+    ``horizon``; an end that does not bracket the root moves outward by
+    doubling steps in ``log s``.  A zero-width bracket inside the horizon
+    is returned without calling ``f``.  The root is then refined by false
+    position with the Illinois rule on ``log f`` against ``log s``, which
+    is exact in one step for a power; a step that would leave the bracket,
+    or meets a non-finite value, takes the log-midpoint instead.  Each
+    element stops once ``|log f - log y| <= 1e-13`` or its bracket has
+    rounding width.  Raises :class:`HorizonError` when no argument up to
+    ``horizon`` reaches a target.
     """
     y = np.asarray(y, dtype=float)
-    if np.any(~np.isfinite(y)) or np.any(y < 0):
+    if not ((y >= 0) & (y < math.inf)).all():
         raise DomainError("inverse queries must be finite and nonnegative")
-    shape = y.shape
-    y = np.atleast_1d(y).astype(float)
-    hi = np.ones_like(y)
-    # Expand upward where f(hi) is still below the target.
-    with np.errstate(over="ignore", invalid="ignore"):
-        need_up = f(hi) < y
-        guard = 0
-        while np.any(need_up):
-            hi[need_up] *= 2.0
-            if np.any(hi > max_hi):
-                raise HorizonError(
-                    f"{what}: no argument below {max_hi:.2g} reaches the "
-                    "requested value; extend the horizon"
-                )
-            need_up = f(hi) < y
-            guard += 1
-            if guard > 2000:  # pragma: no cover - defensive
-                raise HorizonError(f"{what}: bracketing failed to terminate")
-        # Shrink downward where even f(1) overshoots, to regain a tight
-        # bracket [hi/2, hi] for every element.
-        need_down = f(hi / 2.0) > y
-        guard = 0
-        while np.any(need_down):
-            hi[need_down] /= 2.0
-            tiny = hi < 1e-290
-            if np.any(tiny):
-                hi[tiny] = 0.0
-                need_down &= ~tiny
-            need_down = need_down & (f(hi / 2.0) > y)
-            guard += 1
-            if guard > 2000:
+    shape, y = y.shape, y.ravel()
+    top = min(float(horizon), _HUGE)
+    zero = np.zeros_like(y)
+    hi = zero + (1.0 if hi is None else np.ravel(hi))
+    lo = 0.5 * hi if lo is None else zero + np.ravel(lo)
+    out = np.where(y > 0, lo, 0.0)
+    # a zero-width bracket is the answer, unless it lies past the horizon
+    solved = (y > 0) & ((lo < hi) | (hi > top))
+    if not solved.any():
+        return out.reshape(shape) if shape else float(out[0])
+    hi = np.clip(hi, _TINY, top)
+    lo = np.where(lo < hi, np.maximum(lo, _TINY), 0.5 * hi)
+    x_top, x_bot = math.log(top), math.log(_TINY)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_y = np.log(y)
+
+        def g(x):
+            return np.log(np.asarray(f(np.minimum(np.exp(x), top)),
+                                     dtype=float)) - log_y
+
+        a, b = np.log(lo), np.log(hi)
+        ga, gb = g(a), g(b)
+        live = solved.copy()
+        step = _LN2
+        while True:
+            up = live & (gb < 0)
+            # a root below the smallest normal number is returned there
+            down = live & (ga > 0) & (a > x_bot)
+            if not (np.any(up) or np.any(down)):
                 break
-        lo = hi / 2.0
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            high = f(mid) >= y
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-    out = 0.5 * (lo + hi)
-    out[y == 0] = 0.0
+            if np.any(up & (b >= x_top)):
+                raise HorizonError(
+                    f"{what}: no argument below {top:.3g} reaches the "
+                    "requested value; extend the horizon")
+            x = np.where(up, np.minimum(b + step, x_top),
+                         np.where(down, np.maximum(a - step, x_bot), a))
+            gx = g(x)
+            a, ga, b, gb = (np.where(up, b, np.where(down, x, a)),
+                            np.where(up, gb, np.where(down, gx, ga)),
+                            np.where(up, x, np.where(down, a, b)),
+                            np.where(up, gx, np.where(down, ga, gb)))
+            step *= 2.0
+        at_b = live & (np.abs(gb) <= 1e-13)
+        live &= ~(at_b | (np.abs(ga) <= 1e-13))
+        x = np.where(at_b, b, a)
+        side = np.zeros_like(a)
+        for _ in range(_MAX_STEPS):
+            if not np.any(live):
+                break
+            trial = b - gb * (b - a) / (gb - ga)
+            midpoint = ~np.isfinite(trial) | (trial <= a) | (trial >= b)
+            x = np.where(live, np.where(midpoint, 0.5 * (a + b), trial), x)
+            gx = g(x)
+            left = live & (gx < 0)
+            right = live & ~(gx < 0)
+            # Illinois: halve the stale end's value when one end repeats
+            ga = np.where(right & (side > 0), 0.5 * ga, ga)
+            gb = np.where(left & (side < 0), 0.5 * gb, gb)
+            a, ga = np.where(left, x, a), np.where(left, gx, ga)
+            b, gb = np.where(right, x, b), np.where(right, gx, gb)
+            side = np.where(left, -1.0, np.where(right, 1.0, side))
+            width = b - a <= 4.0 * _EPS * np.maximum(1.0, np.maximum(
+                np.abs(a), np.abs(b)))
+            live &= ~((np.abs(gx) <= 1e-13) | width)
+    out[solved] = np.minimum(np.exp(x[solved]), top)
     return out.reshape(shape) if shape else float(out[0])
-
-
-def bisect_decreasing(g, lo, hi, iters: int = 200, target_tol: float = 1e-10):
-    """Root of a strictly decreasing ``g`` on ``[lo, hi]`` (batched).
-
-    ``g`` maps an array of abscissae to an array of values and may return
-    ``inf`` (treated as positive).  Stops early once ``|g(mid)| <= target_tol``
-    everywhere.  Returns the final midpoints.
-    """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float)).copy()
-    hi = np.atleast_1d(np.asarray(hi, dtype=float)).copy()
-    mid = 0.5 * (lo + hi)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        val = g(mid)
-        if np.all(np.abs(val) <= target_tol):
-            break
-        pos = val > 0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-        if np.all((hi - lo) <= 1e-16 * np.maximum(1.0, np.abs(hi))):
-            mid = 0.5 * (lo + hi)
-            break
-    return mid
 
 
 def thread_count() -> int:

@@ -134,16 +134,17 @@ class YoungFunction:
         return _ret(out, scalar)
 
     def derivative_inverse(self, s):
-        """Generalized inverse of the density, by bracketed bisection."""
+        """Generalized inverse of the density, up to the horizon."""
         arr, scalar = _checked(s, "s")
         out = invert_increasing(self._derivative_raw, arr,
+                                horizon=self.horizon,
                                 what=f"{self.label()} density inverse")
         return _ret(out, scalar)
 
     def inverse(self, y):
         """Inverse of the Young function itself (it is strictly increasing)."""
         arr, scalar = _checked(y, "y")
-        out = invert_increasing(self._value_raw, arr,
+        out = invert_increasing(self._value_raw, arr, horizon=self.horizon,
                                 what=f"{self.label()} inverse")
         return _ret(out, scalar)
 
@@ -505,7 +506,7 @@ class ConjugateFunction(YoungFunction):
     log-spaced table (the two forms agree for convex ``Phi``).  Queries
     interpolate the knots monotonically in log-log coordinates, which is
     exact for power laws and keeps evaluation cheap enough for the norm
-    bisections built on top; below the first knot the log-log tail is
+    root solves built on top; below the first knot the log-log tail is
     continued linearly, where the conjugate is itself asymptotically a
     power.  The density of the conjugate is the inverse density of the
     base, and vice versa, which makes conjugation an involution here up to

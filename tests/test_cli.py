@@ -248,3 +248,17 @@ def test_exhausted_solver_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, payload)
     assert main(["eig", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", [0.0, -0.01])
+def test_nonpositive_energy_radius_exits_2(tmp_path, capsys, r):
+    payload = {
+        "phi": {"kind": "power", "p": 3},
+        "psi": {"kind": "power", "p": 2},
+        "domain": {"shape": "disc", "n": 33, "extent": [1.0]},
+        "region": {"d_values": [0.15], "r_values": [0.0274, r],
+                   "samples": 8}}
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["region", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the energy radius r must be positive\n"

@@ -199,6 +199,18 @@ def test_scale_to_energy_level(rng):
     assert ol.energy_I(setup, scaled) == pytest.approx(2.5, rel=1e-10)
 
 
+def test_box_scalings_hit_their_level_to_rounding(rng):
+    for psi in (ol.Power(2.0), ol.PowerSum(2.0, 4.0)):
+        setup = build_setup(ol.PowerSum(2.0, 3.0), psi,
+                            {"shape": "box", "n": 17, "extent": [0.0, 1.0]})
+        for level in (1e-6, 0.3, 1e4):
+            u = random_zero_trace(setup.dom, rng)
+            assert ol.energy_J(setup, ol.project_to_level(setup, u, level)) \
+                == pytest.approx(level, rel=1e-12)
+            assert ol.energy_I(setup, ol.scale_to_energy_level(
+                setup, u, level)) == pytest.approx(level, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # dual objects
 

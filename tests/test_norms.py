@@ -226,6 +226,23 @@ def test_luxemburg_unit_ball_normalization(rng):
             1.0, abs=1e-8)
 
 
+def test_luxemburg_batch_of_mixed_rows_matches_single_rows(rng):
+    dom = ol.GridDomain("interval", (0.0, 1.0), 64)
+    weight = 1.0 + rng.random(64)
+    base = random_zero_trace(dom, rng).values
+    rows = np.stack([np.zeros(64), 1e-200 * base, base, 1e200 * base,
+                     1e-3 * base])
+    for phi in (ol.Power(3.0), ol.PowerSum(2.0, 4.0), ol.Plasticity(2.0, 1.0)):
+        batch = ol.luxemburg_values(phi, weight, dom.node_qw, rows)
+        single = [ol.luxemburg_values(phi, weight, dom.node_qw, row[None])[0]
+                  for row in rows]
+        np.testing.assert_allclose(batch, single, rtol=1e-12)
+        assert batch[0] == 0.0
+        live = rows[1:] / batch[1:, None]
+        np.testing.assert_allclose(
+            ol.modular_values(phi, weight, dom.node_qw, live), 1.0, rtol=1e-12)
+
+
 def test_sobolev_norm_is_state_plus_gradient(rng):
     setup = build_setup(ol.Power(3.0), ol.Power(2.0),
                         {"shape": "interval", "n": 48, "extent": [0.0, 1.0]})

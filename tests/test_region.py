@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 import orlicz_lab as ol
-from orlicz_lab import ConditionFailure, DomainError
+from orlicz_lab import ConditionFailure, DomainError, region
 
 from conftest import build_setup
 import oracles as oc
@@ -328,3 +328,19 @@ def _fake_report(lo, hi, admissible, probe):
         sup_J_r=0.0182, lambda_interval=(lo, hi), admissible=admissible,
         critical_points_found=probe, c1=0.45, gamma_d_annulus=0.05,
         r_cap=0.021)
+
+
+def test_grid_search_validates_every_pair_before_any_work(disc_reference,
+                                                          monkeypatch):
+    setup = disc_reference
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("grid_search did work before validating")
+    monkeypatch.setattr(region, "default_c1", no_work)
+    monkeypatch.setattr(region, "_sup_reaction_on_shell", no_work)
+    with pytest.raises(DomainError, match="energy radius r must be positive"):
+        ol.grid_search(setup, [D_REF], [R_REF, 0.0])
+    with pytest.raises(DomainError, match="plateau height d must be nonzero"):
+        ol.grid_search(setup, [D_REF, 0.0], [R_REF])
+    with pytest.raises(DomainError, match="energy radius r must be positive"):
+        ol.region_report(setup, D_REF, -0.01)

@@ -294,3 +294,40 @@ def test_degenerate_density_rejected():
     flat = np.array([1.0, 1.0, 1.0, 1.0])
     with pytest.raises((DomainError, ConditionFailure)):
         ol.Tabulated(knots, flat)
+
+
+# ---------------------------------------------------------------------------
+# inverses inside a finite horizon
+
+def _table():
+    knots = np.array([0.5, 1.0, 2.0, 3.0])
+    return ol.Tabulated(knots, knots ** 2 / 2.0)
+
+
+def test_tabulated_inverse_inside_its_horizon():
+    tab = _table()
+    assert tab.inverse(3.0) == pytest.approx(2.4563628646, abs=1e-9)
+    assert tab.value(tab.inverse(3.0)) == pytest.approx(3.0, rel=1e-12)
+
+
+def test_tabulated_density_inverse_inside_its_horizon():
+    tab = _table()
+    t = tab.derivative_inverse(2.5)
+    assert 2.0 < t < 3.0
+    assert tab.derivative(t) == pytest.approx(2.5, rel=1e-12)
+
+
+def test_newtonian_inverse_inside_its_horizon():
+    newt = ol.Newtonian(0.5, 1.0, t_max=3.0)
+    assert newt.inverse(newt.value(2.5)) == pytest.approx(2.5, rel=1e-12)
+
+
+def test_inverse_beyond_the_horizon_raises():
+    tab = _table()
+    with pytest.raises(HorizonError):
+        tab.inverse(1.001 * tab.value(3.0))
+    with pytest.raises(HorizonError):
+        tab.derivative_inverse(1.001 * tab.derivative(3.0))
+    newt = ol.Newtonian(0.5, 1.0, t_max=3.0)
+    with pytest.raises(HorizonError):
+        newt.inverse(1.001 * newt.value(3.0))
