@@ -220,8 +220,7 @@ def project_to_level(setup: EnergySetup, u: GridFunction,
     """
     _check_member(setup, u)
     return _scaled(u, scale_to_modular(
-        setup.psi, setup.w1.values, setup.dom.node_qw, u.values[None], alpha,
-        (setup.psi_l, setup.psi_m)))
+        setup.psi, setup.w1.values, setup.dom.node_qw, u.values[None], alpha))
 
 
 def scale_to_energy_level(setup: EnergySetup, u: GridFunction,
@@ -230,8 +229,7 @@ def scale_to_energy_level(setup: EnergySetup, u: GridFunction,
     _check_member(setup, u)
     mag = gradient_magnitude(setup.dom, u.values)
     return _scaled(u, scale_to_modular(
-        setup.phi, setup.w_cells, setup.dom.cell_qw, mag[None], level,
-        (setup.phi_l, setup.phi_m)))
+        setup.phi, setup.w_cells, setup.dom.cell_qw, mag[None], level))
 
 
 def _scaled(u: GridFunction, scale: np.ndarray) -> GridFunction:

@@ -356,16 +356,15 @@ def modular(phi: YoungFunction, w: WeightField, u: GridFunction) -> float:
 
 
 def scale_to_modular(phi: YoungFunction, weight: np.ndarray, qw,
-                     rows: np.ndarray, target: float,
-                     indices=None) -> np.ndarray:
+                     rows: np.ndarray, target: float) -> np.ndarray:
     """Per-row factors ``s`` with ``modular(s * row) = target``; ``inf``
     for a zero row.
 
     With ``ratio = target / modular(row)`` for the row scaled to
-    ``max|row| = 1``, the growth indices ``(l, m)`` (default
-    ``phi.indices()``, else ``(1, inf)``, which convexity alone gives)
-    bracket the factor between ``ratio^(1/l)`` and ``ratio^(1/m)``; for a
-    power the bracket has zero width and is the answer.
+    ``max|row| = 1``, the closed-form growth indices ``(l, m)`` of
+    ``phi`` (else ``(1, inf)``, which convexity alone gives) bracket the
+    factor between ``ratio^(1/l)`` and ``ratio^(1/m)``; for a power the
+    bracket has zero width and is the answer.
     """
     if not target > 0:
         raise DomainError("level must be positive")
@@ -377,7 +376,7 @@ def scale_to_modular(phi: YoungFunction, weight: np.ndarray, qw,
         return scale
     shape = (-1,) + (1,) * (rows.ndim - 1)
     unit = rows[live] / amax[live].reshape(shape)
-    l, m = indices or phi.indices() or (1.0, np.inf)
+    l, m = phi.indices() or (1.0, np.inf)
     ratio = target / modular_values(phi, weight, qw, unit)
     ends = (ratio ** (1.0 / l), ratio ** (1.0 / m))
 

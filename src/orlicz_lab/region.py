@@ -66,6 +66,11 @@ __all__ = [
 _GAMMA_HALF = {2: 1.0, 3: math.sqrt(math.pi) / 2.0, 4: 1.0}
 
 
+def _check_radius(r: float):
+    if not r > 0:
+        raise DomainError("the energy radius r must be positive")
+
+
 def _check_region_conditions(setup: EnergySetup):
     if setup.dom.ndim < 2:
         raise DomainError("region analysis needs a 2D domain")
@@ -95,8 +100,7 @@ class RegionInput:
     def __post_init__(self):
         if self.d == 0:
             raise DomainError("the plateau height d must be nonzero")
-        if not self.r > 0:
-            raise DomainError("the energy radius r must be positive")
+        _check_radius(self.r)
         _check_region_conditions(self.setup)
 
 
@@ -206,14 +210,16 @@ def gamma_d(setup: EnergySetup, d: float, on: str = "omega") -> float:
     nrm = constant_norm(setup, d / dom.D, on=on)
     l, m = setup.phi_l, setup.phi_m
     denom = (2.0 * n_dim) ** m * max(nrm ** l, nrm ** m)
+    if denom == 0:
+        raise DomainError("the plateau height d is too small: the norm "
+                          "powers of d/D underflow")
     return numer / denom
 
 
 def w_tilde_r(setup: EnergySetup, r: float, c1: float) -> float:
     """Growth envelope max{C1^l1, C1^m1} max of the four powers r^{i/j}
     with i in {l1, m1} and j in {l, m}; nondecreasing in r."""
-    if not r > 0:
-        raise DomainError("the energy radius r must be positive")
+    _check_radius(r)
     l, m = setup.phi_l, setup.phi_m
     l1, m1 = setup.psi_l, setup.psi_m
     lead = max(c1 ** l1, c1 ** m1)
@@ -238,15 +244,27 @@ def _sup_reaction_on_shell(setup: EnergySetup, r: float, samples: int,
     # candidate is the deterministic reference bump, so drop it
     cands = smooth_candidates(dom, samples + 1, seed)[1:]
     mags = np.stack([gradient_magnitude(dom, c) for c in cands])
-    scales = scale_to_modular(setup.phi, setup.w_cells, dom.cell_qw, mags, r,
-                              (setup.phi_l, setup.phi_m))
+    scales = scale_to_modular(setup.phi, setup.w_cells, dom.cell_qw, mags, r)
     live = np.isfinite(scales)
     if not np.any(live):
         raise DomainError("all shell samples are degenerate")
     shape = (-1,) + (1,) * (cands.ndim - 1)
     scaled = cands[live] * scales[live].reshape(shape)
-    js = modular_values(setup.psi, setup.w1.values, dom.node_qw, scaled)
-    return float(np.max(js))
+    sup_j = float(np.max(modular_values(setup.psi, setup.w1.values,
+                                        dom.node_qw, scaled)))
+    if sup_j <= 0:
+        raise DomainError("all shell samples are degenerate")
+    return sup_j
+
+
+def _plateau_energies(setup: EnergySetup, d: float) -> tuple:
+    """(I(v_d), J(v_d)) of the plateau test function; J must not vanish,
+    since it divides the window's left endpoint."""
+    v = build_test_function(setup, d)
+    j_vd = energy_J(setup, v)
+    if j_vd <= 0:
+        raise DomainError("test function has vanishing reaction energy")
+    return energy_I(setup, v), j_vd
 
 
 def lambda_interval(setup: EnergySetup, d: float, r: float,
@@ -257,15 +275,9 @@ def lambda_interval(setup: EnergySetup, d: float, r: float,
     shell supremum.  The window is nonempty only when lo < hi; callers
     compare sup_J_r against the analytic envelope separately.
     """
-    inp = RegionInput(setup, d, r)
-    v = build_test_function(setup, inp.d)
-    i_vd = energy_I(setup, v)
-    j_vd = energy_J(setup, v)
-    if j_vd <= 0:
-        raise DomainError("test function has vanishing reaction energy")
+    RegionInput(setup, d, r)
+    i_vd, j_vd = _plateau_energies(setup, d)
     sup_j = _sup_reaction_on_shell(setup, r, samples, seed)
-    if sup_j <= 0:
-        raise DomainError("all shell samples are degenerate")
     return i_vd / j_vd, r / sup_j, sup_j
 
 
@@ -290,8 +302,14 @@ def admissible(setup: EnergySetup, d: float, r: float,
     RegionInput(setup, d, r)
     if c1 is None:
         c1 = default_c1(setup)
-    return (r < r_condition_cap(setup, d, two_n=two_n)
-            and w_tilde_r(setup, r, c1) < gamma_d(setup, d))
+    return _region_flag(r, r_condition_cap(setup, d, two_n=two_n),
+                        w_tilde_r(setup, r, c1), gamma_d(setup, d))
+
+
+def _region_flag(r: float, cap: float, w_tilde: float, gamma: float) -> bool:
+    """The two region inequalities: r below its cap and w_tilde_r below
+    gamma_d."""
+    return r < cap and w_tilde < gamma
 
 
 def _free_energy(setup: EnergySetup, lam: float, u: GridFunction) -> float:
@@ -407,26 +425,25 @@ def grid_search(setup: EnergySetup, d_values, r_values,
                 probe_starts: int = 0) -> list:
     """Evaluate the region report over the (d, r) grid.
 
-    Every pair is validated as a :class:`RegionInput` before any work.
-    The constant c1 and the per-r shell suprema are computed once and
+    The region conditions and every r are checked once, and every
+    plateau height d must give a positive J(v_d), before the constant c1
+    is computed.  c1 and the per-r shell suprema are computed once and
     shared across the grid.  Returns the reports in row-major (d, r)
     order; callers filter on ``admissible`` and window nonemptiness.
     With ``probe_starts`` > 0, the critical-point probe runs at the
     window midpoint of every admissible pair with a nonempty window.
     """
+    _check_region_conditions(setup)
     d_values = [float(d) for d in d_values]
     r_values = [float(r) for r in r_values]
-    for d in d_values:
-        for r in r_values:
-            RegionInput(setup, d, r)
+    for r in r_values:
+        _check_radius(r)
+    energies = [_plateau_energies(setup, d) for d in d_values]
     if c1 is None:
         c1 = default_c1(setup, seed=seed)
     sup_cache = {}
     reports = []
-    for d in d_values:
-        v = build_test_function(setup, d)
-        i_vd = energy_I(setup, v)
-        j_vd = energy_J(setup, v)
+    for d, (i_vd, j_vd) in zip(d_values, energies):
         bounds = energy_bounds_ine(setup, d)
         g_omega = gamma_d(setup, d)
         g_ann = gamma_d(setup, d, on="annulus")
@@ -436,12 +453,12 @@ def grid_search(setup: EnergySetup, d_values, r_values,
                 sup_cache[r] = _sup_reaction_on_shell(setup, r, samples, seed)
             sup_j = sup_cache[r]
             lo, hi = i_vd / j_vd, r / sup_j
+            w_tilde = w_tilde_r(setup, r, c1)
             rep = RegionReport(
                 d=d, r=r, I_vd=i_vd, J_vd=j_vd,
-                bounds_ine=bounds, gamma_d=g_omega,
-                w_tilde_r=w_tilde_r(setup, r, c1),
+                bounds_ine=bounds, gamma_d=g_omega, w_tilde_r=w_tilde,
                 sup_J_r=sup_j, lambda_interval=(lo, hi),
-                admissible=admissible(setup, d, r, c1=c1, two_n=two_n),
+                admissible=_region_flag(r, cap, w_tilde, g_omega),
                 c1=c1, gamma_d_annulus=g_ann, r_cap=cap)
             if probe_starts > 0 and rep.admissible and lo < hi:
                 rep.critical_points_found = count_critical_points(

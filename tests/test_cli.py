@@ -262,3 +262,16 @@ def test_nonpositive_energy_radius_exits_2(tmp_path, capsys, r):
     assert main(["region", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err == "error: the energy radius r must be positive\n"
+
+
+def test_tiny_plateau_height_exits_2(tmp_path, capsys):
+    payload = {
+        "phi": {"kind": "power", "p": 3},
+        "psi": {"kind": "power", "p": 2},
+        "domain": {"shape": "disc", "n": 33, "extent": [1.0]},
+        "region": {"d_values": [1e-200], "r_values": [0.0274],
+                   "samples": 8}}
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["region", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: test function has vanishing reaction energy\n"

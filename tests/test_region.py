@@ -344,3 +344,21 @@ def test_grid_search_validates_every_pair_before_any_work(disc_reference,
         ol.grid_search(setup, [D_REF, 0.0], [R_REF])
     with pytest.raises(DomainError, match="energy radius r must be positive"):
         ol.region_report(setup, D_REF, -0.01)
+
+
+def test_tiny_plateau_height_is_a_domain_error(disc_reference, monkeypatch):
+    # d passes the nonzero check, but J(v_d) and the norm powers of d/D
+    # underflow to 0
+    setup = disc_reference
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("grid_search solved for c1 before checking J")
+    monkeypatch.setattr(region, "default_c1", no_work)
+    with pytest.raises(DomainError, match="vanishing reaction energy"):
+        ol.grid_search(setup, [D_REF, 1e-200], [R_REF])
+    with pytest.raises(DomainError, match="vanishing reaction energy"):
+        ol.region_report(setup, 1e-200, R_REF, c1=0.5)
+    with pytest.raises(DomainError, match="too small"):
+        ol.gamma_d(setup, 1e-200)
+    with pytest.raises(DomainError, match="too small"):
+        ol.admissible(setup, 1e-200, R_REF, c1=0.5)
