@@ -25,7 +25,10 @@ Higher levels of the Ljusternik-Schnirelmann hierarchy are approximated by
 structure, not by genus: in 1D, gluing sign-alternating copies of the
 scaled one-bump solution over k equal subintervals and relaxing; in 2D, by
 multi-start descent penalized against overlap with already-found pairs.
-Both are tagged as heuristics in the output.
+Both are tagged as heuristics in the output.  A penalized descent is
+preconditioned with the tangent of the whole merit: the overlap penalty
+adds one rank-one term per found pair, which the solve absorbs through the
+Sherman-Morrison-Woodbury identity on the same factorization.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from .functionals import (DualGridFunction, EnergySetup, dual_norm, energy_I,
                           energy_J, gateaux_I, gateaux_J, project_to_level,
                           scale_to_energy_level)
 from .norms import (GridDomain, GridFunction, WeightField,
-                    gradient_components, smooth_candidates)
+                    gradient_components, gradient_magnitude,
+                    smooth_candidates)
 
 __all__ = [
     "SolverOptions",
@@ -150,6 +154,14 @@ def _penalty_density(dom: GridDomain, values: np.ndarray, anchors, mu: float):
     return pen, dens
 
 
+def _penalty_rows(dom: GridDomain, anchors, mu: float) -> np.ndarray:
+    """Rows ``b_j = sqrt(2 mu) qw u_j / <u_j, u_j>`` on the interior; the
+    Hessian of the overlap penalty is ``sum_j b_j b_j^T``."""
+    idx = dom.stiffness_pattern.idx
+    return np.stack([(math.sqrt(2.0 * mu) / a_nrm2 * dom.node_qw
+                      * a_vals).ravel()[idx] for a_vals, a_nrm2 in anchors])
+
+
 def _floored(mag: np.ndarray) -> np.ndarray:
     """Magnitudes floored at 1e-7 of their maximum, so secant slopes stay
     finite for slowly growing densities and positive for fast ones."""
@@ -175,12 +187,12 @@ def _tangent_tensor(setup: EnergySetup, values: np.ndarray) -> np.ndarray:
     """
     dom = setup.dom
     comps = np.stack([c.ravel() for c in gradient_components(dom, values)])
-    t = _floored(np.sqrt(np.sum(comps * comps, axis=0)))
+    t = _floored(gradient_magnitude(dom, values).ravel())
     sec, curv = _slopes(setup.phi, t)
     e = comps / t
     tensor = (sec * np.eye(dom.ndim)[:, :, None]
               + (curv - sec) * e[:, None, :] * e[None, :, :])
-    return tensor * (setup.w_cells.ravel() * dom.cell_qw)
+    return tensor * setup.w_cell_qw
 
 
 def _reaction_curvature(setup: EnergySetup, values: np.ndarray) -> np.ndarray:
@@ -195,14 +207,20 @@ class _Tangent:
 
     Keeps the last factorization and refactors only when the assembled
     values change, so a quadratic ``Phi`` factors once per solve.  Each
-    solve owns its instance; only the grid's pattern is shared.
+    solve owns its instance; only the grid's pattern is shared.  Given
+    ``penalty_rows`` (the ``b_j`` of :func:`_penalty_rows`),
+    :meth:`direction` solves with ``A + sum_j b_j b_j^T`` through the
+    Sherman-Morrison-Woodbury identity on the LU of ``A``, keeping
+    ``A^-1 B`` while the LU is reused.
     """
 
-    def __init__(self, setup: EnergySetup):
+    def __init__(self, setup: EnergySetup, penalty_rows=None):
         self.setup = setup
         self.pat = setup.dom.stiffness_pattern
+        self.rows = penalty_rows
         self._data = None
         self._lu = None
+        self._kb = None
 
     def factor(self, values: np.ndarray, shift=None):
         """LU of the tangent at ``values``, minus ``diag(shift)`` on the
@@ -211,7 +229,8 @@ class _Tangent:
         if shift is not None:
             data[self.pat.diag] -= shift
         if self._data is None or not np.array_equal(data, self._data):
-            self._lu = self._data = None  # free the old factors first
+            # free the old factors first
+            self._lu = self._data = self._kb = None
             # a symmetric fill-reducing ordering: about half the factor
             # time of the default COLAMD on these stencils
             self._lu = spla.splu(self.pat.matrix(data),
@@ -223,24 +242,39 @@ class _Tangent:
     def direction(self, values: np.ndarray, rho: np.ndarray,
                   shift=None) -> np.ndarray:
         """Solve ``A d = qw * rho`` on the interior, ``A`` the tangent at
-        ``values`` minus ``diag(shift)``; nodal ``d``, zero trace."""
+        ``values`` minus ``diag(shift)``, plus ``sum_j b_j b_j^T`` for
+        the penalty rows; nodal ``d``, zero trace."""
         dom = self.setup.dom
         idx = self.pat.idx
+        lu = self.factor(values, shift)
+        d = lu.solve((dom.node_qw * rho).ravel()[idx])
+        if self.rows is not None:
+            if self._kb is None:
+                self._kb = lu.solve(self.rows.T)
+            small = np.eye(len(self.rows)) + self.rows @ self._kb
+            d -= self._kb @ np.linalg.solve(small, self.rows @ d)
         flat = np.zeros(dom.interior.size)
-        flat[idx] = self.factor(values, shift).solve(
-            (dom.node_qw * rho).ravel()[idx])
+        flat[idx] = d
         return flat.reshape(dom.node_shape)
 
 
 def _descend(setup: EnergySetup, alpha: float, init: GridFunction,
              opts: SolverOptions, anchors=(), mu: float = 0.0):
-    """Core preconditioned projected-descent loop; returns (pair, converged)."""
+    """Core preconditioned projected-descent loop; returns (pair, converged).
+
+    With ``anchors`` the merit is ``I + mu sum_j c_j^2`` and the
+    preconditioner is its tangent: the stiffness of ``I`` plus the
+    penalty's rank-one curvature per anchor, applied through the
+    Woodbury identity on the stiffness's LU.  Without that curvature the
+    full step overshoots along the anchors and the line search backtracks.
+    """
     dom = setup.dom
     u = project_to_level(setup, init, alpha)
-    tangent = _Tangent(setup)
+    penalized = bool(anchors) and mu != 0.0
+    tangent = _Tangent(setup, _penalty_rows(dom, anchors, mu)
+                       if penalized else None)
     hist = []
     iters = 0
-    penalized = bool(anchors) and mu != 0.0
     for iters in range(opts.max_iter + 1):
         f_i = gateaux_I(setup, u)
         f_j = gateaux_J(setup, u)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConditionFailure, DomainError
 from .norms import (GridDomain, GridFunction, WeightField,
                     gradient_adjoint, gradient_components, gradient_magnitude,
-                    modular_values, scale_to_modular)
+                    _modular, scale_to_modular)
 from .util import invert_increasing
 from .young import YoungFunction, dominates_essentially, simonenko_indices
 
@@ -76,8 +76,8 @@ class EnergySetup:
     functions (the growth assumptions behind every estimate used here) and
     records whether the reaction function grows essentially slower than the
     diffusion one, which is the compactness route when the stronger growth
-    is not doubling.  Basis Sobolev norms for the dual-norm evaluation are
-    precomputed once.
+    is not doubling.  The weighted quadratures of both energies and the
+    basis Sobolev norms for the dual-norm evaluation are precomputed once.
     """
 
     def __init__(self, phi: YoungFunction, psi: YoungFunction,
@@ -104,6 +104,10 @@ class EnergySetup:
                 "psi2", f"{psi.label()} does not grow essentially slower "
                 f"than {phi.label()}")
         self.w_cells = w.cell_values()
+        # flattened weight * qw of I and of J, the vectors every energy
+        # evaluation and level scaling pairs against
+        self.w_cell_qw = np.ravel(self.w_cells * dom.cell_qw)
+        self.w1_node_qw = np.ravel(w1.values * dom.node_qw)
         self._basis_w = self._basis_norms()
 
     # -- basis Sobolev norms ----------------------------------------------
@@ -168,15 +172,13 @@ def energy_I(setup: EnergySetup, u: GridFunction) -> float:
     """Diffusion energy: cell quadrature of ``w Phi(|grad u|)``."""
     _check_member(setup, u)
     mag = gradient_magnitude(setup.dom, u.values)
-    return float(modular_values(setup.phi, setup.w_cells,
-                                setup.dom.cell_qw, mag[None, ...])[0])
+    return float(_modular(setup.phi, setup.w_cell_qw, mag[None, ...])[0])
 
 
 def energy_J(setup: EnergySetup, u: GridFunction) -> float:
     """Reaction energy: nodal quadrature of ``w1 Psi(|u|)``."""
     _check_member(setup, u)
-    return float(modular_values(setup.psi, setup.w1.values,
-                                setup.dom.node_qw, u.values[None, ...])[0])
+    return float(_modular(setup.psi, setup.w1_node_qw, u.values[None, ...])[0])
 
 
 def gateaux_I(setup: EnergySetup, u: GridFunction) -> DualGridFunction:
@@ -189,7 +191,7 @@ def gateaux_I(setup: EnergySetup, u: GridFunction) -> DualGridFunction:
     _check_member(setup, u)
     dom = setup.dom
     comps = gradient_components(dom, u.values)
-    mag = np.abs(comps[0]) if dom.ndim == 1 else np.hypot(*comps)
+    mag = gradient_magnitude(dom, u.values)
     with np.errstate(invalid="ignore", divide="ignore"):
         factor = np.asarray(setup.phi.derivative(mag), dtype=float) / mag
     factor = np.where(mag > 0, factor, 0.0) * setup.w_cells * dom.cell_qw
@@ -219,8 +221,8 @@ def project_to_level(setup: EnergySetup, u: GridFunction,
     bracket it.  The returned level matches to 1e-12 relative.
     """
     _check_member(setup, u)
-    return _scaled(u, scale_to_modular(
-        setup.psi, setup.w1.values, setup.dom.node_qw, u.values[None], alpha))
+    return _scaled(u, scale_to_modular(setup.psi, setup.w1_node_qw,
+                                       u.values[None], alpha))
 
 
 def scale_to_energy_level(setup: EnergySetup, u: GridFunction,
@@ -228,8 +230,8 @@ def scale_to_energy_level(setup: EnergySetup, u: GridFunction,
     """Scale ``u`` so the diffusion energy ``I`` hits ``level`` exactly."""
     _check_member(setup, u)
     mag = gradient_magnitude(setup.dom, u.values)
-    return _scaled(u, scale_to_modular(
-        setup.phi, setup.w_cells, setup.dom.cell_qw, mag[None], level))
+    return _scaled(u, scale_to_modular(setup.phi, setup.w_cell_qw, mag[None],
+                                       level))
 
 
 def _scaled(u: GridFunction, scale: np.ndarray) -> GridFunction:

@@ -341,11 +341,17 @@ def gradient_adjoint(domain: GridDomain, cell_fields) -> np.ndarray:
 def modular_values(phi: YoungFunction, weight: np.ndarray, qw,
                    rows: np.ndarray) -> np.ndarray:
     """Batched modular ``sum qw * weight * Phi(|row|)`` over leading axes."""
+    return _modular(phi, np.ravel(np.asarray(weight, dtype=float) * qw), rows)
+
+
+def _modular(phi: YoungFunction, wq: np.ndarray, rows: np.ndarray
+             ) -> np.ndarray:
+    """:func:`modular_values` with the weighted quadrature ``wq`` (the
+    flattened ``weight * qw``) formed by the caller."""
     flat = np.abs(rows).reshape(rows.shape[0], -1)
     with np.errstate(over="ignore"):
         vals = np.asarray(phi.value(flat), dtype=float)
-    qw_flat = np.ravel(np.asarray(weight, dtype=float) * qw)
-    return vals @ qw_flat
+    return vals @ wq
 
 
 def modular(phi: YoungFunction, w: WeightField, u: GridFunction) -> float:
@@ -355,10 +361,11 @@ def modular(phi: YoungFunction, w: WeightField, u: GridFunction) -> float:
                                 u.values[None, ...])[0])
 
 
-def scale_to_modular(phi: YoungFunction, weight: np.ndarray, qw,
-                     rows: np.ndarray, target: float) -> np.ndarray:
+def scale_to_modular(phi: YoungFunction, wq: np.ndarray, rows: np.ndarray,
+                     target: float) -> np.ndarray:
     """Per-row factors ``s`` with ``modular(s * row) = target``; ``inf``
-    for a zero row.
+    for a zero row.  ``wq`` is the flattened weighted quadrature
+    ``weight * qw`` of the modular.
 
     With ``ratio = target / modular(row)`` for the row scaled to
     ``max|row| = 1``, the closed-form growth indices ``(l, m)`` of
@@ -377,11 +384,11 @@ def scale_to_modular(phi: YoungFunction, weight: np.ndarray, qw,
     shape = (-1,) + (1,) * (rows.ndim - 1)
     unit = rows[live] / amax[live].reshape(shape)
     l, m = phi.indices() or (1.0, np.inf)
-    ratio = target / modular_values(phi, weight, qw, unit)
+    ratio = target / _modular(phi, wq, unit)
     ends = (ratio ** (1.0 / l), ratio ** (1.0 / m))
 
     def level(s):
-        return modular_values(phi, weight, qw, unit * s.reshape(shape))
+        return _modular(phi, wq, unit * s.reshape(shape))
 
     scale[live] = invert_increasing(
         level, np.full(ratio.shape, float(target)), lo=np.minimum(*ends),
@@ -397,7 +404,8 @@ def luxemburg_values(phi: YoungFunction, weight: np.ndarray, qw,
     The norm is ``1 / s`` for the factor ``s`` that brings the modular of
     ``s * row`` to 1; a zero row has norm 0.
     """
-    return 1.0 / scale_to_modular(phi, weight, qw, rows, 1.0)
+    return 1.0 / scale_to_modular(
+        phi, np.ravel(np.asarray(weight, dtype=float) * qw), rows, 1.0)
 
 
 def luxemburg_norm(phi: YoungFunction, w: WeightField, u: GridFunction) -> float:

@@ -244,7 +244,7 @@ def _sup_reaction_on_shell(setup: EnergySetup, r: float, samples: int,
     # candidate is the deterministic reference bump, so drop it
     cands = smooth_candidates(dom, samples + 1, seed)[1:]
     mags = np.stack([gradient_magnitude(dom, c) for c in cands])
-    scales = scale_to_modular(setup.phi, setup.w_cells, dom.cell_qw, mags, r)
+    scales = scale_to_modular(setup.phi, setup.w_cell_qw, mags, r)
     live = np.isfinite(scales)
     if not np.any(live):
         raise DomainError("all shell samples are degenerate")

@@ -1,6 +1,8 @@
 """Constrained minimization, certification, the minimax ladder, and level
 sweeps, checked against independent dense and shooting references."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -318,3 +320,72 @@ def test_catalog_iterations_bounded(cfg, psi):
         pair = ol.minimize_on_level(setup, 1.0,
                                     opts=ol.SolverOptions(tol=1e-8))
         assert pair.iterations <= 40, phi.label()
+
+
+# ---------------------------------------------------------------------------
+# penalized exploration of the 2D ladder
+
+def test_penalized_direction_solves_the_merit_tangent():
+    from orlicz_lab.eigensolver import (_Tangent, _penalty_density,
+                                        _penalty_rows, _tangent_tensor)
+    setup = build_setup(ol.Power(3.0), ol.Power(2.0), _unit_box(9))
+    dom = setup.dom
+    rng = np.random.default_rng(7)
+    u = ol.smooth_candidates(dom, 2, seed=5)[1]
+    anchors = []
+    for _ in range(2):
+        a = random_zero_trace(dom, rng).values * dom.interior
+        anchors.append((a, float(np.sum(dom.node_qw * a * a))))
+    mu = 3.0
+    rho = random_zero_trace(dom, rng).values * dom.interior
+    pat = dom.stiffness_pattern
+    idx = pat.idx
+    qw = dom.node_qw.ravel()[idx]
+
+    # the rows carry the penalty's exact Hessian: the penalty is quadratic,
+    # so a central difference of its weak gradient is exact to rounding
+    rows = _penalty_rows(dom, anchors, mu)
+    v = random_zero_trace(dom, rng).values * dom.interior
+    eps = 1e-3
+
+    def weak(vals):
+        _, dens = _penalty_density(dom, vals, anchors, mu)
+        return (dom.node_qw * dens).ravel()[idx]
+
+    fd = (weak(u + eps * v) - weak(u - eps * v)) / (2.0 * eps)
+    assert np.allclose(rows.T @ (rows @ v.ravel()[idx]), fd,
+                       rtol=0.0, atol=1e-10 * np.max(np.abs(fd)))
+
+    dense = pat.matrix(pat.assemble(_tangent_tensor(setup, u))).toarray()
+    for a_vals, a_nrm2 in anchors:
+        b = math.sqrt(2.0 * mu) * qw * a_vals.ravel()[idx] / a_nrm2
+        dense += np.outer(b, b)
+    want = np.linalg.solve(dense, qw * rho.ravel()[idx])
+    got = _Tangent(setup, rows).direction(u, rho)
+    assert np.linalg.norm(got.ravel()[idx] - want) \
+        <= 1e-10 * np.linalg.norm(want)
+    assert np.all(got[~dom.interior] == 0.0)
+    assert -float(np.sum(dom.node_qw * rho * got)) < 0.0
+
+
+@pytest.mark.parametrize("n, tol", [(21, 1e-8), (41, 1e-8)],
+                         ids=["n21", "n41"])
+def test_penalized_exploration_iterations_bounded(monkeypatch, n, tol):
+    # with the tangent of I alone the explorations took up to 152 (n=21)
+    # and 136 (n=41) iterations, overshooting along the anchors
+    from orlicz_lab import eigensolver
+    inner = eigensolver._descend
+    counts = []
+
+    def counted(*args, **kwargs):
+        pair, ok = inner(*args, **kwargs)
+        if kwargs.get("anchors"):
+            counts.append(pair.iterations)
+        return pair, ok
+
+    monkeypatch.setattr(eigensolver, "_descend", counted)
+    setup = build_setup(ol.Power(2.0), ol.Power(2.0), _unit_box(n))
+    levels = ol.ls_sequence(setup, 1.0, 3, ol.SolverOptions(tol=tol))
+    assert [lv.k for lv in levels] == [1, 2, 3]
+    assert counts
+    assert max(counts) <= 30, counts
