@@ -32,7 +32,7 @@ from .functionals import EnergySetup
 from .norms import (GridDomain, GridFunction, WeightField, domain_from_config,
                     gradient_norm, luxemburg_norm, sobolev_norm)
 from .region import REPORT_COLUMNS, format_report, grid_search, report_row
-from .util import thread_count
+from .util import config_int, thread_count
 from .young import (catalog, check_delta2, dominates_essentially,
                     from_config, simonenko_indices, sqrt_convexity_holds)
 
@@ -371,18 +371,37 @@ def cmd_spectrum(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
     return 3 if failures else 0
 
 
+def _real(x) -> float:
+    """float(x), or nan when x is not a number."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _region_values(body: dict, key: str) -> list:
+    if key not in body:
+        raise ConfigError(f"region needs key {key!r}")
+    raw = body[key]
+    vals = [_real(x) for x in raw] if isinstance(raw, list) else [math.nan]
+    if not all(math.isfinite(x) for x in vals):
+        raise ConfigError(
+            f"region {key!r} must be a list of finite numbers, got {raw!r}")
+    return vals
+
+
 def cmd_region(cfg: dict, body: dict, out_dir: str, seed: int,
                two_n: bool) -> int:
+    d_values = _region_values(body, "d_values")
+    r_values = _region_values(body, "r_values")
+    samples = config_int(body.get("samples", 48), "region 'samples'")
+    starts = config_int(body.get("starts", 0), "region 'starts'")
+    raw_c1 = body.get("c1")
+    c1 = None if raw_c1 is None else _real(raw_c1)
+    if c1 is not None and not 0 < c1 < math.inf:
+        raise ConfigError(
+            f"region 'c1' must be a positive finite number, got {raw_c1!r}")
     setup = _build_setup(cfg)
-    try:
-        d_values = [float(x) for x in body["d_values"]]
-        r_values = [float(x) for x in body["r_values"]]
-    except KeyError as exc:
-        raise ConfigError(f"region needs key {exc.args[0]!r}") from None
-    samples = int(body.get("samples", 48))
-    starts = int(body.get("starts", 0))
-    c1 = body.get("c1")
-    c1 = None if c1 is None else float(c1)
     reports = grid_search(setup, d_values, r_values, samples=samples,
                           seed=seed, c1=c1, two_n=two_n, probe_starts=starts)
     rows = [report_row(rep) for rep in reports]
@@ -441,7 +460,10 @@ def main(argv=None) -> int:
                 raise ConfigError(f"'{command}' needs --config")
             cfg = load_config(args.config)
         body = _check_keys(cfg, command)
-        seed = int(cfg.get("seed", 0)) if args.seed is None else args.seed
+        seed = config_int(cfg.get("seed", 0) if args.seed is None
+                          else args.seed, "seed")
+        if seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {seed}")
         os.makedirs(args.out, exist_ok=True)
         if command == "catalog":
             return cmd_catalog(args.out, seed)

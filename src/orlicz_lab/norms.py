@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DomainError, OrliczLabError
-from .util import invert_increasing
+from .util import config_int, invert_increasing
 from .young import YoungFunction
 
 __all__ = [
@@ -565,12 +565,7 @@ def domain_from_config(cfg: dict) -> GridDomain:
         raise ConfigError("domain shape must be interval, box, or disc")
     if n is None or extent is None:
         raise ConfigError("domain config needs 'n' and 'extent'")
-    try:
-        whole = int(n) == n
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise ConfigError(f"domain 'n' must be an integer, got {n!r}")
+    n = config_int(n, "domain 'n'")
     want = 1 if shape == "disc" else 2
     try:
         ext = np.atleast_1d(np.asarray(extent, dtype=float))
@@ -581,6 +576,6 @@ def domain_from_config(cfg: dict) -> GridDomain:
             f"domain extent for a {shape} must be a list of {want} "
             f"number(s), got {extent!r}")
     try:
-        return GridDomain(str(shape), list(ext), int(n))
+        return GridDomain(str(shape), list(ext), n)
     except DomainError as exc:
         raise ConfigError(str(exc)) from None

@@ -233,10 +233,14 @@ def default_c1(setup: EnergySetup, trials: int = 24, seed: int = 0) -> float:
                              setup.dom, trials, seed=seed)
 
 
-def _sup_reaction_on_shell(setup: EnergySetup, r: float, samples: int,
-                           seed: int) -> float:
-    """Sampled sup of J over random zero-trace fields rescaled onto the
-    shell I = r (one batched scaling of all samples)."""
+def _sup_reaction_on_shell(setup: EnergySetup, r_values, samples: int,
+                           seed: int) -> list:
+    """Sampled sups of J on the shells I = r, one per r in ``r_values``.
+
+    The batch of random zero-trace fields and their gradient magnitudes is
+    drawn once; each r only rescales the whole batch onto its shell (one
+    batched scaling) and takes the largest J over it.
+    """
     if samples < 1:
         raise DomainError("need at least one sample")
     dom = setup.dom
@@ -244,17 +248,20 @@ def _sup_reaction_on_shell(setup: EnergySetup, r: float, samples: int,
     # candidate is the deterministic reference bump, so drop it
     cands = smooth_candidates(dom, samples + 1, seed)[1:]
     mags = np.stack([gradient_magnitude(dom, c) for c in cands])
-    scales = scale_to_modular(setup.phi, setup.w_cell_qw, mags, r)
-    live = np.isfinite(scales)
-    if not np.any(live):
-        raise DomainError("all shell samples are degenerate")
     shape = (-1,) + (1,) * (cands.ndim - 1)
-    scaled = cands[live] * scales[live].reshape(shape)
-    sup_j = float(np.max(modular_values(setup.psi, setup.w1.values,
-                                        dom.node_qw, scaled)))
-    if sup_j <= 0:
-        raise DomainError("all shell samples are degenerate")
-    return sup_j
+    sups = []
+    for r in r_values:
+        scales = scale_to_modular(setup.phi, setup.w_cell_qw, mags, r)
+        live = np.isfinite(scales)
+        if not np.any(live):
+            raise DomainError("all shell samples are degenerate")
+        scaled = cands[live] * scales[live].reshape(shape)
+        sup_j = float(np.max(modular_values(setup.psi, setup.w1.values,
+                                            dom.node_qw, scaled)))
+        if sup_j <= 0:
+            raise DomainError("all shell samples are degenerate")
+        sups.append(sup_j)
+    return sups
 
 
 def _plateau_energies(setup: EnergySetup, d: float) -> tuple:
@@ -272,12 +279,15 @@ def lambda_interval(setup: EnergySetup, d: float, r: float,
     """Empirical multiplier window (lo, hi, sup_J_r).
 
     lo = I(v_d)/J(v_d) by quadrature; hi = r / sup_J_r with the sampled
-    shell supremum.  The window is nonempty only when lo < hi; callers
-    compare sup_J_r against the analytic envelope separately.
+    shell supremum.  Its sample batch is the one :func:`grid_search` draws
+    once and rescales onto every shell, so the two agree bit for bit at
+    equal ``samples`` and ``seed``.  The window is nonempty only when
+    lo < hi; callers compare sup_J_r against the analytic envelope
+    separately.
     """
     RegionInput(setup, d, r)
     i_vd, j_vd = _plateau_energies(setup, d)
-    sup_j = _sup_reaction_on_shell(setup, r, samples, seed)
+    sup_j, = _sup_reaction_on_shell(setup, [r], samples, seed)
     return i_vd / j_vd, r / sup_j, sup_j
 
 
@@ -427,8 +437,9 @@ def grid_search(setup: EnergySetup, d_values, r_values,
 
     The region conditions and every r are checked once, and every
     plateau height d must give a positive J(v_d), before the constant c1
-    is computed.  c1 and the per-r shell suprema are computed once and
-    shared across the grid.  Returns the reports in row-major (d, r)
+    is computed.  c1 and the shell suprema are computed once and shared
+    across the grid: the shell sample batch is drawn once, and each r only
+    rescales it onto its shell.  Returns the reports in row-major (d, r)
     order; callers filter on ``admissible`` and window nonemptiness.
     With ``probe_starts`` > 0, the critical-point probe runs at the
     window midpoint of every admissible pair with a nonempty window.
@@ -441,17 +452,14 @@ def grid_search(setup: EnergySetup, d_values, r_values,
     energies = [_plateau_energies(setup, d) for d in d_values]
     if c1 is None:
         c1 = default_c1(setup, seed=seed)
-    sup_cache = {}
+    sups = _sup_reaction_on_shell(setup, r_values, samples, seed)
     reports = []
     for d, (i_vd, j_vd) in zip(d_values, energies):
         bounds = energy_bounds_ine(setup, d)
         g_omega = gamma_d(setup, d)
         g_ann = gamma_d(setup, d, on="annulus")
         cap = r_condition_cap(setup, d, two_n=two_n)
-        for r in r_values:
-            if r not in sup_cache:
-                sup_cache[r] = _sup_reaction_on_shell(setup, r, samples, seed)
-            sup_j = sup_cache[r]
+        for r, sup_j in zip(r_values, sups):
             lo, hi = i_vd / j_vd, r / sup_j
             w_tilde = w_tilde_r(setup, r, c1)
             rep = RegionReport(

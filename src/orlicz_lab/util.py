@@ -14,13 +14,14 @@ import os
 
 import numpy as np
 
-from .errors import DomainError, HorizonError
+from .errors import ConfigError, DomainError, HorizonError
 
 __all__ = [
     "gauss_panels",
     "CumulativeTable",
     "invert_increasing",
     "thread_count",
+    "config_int",
 ]
 
 # 8-point Gauss-Legendre rule on [-1, 1]; exact for polynomials up to
@@ -200,3 +201,15 @@ def thread_count() -> int:
     except ValueError:
         return 1
     return max(1, min(n, os.cpu_count() or 1))
+
+
+def config_int(value, name: str) -> int:
+    """A config value that must be a whole number, as an int; anything
+    else (a string, a list, 2.5, inf) raises :class:`ConfigError`."""
+    try:
+        whole = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)

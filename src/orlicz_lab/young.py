@@ -26,7 +26,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConditionFailure, ConfigError, DomainError, HorizonError
 from .util import CumulativeTable, gauss_panels, invert_increasing
@@ -443,6 +442,9 @@ class Tabulated(YoungFunction):
         slopes = np.diff(values) / np.diff(knots)
         if np.any(np.diff(slopes) < -1e-9 * np.maximum(1.0, slopes[:-1])):
             raise DomainError("tabulated kind needs convex values")
+        # scipy.interpolate pulls in scipy.special and scipy.optimize, so it
+        # loads with the first table rather than with the package
+        from scipy.interpolate import PchipInterpolator
         self.knots, self.values = knots, values
         self._interp = PchipInterpolator(knots, values, extrapolate=False)
         self._dinterp = self._interp.derivative()
@@ -517,6 +519,7 @@ class ConjugateFunction(YoungFunction):
 
     def __init__(self, base: YoungFunction, s_min: float = 1e-6,
                  s_max: float = 1e6, n: int = 4096):
+        from scipy.interpolate import PchipInterpolator
         self.base = base
         self._table = CumulativeTable(self._derivative_raw, s_min, s_max, n)
         self._log_grid = np.log(self._table.grid)

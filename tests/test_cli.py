@@ -1,11 +1,16 @@
 """End-to-end runs of the batch front end, in process via main()."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from orlicz_lab import __version__
 from orlicz_lab.cli import main
@@ -275,3 +280,86 @@ def test_tiny_plateau_height_exits_2(tmp_path, capsys):
     assert main(["region", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err == "error: test function has vanishing reaction energy\n"
+
+
+REGION_CFG = {
+    "phi": {"kind": "power", "p": 3},
+    "psi": {"kind": "power", "p": 2},
+    "domain": {"shape": "disc", "n": 21, "extent": [1.0]},
+    "region": {"d_values": [0.15], "r_values": [0.0274], "samples": 4,
+               "c1": 0.45}}
+
+
+def region_cfg_with(key, value):
+    """REGION_CFG with one region key, or the top-level seed, replaced."""
+    payload = dict(REGION_CFG, region=dict(REGION_CFG["region"]))
+    if key == "seed":
+        payload["seed"] = value
+    else:
+        payload["region"][key] = value
+    return payload
+
+
+def run_region(path, out):
+    """Exit code and stderr of one in-process region run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["region", "--config", path, "--out", out])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("d_values", 0.15),
+    ("d_values", ["x"]),
+    ("d_values", {"a": 1}),
+    ("r_values", [0.0274, math.inf]),
+    ("samples", "abc"),
+    ("samples", [1]),
+    ("starts", 2.5),
+    ("c1", "abc"),
+    ("c1", -1),
+    ("seed", "abc"),
+    ("seed", -1),
+])
+def test_malformed_region_value_exits_2(tmp_path, key, value):
+    cfg = write_cfg(tmp_path, region_cfg_with(key, value))
+    code, err = run_region(cfg, str(tmp_path / "o"))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+_WORD = st.text(alphabet="abcxyz", min_size=1, max_size=4)
+_MAPPING = st.dictionaries(st.sampled_from("ab"), st.integers(0, 3),
+                           min_size=1)
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+_BAD_ENTRY = st.one_of(st.none(), _WORD, _MAPPING, _NON_FINITE,
+                       st.lists(st.integers(0, 3), max_size=2))
+_BAD_LIST = st.one_of(
+    st.none(), _WORD, _MAPPING, _NON_FINITE, st.floats(0.01, 1.0),
+    st.lists(_BAD_ENTRY, min_size=1, max_size=3))
+_NOT_AN_INTEGER = st.one_of(
+    st.none(), _WORD, _MAPPING, _NON_FINITE,
+    st.lists(st.integers(0, 3), max_size=2),
+    st.floats(0.1, 99.9).filter(lambda v: v != int(v)))
+_MALFORMED = st.one_of(
+    st.tuples(st.sampled_from(["d_values", "r_values"]), _BAD_LIST),
+    st.tuples(st.sampled_from(["samples", "starts", "seed"]),
+              _NOT_AN_INTEGER),
+    st.tuples(st.just("seed"), st.integers(-10 ** 6, -1)),
+    # a null c1 asks for the computed constant, so it is not drawn
+    st.tuples(st.just("c1"), st.one_of(
+        _WORD, _MAPPING, _NON_FINITE, st.lists(st.integers(0, 3)),
+        st.floats(-10.0, 0.0))))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_MALFORMED)
+def test_region_config_fuzz_exits_2(tmp_path, case):
+    key, value = case
+    cfg = write_cfg(tmp_path, region_cfg_with(key, value))
+    code, err = run_region(cfg, str(tmp_path / "o"))
+    assert code == 2, (key, value, err)
+    assert err.startswith("error: ") and err.count("\n") == 1

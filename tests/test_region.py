@@ -330,6 +330,26 @@ def _fake_report(lo, hi, admissible, probe):
         r_cap=0.021)
 
 
+def test_grid_search_draws_the_shell_batch_once(monkeypatch):
+    setup = small_disc(n=33)
+    calls = []
+    draw = region.smooth_candidates
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+    monkeypatch.setattr(region, "smooth_candidates", counted)
+    rows = ol.grid_search(setup, [0.1, D_REF], [0.0265, R_REF, 0.0281],
+                          samples=16, seed=3, c1=0.45)
+    assert len(rows) == 6 and len(calls) == 1
+    # each r rescales the same batch, so the one-r window reads the grid's
+    # supremum bit for bit
+    for row in rows:
+        _, _, sup_j = ol.lambda_interval(setup, row.d, row.r, samples=16,
+                                         seed=3)
+        assert sup_j == row.sup_J_r
+
+
 def test_grid_search_validates_every_pair_before_any_work(disc_reference,
                                                           monkeypatch):
     setup = disc_reference

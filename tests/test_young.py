@@ -2,6 +2,9 @@
 classification, and the comparison relations."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -331,3 +334,15 @@ def test_inverse_beyond_the_horizon_raises():
     newt = ol.Newtonian(0.5, 1.0, t_max=3.0)
     with pytest.raises(HorizonError):
         newt.inverse(1.001 * newt.value(3.0))
+
+
+def test_package_import_leaves_scipy_interpolate_unloaded():
+    # only tabulated and conjugate functions interpolate, so the package
+    # and the cli load without scipy.interpolate
+    src = os.path.dirname(os.path.dirname(ol.__file__))
+    code = ("import sys, orlicz_lab, orlicz_lab.cli; "
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
