@@ -91,6 +91,32 @@ def _check_keys(cfg: dict, command: str):
     return body
 
 
+def _real(x) -> float:
+    """float(x), or nan when x is not a number."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _number(value, what: str) -> float:
+    """A config value that must be a finite number, as a float."""
+    x = _real(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return x
+
+
+def _numbers(body: dict, key: str, section: str) -> list:
+    """``body[key]`` as a list of finite floats."""
+    raw = body[key]
+    vals = [_real(x) for x in raw] if isinstance(raw, list) else [math.nan]
+    if not all(math.isfinite(x) for x in vals):
+        raise ConfigError(
+            f"{section} {key!r} must be a list of finite numbers, got {raw!r}")
+    return vals
+
+
 def _weight_field(dom: GridDomain, cfg, name: str) -> WeightField:
     if cfg is None:
         return WeightField.constant(dom, 1.0)
@@ -99,7 +125,7 @@ def _weight_field(dom: GridDomain, cfg, name: str) -> WeightField:
             f"'{name}' must be a one-key mapping (constant or csv)")
     (key, val), = cfg.items()
     if key == "constant":
-        return WeightField.constant(dom, float(val))
+        return WeightField.constant(dom, _number(val, f"{name} 'constant'"))
     if key == "csv":
         return WeightField.from_csv(dom, val)
     raise ConfigError(f"unknown key '{key}' in '{name}'")
@@ -108,11 +134,12 @@ def _weight_field(dom: GridDomain, cfg, name: str) -> WeightField:
 def _solver_options(cfg: dict, seed: int) -> SolverOptions:
     body = cfg.get("solver", {})
     return SolverOptions(
-        tol=float(body.get("tol", 1e-8)),
-        max_iter=int(body.get("max_iter", 100_000)),
+        tol=_number(body.get("tol", 1e-8), "solver 'tol'"),
+        max_iter=config_int(body.get("max_iter", 100_000),
+                            "solver 'max_iter'"),
         onesigned=bool(body.get("onesigned", True)),
-        seed=int(body.get("seed", seed)),
-        starts=int(body.get("starts", 8)),
+        seed=config_int(body.get("seed", seed), "solver 'seed'"),
+        starts=config_int(body.get("starts", 8), "solver 'starts'"),
     )
 
 
@@ -229,9 +256,9 @@ def cmd_conjugate(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
     if "phi" not in cfg:
         raise ConfigError("config needs a 'phi' section")
     phi = from_config(cfg["phi"])
-    s_min = float(body.get("s_min", 1e-2))
-    s_max = float(body.get("s_max", 1e2))
-    points = int(body.get("points", 41))
+    s_min = _number(body.get("s_min", 1e-2), "conjugate 's_min'")
+    s_max = _number(body.get("s_max", 1e2), "conjugate 's_max'")
+    points = config_int(body.get("points", 41), "conjugate 'points'")
     if not (0 < s_min < s_max) or points < 2:
         raise ConfigError("conjugate needs 0 < s_min < s_max and points >= 2")
     conj = phi.conjugate()
@@ -265,7 +292,7 @@ def cmd_norm(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
         raise ConfigError("norm needs u: {constant: value} or u: {csv: path}")
     (key, val), = spec.items()
     if key == "constant":
-        vals = np.full(dom.node_shape, float(val))
+        vals = np.full(dom.node_shape, _number(val, "norm u 'constant'"))
     elif key == "csv":
         from .norms import load_values_csv
         vals = load_values_csv(dom, val)
@@ -289,7 +316,7 @@ def cmd_norm(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
 def cmd_eig(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
     setup = _build_setup(cfg)
     opts = _solver_options(cfg, seed)
-    alpha = float(body.get("alpha", 1.0))
+    alpha = _number(body.get("alpha", 1.0), "eig 'alpha'")
     pair = minimize_on_level(setup, alpha, opts=opts)
     rows = [[repr(pair.alpha), repr(pair.lam), repr(pair.level),
              repr(pair.residual), pair.iterations]]
@@ -308,15 +335,15 @@ def cmd_eig(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
 
 def _sweep_levels(body: dict) -> list:
     if "alphas" in body:
-        levels = [float(a) for a in body["alphas"]]
+        levels = _numbers(body, "alphas", "spectrum")
         if "alpha_min" in body or "alpha_max" in body or "points" in body:
             raise ConfigError(
                 "spectrum takes either 'alphas' or a range, not both")
     else:
         try:
-            lo = float(body["alpha_min"])
-            hi = float(body["alpha_max"])
-            points = int(body.get("points", 10))
+            lo = _number(body["alpha_min"], "spectrum 'alpha_min'")
+            hi = _number(body["alpha_max"], "spectrum 'alpha_max'")
+            points = config_int(body.get("points", 10), "spectrum 'points'")
         except KeyError as exc:
             raise ConfigError(
                 f"spectrum range needs key {exc.args[0]!r}") from None
@@ -371,23 +398,10 @@ def cmd_spectrum(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
     return 3 if failures else 0
 
 
-def _real(x) -> float:
-    """float(x), or nan when x is not a number."""
-    try:
-        return float(x)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
-
-
 def _region_values(body: dict, key: str) -> list:
     if key not in body:
         raise ConfigError(f"region needs key {key!r}")
-    raw = body[key]
-    vals = [_real(x) for x in raw] if isinstance(raw, list) else [math.nan]
-    if not all(math.isfinite(x) for x in vals):
-        raise ConfigError(
-            f"region {key!r} must be a list of finite numbers, got {raw!r}")
-    return vals
+    return _numbers(body, key, "region")
 
 
 def cmd_region(cfg: dict, body: dict, out_dir: str, seed: int,

@@ -1,10 +1,10 @@
 """Small numerical kernels used throughout the package.
 
 Everything here is vectorized numpy: fixed-order Gauss-Legendre segment
-quadrature, cumulative integral tables over log-spaced grids, and one
-batched root kernel for monotone scalar maps.  These are the only
-root-finding and quadrature routines the package uses, so their tolerances
-are centralized here.
+quadrature, cumulative integral tables over log-spaced grids, one monotone
+cubic interpolant and one batched root kernel for monotone scalar maps.
+These are the only root-finding, quadrature and interpolation routines the
+package uses, so their tolerances are centralized here.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .errors import ConfigError, DomainError, HorizonError
 __all__ = [
     "gauss_panels",
     "CumulativeTable",
+    "MonotoneCubic",
     "invert_increasing",
     "thread_count",
     "config_int",
@@ -98,6 +99,91 @@ class CumulativeTable:
         base = np.where(below, 0.0, base)
         out[pos] = base + gauss_panels(self.f, left, xp)
         return out
+
+
+class MonotoneCubic:
+    """Shape-preserving piecewise cubic through the knots ``(x, y)``.
+
+    Fritsch-Carlson monotone interpolation (SIAM J. Numer. Anal. 17, 1980)
+    with scipy's PCHIP slopes: the weighted harmonic mean of the adjacent
+    secants inside, zero where they change sign or one vanishes, and Moler's
+    one-sided three-point estimate at both ends.  Coefficients and
+    evaluation order follow scipy's ``CubicHermiteSpline`` and ``PPoly``, so
+    the value (``nu=0``) and the first two derivatives are bit-identical to
+    ``PchipInterpolator(x, y)`` and its derivatives.  Needs at least three
+    strictly increasing knots; queries outside ``[x0, x[-1]]`` continue the
+    end pieces.
+
+    A query's interval comes from a direct guess on a uniform grid,
+    corrected by one step each way; only the queries that still miss it
+    are binary-searched.  The lookup is exact for any knots, and O(1) on
+    the log-uniform grids of conjugate tables.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = np.diff(x)
+        m = np.diff(y) / h
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d = np.concatenate([[_end_slope(h[0], h[1], m[0], m[1])],
+                                np.where(flat, 0.0, 1.0 / mean),
+                                [_end_slope(h[-1], h[-2], m[-1], m[-2])]])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        c0, c1, c2 = t / h, (m - d[:-1]) / h - t, d[:-1]
+        # per derivative order nu = 0, 1, 2, coefficients of the powers of s,
+        # highest first; + 0.0 matches PPoly's zero accumulator on a -0.0
+        self._coef = ((c0, c1, c2, y[:-1] + 0.0), (3 * c0, 2 * c1, c2 + 0.0),
+                      (6 * c0, 2 * c1 + 0.0))
+        self.x = x
+        self._scale = (x.size - 1) / (x[-1] - x[0])
+        # interval ends with nan for the outer two: every comparison with nan
+        # is false, so no query steps past or misses an end interval, and
+        # the end pieces take every query beyond the knots, +-inf included
+        self._lo = np.concatenate([[np.nan], x[1:-1]])
+        self._hi = np.concatenate([x[1:-1], [np.nan]])
+
+    def _interval(self, q):
+        """``searchsorted(x, q, side="right") - 1`` clamped to ``[0, n-2]``:
+        the knot interval ``[x[i], x[i+1])`` holding ``q``, the last one
+        closed."""
+        lo, hi = self._lo, self._hi
+        i = np.fmin(np.fmax((q - self.x[0]) * self._scale, 0.0),
+                    lo.size - 1).astype(np.intp)
+        i -= q < lo[i]
+        i += q >= hi[i]
+        miss = (q < lo[i]) | (q >= hi[i])
+        if miss.any():
+            i[miss] = np.searchsorted(self.x, q[miss], side="right") - 1
+        return i
+
+    def __call__(self, q, nu: int = 0):
+        q = np.asarray(q, dtype=float)
+        flat = q.ravel()
+        i = self._interval(flat)
+        s = flat - self.x[i]
+        coef = self._coef[nu]
+        out = coef[-1][i] + coef[-2][i] * s
+        power = s
+        for c in coef[-3::-1]:
+            power = power * s
+            out += c[i] * power
+        return out.reshape(q.shape)
+
+
+def _end_slope(h0, h1, m0, m1):
+    """PCHIP's one-sided three-point end slope, shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        d = 0.0
+    elif np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        d = 3.0 * m0
+    return d
 
 
 def invert_increasing(f, y, lo=None, hi=None, horizon: float = math.inf,

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionFailure, ConfigError, DomainError, HorizonError
-from .util import CumulativeTable, gauss_panels, invert_increasing
+from .util import (CumulativeTable, MonotoneCubic, gauss_panels,
+                   invert_increasing)
 
 __all__ = [
     "YoungFunction",
@@ -58,9 +59,10 @@ __all__ = [
 
 def _checked(t, name: str = "t"):
     arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    if np.any(arr < 0):
+    # one pass per reduction; min and max propagate nan
+    if arr.size and not (arr.min() >= 0 and arr.max() < math.inf):
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"{name} must be finite")
         raise DomainError(f"{name} must be nonnegative")
     return arr, arr.ndim == 0
 
@@ -419,8 +421,11 @@ class Tabulated(YoungFunction):
 
     Input rows must have strictly increasing ``t`` and strictly increasing
     values; a leading ``(0, 0)`` row is prepended when absent.  Values come
-    from a shape-preserving monotone cubic through the knots, the density
-    from its derivative, so both stay nondecreasing between knots.
+    from the in-package monotone cubic :class:`~orlicz_lab.util.MonotoneCubic`
+    through the knots, the density and its slope from its first and second
+    derivatives, so value and density stay nondecreasing between knots.
+    Its direct interval lookup falls back to binary search where irregular
+    knots defeat the guess.
     """
 
     kind = "tabulated"
@@ -442,13 +447,8 @@ class Tabulated(YoungFunction):
         slopes = np.diff(values) / np.diff(knots)
         if np.any(np.diff(slopes) < -1e-9 * np.maximum(1.0, slopes[:-1])):
             raise DomainError("tabulated kind needs convex values")
-        # scipy.interpolate pulls in scipy.special and scipy.optimize, so it
-        # loads with the first table rather than with the package
-        from scipy.interpolate import PchipInterpolator
         self.knots, self.values = knots, values
-        self._interp = PchipInterpolator(knots, values, extrapolate=False)
-        self._dinterp = self._interp.derivative()
-        self._d2interp = self._interp.derivative(2)
+        self._interp = MonotoneCubic(knots, values)
         super().__init__()
 
     @classmethod
@@ -488,11 +488,11 @@ class Tabulated(YoungFunction):
         return self._interp(self._guard(np.asarray(t, dtype=float)))
 
     def _derivative_raw(self, t):
-        out = self._dinterp(self._guard(np.asarray(t, dtype=float)))
+        out = self._interp(self._guard(np.asarray(t, dtype=float)), 1)
         return np.maximum(out, 0.0)
 
     def _second_derivative_raw(self, t):
-        return self._d2interp(self._guard(np.asarray(t, dtype=float)))
+        return self._interp(self._guard(np.asarray(t, dtype=float)), 2)
 
     def _validate(self):
         # The generic probe samples past small tables; the constructor
@@ -506,26 +506,26 @@ class ConjugateFunction(YoungFunction):
 
     Knot values are the cumulative integral of the inverse density over a
     log-spaced table (the two forms agree for convex ``Phi``).  Queries
-    interpolate the knots monotonically in log-log coordinates, which is
-    exact for power laws and keeps evaluation cheap enough for the norm
-    root solves built on top; below the first knot the log-log tail is
-    continued linearly, where the conjugate is itself asymptotically a
-    power.  The density of the conjugate is the inverse density of the
-    base, and vice versa, which makes conjugation an involution here up to
-    table error.
+    interpolate the knots in log-log coordinates with the in-package
+    monotone cubic :class:`~orlicz_lab.util.MonotoneCubic`, which is exact
+    for power laws.  The table is uniform in ``log s``, so the direct
+    interval lookup finds each query's knot in O(1), which keeps evaluation
+    cheap enough for the norm root solves built on top.  Below the first
+    knot the log-log tail is continued linearly, where the conjugate is
+    itself asymptotically a power.  The density of the conjugate is the
+    inverse density of the base, and vice versa, which makes conjugation an
+    involution here up to table error.
     """
 
     kind = "conjugate"
 
     def __init__(self, base: YoungFunction, s_min: float = 1e-6,
                  s_max: float = 1e6, n: int = 4096):
-        from scipy.interpolate import PchipInterpolator
         self.base = base
         self._table = CumulativeTable(self._derivative_raw, s_min, s_max, n)
         self._log_grid = np.log(self._table.grid)
         self._log_cum = np.log(self._table.cum)
-        self._interp = PchipInterpolator(self._log_grid, self._log_cum,
-                                         extrapolate=False)
+        self._interp = MonotoneCubic(self._log_grid, self._log_cum)
         self._tail_slope = ((self._log_cum[1] - self._log_cum[0])
                             / (self._log_grid[1] - self._log_grid[0]))
         super().__init__()

@@ -255,6 +255,31 @@ def test_exhausted_solver_exits_3(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,body", [
+    ("eig", {"alpha": "abc"}),
+    ("solver", {"tol": "abc"}),
+    ("solver", {"max_iter": 2.5}),
+    ("solver", {"seed": "abc"}),
+    ("conjugate", {"s_min": "abc"}),
+    ("conjugate", {"points": 2.5}),
+    ("spectrum", {"alphas": ["x"]}),
+    ("weight", {"constant": "abc"}),
+])
+def test_malformed_number_exits_2(tmp_path, section, body):
+    payload = {key: EIG_CFG[key] for key in ("phi", "psi", "domain")}
+    payload[section] = body
+    command = section if section in ("eig", "conjugate", "spectrum") else "eig"
+    cfg = write_cfg(tmp_path, payload)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    err = err.getvalue()
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("r", [0.0, -0.01])
 def test_nonpositive_energy_radius_exits_2(tmp_path, capsys, r):
     payload = {

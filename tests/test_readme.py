@@ -1,10 +1,13 @@
-"""The README quick start runs as written and prints what it claims."""
+"""The README quick start and config example run as written and do what
+they claim."""
 
 import math
 import re
 from pathlib import Path
 
 import pytest
+
+from orlicz_lab.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +27,20 @@ def test_readme_quick_start_runs(capsys):
     assert scope["pair"].lam == pytest.approx(math.pi ** 2, rel=1e-4)
     out = capsys.readouterr().out
     assert "d = 0.15, r = 0.0274" in out and "lambda window" in out
+
+
+def _config_example() -> str:
+    text = README.read_text()
+    section = text[text.index("## Command line"):]
+    match = re.search(r"```yaml\n(.*?)```", section, re.DOTALL)
+    assert match, "the command-line section has no yaml block"
+    return match.group(1)
+
+
+def test_readme_config_example_runs_eig(tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    path.write_text(_config_example())
+    out = tmp_path / "runs"
+    assert main(["eig", "--config", str(path), "--out", str(out)]) == 0
+    assert "lambda =" in capsys.readouterr().out
+    assert (out / "eig.csv").is_file()

@@ -1,11 +1,12 @@
-"""The root kernel shared by every inverse, norm and level-set scaling."""
+"""The root kernel shared by every inverse, norm and level-set scaling, and
+the monotone cubic behind conjugate and tabulated Young functions."""
 
 import numpy as np
 import pytest
 
 import orlicz_lab as ol
 from orlicz_lab import DomainError
-from orlicz_lab.util import invert_increasing
+from orlicz_lab.util import MonotoneCubic, invert_increasing
 
 
 def cube(s):
@@ -80,3 +81,49 @@ def test_young_inverses_round_trip(name, phi):
     np.testing.assert_allclose(phi.inverse(phi.value(t)), t, rtol=1e-12)
     np.testing.assert_allclose(phi.derivative_inverse(phi.derivative(t)), t,
                                rtol=1e-12)
+
+
+def _irregular_knots(seed):
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.01, 1.0, 40))
+    # monotone stretches, flat steps and sign changes of the secant
+    steps = rng.choice([-1.0, 0.0, 1.0, 2.0], 40) * rng.uniform(0.0, 1.0, 40)
+    y = np.cumsum(steps)
+    return x, y
+
+
+def _queries(x, seed):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.uniform(x[0], x[-1], 5000), x])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_monotone_cubic_is_scipy_pchip_bit_for_bit(seed):
+    from scipy.interpolate import PchipInterpolator
+    x, y = _irregular_knots(seed)
+    q = _queries(x, seed)
+    ref = PchipInterpolator(x, y)
+    ours = MonotoneCubic(x, y)
+    for nu in (0, 1, 2):
+        assert np.array_equal(ours(q, nu), ref.derivative(nu)(q))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_monotone_cubic_lookup_is_a_clamped_searchsorted(seed):
+    irregular, _ = _irregular_knots(seed)
+    log_grid = np.log(np.geomspace(1e-6, 1e6, 4096))
+    for x in (irregular, log_grid):
+        span = x[-1] - x[0]
+        q = np.concatenate([_queries(x, seed), x[[0, -1]],
+                            [x[0] - span, x[-1] + span, -np.inf, np.inf]])
+        want = np.clip(np.searchsorted(x, q, side="right") - 1, 0, x.size - 2)
+        got = MonotoneCubic(x, x ** 3)._interval(q)
+        assert np.array_equal(got, want)
+
+
+def test_monotone_cubic_keeps_the_shape_of_its_input():
+    x = np.array([0.0, 1.0, 2.0, 4.0])
+    cubic = MonotoneCubic(x, x ** 2)
+    assert cubic(2.0).shape == ()
+    assert cubic(2.0) == 4.0
+    assert cubic(np.full((2, 3), 1.0)).shape == (2, 3)

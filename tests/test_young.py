@@ -79,6 +79,22 @@ def test_values_reject_bad_arguments():
         phi.value(float("nan"))
 
 
+def test_argument_check_messages():
+    phi = ol.Power(2.0)
+    for bad, message in ((np.nan, "t must be finite"),
+                         (np.inf, "t must be finite"),
+                         (-np.inf, "t must be finite"),
+                         (-1.0, "t must be nonnegative"),
+                         ([1.0, -2.0, np.nan], "t must be finite"),
+                         ([1.0, -2.0, np.inf], "t must be finite"),
+                         ([0.5, -2.0, 3.0], "t must be nonnegative")):
+        with pytest.raises(DomainError) as info:
+            phi.value(bad)
+        assert str(info.value) == message
+    assert phi.value(-0.0) == 0.0 and phi.value(0.0) == 0.0
+    assert phi.value(np.array([])).shape == (0,)
+
+
 def test_evaluate_and_derivative_are_vectorized():
     phi = ol.PowerSum(2.0, 4.0)
     ts = np.linspace(0.0, 3.0, 17)
@@ -166,6 +182,18 @@ def test_conjugate_involution_on_delta2_catalog():
         back = phi.conjugate().conjugate()
         err = np.abs(back.value(ts) - phi.value(ts)) / (1.0 + phi.value(ts))
         assert err.max() <= 1e-5
+
+
+@pytest.mark.parametrize("name,phi", [
+    entry for entry in ol.catalog() if entry[0] != "exp-square"])
+def test_conjugate_interpolant_is_scipy_pchip_bit_for_bit(name, phi):
+    from scipy.interpolate import PchipInterpolator
+    conj = phi.conjugate()
+    x, y = conj._log_grid, conj._log_cum
+    rng = np.random.default_rng(0)
+    q = np.concatenate([rng.uniform(x[0], x[-1], 20_000), x, x[[0, -1]]])
+    ref = PchipInterpolator(x, y, extrapolate=False)(q)
+    assert np.array_equal(conj._interp(q), ref)
 
 
 def test_conjugate_indices_are_dual():
@@ -337,10 +365,26 @@ def test_inverse_beyond_the_horizon_raises():
 
 
 def test_package_import_leaves_scipy_interpolate_unloaded():
-    # only tabulated and conjugate functions interpolate, so the package
-    # and the cli load without scipy.interpolate
+    # tabulated and conjugate functions interpolate with the in-package
+    # monotone cubic and its direct knot lookup, so the package and the cli
+    # load without scipy.interpolate
     src = os.path.dirname(os.path.dirname(ol.__file__))
     code = ("import sys, orlicz_lab, orlicz_lab.cli; "
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
+
+
+def test_tables_evaluate_without_scipy_interpolate():
+    src = os.path.dirname(os.path.dirname(ol.__file__))
+    code = ("import sys, numpy as np, orlicz_lab as ol\n"
+            "t = np.linspace(0.0, 2.0, 9)\n"
+            "knots = np.array([0.5, 1.0, 2.0, 3.0])\n"
+            "for f in (ol.Power(3.0).conjugate(),\n"
+            "          ol.Tabulated(knots, knots ** 2 / 2.0)):\n"
+            "    f.value(t), f.derivative(t), f.second_derivative(t)\n"
             "print('scipy.interpolate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
