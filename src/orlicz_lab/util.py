@@ -37,6 +37,8 @@ _LN2 = math.log(2.0)
 # false position with the Illinois rule converges superlinearly; this cap
 # only guards against a map that is not monotone
 _MAX_STEPS = 200
+# queries per block of a MonotoneCubic evaluation
+_BLOCK = 8192
 
 
 def gauss_panels(f, left, right):
@@ -114,10 +116,10 @@ class MonotoneCubic:
     strictly increasing knots; queries outside ``[x0, x[-1]]`` continue the
     end pieces.
 
-    A query's interval comes from a direct guess on a uniform grid,
-    corrected by one step each way; only the queries that still miss it
-    are binary-searched.  The lookup is exact for any knots, and O(1) on
-    the log-uniform grids of conjugate tables.
+    On evenly spaced knots (every knot within half a spacing of its place
+    on the uniform grid, as on the log-uniform grids of conjugate tables) a
+    query's knot is guessed directly and corrected by one step each way,
+    which is exact and O(1); other knots are binary-searched.
     """
 
     def __init__(self, x, y):
@@ -136,44 +138,61 @@ class MonotoneCubic:
                                 [_end_slope(h[-1], h[-2], m[-1], m[-2])]])
         t = (d[:-1] + d[1:] - 2 * m) / h
         c0, c1, c2 = t / h, (m - d[:-1]) / h - t, d[:-1]
+        # Everything is indexed by the knot count searchsorted(x, q, "right")
+        # in 0..n: the pieces are padded with a copy of the first in front
+        # and of the last behind, so the count needs no clamp.
         # per derivative order nu = 0, 1, 2, coefficients of the powers of s,
         # highest first; + 0.0 matches PPoly's zero accumulator on a -0.0
-        self._coef = ((c0, c1, c2, y[:-1] + 0.0), (3 * c0, 2 * c1, c2 + 0.0),
-                      (6 * c0, 2 * c1 + 0.0))
+        self._coef = tuple(tuple(_pad_ends(c) for c in coef) for coef in (
+            (c0, c1, c2, y[:-1] + 0.0), (3 * c0, 2 * c1, c2 + 0.0),
+            (6 * c0, 2 * c1 + 0.0)))
+        self._left = _pad_ends(x[:-1])
         self.x = x
-        self._scale = (x.size - 1) / (x[-1] - x[0])
-        # interval ends with nan for the outer two: every comparison with nan
-        # is false, so no query steps past or misses an end interval, and
-        # the end pieces take every query beyond the knots, +-inf included
-        self._lo = np.concatenate([[np.nan], x[1:-1]])
-        self._hi = np.concatenate([x[1:-1], [np.nan]])
+        n = x.size
+        scale = (n - 1) / (x[-1] - x[0])
+        self._guess = None
+        if np.abs((x - x[0]) * scale - np.arange(n)).max() <= 0.5:
+            # count k holds q iff x[k-1] <= q < x[k]; the missing bounds of
+            # 0 and n are nan, which fails every comparison, so the
+            # correction stops there for every query, +-inf included
+            self._guess = (x[0], scale, np.concatenate([[np.nan], x]),
+                           np.concatenate([x, [np.nan]]))
 
     def _interval(self, q):
-        """``searchsorted(x, q, side="right") - 1`` clamped to ``[0, n-2]``:
-        the knot interval ``[x[i], x[i+1])`` holding ``q``, the last one
-        closed."""
-        lo, hi = self._lo, self._hi
-        i = np.fmin(np.fmax((q - self.x[0]) * self._scale, 0.0),
-                    lo.size - 1).astype(np.intp)
-        i -= q < lo[i]
-        i += q >= hi[i]
-        miss = (q < lo[i]) | (q >= hi[i])
-        if miss.any():
-            i[miss] = np.searchsorted(self.x, q[miss], side="right") - 1
-        return i
+        """``searchsorted(x, q, side="right")``: the number of knots <= q."""
+        if self._guess is None:
+            return np.searchsorted(self.x, q, side="right")
+        # every knot is within half a spacing of its uniform place, so the
+        # truncated guess is off the count by at most one
+        x0, scale, lo, hi = self._guess
+        k = np.fmin(np.fmax((q - x0) * scale + 1.0, 0.0), lo.size - 1)
+        k = k.astype(np.intp)
+        k -= q < lo.take(k)
+        k += q >= hi.take(k)
+        return k
 
     def __call__(self, q, nu: int = 0):
         q = np.asarray(q, dtype=float)
         flat = q.ravel()
-        i = self._interval(flat)
-        s = flat - self.x[i]
+        out = np.empty(flat.shape)
         coef = self._coef[nu]
-        out = coef[-1][i] + coef[-2][i] * s
-        power = s
-        for c in coef[-3::-1]:
-            power = power * s
-            out += c[i] * power
+        # blocks keep the temporaries in cache on long batches
+        for start in range(0, flat.size, _BLOCK):
+            part = flat[start:start + _BLOCK]
+            k = self._interval(part)
+            s = part - self._left.take(k)
+            val = coef[-1].take(k) + coef[-2].take(k) * s
+            power = s
+            for c in coef[-3::-1]:
+                power = power * s
+                val += c.take(k) * power
+            out[start:start + _BLOCK] = val
         return out.reshape(q.shape)
+
+
+def _pad_ends(a):
+    """``a`` with a copy of its first entry in front and of its last behind."""
+    return np.concatenate([a[:1], a, a[-1:]])
 
 
 def _end_slope(h0, h1, m0, m1):

@@ -59,10 +59,9 @@ __all__ = [
 
 def _checked(t, name: str = "t"):
     arr = np.asarray(t, dtype=float)
-    # one pass per reduction; min and max propagate nan
-    if arr.size and not (arr.min() >= 0 and arr.max() < math.inf):
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(f"{name} must be finite")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite")
+    if np.any(arr < 0):
         raise DomainError(f"{name} must be nonnegative")
     return arr, arr.ndim == 0
 
@@ -424,8 +423,8 @@ class Tabulated(YoungFunction):
     from the in-package monotone cubic :class:`~orlicz_lab.util.MonotoneCubic`
     through the knots, the density and its slope from its first and second
     derivatives, so value and density stay nondecreasing between knots.
-    Its direct interval lookup falls back to binary search where irregular
-    knots defeat the guess.
+    Evenly spaced knots are found by a direct guess, other knots by binary
+    search.
     """
 
     kind = "tabulated"

@@ -97,28 +97,43 @@ def _queries(x, seed):
     return np.concatenate([rng.uniform(x[0], x[-1], 5000), x])
 
 
+def _knot_sets(seed):
+    """Knots of both lookups: (x, whether the direct guess serves them)."""
+    irregular, _ = _irregular_knots(seed)
+    even = np.linspace(-1.0, 3.0, 41)
+    near, far = even.copy(), even.copy()
+    near[20] += 0.45 * (even[1] - even[0])
+    far[20] += 0.55 * (even[1] - even[0])
+    return [(irregular, False), (np.log(np.geomspace(1e-6, 1e6, 4096)), True),
+            (even, True), (near, True), (far, False)]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_monotone_cubic_is_scipy_pchip_bit_for_bit(seed):
     from scipy.interpolate import PchipInterpolator
-    x, y = _irregular_knots(seed)
-    q = _queries(x, seed)
-    ref = PchipInterpolator(x, y)
-    ours = MonotoneCubic(x, y)
-    for nu in (0, 1, 2):
-        assert np.array_equal(ours(q, nu), ref.derivative(nu)(q))
+    _, y = _irregular_knots(seed)
+    for x, _ in _knot_sets(seed):
+        yy = np.interp(x, np.linspace(x[0], x[-1], y.size), y)
+        span = x[-1] - x[0]
+        q = np.concatenate([_queries(x, seed),
+                            [x[0] - span, x[-1] + span, np.nan]])
+        ref = PchipInterpolator(x, yy)
+        ours = MonotoneCubic(x, yy)
+        for nu in (0, 1, 2):
+            assert np.array_equal(ours(q, nu), ref.derivative(nu)(q),
+                                  equal_nan=True)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_monotone_cubic_lookup_is_a_clamped_searchsorted(seed):
-    irregular, _ = _irregular_knots(seed)
-    log_grid = np.log(np.geomspace(1e-6, 1e6, 4096))
-    for x in (irregular, log_grid):
+def test_monotone_cubic_lookup_is_searchsorted(seed):
+    for x, guessed in _knot_sets(seed):
         span = x[-1] - x[0]
-        q = np.concatenate([_queries(x, seed), x[[0, -1]],
+        q = np.concatenate([_queries(x, seed), np.nextafter(x, -np.inf),
                             [x[0] - span, x[-1] + span, -np.inf, np.inf]])
-        want = np.clip(np.searchsorted(x, q, side="right") - 1, 0, x.size - 2)
-        got = MonotoneCubic(x, x ** 3)._interval(q)
-        assert np.array_equal(got, want)
+        cubic = MonotoneCubic(x, x ** 3)
+        assert (cubic._guess is not None) == guessed
+        assert np.array_equal(cubic._interval(q),
+                              np.searchsorted(x, q, side="right"))
 
 
 def test_monotone_cubic_keeps_the_shape_of_its_input():
