@@ -4,9 +4,7 @@ conjugate evaluation, eigen-solving, region analysis, and spectrum sweeps.
 Every run is driven by one declarative YAML config plus the subcommand
 name; outputs are CSV files with a versioned header comment and a JSON
 summary, written under the output directory.  Identical config and seed
-give byte-identical CSV.  ``ORLICZ_LAB_THREADS`` caps sweep workers; each
-sweep level is solved independently of the others, so the cap changes
-timing only, never results.  The exit status is nonzero whenever a
+give byte-identical CSV.  The exit status is nonzero whenever a
 delegated computation violates its contract (unparseable or unknown
 config keys, failed validity conditions, residual above tolerance).
 """
@@ -19,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import yaml
@@ -27,12 +24,12 @@ import yaml
 from . import __version__
 from .errors import (ConditionFailure, ConfigError, DomainError,
                      NonConvergenceError, OrliczLabError)
-from .eigensolver import SolverOptions, minimize_on_level, residual
+from .eigensolver import SolverOptions, minimize_on_level, spectrum_sweep
 from .functionals import EnergySetup
 from .norms import (GridDomain, GridFunction, WeightField, domain_from_config,
                     gradient_norm, luxemburg_norm, sobolev_norm)
 from .region import REPORT_COLUMNS, format_report, grid_search, report_row
-from .util import config_int, thread_count
+from .util import config_int
 from .young import (catalog, check_delta2, dominates_essentially,
                     from_config, simonenko_indices, sqrt_convexity_holds)
 
@@ -133,14 +130,18 @@ def _weight_field(dom: GridDomain, cfg, name: str) -> WeightField:
 
 def _solver_options(cfg: dict, seed: int) -> SolverOptions:
     body = cfg.get("solver", {})
-    return SolverOptions(
-        tol=_number(body.get("tol", 1e-8), "solver 'tol'"),
-        max_iter=config_int(body.get("max_iter", 100_000),
-                            "solver 'max_iter'"),
-        onesigned=bool(body.get("onesigned", True)),
-        seed=config_int(body.get("seed", seed), "solver 'seed'"),
-        starts=config_int(body.get("starts", 8), "solver 'starts'"),
-    )
+    tol = _number(body.get("tol", 1e-8), "solver 'tol'")
+    if not tol > 0:
+        raise ConfigError(f"solver 'tol' must be positive, got {tol!r}")
+    counts = {}
+    for key, default in (("max_iter", 100_000), ("seed", seed),
+                         ("starts", 8)):
+        counts[key] = config_int(body.get(key, default), f"solver {key!r}")
+        if counts[key] < 0:
+            raise ConfigError(
+                f"solver {key!r} must be nonnegative, got {counts[key]}")
+    return SolverOptions(tol=tol, onesigned=bool(body.get("onesigned", True)),
+                         **counts)
 
 
 def _build_setup(cfg: dict) -> EnergySetup:
@@ -360,32 +361,17 @@ def cmd_spectrum(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
     setup = _build_setup(cfg)
     opts = _solver_options(cfg, seed)
     levels = _sweep_levels(body)
-
-    def solve(alpha):
-        try:
-            return alpha, minimize_on_level(setup, alpha, opts=opts), None
-        except NonConvergenceError as exc:
-            return alpha, None, str(exc)
-
-    workers = min(thread_count(), len(levels))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(solve, levels))
-    else:
-        done = [solve(a) for a in levels]
-    done.sort(key=lambda t: t[0])
-    rows = []
-    failures = []
-    for alpha, pair, err in done:
-        if pair is None:
-            failures.append((alpha, err))
-            continue
-        rows.append([repr(alpha), repr(pair.lam), repr(pair.level),
-                     repr(pair.residual), pair.iterations])
+    sweep = spectrum_sweep(setup, levels, opts)
+    failures = sweep.failures
+    failed = {alpha for alpha, _ in failures}
+    solved = [alpha for alpha in levels if alpha not in failed]
+    rows = [[repr(alpha), repr(pair.lam), repr(pair.level),
+             repr(pair.residual), pair.iterations]
+            for alpha, pair in zip(solved, sweep.pairs)]
     path = _write_csv(out_dir, "spectrum",
                       ["alpha", "lambda", "level_I", "residual", "iterations"],
                       rows)
-    lams = [float(r[1]) for r in rows]
+    lams = [pair.lam for pair in sweep.pairs]
     spread = ((max(lams) - min(lams)) / abs(max(lams))) if lams else None
     print(f"{len(rows)}/{len(levels)} levels solved; lambda spread "
           f"{spread if spread is None else format(spread, '.3e')}")

@@ -18,8 +18,13 @@ descends, and it is the exact Hessian wherever ``phi' >= phi/t`` (powers
 ``p >= 2``), which removes the linear-rate stall of a secant-only
 ("frozen coefficient") preconditioner.  For a quadratic ``Phi`` the full
 step reproduces inverse power iteration and the matrix is factored once.
-The sparsity pattern is built once per grid; each solve keeps its last
-factorization and refactors only when the assembled values change.
+The sparsity pattern and its band layout are built once per grid.  The
+interior nodes keep their row-major numbering, so the matrix is banded
+(half-bandwidth ``n - 2`` on the box, 1 in 1D) and is factored by a
+row-pivoted banded LU (LAPACK ``dgbtrf``/``dgbtrs``).  That one kernel
+also serves the indefinite shifted systems of the saddle polisher and the
+free-energy probe.  Each solve keeps its last factorization and refactors
+only when the assembled values change.
 
 Higher levels of the Ljusternik-Schnirelmann hierarchy are approximated by
 structure, not by genus: in 1D, gluing sign-alternating copies of the
@@ -37,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import DomainError, NonConvergenceError
 from .functionals import (DualGridFunction, EnergySetup, dual_norm, energy_I,
@@ -205,6 +209,11 @@ def _reaction_curvature(setup: EnergySetup, values: np.ndarray) -> np.ndarray:
 class _Tangent:
     """Tangent stiffness of ``I`` on the interior of one solve.
 
+    Factors with a row-pivoted banded LU (LAPACK ``dgbtrf``, Golub and
+    Van Loan, *Matrix Computations*, sec. 4.3) in the band layout of the
+    grid's :class:`StiffnessPattern`, and solves with ``dgbtrs``.  The one
+    kernel serves the positive definite descent tangent and the indefinite
+    shifted systems alike; an exactly zero pivot raises ``RuntimeError``.
     Keeps the last factorization and refactors only when the assembled
     values change, so a quadratic ``Phi`` factors once per solve.  Each
     solve owns its instance; only the grid's pattern is shared.  Given
@@ -220,24 +229,43 @@ class _Tangent:
         self.rows = penalty_rows
         self._data = None
         self._lu = None
+        self._piv = None
         self._kb = None
 
     def factor(self, values: np.ndarray, shift=None):
         """LU of the tangent at ``values``, minus ``diag(shift)`` on the
-        interior when given."""
-        data = self.pat.assemble(_tangent_tensor(self.setup, values))
+        interior when given; kept for :meth:`solve`."""
+        pat = self.pat
+        data = pat.assemble(_tangent_tensor(self.setup, values))
         if shift is not None:
-            data[self.pat.diag] -= shift
-        if self._data is None or not np.array_equal(data, self._data):
-            # free the old factors first
-            self._lu = self._data = self._kb = None
-            # a symmetric fill-reducing ordering: about half the factor
-            # time of the default COLAMD on these stencils
-            self._lu = spla.splu(self.pat.matrix(data),
-                                 permc_spec="MMD_AT_PLUS_A",
-                                 options={"SymmetricMode": True})
-            self._data = data
-        return self._lu
+            data[pat.diag] -= shift
+        if self._data is not None and np.array_equal(data, self._data):
+            return
+        # scipy.linalg loads with the first factorization, not with the
+        # package
+        from scipy.linalg import lapack
+        # free the old factors first
+        self._lu = self._piv = self._data = self._kb = None
+        k = pat.bandwidth
+        band = np.zeros(pat.idx.size * (3 * k + 1))
+        band[pat.band] = data
+        # column-major (3k + 1) x size, factored in place
+        lu, piv, info = lapack.dgbtrf(
+            band.reshape(pat.idx.size, 3 * k + 1).T, k, k, overwrite_ab=1)
+        if info != 0:
+            # info > 0: the pivot of that column is exactly zero
+            raise RuntimeError(f"banded LU failed (dgbtrf info {info})")
+        self._lu, self._piv, self._data = lu, piv, data
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``A^-1 rhs`` with the last factorization, for one right-hand
+        side or a block of them in columns."""
+        from scipy.linalg import lapack
+        k = self.pat.bandwidth
+        x, info = lapack.dgbtrs(self._lu, k, k, rhs, self._piv)
+        if info != 0:
+            raise RuntimeError(f"banded solve failed (dgbtrs info {info})")
+        return x
 
     def direction(self, values: np.ndarray, rho: np.ndarray,
                   shift=None) -> np.ndarray:
@@ -246,11 +274,11 @@ class _Tangent:
         the penalty rows; nodal ``d``, zero trace."""
         dom = self.setup.dom
         idx = self.pat.idx
-        lu = self.factor(values, shift)
-        d = lu.solve((dom.node_qw * rho).ravel()[idx])
+        self.factor(values, shift)
+        d = self.solve((dom.node_qw * rho).ravel()[idx])
         if self.rows is not None:
             if self._kb is None:
-                self._kb = lu.solve(self.rows.T)
+                self._kb = self.solve(self.rows.T)
             small = np.eye(len(self.rows)) + self.rows @ self._kb
             d -= self._kb @ np.linalg.solve(small, self.rows @ d)
         flat = np.zeros(dom.interior.size)
@@ -370,9 +398,9 @@ def _newton_polish(setup: EnergySetup, alpha: float, init: GridFunction,
         bvec = (dom.node_qw * f_j.density).ravel()[idx]
         f_vec = (dom.node_qw * rho).ravel()[idx]
         try:
-            lu = tangent.factor(u.values, shift=lam * bdiag)
-            k_f = lu.solve(f_vec)
-            k_b = lu.solve(bvec)
+            tangent.factor(u.values, shift=lam * bdiag)
+            k_f = tangent.solve(f_vec)
+            k_b = tangent.solve(bvec)
         except RuntimeError:
             break  # singular linearization
         denom = float(bvec @ k_b)

@@ -19,7 +19,6 @@ import math
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, DomainError, OrliczLabError
 from .util import config_int, invert_increasing
@@ -157,8 +156,14 @@ class StiffnessPattern:
     ``G_c`` is the local stencil of :func:`gradient_components` (both ends
     of the cell in 1D; base, right and top corner in 2D) and ``A_c`` a
     per-cell ``ndim x ndim`` tensor.  The pattern keeps the entries between
-    interior nodes (flat indices ``idx``), their scatter into CSC storage
-    and the positions of the diagonal, so assembly only computes values.
+    interior nodes (flat indices ``idx``) in column-major order, with their
+    interior ``rows`` and ``cols``, the positions of the diagonal, and the
+    band layout: the half-bandwidth ``bandwidth = max|i - j|`` and each
+    entry's flat position ``band`` in LAPACK general-band storage with
+    room for the LU's fill (``3 bandwidth + 1`` rows, column-major).
+    Interior nodes keep their row-major numbering, which gives a
+    half-bandwidth of ``n - 2`` on the box and 1 in 1D.  Assembly only
+    computes values.
     """
 
     def __init__(self, dom: GridDomain):
@@ -184,22 +189,20 @@ class StiffnessPattern:
         self.keep = (rows >= 0) & (cols >= 0)
         keys, self.scatter = np.unique(cols[self.keep] * size
                                        + rows[self.keep], return_inverse=True)
-        self.indices = keys % size
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(keys // size, minlength=size))])
-        self.diag = np.searchsorted(keys, np.arange(size) * (size + 1))
-        self.shape = (size, size)
+        self.rows, self.cols = keys % size, keys // size
+        self.diag = np.flatnonzero(self.rows == self.cols)
+        self.bandwidth = k = int(np.max(np.abs(self.rows - self.cols)))
+        # A[i, j] sits in row 2k + i - j of column j: k rows of fill from
+        # the row pivoting, then the k superdiagonals, the diagonal and the
+        # k subdiagonals
+        self.band = self.cols * (3 * k + 1) + 2 * k + self.rows - self.cols
 
     def assemble(self, tensor: np.ndarray) -> np.ndarray:
-        """CSC values for per-cell tensors of shape ``(ndim, ndim, cells)``."""
+        """Entry values for per-cell tensors of shape ``(ndim, ndim, cells)``."""
         local = np.einsum("ki,klc,lj->ijc", self.stencil, tensor,
                           self.stencil)
         return np.bincount(self.scatter, weights=local.ravel()[self.keep],
-                           minlength=self.indices.size)
-
-    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        return sp.csc_matrix((data, self.indices, self.indptr),
-                             shape=self.shape)
+                           minlength=self.rows.size)
 
 
 class WeightField:

@@ -10,7 +10,6 @@ package uses, so their tolerances are centralized here.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -21,7 +20,6 @@ __all__ = [
     "CumulativeTable",
     "MonotoneCubic",
     "invert_increasing",
-    "thread_count",
     "config_int",
 ]
 
@@ -291,21 +289,6 @@ def invert_increasing(f, y, lo=None, hi=None, horizon: float = math.inf,
             live &= ~((np.abs(gx) <= 1e-13) | width)
     out[solved] = np.minimum(np.exp(x[solved]), top)
     return out.reshape(shape) if shape else float(out[0])
-
-
-def thread_count() -> int:
-    """Worker cap for parallel sweeps, from ``ORLICZ_LAB_THREADS``.
-
-    Unset or invalid values mean serial execution, and the cap never
-    exceeds the core count; results never depend on this because every
-    sweep merges by key.
-    """
-    raw = os.environ.get("ORLICZ_LAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(n, os.cpu_count() or 1))
 
 
 def config_int(value, name: str) -> int:

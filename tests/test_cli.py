@@ -134,16 +134,17 @@ def test_eig_byte_determinism(tmp_path):
     assert sa == sb and sa["seed"] == 7
 
 
-def test_spectrum_sorted_and_thread_independent(tmp_path, monkeypatch):
+def test_spectrum_sorted_and_repeatable(tmp_path):
+    # levels are solved in increasing order with warm starts; two runs of
+    # one config give the same bytes
     cfg = write_cfg(tmp_path, {
         "phi": {"kind": "power", "p": 2},
         "psi": {"kind": "power", "p": 2},
         "domain": {"shape": "interval", "n": 65, "extent": [0.0, 1.0]},
         "spectrum": {"alphas": [2.0, 0.5, 1.0]}})
     outs = []
-    for label, threads in (("one", "1"), ("four", "4")):
+    for label in ("first", "second"):
         out = tmp_path / label
-        monkeypatch.setenv("ORLICZ_LAB_THREADS", threads)
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
         outs.append((out / "spectrum.csv").read_bytes())
         _, _, rows = read_csv(out, "spectrum")
@@ -152,17 +153,6 @@ def test_spectrum_sorted_and_thread_independent(tmp_path, monkeypatch):
         lams = np.array([float(r[1]) for r in rows])
         assert np.ptp(lams) <= 1e-6 * lams[0]
     assert outs[0] == outs[1]
-
-
-def test_thread_cap_is_the_core_count(monkeypatch):
-    from orlicz_lab import util
-    monkeypatch.setattr(util.os, "cpu_count", lambda: 2)
-    for raw, want in (("64", 2), ("2", 2), ("1", 1), ("0", 1), ("x", 1)):
-        monkeypatch.setenv("ORLICZ_LAB_THREADS", raw)
-        assert util.thread_count() == want
-    monkeypatch.setattr(util.os, "cpu_count", lambda: None)
-    monkeypatch.setenv("ORLICZ_LAB_THREADS", "8")
-    assert util.thread_count() == 1
 
 
 def test_spectrum_range_form(tmp_path):
@@ -387,4 +377,52 @@ def test_region_config_fuzz_exits_2(tmp_path, case):
     cfg = write_cfg(tmp_path, region_cfg_with(key, value))
     code, err = run_region(cfg, str(tmp_path / "o"))
     assert code == 2, (key, value, err)
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+NUMBER_CFG = {
+    "phi": {"kind": "power", "p": 2},
+    "psi": {"kind": "power", "p": 2},
+    "domain": {"shape": "interval", "n": 17, "extent": [0.0, 1.0]},
+}
+_BAD_REAL = st.one_of(st.none(), _WORD, _MAPPING, _NON_FINITE,
+                      st.lists(st.integers(0, 3), max_size=2))
+_NONPOSITIVE = st.one_of(st.just(0.0), st.floats(-10.0, -1e-3))
+# (command, section, key, value); the spectrum range keys are drawn into
+# an otherwise valid range
+_MALFORMED_NUMBER = st.one_of(
+    st.tuples(st.sampled_from(["eig", "spectrum"]), st.just("solver"),
+              st.just("tol"), st.one_of(_BAD_REAL, _NONPOSITIVE)),
+    st.tuples(st.sampled_from(["eig", "spectrum"]), st.just("solver"),
+              st.sampled_from(["max_iter", "seed", "starts"]),
+              st.one_of(_NOT_AN_INTEGER, st.integers(-10 ** 6, -1))),
+    st.tuples(st.just("eig"), st.just("eig"), st.just("alpha"),
+              st.one_of(_BAD_REAL, _NONPOSITIVE)),
+    st.tuples(st.just("spectrum"), st.just("spectrum"), st.just("alphas"),
+              st.one_of(_BAD_LIST, st.just([]),
+                        st.lists(_NONPOSITIVE, min_size=1, max_size=3))),
+    st.tuples(st.just("spectrum"), st.just("spectrum"),
+              st.sampled_from(["alpha_min", "alpha_max"]),
+              st.one_of(_BAD_REAL, _NONPOSITIVE)),
+    st.tuples(st.just("spectrum"), st.just("spectrum"), st.just("points"),
+              st.one_of(_NOT_AN_INTEGER, st.integers(-10 ** 6, 0))))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_MALFORMED_NUMBER)
+def test_number_config_fuzz_exits_2(tmp_path, case):
+    command, section, key, value = case
+    payload = dict(NUMBER_CFG)
+    if command == "spectrum" and key != "alphas":
+        payload["spectrum"] = {"alpha_min": 0.5, "alpha_max": 2.0,
+                               "points": 3}
+    payload[section] = dict(payload.get(section, {}), **{key: value})
+    cfg = write_cfg(tmp_path, payload)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    err = err.getvalue()
+    assert code == 2, (command, key, value, err)
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import orlicz_lab as ol
 from orlicz_lab import DomainError, NonConvergenceError
@@ -262,6 +263,13 @@ def _unit_box(n):
     return {"shape": "box", "n": n, "extent": [0.0, 1.0]}
 
 
+def _stiffness_matrix(pat, data):
+    """The assembled interior stiffness as a sparse matrix, built from the
+    pattern's row and column of each entry."""
+    size = pat.idx.size
+    return sp.csc_matrix((data, (pat.rows, pat.cols)), shape=(size, size))
+
+
 @pytest.mark.parametrize("cfg", [_unit_box(17),
                                  {"shape": "disc", "n": 21, "extent": [1.0]}],
                          ids=["box", "disc"])
@@ -277,7 +285,7 @@ def test_tangent_is_the_hessian_where_curvature_dominates(cfg, phi):
     u = ol.smooth_candidates(dom, 2, seed=5)[1]
     v = random_zero_trace(dom, rng).values
     pat = dom.stiffness_pattern
-    got = pat.matrix(pat.assemble(_tangent_tensor(setup, u))) \
+    got = _stiffness_matrix(pat, pat.assemble(_tangent_tensor(setup, u))) \
         @ v.ravel()[pat.idx]
     eps = 1e-5
 
@@ -356,7 +364,8 @@ def test_penalized_direction_solves_the_merit_tangent():
     assert np.allclose(rows.T @ (rows @ v.ravel()[idx]), fd,
                        rtol=0.0, atol=1e-10 * np.max(np.abs(fd)))
 
-    dense = pat.matrix(pat.assemble(_tangent_tensor(setup, u))).toarray()
+    dense = _stiffness_matrix(
+        pat, pat.assemble(_tangent_tensor(setup, u))).toarray()
     for a_vals, a_nrm2 in anchors:
         b = math.sqrt(2.0 * mu) * qw * a_vals.ravel()[idx] / a_nrm2
         dense += np.outer(b, b)
@@ -389,3 +398,97 @@ def test_penalized_exploration_iterations_bounded(monkeypatch, n, tol):
     assert [lv.k for lv in levels] == [1, 2, 3]
     assert counts
     assert max(counts) <= 30, counts
+
+
+# ---------------------------------------------------------------------------
+# the banded LU kernel of the tangent stiffness
+
+def _tangent_case(cfg):
+    from orlicz_lab.eigensolver import _tangent_tensor
+    setup = build_setup(ol.Power(3.0), ol.Power(2.0), cfg)
+    pat = setup.dom.stiffness_pattern
+    u = ol.smooth_candidates(setup.dom, 2, seed=5)[1]
+    dense = _stiffness_matrix(
+        pat, pat.assemble(_tangent_tensor(setup, u))).toarray()
+    return setup, u, dense
+
+
+def _rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("cfg", [_interval(65), _unit_box(17),
+                                 {"shape": "disc", "n": 21, "extent": [1.0]}],
+                         ids=["interval65", "box17", "disc21"])
+def test_tangent_solves_match_dense(cfg):
+    from orlicz_lab.eigensolver import _Tangent
+    setup, u, dense = _tangent_case(cfg)
+    size = dense.shape[0]
+    rng = np.random.default_rng(11)
+    rhs = rng.standard_normal((size, 2))
+
+    tangent = _Tangent(setup)
+    tangent.factor(u)
+    assert _rel_err(tangent.solve(rhs[:, 0]),
+                    np.linalg.solve(dense, rhs[:, 0])) <= 1e-10
+    assert _rel_err(tangent.solve(rhs), np.linalg.solve(dense, rhs)) <= 1e-10
+
+    # a constant shift halfway between two eigenvalues in the lower part
+    # of the spectrum makes the matrix indefinite, so the LU must pivot
+    ev = np.linalg.eigvalsh(dense)
+    j = size // 4
+    shift = np.full(size, 0.5 * (ev[j] + ev[j + 1]))
+    shifted = dense - np.diag(shift)
+    ev_shifted = np.linalg.eigvalsh(shifted)
+    assert ev_shifted[0] < 0.0 < ev_shifted[-1]
+    tangent.factor(u, shift=shift)
+    assert _rel_err(tangent.solve(rhs[:, 0]),
+                    np.linalg.solve(shifted, rhs[:, 0])) <= 1e-10
+    assert _rel_err(tangent.solve(rhs),
+                    np.linalg.solve(shifted, rhs)) <= 1e-10
+
+
+def test_zero_tangent_raises_runtime_error(monkeypatch):
+    # the solver loops catch RuntimeError as a singular linearization
+    from orlicz_lab import eigensolver
+    setup, u, _ = _tangent_case(_unit_box(9))
+    monkeypatch.setattr(
+        eigensolver, "_tangent_tensor",
+        lambda s, values: np.zeros((2, 2, (s.dom.n - 1) ** 2)))
+    with pytest.raises(RuntimeError):
+        eigensolver._Tangent(setup).factor(u)
+
+
+def _count_factorizations(monkeypatch):
+    """Record, per call of ``_Tangent.factor``, whether it factored."""
+    from orlicz_lab.eigensolver import _Tangent
+    made = []
+    factor = _Tangent.factor
+
+    def counted(self, *args, **kwargs):
+        before = self._lu
+        factor(self, *args, **kwargs)
+        made.append(self._lu is not before)
+
+    monkeypatch.setattr(_Tangent, "factor", counted)
+    return made
+
+
+def test_quadratic_box_solve_factors_once(monkeypatch):
+    made = _count_factorizations(monkeypatch)
+    setup = build_setup(ol.Power(2.0), ol.Power(2.0), _unit_box(33))
+    # the default bump is the exact eigenvector here, so start off it
+    init = ol.GridFunction(setup.dom,
+                           ol.smooth_candidates(setup.dom, 2, seed=0)[1])
+    pair = ol.minimize_on_level(setup, 1.0, init=init,
+                                opts=ol.SolverOptions(tol=1e-8))
+    assert pair.iterations > 1
+    assert len(made) == pair.iterations and sum(made) == 1
+
+
+def test_cubic_box_solve_factors_once_per_iteration(monkeypatch):
+    made = _count_factorizations(monkeypatch)
+    setup = build_setup(ol.Power(3.0), ol.Power(2.0), _unit_box(33))
+    pair = ol.minimize_on_level(setup, 1.0, opts=ol.SolverOptions(tol=1e-8))
+    assert pair.iterations == 6
+    assert sum(made) == 6

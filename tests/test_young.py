@@ -364,13 +364,14 @@ def test_inverse_beyond_the_horizon_raises():
         newt.inverse(1.001 * newt.value(3.0))
 
 
-def test_package_import_leaves_scipy_interpolate_unloaded():
+@pytest.mark.parametrize("module", ["scipy.interpolate", "scipy"])
+def test_package_import_leaves_module_unloaded(module):
     # tabulated and conjugate functions interpolate with the in-package
-    # monotone cubic and its direct knot lookup, so the package and the cli
-    # load without scipy.interpolate
+    # monotone cubic, and the tangent stiffness loads scipy.linalg with its
+    # first factorization, so the package and the cli load without scipy
     src = os.path.dirname(os.path.dirname(ol.__file__))
     code = ("import sys, orlicz_lab, orlicz_lab.cli; "
-            "print('scipy.interpolate' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src))
