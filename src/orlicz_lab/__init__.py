@@ -32,11 +32,11 @@ from .eigensolver import (SolverOptions, EigenPair, LSLevel, SweepResult,
                           default_init, minimize_on_level,
                           rayleigh_multiplier, residual, ls_sequence,
                           spectrum_sweep)
-from .region import (RegionInput, RegionReport, build_test_function,
-                     constant_norm, energy_bounds_ine, gamma_d, w_tilde_r,
-                     lambda_interval, r_condition_cap, admissible,
-                     count_critical_points, region_report, grid_search,
-                     default_c1, format_report, REPORT_COLUMNS, report_row)
+from .region import (RegionReport, build_test_function, constant_norm,
+                     energy_bounds_ine, gamma_d, w_tilde_r, lambda_interval,
+                     r_condition_cap, admissible, count_critical_points,
+                     region_report, grid_search, default_c1, format_report,
+                     REPORT_COLUMNS, report_row)
 
 __all__ = [
     "__version__",
@@ -58,7 +58,7 @@ __all__ = [
     "SolverOptions", "EigenPair", "LSLevel", "SweepResult", "default_init",
     "minimize_on_level", "rayleigh_multiplier", "residual", "ls_sequence",
     "spectrum_sweep",
-    "RegionInput", "RegionReport", "build_test_function", "constant_norm",
+    "RegionReport", "build_test_function", "constant_norm",
     "energy_bounds_ine", "gamma_d", "w_tilde_r", "lambda_interval",
     "r_condition_cap", "admissible", "count_critical_points",
     "region_report", "grid_search", "default_c1", "format_report",

@@ -140,8 +140,11 @@ def _solver_options(cfg: dict, seed: int) -> SolverOptions:
         if counts[key] < 0:
             raise ConfigError(
                 f"solver {key!r} must be nonnegative, got {counts[key]}")
-    return SolverOptions(tol=tol, onesigned=bool(body.get("onesigned", True)),
-                         **counts)
+    onesigned = body.get("onesigned", True)
+    if not isinstance(onesigned, bool):
+        raise ConfigError(
+            f"solver 'onesigned' must be true or false, got {onesigned!r}")
+    return SolverOptions(tol=tol, onesigned=onesigned, **counts)
 
 
 def _build_setup(cfg: dict) -> EnergySetup:

@@ -34,16 +34,15 @@ from typing import Optional
 
 import numpy as np
 
+from .eigensolver import SolverOptions, _descend
 from .errors import ConditionFailure, DomainError
-from .functionals import (DualGridFunction, EnergySetup, dual_norm, energy_I,
-                          energy_J, gateaux_I, gateaux_J)
+from .functionals import EnergySetup, energy_I, energy_J
 from .norms import (GridFunction, gradient_magnitude, modular_values,
                     poincare_estimate, scale_to_modular, smooth_candidates,
                     sobolev_norm)
 from .young import sqrt_convexity_holds
 
 __all__ = [
-    "RegionInput",
     "RegionReport",
     "build_test_function",
     "constant_norm",
@@ -81,27 +80,6 @@ def _check_region_conditions(setup: EnergySetup):
         raise ConditionFailure(
             "psi2", f"{setup.psi.label()} does not grow essentially slower "
             f"than {setup.phi.label()}")
-
-
-@dataclass(frozen=True)
-class RegionInput:
-    """Validated (setup, d, r) triple for the region pipeline.
-
-    The diffusion function must pass the sampled convexity of
-    ``t -> Phi(sqrt(t))`` and the reaction must grow essentially slower
-    than the diffusion; both are re-checked here because plain energy
-    minimization does not need them.
-    """
-
-    setup: EnergySetup
-    d: float
-    r: float
-
-    def __post_init__(self):
-        if self.d == 0:
-            raise DomainError("the plateau height d must be nonzero")
-        _check_radius(self.r)
-        _check_region_conditions(self.setup)
 
 
 @dataclass
@@ -285,7 +263,8 @@ def lambda_interval(setup: EnergySetup, d: float, r: float,
     lo < hi; callers compare sup_J_r against the analytic envelope
     separately.
     """
-    RegionInput(setup, d, r)
+    _check_region_conditions(setup)
+    _check_radius(r)
     i_vd, j_vd = _plateau_energies(setup, d)
     sup_j, = _sup_reaction_on_shell(setup, [r], samples, seed)
     return i_vd / j_vd, r / sup_j, sup_j
@@ -309,7 +288,9 @@ def admissible(setup: EnergySetup, d: float, r: float,
                c1: Optional[float] = None, two_n: bool = False) -> bool:
     """Both region inequalities with computed quantities: r below
     min{||2d/D||^l, ||2d/D||^m} and w_tilde_r below gamma_d."""
-    RegionInput(setup, d, r)
+    _check_region_conditions(setup)
+    _check_radius(r)
+    build_test_function(setup, d)  # rejects d = 0
     if c1 is None:
         c1 = default_c1(setup)
     return _region_flag(r, r_condition_cap(setup, d, two_n=two_n),
@@ -322,71 +303,16 @@ def _region_flag(r: float, cap: float, w_tilde: float, gamma: float) -> bool:
     return r < cap and w_tilde < gamma
 
 
-def _free_energy(setup: EnergySetup, lam: float, u: GridFunction) -> float:
-    return energy_I(setup, u) - lam * energy_J(setup, u)
-
-
-def _free_descent(setup: EnergySetup, lam: float, init: GridFunction,
-                  tol: float, max_iter: int):
-    """Unconstrained preconditioned descent on I - lam J; returns
-    (iterate, converged).
-
-    The direction is a Newton step with the tangent of I - lam J: the
-    tangent stiffness of I minus lam times the reaction curvature.  Where
-    that matrix gives no descent direction, the positive definite tangent
-    of I alone is used.  That one only halves the error along the ray
-    through a critical point per step, an error the dual-norm stop test
-    hardly sees: at tol 1e-6 it stopped 3% off in I on the n=61 disc.
-    """
-    from .eigensolver import _qw_dot, _reaction_curvature, _Tangent
-    dom = setup.dom
-    tangent = _Tangent(setup)
-    idx = tangent.pat.idx
-    u = init
-    for _ in range(max_iter + 1):
-        f_i = gateaux_I(setup, u)
-        f_j = gateaux_J(setup, u)
-        rho = np.where(dom.interior, f_i.density - lam * f_j.density, 0.0)
-        merit = _free_energy(setup, lam, u)
-        res = dual_norm(setup, DualGridFunction(dom, rho))
-        if res <= tol * (1.0 + abs(merit)):
-            return u, True
-        for shift in (lam * _reaction_curvature(setup, u.values).ravel()[idx],
-                      None):
-            try:
-                direction = tangent.direction(u.values, rho, shift)
-            except RuntimeError:
-                continue  # singular free-energy tangent
-            slope = -_qw_dot(dom, rho, direction)
-            if slope < 0 and np.all(np.isfinite(direction)):
-                break
-        else:
-            direction = rho
-            slope = -_qw_dot(dom, rho, rho)
-        step = 1.0
-        accepted = False
-        for _ in range(50):
-            trial = GridFunction(dom, u.values - step * direction)
-            if _free_energy(setup, lam, trial) \
-                    <= merit + 1e-4 * step * slope:
-                u = trial
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            return u, False
-        if float(np.max(np.abs(u.values))) > 1e8:
-            return u, False  # free energy not coercive at this multiplier
-    return u, False
-
-
 def count_critical_points(setup: EnergySetup, lam: float, starts: int,
                           seed: int = 0, tol: float = 1e-6,
                           max_iter: int = 2000) -> int:
     """Advisory probe: cluster count of converged free-energy descents.
 
-    Runs ``starts`` descents from random smooth fields at alternating
-    amplitudes, keeps the converged iterates plus the exact zero function
+    Runs ``starts`` free descents on ``I - lam J`` with the eigensolver's
+    descent loop (``alpha=None``, multiplier ``lam``, stop test
+    ``tol * (1 + |I - lam J|)``, at most ``max_iter`` iterations), from
+    random smooth fields scaled by amplitudes drawn log-uniformly in
+    [1e-2, 10].  Keeps the converged iterates plus the exact zero function
     (always a critical point), and counts clusters under the Sobolev-norm
     metric with a 1e-3 relative separation.  starts = 0 reports 0.
     """
@@ -396,12 +322,13 @@ def count_critical_points(setup: EnergySetup, lam: float, starts: int,
     cands = smooth_candidates(dom, starts, seed)
     rng = np.random.default_rng(seed + 1)
     amplitudes = 10.0 ** rng.uniform(-2.0, 1.0, size=starts)
+    opts = SolverOptions(tol=tol, max_iter=max_iter)
     iterates = [np.zeros(dom.node_shape)]
     for c, amp in zip(cands, amplitudes):
-        u, ok = _free_descent(setup, lam, GridFunction(dom, amp * c),
-                              tol, max_iter)
+        pair, ok = _descend(setup, None, GridFunction(dom, amp * c), opts,
+                            lam0=lam)
         if ok:
-            iterates.append(u.values)
+            iterates.append(pair.u.values)
     norms = [sobolev_norm(setup.phi, setup.psi, setup.w, setup.w1,
                           GridFunction(dom, v)) for v in iterates]
     scale = max(max(norms), 1e-12)

@@ -396,6 +396,11 @@ _MALFORMED_NUMBER = st.one_of(
     st.tuples(st.sampled_from(["eig", "spectrum"]), st.just("solver"),
               st.sampled_from(["max_iter", "seed", "starts"]),
               st.one_of(_NOT_AN_INTEGER, st.integers(-10 ** 6, -1))),
+    st.tuples(st.sampled_from(["eig", "spectrum"]), st.just("solver"),
+              st.just("onesigned"),
+              st.one_of(st.none(), _WORD, _MAPPING, st.integers(-3, 3),
+                        st.sampled_from(["true", "false"]),
+                        st.lists(st.booleans(), max_size=2))),
     st.tuples(st.just("eig"), st.just("eig"), st.just("alpha"),
               st.one_of(_BAD_REAL, _NONPOSITIVE)),
     st.tuples(st.just("spectrum"), st.just("spectrum"), st.just("alphas"),

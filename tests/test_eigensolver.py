@@ -213,6 +213,27 @@ def test_ls_sequence_box_ladder():
     assert cs[0] > cs[1] >= cs[2] - 1e-9 * cs[1]
 
 
+def _nodal_domains(u):
+    from scipy import ndimage
+    eps = 1e-3 * np.max(np.abs(u))
+    return ndimage.label(u > eps)[1] + ndimage.label(u < -eps)[1]
+
+
+def test_ls_sequence_powersum_second_rung_certified():
+    # the polisher's Jacobian needs the exact reaction curvature psi':
+    # with max(psi', psi/t) in its place every polish of rung 2 failed and
+    # the rung fell back to the first pair
+    setup = build_setup(ol.PowerSum(2.0, 4.0), ol.PowerSum(1.5, 2.5),
+                        {"shape": "box", "n": 21, "extent": [0.0, 1.0]})
+    opts = ol.SolverOptions()
+    levels = ol.ls_sequence(setup, 1.0, 2, opts)
+    rung = levels[1]
+    assert rung.reliable
+    assert rung.pair.residual <= opts.tol * (1.0 + rung.pair.level)
+    assert _nodal_domains(levels[0].pair.u.values) == 1
+    assert _nodal_domains(rung.pair.u.values) == 2
+
+
 # ---------------------------------------------------------------------------
 # level sweeps
 
@@ -398,6 +419,24 @@ def test_penalized_exploration_iterations_bounded(monkeypatch, n, tol):
     assert [lv.k for lv in levels] == [1, 2, 3]
     assert counts
     assert max(counts) <= 30, counts
+
+
+def test_free_descent_stops_at_a_critical_point_of_the_free_energy():
+    from orlicz_lab import eigensolver
+    setup = build_setup(ol.Power(3.0), ol.Power(2.0),
+                        {"shape": "disc", "n": 33, "extent": [1.0]})
+    lam0, tol = 1.5, 1e-6
+    init = ol.GridFunction(setup.dom, 2.0 * ol.default_init(setup.dom).values)
+    pair, ok = eigensolver._descend(
+        setup, None, init, ol.SolverOptions(tol=tol, max_iter=2000),
+        lam0=lam0)
+    assert ok
+    assert pair.lam == lam0
+    assert np.max(np.abs(pair.u.values)) > 0.1  # not the zero state
+    free = ol.energy_I(setup, pair.u) - lam0 * ol.energy_J(setup, pair.u)
+    res = ol.residual(setup, pair)
+    assert res == pair.residual
+    assert res <= tol * (1.0 + abs(free))
 
 
 # ---------------------------------------------------------------------------

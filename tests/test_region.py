@@ -251,12 +251,26 @@ def test_lambda_interval_validation():
         ol.lambda_interval(line, D_REF, R_REF)
 
 
+def test_admissible_validates_before_computing_c1(monkeypatch):
+    setup = small_disc(n=17)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("admissible computed c1 before validating")
+    monkeypatch.setattr(region, "default_c1", no_work)
+    with pytest.raises(DomainError, match="plateau height d must be nonzero"):
+        ol.admissible(setup, 0.0, R_REF)
+    with pytest.raises(DomainError, match="energy radius r must be positive"):
+        ol.admissible(setup, D_REF, -1.0)
+    with pytest.raises(ConditionFailure):
+        ol.admissible(small_disc(n=17, phi=ol.Power(1.5)), D_REF, R_REF)
+
+
 def test_region_conditions_gate():
     with pytest.raises(ConditionFailure) as err:
-        ol.RegionInput(small_disc(n=17, phi=ol.Power(1.5)), D_REF, R_REF)
+        ol.lambda_interval(small_disc(n=17, phi=ol.Power(1.5)), D_REF, R_REF)
     assert err.value.condition == "phi2"
     with pytest.raises(ConditionFailure) as err:
-        ol.RegionInput(small_disc(n=17, psi=ol.Power(3.0)), D_REF, R_REF)
+        ol.lambda_interval(small_disc(n=17, psi=ol.Power(3.0)), D_REF, R_REF)
     assert err.value.condition == "psi2"
 
 
@@ -280,6 +294,14 @@ def test_count_critical_points_merges_starts_at_one_state():
     # state into several clusters
     setup = small_disc(n=61)
     assert ol.count_critical_points(setup, 1.5, 4, seed=0) == 2
+
+
+def test_count_critical_points_merges_starts_for_mixed_growth():
+    # the four one-signed starts reach the same positive state; with the
+    # secant slope psi/t in place of the reaction curvature psi' they
+    # stopped at max u 0.3546-0.3554 and split it into two clusters
+    setup = small_disc(phi=ol.PowerSum(2.0, 4.0), psi=ol.PowerSum(1.5, 2.5))
+    assert ol.count_critical_points(setup, 3.0, 4, seed=1) == 2
 
 
 # ---------------------------------------------------------------------------
