@@ -22,8 +22,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import (ConditionFailure, ConfigError, DomainError,
-                     NonConvergenceError, OrliczLabError)
+from .errors import ConfigError, NonConvergenceError, OrliczLabError
 from .eigensolver import SolverOptions, minimize_on_level, spectrum_sweep
 from .functionals import EnergySetup
 from .norms import (GridDomain, GridFunction, WeightField, domain_from_config,
@@ -218,6 +217,13 @@ def cmd_catalog(out_dir: str, seed: int) -> int:
     return 0
 
 
+def _involution_errors(phi, ss) -> np.ndarray:
+    """``|Phi~~ - Phi| / (1 + Phi)`` of the double conjugate at ``ss``."""
+    back = np.asarray(phi.conjugate().conjugate().value(ss), dtype=float)
+    ref = np.asarray(phi.value(ss), dtype=float)
+    return np.abs(back - ref) / (1.0 + ref)
+
+
 def cmd_check_young(cfg: dict, out_dir: str, seed: int) -> int:
     if "phi" not in cfg:
         raise ConfigError("config needs a 'phi' section")
@@ -231,11 +237,9 @@ def cmd_check_young(cfg: dict, out_dir: str, seed: int) -> int:
     rows.append(["phi_doubling", int(rep.satisfied), str(rep)])
     rows.append(["phi_sqrt_convexity", int(sqrt_convexity_holds(phi)),
                  "t -> phi(sqrt(t)) convex on samples"])
-    conj = phi.conjugate()
-    ss = np.geomspace(1e-2, 1e2, 61)
-    back = np.asarray(conj.conjugate().value(ss), dtype=float)
-    ref = np.asarray(phi.value(ss), dtype=float)
-    inv_err = float(np.max(np.abs(back - ref) / (1.0 + ref)))
+    # a tabulated phi ends at its last knot
+    ss = np.geomspace(1e-2, min(1e2, 0.999 * phi.horizon), 61)
+    inv_err = float(np.max(_involution_errors(phi, ss)))
     rows.append(["phi_conjugate_involution", int(inv_err <= 1e-5),
                  f"max rel err {inv_err:.3e}"])
     if "psi" in cfg:
@@ -265,12 +269,9 @@ def cmd_conjugate(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
     points = config_int(body.get("points", 41), "conjugate 'points'")
     if not (0 < s_min < s_max) or points < 2:
         raise ConfigError("conjugate needs 0 < s_min < s_max and points >= 2")
-    conj = phi.conjugate()
     ss = np.geomspace(s_min, s_max, points)
-    vals = np.asarray(conj.value(ss), dtype=float)
-    back = np.asarray(conj.conjugate().value(ss), dtype=float)
-    ref = np.asarray(phi.value(ss), dtype=float)
-    errs = np.abs(back - ref) / (1.0 + ref)
+    vals = np.asarray(phi.conjugate().value(ss), dtype=float)
+    errs = _involution_errors(phi, ss)
     rows = [[repr(float(s)), repr(float(v)), repr(float(e))]
             for s, v, e in zip(ss, vals, errs)]
     path = _write_csv(out_dir, "conjugate",
@@ -481,15 +482,12 @@ def main(argv=None) -> int:
         if command == "spectrum":
             return cmd_spectrum(cfg, body, args.out, seed)
         return cmd_region(cfg, body, args.out, seed, args.proof_variant)
-    except (ConfigError, DomainError, ConditionFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NonConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except OrliczLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,8 +23,8 @@ class DomainError(OrliczLabError, ValueError):
 class HorizonError(OrliczLabError, ValueError):
     """A query fell beyond a tabulated horizon.
 
-    The message always says which knob extends the horizon, so callers can
-    rebuild the offending table instead of guessing.
+    The message says what sets the horizon (``t_max``, the last table row,
+    or a conjugate's base) and so whether it can be extended.
     """
 
 

@@ -75,14 +75,13 @@ class EnergySetup:
     Construction verifies the two-sided index bounds on both Young
     functions (the growth assumptions behind every estimate used here) and
     records whether the reaction function grows essentially slower than the
-    diffusion one, which is the compactness route when the stronger growth
-    is not doubling.  The weighted quadratures of both energies and the
-    basis Sobolev norms for the dual-norm evaluation are precomputed once.
+    diffusion one (the compactness route when the stronger growth is not
+    doubling; region analysis enforces it).  The weighted quadratures of
+    both energies and the basis Sobolev norms are precomputed once.
     """
 
     def __init__(self, phi: YoungFunction, psi: YoungFunction,
-                 w: WeightField, w1: WeightField, dom: GridDomain,
-                 require_domination: bool = False):
+                 w: WeightField, w1: WeightField, dom: GridDomain):
         if w.domain is not dom or w1.domain is not dom:
             raise DomainError("weights and domain must be the same objects")
         self.phi, self.psi = phi, psi
@@ -99,10 +98,6 @@ class EnergySetup:
                 "psi1", f"{psi.label()} has indices "
                 f"({self.psi_l:g}, {self.psi_m:g}), need 1 < l <= m < inf")
         self.dominated = dominates_essentially(psi, phi)
-        if require_domination and not self.dominated:
-            raise ConditionFailure(
-                "psi2", f"{psi.label()} does not grow essentially slower "
-                f"than {phi.label()}")
         self.w_cells = w.cell_values()
         # flattened weight * qw of I and of J, the vectors every energy
         # evaluation and level scaling pairs against

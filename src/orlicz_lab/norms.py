@@ -499,11 +499,11 @@ def smooth_candidates(domain: GridDomain, count: int, seed: int = 0) -> np.ndarr
 
 def poincare_estimate(phi: YoungFunction, psi: YoungFunction, w: WeightField,
                       w1: WeightField, dom: GridDomain, trials: int,
-                      seed: int = 0, include_solver: bool = True) -> float:
+                      seed: int = 0) -> float:
     """Empirical lower bound for the embedding constant ``C`` in
     ``||u||_Psi,w1 <= C ||grad u||_Phi,w`` over zero-trace fields.
 
-    Maximizes the ratio over seeded smooth candidates, optionally adding one
+    Maximizes the ratio over seeded smooth candidates and one
     constrained-minimizer run, whose optimum is the extremal shape in the
     power case.  If that run fails with one of the package's own errors
     (a structure condition of the setup, or an exhausted iteration budget)
@@ -512,21 +512,20 @@ def poincare_estimate(phi: YoungFunction, psi: YoungFunction, w: WeightField,
     if trials < 1:
         raise DomainError("poincare_estimate needs trials >= 1")
     cand = smooth_candidates(dom, trials, seed)
-    if include_solver:
-        from .eigensolver import SolverOptions, minimize_on_level
-        from .functionals import EnergySetup
+    from .eigensolver import SolverOptions, minimize_on_level
+    from .functionals import EnergySetup
 
-        # tol 1e-4 takes 8 iterations on the n=81 reference disc against
-        # 18 at 1e-6, and the quotient still agrees to 8 digits: it is
-        # maximal at the extremal shape, so its error is second order
-        opts = SolverOptions(tol=1e-4, max_iter=2000)
-        try:
-            setup = EnergySetup(phi, psi, w, w1, dom)
-            pair = minimize_on_level(setup, 1.0, opts=opts)
-        except OrliczLabError:
-            pass  # the sampled bound stands on its own
-        else:
-            cand = np.concatenate([cand, pair.u.values[None, ...]])
+    # tol 1e-4 takes 8 iterations on the n=81 reference disc against 18 at
+    # 1e-6, and the quotient still agrees to 8 digits: it is maximal at the
+    # extremal shape, so its error is second order
+    opts = SolverOptions(tol=1e-4, max_iter=2000)
+    try:
+        setup = EnergySetup(phi, psi, w, w1, dom)
+        pair = minimize_on_level(setup, 1.0, opts=opts)
+    except OrliczLabError:
+        pass  # the sampled bound stands on its own
+    else:
+        cand = np.concatenate([cand, pair.u.values[None, ...]])
     num = luxemburg_values(psi, w1.values, dom.node_qw, cand)
     mags = np.stack([gradient_magnitude(dom, c) for c in cand])
     den = luxemburg_values(phi, w.cell_values(), dom.cell_qw, mags)

@@ -270,16 +270,16 @@ def lambda_interval(setup: EnergySetup, d: float, r: float,
     return i_vd / j_vd, r / sup_j, sup_j
 
 
-def r_condition_cap(setup: EnergySetup, d: float, two_n: bool = False,
-                    on: str = "omega") -> float:
+def r_condition_cap(setup: EnergySetup, d: float, two_n: bool = False
+                    ) -> float:
     """min{||2d/D||^l, ||2d/D||^m}: the stated upper limit for r.
 
-    The constant becomes 2N with ``two_n``; the norm defaults to the
-    stated domain-wide reading (the annulus reading of the same norms is
-    exactly ``energy_bounds_ine``'s lower endpoint).
+    The constant becomes 2N with ``two_n``; the norm is the stated
+    domain-wide reading (the annulus reading of the same norms is exactly
+    ``energy_bounds_ine``'s lower endpoint).
     """
     factor = 2.0 * setup.dom.ndim if two_n else 2.0
-    nrm = constant_norm(setup, factor * d / setup.dom.D, on=on)
+    nrm = constant_norm(setup, factor * d / setup.dom.D, on="omega")
     l, m = setup.phi_l, setup.phi_m
     return min(nrm ** l, nrm ** m)
 

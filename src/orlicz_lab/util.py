@@ -20,6 +20,7 @@ __all__ = [
     "CumulativeTable",
     "MonotoneCubic",
     "invert_increasing",
+    "clip_to_horizon",
     "config_int",
 ]
 
@@ -62,6 +63,7 @@ class CumulativeTable:
     interpolation error on top of the panel quadrature.  The integrand may
     have an integrable singularity at zero: the initial panel ``[0, x_0]``
     is integrated by the same rule, which never evaluates the endpoints.
+    Callers keep queries inside ``[0, x_max]``.
     """
 
     def __init__(self, f, x_min: float, x_max: float, n: int = 4096):
@@ -70,34 +72,26 @@ class CumulativeTable:
         if n < 16:
             raise DomainError("table needs at least 16 knots")
         self.f = f
-        self.grid = np.geomspace(x_min, x_max, int(n))
-        head = gauss_panels(f, np.array([0.0]), self.grid[:1])
-        panels = gauss_panels(f, self.grid[:-1], self.grid[1:])
-        self.cum = np.concatenate([head, head + np.cumsum(panels)])
+        grid = np.geomspace(x_min, x_max, int(n))
+        head = gauss_panels(f, np.array([0.0]), grid[:1])
+        panels = gauss_panels(f, grid[:-1], grid[1:])
+        # knots and values with the origin in front, indexed by the count
+        # of knots <= x: a query below the first knot integrates [0, x]
+        self._left = np.concatenate([[0.0], grid])
+        self._base = np.concatenate([[0.0], head, head + np.cumsum(panels)])
+        self.grid, self.cum = self._left[1:], self._base[1:]
 
     @property
     def x_max(self) -> float:
         return float(self.grid[-1])
 
-    def __call__(self, x, what: str = "table"):
+    def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        if np.any(x > self.grid[-1] * (1 + 1e-12)):
-            raise HorizonError(
-                f"{what}: argument exceeds the tabulated horizon "
-                f"{self.grid[-1]:.3g}; rebuild with a larger horizon"
-            )
         pos = x > 0
-        xp = np.clip(x[pos], None, self.grid[-1])
-        k = np.searchsorted(self.grid, xp, side="right") - 1
-        below = k < 0
-        k_safe = np.clip(k, 0, None)
-        left = self.grid[k_safe]
-        base = self.cum[k_safe]
-        # Queries below the first knot integrate [0, x] directly.
-        left = np.where(below, 0.0, left)
-        base = np.where(below, 0.0, base)
-        out[pos] = base + gauss_panels(self.f, left, xp)
+        xp = x[pos]
+        k = np.searchsorted(self.grid, xp, side="right")
+        out[pos] = self._base[k] + gauss_panels(self.f, self._left[k], xp)
         return out
 
 
@@ -289,6 +283,20 @@ def invert_increasing(f, y, lo=None, hi=None, horizon: float = math.inf,
             live &= ~((np.abs(gx) <= 1e-13) | width)
     out[solved] = np.minimum(np.exp(x[solved]), top)
     return out.reshape(shape) if shape else float(out[0])
+
+
+def clip_to_horizon(x, horizon: float, what, remedy: str):
+    """``x`` as a float array, with arguments past ``horizon`` by rounding
+    set to it; past it by more, :class:`HorizonError` names ``what``
+    (formatted only then) and the ``remedy``."""
+    x = np.asarray(x, dtype=float)
+    over = x > horizon
+    if over.any():
+        if np.any(x[over] > horizon * (1 + 1e-12)):
+            raise HorizonError(f"{what}: argument exceeds the horizon "
+                               f"{horizon:.3g}; {remedy}")
+        x = np.minimum(x, horizon)
+    return x
 
 
 def config_int(value, name: str) -> int:

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionFailure, ConfigError, DomainError, HorizonError
-from .util import (CumulativeTable, MonotoneCubic, gauss_panels,
-                   invert_increasing)
+from .errors import ConditionFailure, ConfigError, DomainError
+from .util import (CumulativeTable, MonotoneCubic, clip_to_horizon,
+                   gauss_panels, invert_increasing)
 
 __all__ = [
     "YoungFunction",
@@ -43,9 +43,6 @@ __all__ = [
     "ConjugateFunction",
     "SobolevConjugate",
     "Delta2Report",
-    "evaluate",
-    "derivative",
-    "conjugate_at",
     "conjugate_sup_estimate",
     "simonenko_indices",
     "check_delta2",
@@ -55,6 +52,10 @@ __all__ = [
     "catalog",
     "from_config",
 ]
+
+# sampled checks and derived tables run up to _T_MAX, cut to just inside a
+# finite horizon; all but the domination test start at _T_MIN
+_T_MIN, _T_MAX = 1e-6, 1e6
 
 
 def _checked(t, name: str = "t"):
@@ -80,7 +81,7 @@ class YoungFunction:
     kind = "custom"
 
     def __init__(self):
-        self._conj_cache: dict = {}
+        self._conj = None
         self._lock = threading.Lock()
         self._validate()
 
@@ -110,6 +111,12 @@ class YoungFunction:
     def horizon(self) -> float:
         """Largest argument the evaluator accepts (``inf`` for closed forms)."""
         return math.inf
+
+    @property
+    def _inverse_density_horizon(self) -> float:
+        """Largest argument :meth:`derivative_inverse` accepts."""
+        return (math.inf if math.isinf(self.horizon)
+                else float(self._derivative_raw(np.asarray(self.horizon))))
 
     # -- public evaluators -----------------------------------------------
     def value(self, t):
@@ -148,19 +155,20 @@ class YoungFunction:
                                 what=f"{self.label()} inverse")
         return _ret(out, scalar)
 
-    def conjugate(self, s_min: float = 1e-6, s_max: float = 1e6,
-                  n: int = 4096) -> "ConjugateFunction":
-        """The conjugate Young function, memoized per table geometry."""
-        key = (s_min, s_max, n)
+    def conjugate(self) -> "ConjugateFunction":
+        """The conjugate Young function, built once."""
         with self._lock:
-            if key not in self._conj_cache:
-                self._conj_cache[key] = ConjugateFunction(self, s_min, s_max, n)
-            return self._conj_cache[key]
+            if self._conj is None:
+                self._conj = ConjugateFunction(self)
+            return self._conj
 
     def label(self) -> str:
         inner = ", ".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
                           for k, v in self.params().items())
         return f"{self.kind}({inner})" if inner else self.kind
+
+    def __str__(self) -> str:
+        return self.label()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<YoungFunction {self.label()}>"
@@ -344,8 +352,8 @@ class Newtonian(YoungFunction):
     """Integral of ``s**(1-alpha) * asinh(s)**beta``, ``0 <= alpha <= 1``.
 
     The primitive has no closed form; values come from a cumulative
-    quadrature table over a log grid, so arguments beyond the table horizon
-    raise :class:`HorizonError`.
+    quadrature table over a log grid up to ``t_max``, so arguments beyond
+    it raise :class:`HorizonError`.
     """
 
     kind = "newtonian"
@@ -372,7 +380,8 @@ class Newtonian(YoungFunction):
         return self._table.x_max
 
     def _value_raw(self, t):
-        return self._table(t, what=self.label())
+        return self._table(clip_to_horizon(t, self.horizon, self,
+                                           "build it with a larger t_max"))
 
     def _derivative_raw(self, t):
         t = np.asarray(t, dtype=float)
@@ -477,21 +486,17 @@ class Tabulated(YoungFunction):
         return float(self.knots[-1])
 
     def _guard(self, t):
-        if np.any(t > self.horizon * (1 + 1e-12)):
-            raise HorizonError(
-                f"tabulated function queried beyond its last knot "
-                f"{self.horizon:g}; extend the table")
-        return np.clip(t, 0.0, self.horizon)
+        return clip_to_horizon(t, self.horizon, self, "extend the table")
 
     def _value_raw(self, t):
-        return self._interp(self._guard(np.asarray(t, dtype=float)))
+        return self._interp(self._guard(t))
 
     def _derivative_raw(self, t):
-        out = self._interp(self._guard(np.asarray(t, dtype=float)), 1)
+        out = self._interp(self._guard(t), 1)
         return np.maximum(out, 0.0)
 
     def _second_derivative_raw(self, t):
-        return self._interp(self._guard(np.asarray(t, dtype=float)), 2)
+        return self._interp(self._guard(t), 2)
 
     def _validate(self):
         # The generic probe samples past small tables; the constructor
@@ -503,8 +508,12 @@ class Tabulated(YoungFunction):
 class ConjugateFunction(YoungFunction):
     """Conjugate ``Phi~(s) = sup_t (st - Phi(t))`` of a Young function.
 
-    Knot values are the cumulative integral of the inverse density over a
-    log-spaced table (the two forms agree for convex ``Phi``).  Queries
+    Knot values are the cumulative integral of the inverse density (the two
+    forms agree for convex ``Phi``) over a log-spaced table of 4096 knots
+    on ``[1e-6, min(1e6, top)]``.  ``top`` is the largest argument the
+    base's inverse density accepts: the base's density at its horizon
+    (``inf`` for closed forms), or for a conjugate base that base's own
+    horizon.  Queries
     interpolate the knots in log-log coordinates with the in-package
     monotone cubic :class:`~orlicz_lab.util.MonotoneCubic`, which is exact
     for power laws.  The table is uniform in ``log s``, so the direct
@@ -518,10 +527,10 @@ class ConjugateFunction(YoungFunction):
 
     kind = "conjugate"
 
-    def __init__(self, base: YoungFunction, s_min: float = 1e-6,
-                 s_max: float = 1e6, n: int = 4096):
+    def __init__(self, base: YoungFunction):
         self.base = base
-        self._table = CumulativeTable(self._derivative_raw, s_min, s_max, n)
+        s_max = min(_T_MAX, base._inverse_density_horizon)
+        self._table = CumulativeTable(self._derivative_raw, _T_MIN, s_max)
         self._log_grid = np.log(self._table.grid)
         self._log_cum = np.log(self._table.cum)
         self._interp = MonotoneCubic(self._log_grid, self._log_cum)
@@ -548,26 +557,26 @@ class ConjugateFunction(YoungFunction):
     def horizon(self):
         return self._table.x_max
 
+    @property
+    def _inverse_density_horizon(self):
+        """The inverse density is the base's density, which stops at the
+        base's horizon."""
+        return self.base.horizon
+
     def _value_raw(self, s):
-        s = np.asarray(s, dtype=float)
-        if np.any(s > self._table.x_max * (1 + 1e-12)):
-            raise HorizonError(
-                f"{self.label()}: argument exceeds the tabulated horizon "
-                f"{self._table.x_max:.3g}; rebuild with a larger horizon")
-        shape = s.shape
-        flat = np.atleast_1d(s).ravel()
-        out = np.zeros_like(flat)
-        pos = flat > 0
-        ls = np.log(np.clip(flat[pos], None, self._table.x_max))
+        s = clip_to_horizon(s, self.horizon, self,
+                            "the range follows the base's density, up to 1e6")
+        out = np.zeros_like(s)
+        pos = s > 0
+        ls = np.log(s[pos])
         below = ls < self._log_grid[0]
         vals = np.empty_like(ls)
-        vals[~below] = np.exp(self._interp(np.clip(ls[~below],
-                                                   None, self._log_grid[-1])))
+        vals[~below] = np.exp(self._interp(ls[~below]))
         vals[below] = np.exp(self._log_cum[0]
                              + self._tail_slope * (ls[below]
                                                    - self._log_grid[0]))
         out[pos] = vals
-        return out.reshape(shape)
+        return out
 
     def _derivative_raw(self, s):
         return np.asarray(self.base.derivative_inverse(s), dtype=float)
@@ -588,26 +597,12 @@ class ConjugateFunction(YoungFunction):
 # module-level operations
 
 
-def evaluate(phi: YoungFunction, t):
-    """Value of the Young function; rejects negative or non-finite input."""
-    return phi.value(t)
-
-
-def derivative(phi: YoungFunction, t):
-    """Density (right derivative) of the Young function."""
-    return phi.derivative(t)
-
-
-def conjugate_at(phi: YoungFunction, s):
-    """Conjugate value at ``s`` through the memoized default table."""
-    return phi.conjugate().value(s)
-
-
-def conjugate_sup_estimate(phi: YoungFunction, s, n_grid: int = 20001):
-    """Brute-force ``max_t (st - Phi(t))`` on a dense grid.
+def conjugate_sup_estimate(phi: YoungFunction, s):
+    """Brute-force ``max_t (st - Phi(t))`` on a dense grid of 20001 points.
 
     Used as an independent cross-check of the transform; the grid tops out
-    at twice the stationary point, where the objective is already falling.
+    at twice the stationary point, where the objective is already falling,
+    or at the horizon.
     """
     arr, scalar = _checked(s, "s")
     flat = np.atleast_1d(arr).ravel()
@@ -617,13 +612,12 @@ def conjugate_sup_estimate(phi: YoungFunction, s, n_grid: int = 20001):
             out[i] = 0.0
             continue
         t_star = phi.derivative_inverse(si)
-        t_hi = max(2.0 * t_star, 1e-8)
-        grid = np.linspace(0.0, t_hi, n_grid)
+        t_hi = min(max(2.0 * t_star, 1e-8), phi.horizon)
+        grid = np.linspace(0.0, t_hi, 20001)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = si * grid - np.asarray(phi.value(grid), dtype=float)
         out[i] = np.nanmax(vals)
-    out = out.reshape(np.atleast_1d(arr).shape)
-    return _ret(out if not scalar else out[0], scalar)
+    return _ret(out.reshape(arr.shape), scalar)
 
 
 @dataclass(frozen=True)
@@ -640,8 +634,8 @@ class Delta2Report:
         return f"violated (ratio grows through t ~ {self.witness:.4g})"
 
 
-def _ratio_scan(phi: YoungFunction, t_lo: float, t_hi: float, samples: int):
-    ts = np.geomspace(t_lo, t_hi, samples)
+def _ratio_scan(phi: YoungFunction, t_hi: float, samples: int):
+    ts = np.geomspace(_T_MIN, t_hi, samples)
     with np.errstate(over="ignore", invalid="ignore"):
         num = ts * np.asarray(phi.derivative(ts), dtype=float)
         den = np.asarray(phi.value(ts), dtype=float)
@@ -650,44 +644,34 @@ def _ratio_scan(phi: YoungFunction, t_lo: float, t_hi: float, samples: int):
     return ts[keep], ratio[keep]
 
 
-def simonenko_indices(phi: YoungFunction, t_lo: float = 1e-6,
-                      t_hi: float = 1e6, samples: int = 2000,
-                      prefer_closed: bool = True):
+def simonenko_indices(phi: YoungFunction):
     """Growth indices ``(l, m)`` of ``t phi(t) / Phi(t)``.
 
     Catalog kinds with known closed forms return them exactly; otherwise the
-    ratio is scanned on a dense log grid and its extrema are reported.
+    ratio is scanned on 2000 log-spaced points of ``[1e-6, 1e6]`` and its
+    extrema are reported.
     """
-    if not (0 < t_lo < t_hi):
-        raise DomainError("need 0 < t_lo < t_hi")
-    if samples < 100:
-        raise DomainError("need at least 100 samples")
-    if prefer_closed:
-        got = phi.indices()
-        if got is not None:
-            return got
-    t_hi = min(t_hi, phi.horizon * 0.999)
-    ts, ratio = _ratio_scan(phi, t_lo, t_hi, samples)
+    got = phi.indices()
+    if got is not None:
+        return got
+    ts, ratio = _ratio_scan(phi, min(_T_MAX, phi.horizon * 0.999), 2000)
     if ratio.size == 0:
         raise DomainError(f"{phi.label()}: index ratio is nowhere finite")
     return (float(ratio.min()), float(ratio.max()))
 
 
-def check_delta2(phi: YoungFunction, horizon: float = 1e6, cap: float = 1e3,
-                 samples_per_decade: int = 64) -> Delta2Report:
+def check_delta2(phi: YoungFunction) -> Delta2Report:
     """Doubling-condition classification by ratio scan.
 
     The condition is equivalent to a bounded ``t phi(t)/Phi(t)``; the scan
-    declares a violation when the ratio still increases monotonically across
-    the last sampled decade and has passed ``cap``.  Fast-growing functions
-    overflow doubles early; the scan simply stops at the last finite sample,
-    which is where the witness is reported.
+    of ``[1e-6, 1e6]`` at 64 points per decade declares a violation when
+    the ratio still increases across the last decade and has passed 1e3.
+    Fast-growing functions overflow doubles early; the scan stops at the
+    last finite sample, which is where the witness is reported.
     """
-    if horizon < 1e3:
-        raise DomainError("doubling-condition scan needs horizon >= 1e3")
-    t_hi = min(horizon, phi.horizon * 0.999)
-    decades = max(1, int(round(np.log10(t_hi / 1e-6))))
-    ts, ratio = _ratio_scan(phi, 1e-6, t_hi, decades * samples_per_decade)
+    t_hi = min(_T_MAX, phi.horizon * 0.999)
+    decades = max(1, int(round(np.log10(t_hi / _T_MIN))))
+    ts, ratio = _ratio_scan(phi, t_hi, decades * 64)
     if ratio.size < 8:
         raise DomainError(f"{phi.label()}: ratio is nowhere finite")
     top = ts[-1]
@@ -696,24 +680,20 @@ def check_delta2(phi: YoungFunction, horizon: float = 1e6, cap: float = 1e3,
     growing = (np.all(np.diff(tail) > -1e-9 * np.abs(tail[:-1]))
                and tail[-1] > tail[0])
     peak = float(ratio.max())
-    if growing and peak > cap:
+    if growing and peak > 1e3:
         return Delta2Report(False, witness=float(ts[int(np.argmax(ratio))]))
     return Delta2Report(True, bound=peak)
 
 
-def dominates_essentially(psi: YoungFunction, phi: YoungFunction,
-                          c_samples=(0.5, 1.0, 2.0, 10.0),
-                          horizon: float = 1e6, tol: float = 1e-2) -> bool:
+def dominates_essentially(psi: YoungFunction, phi: YoungFunction) -> bool:
     """Empirical essential-domination test ``Psi(ct)/Phi(t) -> 0``.
 
-    True when, for every sampled ``c``, the ratio is below ``tol`` at the
-    horizon and still decreasing across the final decade.
+    True when, for every ``c`` in 0.5, 1, 2 and 10, the ratio is below 1e-2
+    at the top of the scan (1e6, or just inside a finite horizon) and still
+    decreasing across the final decade.
     """
-    cs = tuple(float(c) for c in c_samples)
-    if not cs or any(c <= 0 for c in cs):
-        raise DomainError("c_samples must be nonempty positives")
-    for c in cs:
-        t_hi = min(horizon, phi.horizon * 0.999, psi.horizon * 0.999 / c)
+    for c in (0.5, 1.0, 2.0, 10.0):
+        t_hi = min(_T_MAX, phi.horizon * 0.999, psi.horizon * 0.999 / c)
         ts = np.geomspace(1e-2, t_hi, 600)
         with np.errstate(over="ignore", invalid="ignore"):
             num = np.asarray(psi.value(c * ts), dtype=float)
@@ -728,7 +708,7 @@ def dominates_essentially(psi: YoungFunction, phi: YoungFunction,
         r_prev = float(np.interp(top / 10.0, ts_k, ratio_k))
         # a ratio that underflowed to exact zero has finished decreasing
         decreasing = r_end < r_prev * (1.0 - 1e-9) or r_end == 0.0
-        if not (r_end <= tol and decreasing):
+        if not (r_end <= 1e-2 and decreasing):
             return False
     return True
 
@@ -755,10 +735,8 @@ class SobolevConjugate:
 
     def h_inverse(self, s):
         arr, scalar = _checked(s, "s")
-        if np.any(arr > self.h_values[-1] * (1 + 1e-12)):
-            raise HorizonError(
-                "argument exceeds the tabulated range of H; rebuild the "
-                "conjugate with a larger t_max")
+        arr = clip_to_horizon(arr, self.h_values[-1], "H inverse",
+                              "H is tabulated up to min(1e6, base horizon)")
         out = np.exp(np.interp(np.log(np.maximum(arr, self.h_values[0])),
                                np.log(self.h_values), np.log(self.grid)))
         out = np.where(arr <= self.h_values[0],
@@ -771,9 +749,10 @@ class SobolevConjugate:
     __call__ = value
 
 
-def sobolev_conjugate(phi: YoungFunction, n_dim: int, t_min: float = 1e-6,
-                      t_max: float = 1e6, n_table: int = 2048) -> SobolevConjugate:
+def sobolev_conjugate(phi: YoungFunction, n_dim: int) -> SobolevConjugate:
     """Build ``Phi_N`` after checking the two integral admissibility conditions.
+
+    ``H`` is tabulated on 2048 log-spaced points of ``[1e-6, 1e6]``.
 
     The divergence condition at infinity (named ``emdh1``) fails when the
     decade contributions of ``(t/Phi(t))^{1/(N-1)}`` shrink geometrically,
@@ -814,7 +793,7 @@ def sobolev_conjugate(phi: YoungFunction, n_dim: int, t_min: float = 1e-6,
             "emdh1", f"{phi.label()}: the integral of (t/Phi)^(1/(N-1)) "
             "converges at infinity")
 
-    table = CumulativeTable(g, t_min, min(t_max, phi.horizon * 0.999), n_table)
+    table = CumulativeTable(g, _T_MIN, min(_T_MAX, phi.horizon * 0.999), 2048)
     h_vals = table.cum ** ((n_dim - 1.0) / n_dim)
     # Growth exponent of Phi_N: slope of log Phi(grid) against log H(grid)
     # over the top two decades of the H range.
@@ -827,11 +806,10 @@ def sobolev_conjugate(phi: YoungFunction, n_dim: int, t_min: float = 1e-6,
     return SobolevConjugate(phi, n_dim, table.grid, h_vals, slope)
 
 
-def sqrt_convexity_holds(phi: YoungFunction, t_lo: float = 1e-6,
-                         t_hi: float = 1e6, samples: int = 512) -> bool:
-    """Sampled midpoint-convexity of ``t -> Phi(sqrt(t))``."""
-    t_hi = min(t_hi, phi.horizon * 0.999)
-    ts = np.geomspace(t_lo, t_hi, samples)
+def sqrt_convexity_holds(phi: YoungFunction) -> bool:
+    """Midpoint-convexity of ``t -> Phi(sqrt(t))`` on 512 log-spaced points
+    of ``[1e-6, 1e6]``."""
+    ts = np.geomspace(_T_MIN, min(_T_MAX, phi.horizon * 0.999), 512)
     a, b = ts[:-2], ts[2:]
     with np.errstate(over="ignore"):
         left = np.asarray(phi.value(np.sqrt(0.5 * (a + b))), dtype=float)

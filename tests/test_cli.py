@@ -96,6 +96,45 @@ def test_conjugate_table_matches_dual_power(tmp_path):
         assert float(err_txt) <= 1e-5
 
 
+NEWTONIAN = {"kind": "newtonian", "alpha": 0.5, "beta": 1.0}
+
+
+@pytest.mark.parametrize("command", ["check-young", "conjugate"])
+def test_newtonian_conjugate_runs(tmp_path, command):
+    cfg = write_cfg(tmp_path, {"phi": NEWTONIAN})
+    out = tmp_path / "runs"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    _, _, rows = read_csv(out, command)
+    if command == "check-young":
+        by_name = {r[0]: int(r[1]) for r in rows}
+        assert by_name["phi_conjugate_involution"] == 1
+    else:
+        assert max(float(r[2]) for r in rows) <= 1e-5
+
+
+def test_check_young_on_a_short_table(tmp_path):
+    # the involution is sampled inside the table's last knot
+    table = tmp_path / "phi.csv"
+    table.write_text("t,value\n0.5,0.125\n1.0,0.5\n2.0,2.0\n3.0,4.5\n")
+    cfg = write_cfg(tmp_path, {"phi": {"kind": "tabulated",
+                                       "csv": str(table)}})
+    out = tmp_path / "runs"
+    assert main(["check-young", "--config", cfg, "--out", str(out)]) == 0
+    _, _, rows = read_csv(out, "check-young")
+    assert {r[0]: int(r[1]) for r in rows}["phi_conjugate_involution"] == 1
+
+
+def test_beyond_the_conjugate_horizon_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "phi": {"kind": "power", "p": 3},
+        "conjugate": {"s_min": 1.0, "s_max": 1.0e7, "points": 5}})
+    assert main(["conjugate", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "horizon 1e+06" in err
+
+
 def test_norm_of_unit_constant(tmp_path):
     cfg = write_cfg(tmp_path, {
         "phi": {"kind": "power", "p": 2, "coeff": 1.0},
@@ -389,8 +428,22 @@ _BAD_REAL = st.one_of(st.none(), _WORD, _MAPPING, _NON_FINITE,
                       st.lists(st.integers(0, 3), max_size=2))
 _NONPOSITIVE = st.one_of(st.just(0.0), st.floats(-10.0, -1e-3))
 # (command, section, key, value); the spectrum range keys are drawn into
-# an otherwise valid range
+# an otherwise valid range, the conjugate range ends against the default
+# s_min = 1e-2 and s_max = 1e2, and an s_max past the conjugate table's
+# horizon 1e6 is a horizon error
 _MALFORMED_NUMBER = st.one_of(
+    st.tuples(st.just("conjugate"), st.just("conjugate"), st.just("s_min"),
+              st.one_of(_BAD_REAL, _NONPOSITIVE, st.floats(1e2, 1e300))),
+    st.tuples(st.just("conjugate"), st.just("conjugate"), st.just("s_max"),
+              st.one_of(_BAD_REAL, _NONPOSITIVE, st.floats(0.0, 1e-2),
+                        st.floats(1.001e6, 1e300))),
+    st.tuples(st.just("conjugate"), st.just("conjugate"), st.just("points"),
+              st.one_of(_NOT_AN_INTEGER, st.integers(-10 ** 6, 1))),
+    st.tuples(st.just("eig"), st.sampled_from(["weight", "weight1"]),
+              st.just("constant"),
+              st.one_of(_BAD_REAL, st.floats(-10.0, 0.999))),
+    st.tuples(st.just("norm"), st.just("norm"), st.just("u"),
+              st.builds(lambda v: {"constant": v}, _BAD_REAL)),
     st.tuples(st.sampled_from(["eig", "spectrum"]), st.just("solver"),
               st.just("tol"), st.one_of(_BAD_REAL, _NONPOSITIVE)),
     st.tuples(st.sampled_from(["eig", "spectrum"]), st.just("solver"),
@@ -413,7 +466,7 @@ _MALFORMED_NUMBER = st.one_of(
               st.one_of(_NOT_AN_INTEGER, st.integers(-10 ** 6, 0))))
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_MALFORMED_NUMBER)
 def test_number_config_fuzz_exits_2(tmp_path, case):

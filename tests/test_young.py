@@ -98,8 +98,8 @@ def test_argument_check_messages():
 def test_evaluate_and_derivative_are_vectorized():
     phi = ol.PowerSum(2.0, 4.0)
     ts = np.linspace(0.0, 3.0, 17)
-    vals = ol.evaluate(phi, ts)
-    ders = ol.derivative(phi, ts)
+    vals = phi.value(ts)
+    ders = phi.derivative(ts)
     assert vals.shape == ts.shape and ders.shape == ts.shape
     assert vals[0] == 0.0
     # convexity: the density is nondecreasing
@@ -141,13 +141,22 @@ def test_simonenko_indices_closed_forms():
 
 
 def test_simonenko_empirical_scan_matches_closed_form():
-    # force the sampled route and compare with the known indices; the
-    # power-sum ratio converges polynomially, the plasticity lower index
-    # only like 1/log t, hence the asymmetric tolerances
-    l, m = ol.simonenko_indices(ol.PowerSum(2.0, 4.0), prefer_closed=False)
+    # force the sampled route through members that hide their closed
+    # form, and compare with the known indices; the power-sum ratio
+    # converges polynomially, the plasticity lower index only like
+    # 1/log t, hence the asymmetric tolerances
+    class ScannedPowerSum(ol.PowerSum):
+        def indices(self):
+            return None
+
+    class ScannedPlasticity(ol.Plasticity):
+        def indices(self):
+            return None
+
+    l, m = ol.simonenko_indices(ScannedPowerSum(2.0, 4.0))
     assert l == pytest.approx(2.0, abs=1e-3)
     assert m == pytest.approx(4.0, abs=1e-3)
-    l, m = ol.simonenko_indices(ol.Plasticity(2.0, 1.0), prefer_closed=False)
+    l, m = ol.simonenko_indices(ScannedPlasticity(2.0, 1.0))
     assert l == pytest.approx(2.0, abs=0.08)
     assert m == pytest.approx(3.0, abs=1e-3)
 
@@ -215,7 +224,7 @@ def test_conjugate_is_memoized_and_horizon_guarded():
 def test_conjugate_at_and_sup_estimate_agree():
     phi = ol.Plasticity(2.0, 1.0)
     for s in (0.3, 2.0, 40.0):
-        table = ol.conjugate_at(phi, s)
+        table = phi.conjugate().value(s)
         grid = ol.conjugate_sup_estimate(phi, s)
         # the grid sup is a lower bound with O(grid) resolution
         assert grid <= table * (1 + 1e-6) + 1e-12
@@ -294,10 +303,12 @@ def test_tabulated_roundtrip(tmp_path):
     knots = np.geomspace(1e-3, 1e3, 400)
     phi = ol.Tabulated(knots, ol.Power(2.0).value(knots))
     assert phi.value(7.0) == pytest.approx(24.5, rel=1e-4)
-    # scan away from the table edges, where the interpolated density is clean
-    l, m = ol.simonenko_indices(phi, t_lo=1e-2, t_hi=1e2)
-    assert l == pytest.approx(2.0, abs=0.05)
-    assert m == pytest.approx(2.0, abs=0.05)
+    # the index ratio t phi/Phi away from the table edges, where the
+    # interpolated density is clean
+    ts = np.geomspace(1e-2, 1e2, 2000)
+    ratio = ts * phi.derivative(ts) / phi.value(ts)
+    assert ratio.min() == pytest.approx(2.0, abs=0.05)
+    assert ratio.max() == pytest.approx(2.0, abs=0.05)
     path = tmp_path / "tab.csv"
     with open(path, "w") as fh:
         fh.write("t,value\n")
@@ -333,6 +344,33 @@ def test_degenerate_density_rejected():
 def _table():
     knots = np.array([0.5, 1.0, 2.0, 3.0])
     return ol.Tabulated(knots, knots ** 2 / 2.0)
+
+
+def _finite_horizon_member(kind):
+    return ol.Newtonian(0.5, 1.0) if kind == "newtonian" else _table()
+
+
+@pytest.mark.parametrize("kind", ["newtonian", "tabulated"])
+def test_conjugate_of_a_finite_horizon_function(kind):
+    # the conjugate table ends where the base's density does: at phi'(1e8)
+    # = 1.9e5 for the newtonian member, at phi'(3) = 3 for the table
+    phi = _finite_horizon_member(kind)
+    conj = phi.conjugate()
+    assert conj.horizon == phi.derivative(phi.horizon)
+    for s in np.geomspace(1e-2, 0.99 * conj.horizon, 7):
+        table = conj.value(s)
+        grid = ol.conjugate_sup_estimate(phi, s)
+        assert grid <= table * (1 + 1e-6) + 1e-12
+        assert grid == pytest.approx(table, rel=1e-5)
+
+
+@pytest.mark.parametrize("kind", ["newtonian", "tabulated"])
+def test_double_conjugate_of_a_finite_horizon_function(kind):
+    phi = _finite_horizon_member(kind)
+    twice = phi.conjugate().conjugate()
+    ts = np.geomspace(1e-2, min(1e2, 0.99 * phi.horizon), 41)
+    ref = phi.value(ts)
+    assert np.max(np.abs(twice.value(ts) - ref) / (1.0 + ref)) <= 1e-6
 
 
 def test_tabulated_inverse_inside_its_horizon():
@@ -391,3 +429,12 @@ def test_tables_evaluate_without_scipy_interpolate():
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
+
+
+def test_package_exports_every_module_export():
+    from orlicz_lab import (eigensolver, errors, functionals, norms, region,
+                            young)
+    modules = (errors, young, norms, functionals, eigensolver, region)
+    exported = set().union(*(module.__all__ for module in modules))
+    assert set(ol.__all__) - {"__version__"} == exported
+    assert all(hasattr(ol, name) for name in ol.__all__)
