@@ -22,28 +22,66 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigError, NonConvergenceError, OrliczLabError
+from .errors import (ConfigError, DomainError, NonConvergenceError,
+                     OrliczLabError)
 from .eigensolver import SolverOptions, minimize_on_level, spectrum_sweep
 from .functionals import EnergySetup
 from .norms import (GridDomain, GridFunction, WeightField, domain_from_config,
-                    gradient_norm, luxemburg_norm, sobolev_norm)
+                    gradient_norm, load_values_csv, luxemburg_norm,
+                    sobolev_norm)
 from .region import REPORT_COLUMNS, format_report, grid_search, report_row
-from .util import config_int
+from .util import (BOOL, PATH, POSITIVE, REAL, REALS, SECTION,
+                   ConfigKind, config_values, count)
 from .young import (catalog, check_delta2, dominates_essentially,
                     from_config, simonenko_indices, sqrt_convexity_holds)
 
-_COMMON_KEYS = {"phi", "psi", "domain", "weight", "weight1", "seed",
-                "solver", "out"}
-_COMMAND_KEYS = {
-    "catalog": set(),
-    "check-young": set(),
-    "conjugate": {"s_min", "s_max", "points"},
-    "norm": {"u"},
-    "eig": {"alpha"},
-    "region": {"d_values", "r_values", "samples", "starts", "c1"},
-    "spectrum": {"alphas", "alpha_min", "alpha_max", "points"},
+# config tables, read by util.config_values: key -> (kind, default)
+
+# node values: a constant or a CSV file
+_NODAL = {"constant": REAL, "csv": PATH}
+# a null c1 asks for the computed Poincare constant
+_C1 = ConfigKind("a positive finite number or null",
+                 lambda v: None if v is None else POSITIVE.convert(v))
+# the top level; main adds the command's section and requires the
+# sections the command needs.  ``out`` is accepted and unused: the --out
+# flag sets the output directory
+_TOP = {
+    "phi": (SECTION, None),
+    "psi": (SECTION, None),
+    "domain": (SECTION, None),
+    "weight": (_NODAL, ("constant", 1.0)),
+    "weight1": (_NODAL, ("constant", 1.0)),
+    "seed": (count(0), 0),
+    "solver": (SECTION, {}),
+    "out": (PATH, None),
 }
-_SOLVER_KEYS = {"tol", "max_iter", "onesigned", "seed", "starts"}
+# main sets the seed's default to the top-level seed
+_SOLVER = {
+    "tol": (POSITIVE, 1e-8),
+    "max_iter": (count(0), 100_000),
+    "onesigned": (BOOL, True),
+    "seed": (count(0), None),
+    "starts": (count(0), 8),
+}
+# per command: the top-level sections it needs, and the table of its own
+# section
+_SETUP = ("phi", "psi", "domain")
+_SECTIONS = {
+    "catalog": ((), {}),
+    "check-young": (("phi",), {}),
+    "conjugate": (("phi",), {"s_min": (POSITIVE, 1e-2),
+                             "s_max": (POSITIVE, 1e2),
+                             "points": (count(2), 41)}),
+    "norm": (("phi", "domain"), {"u": (_NODAL, ...)}),
+    "eig": (_SETUP, {"alpha": (POSITIVE, 1.0)}),
+    "region": (_SETUP, {"d_values": (REALS, ...), "r_values": (REALS, ...),
+                        "samples": (count(1), 48), "starts": (count(0), 0),
+                        "c1": (_C1, None)}),
+    "spectrum": (_SETUP, {"alphas": (REALS, None),
+                          "alpha_min": (POSITIVE, None),
+                          "alpha_max": (POSITIVE, None),
+                          "points": (count(1), 10)}),
+}
 
 
 # --------------------------------------------------------------------------
@@ -64,95 +102,21 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _check_keys(cfg: dict, command: str):
-    section = command.replace("-", "_")
-    allowed = _COMMON_KEYS | {section}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(
-            f"unknown config key(s) {sorted(unknown)} for '{command}'")
-    body = cfg.get(section, {})
-    if not isinstance(body, dict):
-        raise ConfigError(f"section '{section}' must be a mapping")
-    bad = set(body) - _COMMAND_KEYS[command]
-    if bad:
-        raise ConfigError(
-            f"unknown key(s) {sorted(bad)} in section '{section}'")
-    solver = cfg.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ConfigError("section 'solver' must be a mapping")
-    bad = set(solver) - _SOLVER_KEYS
-    if bad:
-        raise ConfigError(f"unknown key(s) {sorted(bad)} in section 'solver'")
-    return body
-
-
-def _real(x) -> float:
-    """float(x), or nan when x is not a number."""
-    try:
-        return float(x)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
-
-
-def _number(value, what: str) -> float:
-    """A config value that must be a finite number, as a float."""
-    x = _real(value)
-    if not math.isfinite(x):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return x
-
-
-def _numbers(body: dict, key: str, section: str) -> list:
-    """``body[key]`` as a list of finite floats."""
-    raw = body[key]
-    vals = [_real(x) for x in raw] if isinstance(raw, list) else [math.nan]
-    if not all(math.isfinite(x) for x in vals):
-        raise ConfigError(
-            f"{section} {key!r} must be a list of finite numbers, got {raw!r}")
-    return vals
-
-
-def _weight_field(dom: GridDomain, cfg, name: str) -> WeightField:
-    if cfg is None:
-        return WeightField.constant(dom, 1.0)
-    if not isinstance(cfg, dict) or len(cfg) != 1:
-        raise ConfigError(
-            f"'{name}' must be a one-key mapping (constant or csv)")
-    (key, val), = cfg.items()
+def _nodal_values(dom: GridDomain, spec, name: str) -> np.ndarray:
+    """Node values of a ``(constant, x)`` or ``(csv, path)`` spec."""
+    key, val = spec
     if key == "constant":
-        return WeightField.constant(dom, _number(val, f"{name} 'constant'"))
-    if key == "csv":
-        return WeightField.from_csv(dom, val)
-    raise ConfigError(f"unknown key '{key}' in '{name}'")
-
-
-def _solver_options(cfg: dict, seed: int) -> SolverOptions:
-    body = cfg.get("solver", {})
-    tol = _number(body.get("tol", 1e-8), "solver 'tol'")
-    if not tol > 0:
-        raise ConfigError(f"solver 'tol' must be positive, got {tol!r}")
-    counts = {}
-    for key, default in (("max_iter", 100_000), ("seed", seed),
-                         ("starts", 8)):
-        counts[key] = config_int(body.get(key, default), f"solver {key!r}")
-        if counts[key] < 0:
-            raise ConfigError(
-                f"solver {key!r} must be nonnegative, got {counts[key]}")
-    onesigned = body.get("onesigned", True)
-    if not isinstance(onesigned, bool):
-        raise ConfigError(
-            f"solver 'onesigned' must be true or false, got {onesigned!r}")
-    return SolverOptions(tol=tol, onesigned=onesigned, **counts)
+        return np.full(dom.node_shape, val)
+    try:
+        return load_values_csv(dom, val)
+    except DomainError as exc:
+        raise ConfigError(f"{name} csv: {exc}") from None
 
 
 def _build_setup(cfg: dict) -> EnergySetup:
-    for key in ("phi", "psi", "domain"):
-        if key not in cfg:
-            raise ConfigError(f"config needs a '{key}' section")
     dom = domain_from_config(cfg["domain"])
-    w = _weight_field(dom, cfg.get("weight"), "weight")
-    w1 = _weight_field(dom, cfg.get("weight1"), "weight1")
+    w, w1 = (WeightField(dom, _nodal_values(dom, cfg[key], key))
+             for key in ("weight", "weight1"))
     return EnergySetup(from_config(cfg["phi"]), from_config(cfg["psi"]),
                        w, w1, dom)
 
@@ -196,7 +160,7 @@ def _write_summary(out_dir, command: str, seed: int, results: dict,
 # --------------------------------------------------------------------------
 # subcommands
 
-def cmd_catalog(out_dir: str, seed: int) -> int:
+def cmd_catalog(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
     rows = []
     for kind, phi in catalog():
         l, m = simonenko_indices(phi)
@@ -224,9 +188,7 @@ def _involution_errors(phi, ss) -> np.ndarray:
     return np.abs(back - ref) / (1.0 + ref)
 
 
-def cmd_check_young(cfg: dict, out_dir: str, seed: int) -> int:
-    if "phi" not in cfg:
-        raise ConfigError("config needs a 'phi' section")
+def cmd_check_young(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
     phi = from_config(cfg["phi"])
     rows = []
     l, m = simonenko_indices(phi)
@@ -242,7 +204,7 @@ def cmd_check_young(cfg: dict, out_dir: str, seed: int) -> int:
     inv_err = float(np.max(_involution_errors(phi, ss)))
     rows.append(["phi_conjugate_involution", int(inv_err <= 1e-5),
                  f"max rel err {inv_err:.3e}"])
-    if "psi" in cfg:
+    if cfg["psi"] is not None:
         psi = from_config(cfg["psi"])
         l1, m1 = simonenko_indices(psi)
         rows.append(["psi_indices", 1, f"l={l1!r} m={m1!r}"])
@@ -261,14 +223,10 @@ def cmd_check_young(cfg: dict, out_dir: str, seed: int) -> int:
 
 
 def cmd_conjugate(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
-    if "phi" not in cfg:
-        raise ConfigError("config needs a 'phi' section")
     phi = from_config(cfg["phi"])
-    s_min = _number(body.get("s_min", 1e-2), "conjugate 's_min'")
-    s_max = _number(body.get("s_max", 1e2), "conjugate 's_max'")
-    points = config_int(body.get("points", 41), "conjugate 'points'")
-    if not (0 < s_min < s_max) or points < 2:
-        raise ConfigError("conjugate needs 0 < s_min < s_max and points >= 2")
+    s_min, s_max, points = body["s_min"], body["s_max"], body["points"]
+    if not s_min < s_max:
+        raise ConfigError("conjugate needs s_min < s_max")
     ss = np.geomspace(s_min, s_max, points)
     vals = np.asarray(phi.conjugate().value(ss), dtype=float)
     errs = _involution_errors(phi, ss)
@@ -286,29 +244,16 @@ def cmd_conjugate(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
 
 
 def cmd_norm(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
-    for key in ("phi", "domain"):
-        if key not in cfg:
-            raise ConfigError(f"config needs a '{key}' section")
     phi = from_config(cfg["phi"])
     dom = domain_from_config(cfg["domain"])
-    w = _weight_field(dom, cfg.get("weight"), "weight")
-    spec = body.get("u")
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ConfigError("norm needs u: {constant: value} or u: {csv: path}")
-    (key, val), = spec.items()
-    if key == "constant":
-        vals = np.full(dom.node_shape, _number(val, "norm u 'constant'"))
-    elif key == "csv":
-        from .norms import load_values_csv
-        vals = load_values_csv(dom, val)
-    else:
-        raise ConfigError(f"unknown key '{key}' in norm u spec")
+    w = WeightField(dom, _nodal_values(dom, cfg["weight"], "weight"))
+    vals = _nodal_values(dom, body["u"], "norm u")
     u = GridFunction(dom, np.where(dom.mask, vals, 0.0), trace="free")
     rows = [["luxemburg_state", repr(luxemburg_norm(phi, w, u))],
             ["gradient", repr(gradient_norm(phi, w, u))]]
-    if "psi" in cfg:
+    if cfg["psi"] is not None:
         psi = from_config(cfg["psi"])
-        w1 = _weight_field(dom, cfg.get("weight1"), "weight1")
+        w1 = WeightField(dom, _nodal_values(dom, cfg["weight1"], "weight1"))
         rows.append(["sobolev", repr(sobolev_norm(phi, psi, w, w1, u))])
     path = _write_csv(out_dir, "norm", ["quantity", "value"], rows)
     for name, value in rows:
@@ -320,9 +265,7 @@ def cmd_norm(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
 
 def cmd_eig(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
     setup = _build_setup(cfg)
-    opts = _solver_options(cfg, seed)
-    alpha = _number(body.get("alpha", 1.0), "eig 'alpha'")
-    pair = minimize_on_level(setup, alpha, opts=opts)
+    pair = minimize_on_level(setup, body["alpha"], opts=cfg["solver"])
     rows = [[repr(pair.alpha), repr(pair.lam), repr(pair.level),
              repr(pair.residual), pair.iterations]]
     path = _write_csv(out_dir, "eig",
@@ -338,24 +281,20 @@ def cmd_eig(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
     return 0
 
 
-def _sweep_levels(body: dict) -> list:
-    if "alphas" in body:
-        levels = _numbers(body, "alphas", "spectrum")
-        if "alpha_min" in body or "alpha_max" in body or "points" in body:
+def _sweep_levels(body: dict, given) -> list:
+    if body["alphas"] is not None:
+        if given & {"alpha_min", "alpha_max", "points"}:
             raise ConfigError(
                 "spectrum takes either 'alphas' or a range, not both")
+        levels = body["alphas"]
     else:
-        try:
-            lo = _number(body["alpha_min"], "spectrum 'alpha_min'")
-            hi = _number(body["alpha_max"], "spectrum 'alpha_max'")
-            points = config_int(body.get("points", 10), "spectrum 'points'")
-        except KeyError as exc:
-            raise ConfigError(
-                f"spectrum range needs key {exc.args[0]!r}") from None
-        if not (0 < lo <= hi) or points < 1:
-            raise ConfigError("spectrum range needs 0 < alpha_min <= "
-                              "alpha_max and points >= 1")
-        levels = [float(a) for a in np.geomspace(lo, hi, points)]
+        for key in ("alpha_min", "alpha_max"):
+            if body[key] is None:
+                raise ConfigError(f"spectrum range needs key {key!r}")
+        lo, hi = body["alpha_min"], body["alpha_max"]
+        if not lo <= hi:
+            raise ConfigError("spectrum range needs alpha_min <= alpha_max")
+        levels = [float(a) for a in np.geomspace(lo, hi, body["points"])]
     if not levels or any(a <= 0 for a in levels):
         raise ConfigError("spectrum levels must be positive")
     return sorted(set(levels))
@@ -363,9 +302,8 @@ def _sweep_levels(body: dict) -> list:
 
 def cmd_spectrum(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
     setup = _build_setup(cfg)
-    opts = _solver_options(cfg, seed)
-    levels = _sweep_levels(body)
-    sweep = spectrum_sweep(setup, levels, opts)
+    levels = _sweep_levels(body, set(cfg["spectrum"]))
+    sweep = spectrum_sweep(setup, levels, cfg["solver"])
     failures = sweep.failures
     failed = {alpha for alpha, _ in failures}
     solved = [alpha for alpha in levels if alpha not in failed]
@@ -388,26 +326,12 @@ def cmd_spectrum(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
     return 3 if failures else 0
 
 
-def _region_values(body: dict, key: str) -> list:
-    if key not in body:
-        raise ConfigError(f"region needs key {key!r}")
-    return _numbers(body, key, "region")
-
-
 def cmd_region(cfg: dict, body: dict, out_dir: str, seed: int,
                two_n: bool) -> int:
-    d_values = _region_values(body, "d_values")
-    r_values = _region_values(body, "r_values")
-    samples = config_int(body.get("samples", 48), "region 'samples'")
-    starts = config_int(body.get("starts", 0), "region 'starts'")
-    raw_c1 = body.get("c1")
-    c1 = None if raw_c1 is None else _real(raw_c1)
-    if c1 is not None and not 0 < c1 < math.inf:
-        raise ConfigError(
-            f"region 'c1' must be a positive finite number, got {raw_c1!r}")
     setup = _build_setup(cfg)
-    reports = grid_search(setup, d_values, r_values, samples=samples,
-                          seed=seed, c1=c1, two_n=two_n, probe_starts=starts)
+    reports = grid_search(setup, body["d_values"], body["r_values"],
+                          samples=body["samples"], seed=seed, c1=body["c1"],
+                          two_n=two_n, probe_starts=body["starts"])
     rows = [report_row(rep) for rep in reports]
     path = _write_csv(out_dir, "region", REPORT_COLUMNS, rows)
     winners = [rep for rep in reports
@@ -434,13 +358,17 @@ def cmd_region(cfg: dict, body: dict, out_dir: str, seed: int,
 # --------------------------------------------------------------------------
 # entry point
 
+_COMMANDS = {"catalog": cmd_catalog, "check-young": cmd_check_young,
+             "conjugate": cmd_conjugate, "norm": cmd_norm, "eig": cmd_eig,
+             "spectrum": cmd_spectrum}
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="orlicz-lab",
         description="Weighted Orlicz-Sobolev eigenproblem toolbox")
     sub = top.add_subparsers(dest="command", required=True)
-    for name in ("catalog", "check-young", "conjugate", "norm", "eig",
-                 "region", "spectrum"):
+    for name in _SECTIONS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None,
                        help="YAML run configuration")
@@ -457,31 +385,25 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     command = args.command
     try:
-        if command == "catalog":
-            cfg = {} if args.config is None else load_config(args.config)
-        else:
-            if args.config is None:
-                raise ConfigError(f"'{command}' needs --config")
-            cfg = load_config(args.config)
-        body = _check_keys(cfg, command)
-        seed = config_int(cfg.get("seed", 0) if args.seed is None
-                          else args.seed, "seed")
-        if seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {seed}")
+        if args.config is None and command != "catalog":
+            raise ConfigError(f"'{command}' needs --config")
+        cfg = {} if args.config is None else load_config(args.config)
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        section = command.replace("-", "_")
+        needs, table = _SECTIONS[command]
+        cfg = config_values(cfg, dict(
+            _TOP, **{key: (SECTION, ...) for key in needs},
+            **{section: (SECTION, {})}))
+        body = config_values(cfg[section], table, section)
+        seed = cfg["seed"]
+        solver = dict(_SOLVER, seed=(_SOLVER["seed"][0], seed))
+        cfg["solver"] = SolverOptions(
+            **config_values(cfg["solver"], solver, "solver"))
         os.makedirs(args.out, exist_ok=True)
-        if command == "catalog":
-            return cmd_catalog(args.out, seed)
-        if command == "check-young":
-            return cmd_check_young(cfg, args.out, seed)
-        if command == "conjugate":
-            return cmd_conjugate(cfg, body, args.out, seed)
-        if command == "norm":
-            return cmd_norm(cfg, body, args.out, seed)
-        if command == "eig":
-            return cmd_eig(cfg, body, args.out, seed)
-        if command == "spectrum":
-            return cmd_spectrum(cfg, body, args.out, seed)
-        return cmd_region(cfg, body, args.out, seed, args.proof_variant)
+        if command == "region":
+            return cmd_region(cfg, body, args.out, seed, args.proof_variant)
+        return _COMMANDS[command](cfg, body, args.out, seed)
     except NonConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError, OrliczLabError
-from .util import config_int, invert_increasing
+from .util import REALS, config_values, count, invert_increasing, one_of
 from .young import YoungFunction
 
 __all__ = [
@@ -544,7 +544,12 @@ def save_values_csv(values: np.ndarray, path):
 
 
 def load_values_csv(domain: GridDomain, path) -> np.ndarray:
-    vals = np.loadtxt(path, delimiter=",")
+    try:
+        vals = np.loadtxt(path, delimiter=",")
+    except OSError as exc:
+        raise DomainError(f"cannot read CSV {path!r}: {exc}") from None
+    except ValueError as exc:
+        raise DomainError(f"CSV {path!r} is not numeric: {exc}") from None
     try:
         return vals.reshape(domain.node_shape)
     except ValueError:
@@ -553,31 +558,20 @@ def load_values_csv(domain: GridDomain, path) -> np.ndarray:
             f"{int(np.prod(domain.node_shape))}") from None
 
 
+_DOMAIN = {"shape": (one_of("interval", "box", "disc"), ...),
+           "n": (count(4), ...), "extent": (REALS, ...)}
+
+
 def domain_from_config(cfg: dict) -> GridDomain:
     """Build a domain from ``{shape: ..., n: ..., extent: [...]}``."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("domain config must be a mapping")
-    body = dict(cfg)
-    shape = body.pop("shape", None)
-    n = body.pop("n", None)
-    extent = body.pop("extent", None)
-    if body:
-        raise ConfigError(f"unknown key(s) {sorted(body)} in domain config")
-    if shape not in ("interval", "box", "disc"):
-        raise ConfigError("domain shape must be interval, box, or disc")
-    if n is None or extent is None:
-        raise ConfigError("domain config needs 'n' and 'extent'")
-    n = config_int(n, "domain 'n'")
+    body = config_values(cfg, _DOMAIN, "domain")
+    shape, extent = body["shape"], body["extent"]
     want = 1 if shape == "disc" else 2
-    try:
-        ext = np.atleast_1d(np.asarray(extent, dtype=float))
-    except (TypeError, ValueError):
-        ext = None
-    if ext is None or ext.shape != (want,):
+    if len(extent) != want:
         raise ConfigError(
             f"domain extent for a {shape} must be a list of {want} "
             f"number(s), got {extent!r}")
     try:
-        return GridDomain(str(shape), list(ext), n)
+        return GridDomain(shape, extent, body["n"])
     except DomainError as exc:
         raise ConfigError(str(exc)) from None

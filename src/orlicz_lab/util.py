@@ -10,6 +10,7 @@ package uses, so their tolerances are centralized here.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -21,7 +22,7 @@ __all__ = [
     "MonotoneCubic",
     "invert_increasing",
     "clip_to_horizon",
-    "config_int",
+    "config_values",
 ]
 
 # 8-point Gauss-Legendre rule on [-1, 1]; exact for polynomials up to
@@ -299,13 +300,108 @@ def clip_to_horizon(x, horizon: float, what, remedy: str):
     return x
 
 
-def config_int(value, name: str) -> int:
-    """A config value that must be a whole number, as an int; anything
-    else (a string, a list, 2.5, inf) raises :class:`ConfigError`."""
+# a kind of config value: ``convert`` returns the plain value of a
+# well-formed entry and raises TypeError or ValueError on anything else;
+# ``what`` is what the error message says the entry must be
+ConfigKind = namedtuple("ConfigKind", "what convert")
+
+
+def _finite(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError
+    return x
+
+
+def _positive(value) -> float:
+    x = _finite(value)
+    if not x > 0:
+        raise ValueError
+    return x
+
+
+def _finite_list(value) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError
+    return [_finite(x) for x in value]
+
+
+def _of_type(cls):
+    def convert(value):
+        if not isinstance(value, cls):
+            raise TypeError
+        return value
+    return convert
+
+
+def count(lo: int) -> ConfigKind:
+    """Whole numbers ``>= lo``; YAML booleans are not whole numbers."""
+    def convert(value):
+        if isinstance(value, bool) or int(value) != value or value < lo:
+            raise ValueError
+        return int(value)
+    return ConfigKind(f"an integer >= {lo}", convert)
+
+
+def one_of(*names: str) -> ConfigKind:
+    def convert(value):
+        if value not in names:
+            raise ValueError
+        return value
+    return ConfigKind("one of " + ", ".join(names), convert)
+
+
+REAL = ConfigKind("a finite number", _finite)
+POSITIVE = ConfigKind("a positive finite number", _positive)
+REALS = ConfigKind("a list of finite numbers", _finite_list)
+BOOL = ConfigKind("true or false", _of_type(bool))
+PATH = ConfigKind("a path string", _of_type(str))
+# a section that its own reader walks with its own table
+SECTION = ConfigKind("a mapping", _of_type(dict))
+
+
+def _config_value(kind, value, name: str):
+    if isinstance(kind, dict):
+        if not (isinstance(value, dict) and len(value) == 1
+                and next(iter(value)) in kind):
+            raise ConfigError(f"{name} must be a one-key mapping with key "
+                              f"{' or '.join(kind)}, got {value!r}")
+        (key, inner), = value.items()
+        return key, _config_value(kind[key], inner, f"{name} {key}")
     try:
-        whole = int(value) == value
+        return kind.convert(value)
     except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+        raise ConfigError(f"{name} must be {kind.what}, got {value!r}") \
+            from None
+
+
+def config_values(body, table: dict, section: str = "") -> dict:
+    """The plain values of the config mapping ``body``, read by ``table``.
+
+    ``table`` maps each allowed key to ``(kind, default)``, where
+    ``default`` is ``...`` for a key that must be given.  A kind is
+    a :class:`ConfigKind`, or a dict from key to kind for a one-key
+    mapping, read as the pair ``(key, value)``.  Absent keys take their
+    default.  An unknown key, a missing required key or a value of the
+    wrong kind raises :class:`ConfigError` naming ``section`` (empty at the
+    config's top level) and the key.
+    """
+    where = section or "the config"
+    if not isinstance(body, dict):
+        raise ConfigError(f"{where} must be a mapping, got {body!r}")
+    unknown = set(body) - set(table)
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) {sorted(unknown, key=str)} in {where}")
+    values = {}
+    for key, (kind, default) in table.items():
+        if key in body:
+            values[key] = _config_value(kind, body[key],
+                                        f"{section} {key}".lstrip())
+        elif default is ...:
+            raise ConfigError(f"{where} needs key {key!r}")
+        else:
+            values[key] = default
+    return values

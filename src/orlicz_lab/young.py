@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionFailure, ConfigError, DomainError
-from .util import (CumulativeTable, MonotoneCubic, clip_to_horizon,
-                   gauss_panels, invert_increasing)
+from .util import (PATH, REAL, CumulativeTable, MonotoneCubic,
+                   clip_to_horizon, config_values, gauss_panels,
+                   invert_increasing)
 
 __all__ = [
     "YoungFunction",
@@ -461,20 +462,25 @@ class Tabulated(YoungFunction):
 
     @classmethod
     def from_csv(cls, path) -> "Tabulated":
+        try:
+            with open(path, newline="") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DomainError(
+                f"tabulated kind csv {path!r} cannot be read: {exc}") from None
         rows = []
-        with open(path, newline="") as fh:
-            for row in _csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                try:
-                    rows.append((float(row[0]), float(row[1])))
-                except ValueError:
-                    # tolerate one leading header row of column names
-                    if rows:
-                        raise DomainError(
-                            f"non-numeric data row in {path}: {row!r}")
+        for row in _csv.reader(lines):
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            try:
+                rows.append((float(row[0]), float(row[1])))
+            except (ValueError, IndexError):
+                # tolerate one leading header row of column names
+                if rows:
+                    raise DomainError(f"tabulated kind csv {path!r} has a "
+                                      f"non-numeric data row {row!r}")
         if not rows:
-            raise DomainError(f"no data rows in {path}")
+            raise DomainError(f"tabulated kind csv {path!r} has no data rows")
         arr = np.asarray(rows)
         return cls(arr[:, 0], arr[:, 1])
 
@@ -830,47 +836,28 @@ def catalog():
     ]
 
 
-_KIND_KEYS = {
-    "power": {"p", "coeff"},
-    "power-sum": {"p", "q"},
-    "plasticity": {"alpha", "beta"},
-    "elasticity": {"gamma"},
-    "newtonian": {"alpha", "beta", "t_max"},
-    "exp-square": set(),
-    "tabulated": {"csv"},
+# per kind: the constructor and the table of its keyword arguments
+_KINDS = {
+    "power": (Power, {"p": (REAL, ...), "coeff": (REAL, None)}),
+    "power-sum": (PowerSum, {"p": (REAL, ...), "q": (REAL, ...)}),
+    "plasticity": (Plasticity, {"alpha": (REAL, ...), "beta": (REAL, ...)}),
+    "elasticity": (Elasticity, {"gamma": (REAL, ...)}),
+    "newtonian": (Newtonian, {"alpha": (REAL, ...), "beta": (REAL, ...),
+                              "t_max": (REAL, 1e8)}),
+    "exp-square": (ExpSquare, {}),
+    "tabulated": (lambda csv: Tabulated.from_csv(csv), {"csv": (PATH, ...)}),
 }
 
 
 def from_config(cfg: dict) -> YoungFunction:
     """Build a Young function from a config mapping ``{kind: ..., params...}``."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("Young function config must be a mapping")
+    if not isinstance(cfg, dict) or "kind" not in cfg:
+        raise ConfigError(
+            f"Young function config must be a mapping with a 'kind' key, "
+            f"got {cfg!r}")
     body = dict(cfg)
-    kind = body.pop("kind", None)
-    if kind is None:
-        raise ConfigError("Young function config needs a 'kind' key")
-    kind = str(kind).replace("_", "-")
-    if kind not in _KIND_KEYS:
+    kind = str(body.pop("kind")).replace("_", "-")
+    if kind not in _KINDS:
         raise ConfigError(f"unknown Young function kind '{kind}'")
-    unknown = set(body) - _KIND_KEYS[kind]
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) {sorted(unknown)} for Young function kind '{kind}'")
-    try:
-        if kind == "power":
-            return Power(body["p"], body.get("coeff"))
-        if kind == "power-sum":
-            return PowerSum(body["p"], body["q"])
-        if kind == "plasticity":
-            return Plasticity(body["alpha"], body["beta"])
-        if kind == "elasticity":
-            return Elasticity(body["gamma"])
-        if kind == "newtonian":
-            return Newtonian(body["alpha"], body["beta"],
-                             body.get("t_max", 1e8))
-        if kind == "exp-square":
-            return ExpSquare()
-        return Tabulated.from_csv(body["csv"])
-    except KeyError as exc:
-        raise ConfigError(
-            f"Young function kind '{kind}' is missing key {exc}") from None
+    make, table = _KINDS[kind]
+    return make(**config_values(body, table, f"{kind} kind"))

@@ -1,6 +1,7 @@
 """End-to-end runs of the batch front end, in process via main()."""
 
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -484,3 +485,72 @@ def test_number_config_fuzz_exits_2(tmp_path, case):
     err = err.getvalue()
     assert code == 2, (command, key, value, err)
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# (command, path to the entry, value, text the error line must hold); the
+# CSV names resolve in the run's directory, where words.csv holds no
+# number and column.csv one column
+@pytest.mark.parametrize("command,path,value,needle", [
+    ("eig", ("phi", "p"), [2], "power kind p must"),
+    ("eig", ("phi", "p"), None, "power kind p must"),
+    ("eig", ("phi", "p"), math.inf, "power kind p must"),
+    ("eig", ("phi", "coeff"), "abc", "power kind coeff must"),
+    ("eig", ("phi", "coeff"), None, "power kind coeff must"),
+    ("eig", ("phi",), {"kind": "power-sum", "p": 2, "q": "abc"},
+     "power-sum kind q must"),
+    ("eig", ("psi",), {"kind": "plasticity", "alpha": "x", "beta": 1},
+     "plasticity kind alpha must"),
+    ("eig", ("psi",), {"kind": "plasticity", "alpha": 2, "beta": math.nan},
+     "plasticity kind beta must"),
+    ("eig", ("phi",), {"kind": "elasticity", "gamma": {"a": 1}},
+     "elasticity kind gamma must"),
+    ("eig", ("phi",), {"kind": "elasticity", "gamma": None},
+     "elasticity kind gamma must"),
+    ("check-young", ("phi",), dict(NEWTONIAN, t_max="x"),
+     "newtonian kind t_max must"),
+    ("check-young", ("phi",), {"kind": "tabulated", "csv": 3},
+     "tabulated kind csv must"),
+    ("check-young", ("phi",), {"kind": "tabulated", "csv": "missing.csv"},
+     "tabulated kind csv 'missing.csv'"),
+    ("check-young", ("phi",), {"kind": "tabulated", "csv": "column.csv"},
+     "tabulated kind csv 'column.csv'"),
+    ("eig", ("weight",), {"csv": 3}, "weight csv must"),
+    ("eig", ("weight",), {"csv": "missing.csv"}, "weight csv"),
+    ("eig", ("weight1",), {"csv": "words.csv"}, "weight1 csv"),
+    ("norm", ("norm", "u"), {"csv": "missing.csv"}, "norm u csv"),
+    ("norm", ("norm", "u"), {"csv": "words.csv"}, "norm u csv"),
+    ("norm", ("norm", "u"), {"csv": ["words.csv"]}, "norm u csv must"),
+    ("eig", ("domain", "n"), True, "domain n must"),
+    ("eig", ("seed",), True, "seed must"),
+    ("eig", ("solver", "max_iter"), True, "solver max_iter must"),
+    ("eig", ("solver", "seed"), False, "solver seed must"),
+    ("eig", ("solver", "starts"), True, "solver starts must"),
+    ("conjugate", ("conjugate", "points"), True, "conjugate points must"),
+    ("spectrum", ("spectrum", "points"), True, "spectrum points must"),
+    ("region", ("region", "samples"), True, "region samples must"),
+    ("region", ("region", "starts"), True, "region starts must"),
+    ("region", ("region", "starts"), -1, "region starts must"),
+])
+def test_malformed_entry_exits_2_naming_its_key(tmp_path, monkeypatch,
+                                                command, path, value, needle):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "words.csv").write_text("a,b\nc,d\n")
+    (tmp_path / "column.csv").write_text("0\n1\n2\n")
+    payload = copy.deepcopy(REGION_CFG if command == "region" else NUMBER_CFG)
+    if command == "norm":
+        payload["norm"] = {"u": {"constant": 1.0}}
+    if command == "spectrum":
+        payload["spectrum"] = {"alpha_min": 0.5, "alpha_max": 2.0}
+    entry = payload
+    for key in path[:-1]:
+        entry = entry.setdefault(key, {})
+    entry[path[-1]] = value
+    cfg = write_cfg(tmp_path, payload)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([command, "--config", cfg, "--out", "o"])
+    err = err.getvalue()
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err, err

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from orlicz_lab import cli, norms, young
 from orlicz_lab.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -44,3 +45,44 @@ def test_readme_config_example_runs_eig(tmp_path, capsys):
     assert main(["eig", "--config", str(path), "--out", str(out)]) == 0
     assert "lambda =" in capsys.readouterr().out
     assert (out / "eig.csv").is_file()
+
+
+def _config_tables() -> dict:
+    """(section, key) -> (kind, default) of every config table: the CLI
+    sections, the domain and the Young function kinds."""
+    tables = {"top level": cli._TOP, "solver": cli._SOLVER,
+              "domain": norms._DOMAIN}
+    tables.update((name.replace("-", "_"), table)
+                  for name, (_, table) in cli._SECTIONS.items())
+    tables.update((kind, table) for kind, (_, table) in young._KINDS.items())
+    return {(section, key): entry for section, table in tables.items()
+            for key, entry in table.items()}
+
+
+def _command_line_section() -> str:
+    text = README.read_text()
+    start = text.index("## Command line")
+    return text[start:text.index("\n## ", start)]
+
+
+def test_readme_lists_every_config_key():
+    section = _command_line_section()
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[1].startswith("`"):
+            rows[cells[0].strip("`"), cells[1].strip("`")] = cells[2:]
+    tables = _config_tables()
+    assert set(rows) == set(tables)
+    for name, (kind, default) in tables.items():
+        what, doc_default = rows[name]
+        if isinstance(kind, dict):
+            assert what.startswith("a one-key mapping: "), name
+            for key, inner in kind.items():
+                assert f"`{key}`, {inner.what}" in what, name
+        else:
+            assert re.match(re.escape(kind.what) + r"($|:|,| \()", what), \
+                (name, what)
+        assert (doc_default == "required") == (default is ...), name
+    for kind in young._KINDS:
+        assert f"`{kind}`" in section
