@@ -43,8 +43,7 @@ _NODAL = {"constant": REAL, "csv": PATH}
 _C1 = ConfigKind("a positive finite number or null",
                  lambda v: None if v is None else POSITIVE.convert(v))
 # the top level; main adds the command's section and requires the
-# sections the command needs.  ``out`` is accepted and unused: the --out
-# flag sets the output directory
+# sections the command needs.  The --out flag sets the output directory
 _TOP = {
     "phi": (SECTION, None),
     "psi": (SECTION, None),
@@ -53,7 +52,6 @@ _TOP = {
     "weight1": (_NODAL, ("constant", 1.0)),
     "seed": (count(0), 0),
     "solver": (SECTION, {}),
-    "out": (PATH, None),
 }
 # main sets the seed's default to the top-level seed
 _SOLVER = {
@@ -295,7 +293,7 @@ def _sweep_levels(body: dict, given) -> list:
         if not lo <= hi:
             raise ConfigError("spectrum range needs alpha_min <= alpha_max")
         levels = [float(a) for a in np.geomspace(lo, hi, body["points"])]
-    if not levels or any(a <= 0 for a in levels):
+    if any(a <= 0 for a in levels):
         raise ConfigError("spectrum levels must be positive")
     return sorted(set(levels))
 

@@ -301,17 +301,21 @@ def gradient_components(domain: GridDomain, values: np.ndarray):
     In 2D each component is the difference along one edge leaving the base
     corner.  Unlike edge-averaged stencils this one has no spurious
     checkerboard kernel, and for quadratic energies of zero-trace functions
-    it reproduces the classical 5-point stiffness exactly.
+    it reproduces the classical 5-point stiffness exactly.  ``values`` may
+    stack nodal layouts over leading axes; each component then keeps those
+    axes in front of the cell layout, equal slice by slice to the
+    components of each layout.
     """
     h = domain.h
     if domain.ndim == 1:
-        return ((values[1:] - values[:-1]) / h,)
-    gx = (values[1:, :-1] - values[:-1, :-1]) / h
-    gy = (values[:-1, 1:] - values[:-1, :-1]) / h
+        return ((values[..., 1:] - values[..., :-1]) / h,)
+    gx = (values[..., 1:, :-1] - values[..., :-1, :-1]) / h
+    gy = (values[..., :-1, 1:] - values[..., :-1, :-1]) / h
     return (gx, gy)
 
 
 def gradient_magnitude(domain: GridDomain, values: np.ndarray) -> np.ndarray:
+    """Cell magnitudes of :func:`gradient_components`, stacks included."""
     comps = gradient_components(domain, values)
     if len(comps) == 1:
         return np.abs(comps[0])
@@ -365,7 +369,7 @@ def modular(phi: YoungFunction, w: WeightField, u: GridFunction) -> float:
 
 
 def scale_to_modular(phi: YoungFunction, wq: np.ndarray, rows: np.ndarray,
-                     target: float) -> np.ndarray:
+                     target) -> np.ndarray:
     """Per-row factors ``s`` with ``modular(s * row) = target``; ``inf``
     for a zero row.  ``wq`` is the flattened weighted quadrature
     ``weight * qw`` of the modular.
@@ -375,26 +379,38 @@ def scale_to_modular(phi: YoungFunction, wq: np.ndarray, rows: np.ndarray,
     ``phi`` (else ``(1, inf)``, which convexity alone gives) bracket the
     factor between ``ratio^(1/l)`` and ``ratio^(1/m)``; for a power the
     bracket has zero width and is the answer.
+
+    ``target`` is one level, or a 1-D array of levels: then the result
+    has one row of factors per level, equal to the factors of that level
+    alone.  The row maxima, the unit rows and their modular are formed
+    once for all levels, and the root search evaluates the modular one
+    level at a time, so no scaled batch is larger than ``rows``.
     """
-    if not target > 0:
+    targets = np.asarray(target, dtype=float)
+    if not (targets > 0).all():
         raise DomainError("level must be positive")
     rows = np.asarray(rows, dtype=float)
     amax = np.max(np.abs(rows).reshape(rows.shape[0], -1), axis=1)
     live = amax > 0
-    scale = np.full(rows.shape[0], np.inf)
+    scale = np.full(targets.shape + amax.shape, np.inf)
     if not np.any(live):
         return scale
     shape = (-1,) + (1,) * (rows.ndim - 1)
     unit = rows[live] / amax[live].reshape(shape)
     l, m = phi.indices() or (1.0, np.inf)
-    ratio = target / _modular(phi, wq, unit)
+    levels = targets[..., None]
+    ratio = levels / _modular(phi, wq, unit)
     ends = (ratio ** (1.0 / l), ratio ** (1.0 / m))
 
     def level(s):
         return _modular(phi, wq, unit * s.reshape(shape))
 
-    scale[live] = invert_increasing(
-        level, np.full(ratio.shape, float(target)), lo=np.minimum(*ends),
+    def each_level(s):
+        return np.concatenate([level(f) for f in s.reshape(targets.size, -1)])
+
+    scale[..., live] = invert_increasing(
+        level if targets.ndim == 0 else each_level,
+        np.full(ratio.shape, levels), lo=np.minimum(*ends),
         hi=np.maximum(*ends), horizon=phi.horizon,
         what=f"{phi.label()} modular") / amax[live]
     return scale
@@ -487,11 +503,19 @@ def smooth_candidates(domain: GridDomain, count: int, seed: int = 0) -> np.ndarr
         rr = np.hypot(dx, dy) / radius
         base = np.clip(1.0 - rr * rr, 0.0, None)
         out.append(base)
+        # the factors take three frequencies each: build each once, when
+        # it is first drawn
+        waves = {}
+
+        def wave(fn, k, d):
+            if (fn, k) not in waves:
+                waves[fn, k] = fn(k * math.pi * d / radius)
+            return waves[fn, k]
+
         while len(out) < count:
             p = rng.uniform(1.0, 3.0)
-            wobble = 1.0 + 0.3 * np.sin(
-                rng.integers(1, 4) * math.pi * dx / radius) * np.cos(
-                rng.integers(1, 4) * math.pi * dy / radius)
+            wobble = 1.0 + 0.3 * wave(np.sin, rng.integers(1, 4), dx) * wave(
+                np.cos, rng.integers(1, 4), dy)
             out.append(base ** p * wobble)
     cand = np.stack(out[:count])
     return np.where(domain.interior, cand, 0.0)
@@ -527,7 +551,7 @@ def poincare_estimate(phi: YoungFunction, psi: YoungFunction, w: WeightField,
     else:
         cand = np.concatenate([cand, pair.u.values[None, ...]])
     num = luxemburg_values(psi, w1.values, dom.node_qw, cand)
-    mags = np.stack([gradient_magnitude(dom, c) for c in cand])
+    mags = gradient_magnitude(dom, cand)
     den = luxemburg_values(phi, w.cell_values(), dom.cell_qw, mags)
     good = den > 0
     if not np.any(good):

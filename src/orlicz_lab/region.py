@@ -216,8 +216,8 @@ def _sup_reaction_on_shell(setup: EnergySetup, r_values, samples: int,
     """Sampled sups of J on the shells I = r, one per r in ``r_values``.
 
     The batch of random zero-trace fields and their gradient magnitudes is
-    drawn once; each r only rescales the whole batch onto its shell (one
-    batched scaling) and takes the largest J over it.
+    drawn once, and one batched scaling puts it onto every shell; each r
+    then takes the largest J over its rescaled batch.
     """
     if samples < 1:
         raise DomainError("need at least one sample")
@@ -225,17 +225,19 @@ def _sup_reaction_on_shell(setup: EnergySetup, r_values, samples: int,
     # the supremum estimator is defined by random sampling; the leading
     # candidate is the deterministic reference bump, so drop it
     cands = smooth_candidates(dom, samples + 1, seed)[1:]
-    mags = np.stack([gradient_magnitude(dom, c) for c in cands])
+    scales = scale_to_modular(setup.phi, setup.w_cell_qw,
+                              gradient_magnitude(dom, cands),
+                              np.asarray(r_values, dtype=float))
+    # a sample is degenerate (a zero gradient) on every shell or on none
+    live = np.isfinite(scales[0])
+    if not np.any(live):
+        raise DomainError("all shell samples are degenerate")
+    cands = cands[live]
     shape = (-1,) + (1,) * (cands.ndim - 1)
     sups = []
-    for r in r_values:
-        scales = scale_to_modular(setup.phi, setup.w_cell_qw, mags, r)
-        live = np.isfinite(scales)
-        if not np.any(live):
-            raise DomainError("all shell samples are degenerate")
-        scaled = cands[live] * scales[live].reshape(shape)
-        sup_j = float(np.max(modular_values(setup.psi, setup.w1.values,
-                                            dom.node_qw, scaled)))
+    for row in scales[:, live]:
+        sup_j = float(np.max(modular_values(
+            setup.psi, setup.w1_node_qw, 1.0, cands * row.reshape(shape))))
         if sup_j <= 0:
             raise DomainError("all shell samples are degenerate")
         sups.append(sup_j)
@@ -362,11 +364,12 @@ def grid_search(setup: EnergySetup, d_values, r_values,
                 probe_starts: int = 0) -> list:
     """Evaluate the region report over the (d, r) grid.
 
-    The region conditions and every r are checked once, and every
-    plateau height d must give a positive J(v_d), before the constant c1
-    is computed.  c1 and the shell suprema are computed once and shared
-    across the grid: the shell sample batch is drawn once, and each r only
-    rescales it onto its shell.  Returns the reports in row-major (d, r)
+    The region conditions, the nonempty d and r lists and every r are
+    checked once, and every plateau height d must give a positive J(v_d),
+    before the constant c1 is computed.  c1 and the shell suprema are
+    computed once and shared across the grid: the shell sample batch is
+    drawn and scaled onto every shell once, and each r only evaluates J
+    over its rescaled batch.  Returns the reports in row-major (d, r)
     order; callers filter on ``admissible`` and window nonemptiness.
     With ``probe_starts`` > 0, the critical-point probe runs at the
     window midpoint of every admissible pair with a nonempty window.
@@ -374,6 +377,8 @@ def grid_search(setup: EnergySetup, d_values, r_values,
     _check_region_conditions(setup)
     d_values = [float(d) for d in d_values]
     r_values = [float(r) for r in r_values]
+    if not (d_values and r_values):
+        raise DomainError("grid_search needs at least one d and one r value")
     for r in r_values:
         _check_radius(r)
     energies = [_plateau_energies(setup, d) for d in d_values]

@@ -325,6 +325,8 @@ def _positive(value) -> float:
 def _finite_list(value) -> list:
     if not isinstance(value, (list, tuple)):
         raise TypeError
+    if not value:
+        raise ValueError
     return [_finite(x) for x in value]
 
 
@@ -355,7 +357,7 @@ def one_of(*names: str) -> ConfigKind:
 
 REAL = ConfigKind("a finite number", _finite)
 POSITIVE = ConfigKind("a positive finite number", _positive)
-REALS = ConfigKind("a list of finite numbers", _finite_list)
+REALS = ConfigKind("a nonempty list of finite numbers", _finite_list)
 BOOL = ConfigKind("true or false", _of_type(bool))
 PATH = ConfigKind("a path string", _of_type(str))
 # a section that its own reader walks with its own table

@@ -522,7 +522,9 @@ class ConjugateFunction(YoungFunction):
     horizon.  Queries
     interpolate the knots in log-log coordinates with the in-package
     monotone cubic :class:`~orlicz_lab.util.MonotoneCubic`, which is exact
-    for power laws.  The table is uniform in ``log s``, so the direct
+    for power laws; past the last knot where the integral is finite, one
+    Gauss panel from that knot gives the value, ``inf`` once the integral
+    overflows.  The table is uniform in ``log s``, so the direct
     interval lookup finds each query's knot in O(1), which keeps evaluation
     cheap enough for the norm root solves built on top.  Below the first
     knot the log-log tail is continued linearly, where the conjugate is
@@ -537,8 +539,13 @@ class ConjugateFunction(YoungFunction):
         self.base = base
         s_max = min(_T_MAX, base._inverse_density_horizon)
         self._table = CumulativeTable(self._derivative_raw, _T_MIN, s_max)
-        self._log_grid = np.log(self._table.grid)
-        self._log_cum = np.log(self._table.cum)
+        # a density that overflows (the double conjugate of ExpSquare, past
+        # t ~ 26.6) leaves inf knots at the top; interpolate the finite ones
+        finite = int(np.searchsorted(self._table.cum, np.inf))
+        self._s_top = float(self._table.grid[finite - 1])
+        self._cum_top = float(self._table.cum[finite - 1])
+        self._log_grid = np.log(self._table.grid[:finite])
+        self._log_cum = np.log(self._table.cum[:finite])
         self._interp = MonotoneCubic(self._log_grid, self._log_cum)
         self._tail_slope = ((self._log_cum[1] - self._log_cum[0])
                             / (self._log_grid[1] - self._log_grid[0]))
@@ -582,6 +589,12 @@ class ConjugateFunction(YoungFunction):
                              + self._tail_slope * (ls[below]
                                                    - self._log_grid[0]))
         out[pos] = vals
+        # past the last finite knot one Gauss panel from it gives the
+        # value, inf where the integral overflows
+        over = s > self._s_top
+        if over.any():
+            out[over] = self._cum_top + gauss_panels(
+                self._derivative_raw, self._s_top, s[over])
         return out
 
     def _derivative_raw(self, s):

@@ -241,6 +241,16 @@ def test_unknown_top_level_key_exits_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_out_key_is_unknown_exits_2(tmp_path, capsys):
+    # the output directory comes from --out alone
+    cfg = write_cfg(tmp_path, dict(EIG_CFG, out="x"))
+    assert main(["eig", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'out'" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_unknown_section_key_exits_2(tmp_path, capsys):
     payload = dict(EIG_CFG)
     payload["eig"] = {"alpha": 1.0, "junk": 2}
@@ -362,6 +372,21 @@ def run_region(path, out):
             contextlib.redirect_stderr(err):
         code = main(["region", "--config", path, "--out", out])
     return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command,key", [
+    ("region", "d_values"), ("region", "r_values"), ("spectrum", "alphas")])
+def test_empty_list_exits_2_naming_its_key(tmp_path, capsys, command, key):
+    payload = {k: v for k, v in REGION_CFG.items() if k != "region"}
+    payload[command] = dict(REGION_CFG["region"]
+                            if command == "region" else {}, **{key: []})
+    cfg = write_cfg(tmp_path, payload)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{command} {key} must be a nonempty list" in err, err
 
 
 @pytest.mark.parametrize("key,value", [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import orlicz_lab as ol
-from orlicz_lab import ConfigError, DomainError
+from orlicz_lab import ConfigError, DomainError, HorizonError
 
 from conftest import build_setup, random_zero_trace
 import oracles as oc
@@ -157,6 +157,27 @@ def test_gradient_adjoint_identity(rng):
         assert lhs == pytest.approx(np.sum(adj * v), rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("cfg", [
+    {"shape": "interval", "n": 17, "extent": [0.0, 1.0]},
+    {"shape": "box", "n": 13, "extent": [0.0, 2.0]},
+    {"shape": "disc", "n": 15, "extent": [1.5]},
+], ids=lambda cfg: cfg["shape"])
+def test_stacked_gradients_equal_per_slice_gradients(rng, cfg):
+    dom = ol.domain_from_config(cfg)
+    stack = rng.normal(size=(2, 3) + dom.node_shape)
+    comps = ol.gradient_components(dom, stack)
+    mags = ol.gradient_magnitude(dom, stack)
+    assert mags.shape == (2, 3) + dom.cell_shape
+    for i in range(2):
+        for j in range(3):
+            single = ol.gradient_components(dom, stack[i, j])
+            assert len(comps) == len(single) == dom.ndim
+            for comp, one in zip(comps, single):
+                assert np.array_equal(comp[i, j], one)
+            assert np.array_equal(mags[i, j],
+                                  ol.gradient_magnitude(dom, stack[i, j]))
+
+
 # ---------------------------------------------------------------------------
 # modulars
 
@@ -243,6 +264,34 @@ def test_luxemburg_batch_of_mixed_rows_matches_single_rows(rng):
             ol.modular_values(phi, weight, dom.node_qw, live), 1.0, rtol=1e-12)
 
 
+def test_array_targets_scale_like_one_target_at_a_time(rng):
+    dom = ol.GridDomain("box", (0.0, 1.0), 17)
+    wq = np.ravel((1.0 + rng.random(dom.node_shape)) * dom.node_qw)
+    base = random_zero_trace(dom, rng).values
+    rows = np.stack([base, np.zeros(dom.node_shape), 1e-3 * base,
+                     1e3 * base])
+    targets = np.array([1e-4, 0.5, 1.0, 30.0])
+    for phi in (ol.Power(3.0), ol.PowerSum(2.0, 4.0)):
+        batch = ol.scale_to_modular(phi, wq, rows, targets)
+        assert batch.shape == (targets.size, len(rows))
+        for target, factors in zip(targets, batch):
+            assert np.array_equal(
+                factors, ol.scale_to_modular(phi, wq, rows, target))
+        assert np.all(batch[:, 1] == np.inf)
+    # the table ends at t = 3: no factor reaches a level past its modular
+    # there, alone or among reachable levels
+    knots = np.array([0.5, 1.0, 2.0, 3.0])
+    table = ol.Tabulated(knots, knots ** 2 / 2.0)
+    unit = rows[[0]] / np.max(np.abs(base))
+    np.testing.assert_array_equal(
+        ol.scale_to_modular(table, wq, unit, np.array([0.01, 0.1]))[:, 0],
+        [ol.scale_to_modular(table, wq, unit, t)[0] for t in (0.01, 0.1)])
+    with pytest.raises(HorizonError):
+        ol.scale_to_modular(table, wq, unit, 1e6)
+    with pytest.raises(HorizonError):
+        ol.scale_to_modular(table, wq, unit, np.array([0.1, 1e6]))
+
+
 def test_sobolev_norm_is_state_plus_gradient(rng):
     setup = build_setup(ol.Power(3.0), ol.Power(2.0),
                         {"shape": "interval", "n": 48, "extent": [0.0, 1.0]})
@@ -295,6 +344,33 @@ def test_smooth_candidates_shape_and_determinism():
     assert not np.array_equal(a, c)
     # zero trace: nothing outside the eroded interior
     assert np.all(a[:, ~dom.interior] == 0.0)
+
+
+def _disc_candidates_one_at_a_time(domain, count, seed):
+    """The disc branch of smooth_candidates as it was first written, with
+    a sine and a cosine over the whole grid for every candidate."""
+    rng = np.random.default_rng(seed)
+    radius = domain.D
+    dx = domain.nodes[..., 0] - domain.x0[0]
+    dy = domain.nodes[..., 1] - domain.x0[1]
+    rr = np.hypot(dx, dy) / radius
+    base = np.clip(1.0 - rr * rr, 0.0, None)
+    out = [base]
+    while len(out) < count:
+        p = rng.uniform(1.0, 3.0)
+        wobble = 1.0 + 0.3 * np.sin(
+            rng.integers(1, 4) * math.pi * dx / radius) * np.cos(
+            rng.integers(1, 4) * math.pi * dy / radius)
+        out.append(base ** p * wobble)
+    return np.where(domain.interior, np.stack(out[:count]), 0.0)
+
+
+@pytest.mark.parametrize("count", [1, 2, 49])
+@pytest.mark.parametrize("seed", range(4))
+def test_disc_candidates_equal_the_per_candidate_formula(seed, count):
+    dom = ol.GridDomain("disc", (1.5,), 41)
+    assert np.array_equal(ol.smooth_candidates(dom, count, seed),
+                          _disc_candidates_one_at_a_time(dom, count, seed))
 
 
 def test_values_csv_roundtrip(tmp_path, rng):

@@ -399,6 +399,41 @@ def test_grid_search_validates_every_pair_before_any_work(disc_reference,
         ol.region_report(setup, D_REF, -0.01)
 
 
+@pytest.mark.parametrize("d_values,r_values", [
+    ([], [R_REF]), ([D_REF], []), ([], [])])
+def test_grid_search_rejects_empty_lists(d_values, r_values):
+    with pytest.raises(DomainError, match="at least one d and one r"):
+        ol.grid_search(small_disc(), d_values, r_values, c1=0.45)
+
+
+def _shell_sups_one_r_at_a_time(setup, r_values, samples, seed):
+    """The shell suprema as first computed: one gradient per candidate
+    and one scaling per r."""
+    dom = setup.dom
+    cands = ol.smooth_candidates(dom, samples + 1, seed)[1:]
+    mags = np.stack([ol.gradient_magnitude(dom, c) for c in cands])
+    sups = []
+    for r in r_values:
+        scales = ol.scale_to_modular(setup.phi, setup.w_cell_qw, mags, r)
+        live = np.isfinite(scales)
+        scaled = cands[live] * scales[live].reshape(-1, 1, 1)
+        sups.append(float(np.max(ol.modular_values(
+            setup.psi, setup.w1.values, dom.node_qw, scaled))))
+    return sups
+
+
+def test_powersum_grid_search_matches_one_r_at_a_time():
+    # PowerSum has no closed-form factor, so every shell scaling runs the
+    # root search
+    setup = small_disc(33, ol.PowerSum(2.0, 4.0), ol.PowerSum(1.5, 2.5))
+    d_values, r_values = [0.1, 0.2], [0.01, 0.02, 0.03]
+    reports = ol.grid_search(setup, d_values, r_values, seed=3)
+    sups = _shell_sups_one_r_at_a_time(setup, r_values, 48, 3)
+    assert [rep.sup_J_r for rep in reports] == sups * len(d_values)
+    assert [rep.lambda_interval[1] for rep in reports] == \
+        [r / s for r, s in zip(r_values, sups)] * len(d_values)
+
+
 def test_tiny_plateau_height_is_a_domain_error(disc_reference, monkeypatch):
     # d passes the nonzero check, but J(v_d) and the norm powers of d/D
     # underflow to 0

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +372,24 @@ def test_double_conjugate_of_a_finite_horizon_function(kind):
     ts = np.geomspace(1e-2, min(1e2, 0.99 * phi.horizon), 41)
     ref = phi.value(ts)
     assert np.max(np.abs(twice.value(ts) - ref) / (1.0 + ref)) <= 1e-6
+
+
+def test_exp_square_double_conjugate_overflows_to_inf():
+    # the density t exp(t^2) overflows from t ~ 26.57, and the table's
+    # integral with it; past there the double conjugate is inf, as
+    # ExpSquare itself is from t ~ 26.64
+    phi = ol.ExpSquare()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        twice = phi.conjugate().conjugate()
+        ts = np.geomspace(1e-6, 1e6, 2001)
+        got = twice.value(ts)
+        assert twice.value(27.0) == twice.value(100.0) == math.inf
+    assert not np.any(np.isnan(got))
+    assert np.all(got[ts > 26.6] == np.inf)
+    ok = ts < 26.56
+    ref = phi.value(ts[ok])
+    assert np.max(np.abs(got[ok] - ref) / (1.0 + ref)) <= 1e-4
 
 
 def test_tabulated_inverse_inside_its_horizon():
