@@ -191,10 +191,11 @@ def _tangent_tensor(setup: EnergySetup, values: np.ndarray) -> np.ndarray:
     dom = setup.dom
     comps = np.stack([c.ravel() for c in gradient_components(dom, values)])
     t = _floored(gradient_magnitude(dom, values).ravel())
-    with np.errstate(over="ignore", invalid="ignore"):
-        sec = np.asarray(setup.phi.derivative(t), dtype=float) / t
-        curv = np.maximum(np.asarray(setup.phi.second_derivative(t),
-                                     dtype=float), sec)
+    phi = setup.phi
+    # t is finite and positive: the Young functions are evaluated unchecked
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sec = phi._derivative_raw(t) / t
+        curv = np.maximum(phi._second_derivative_raw(t), sec)
     e = comps / t
     tensor = (sec * np.eye(dom.ndim)[:, :, None]
               + (curv - sec) * e[:, None, :] * e[None, :, :])
@@ -204,7 +205,8 @@ def _tangent_tensor(setup: EnergySetup, values: np.ndarray) -> np.ndarray:
 def _reaction_curvature(setup: EnergySetup, values: np.ndarray) -> np.ndarray:
     """Diagonal ``qw * w1 * psi'(|u|)`` of the reaction Hessian, with the
     stiffness's magnitude floor."""
-    curv = setup.psi.second_derivative(_floored(np.abs(values)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        curv = setup.psi._second_derivative_raw(_floored(np.abs(values)))
     return setup.dom.node_qw * setup.w1.values * curv
 
 

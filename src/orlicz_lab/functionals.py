@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConditionFailure, DomainError
 from .norms import (GridDomain, GridFunction, WeightField,
                     gradient_adjoint, gradient_components, gradient_magnitude,
-                    _modular, scale_to_modular)
+                    _check_finite, _modular, scale_to_modular)
 from .util import invert_increasing
 from .young import YoungFunction, dominates_essentially, simonenko_indices
 
@@ -56,7 +56,7 @@ class DualGridFunction:
 
     def pairing(self, v) -> float:
         vals = v.values if isinstance(v, GridFunction) else np.asarray(v)
-        return float(np.sum(self.domain.node_qw * self.density * vals))
+        return float((self.domain.node_qw * self.density * vals).sum())
 
     def combine(self, other: "DualGridFunction", scale: float
                 ) -> "DualGridFunction":
@@ -142,14 +142,15 @@ class EnergySetup:
             # with s = 1/xi the modular lies between (a + b) Phi(s/h) and
             # (a + b) Phi(sqrt(2) s/h), which brackets s
             fat = h * np.asarray(self.phi.inverse(1.0 / (a + b)), dtype=float)
-            phi = self.phi
+            # the root search evaluates positive finite arguments only
+            raw = self.phi._value_raw
 
             def modular(s):
-                return a * phi(root2 * s / h) + b * phi(s / h)
+                return a * raw(root2 * s / h) + b * raw(s / h)
 
             xi_grad[inter] = 1.0 / invert_increasing(
                 modular, np.ones_like(a), lo=fat / root2, hi=fat,
-                what=f"{phi.label()} basis norm")
+                what=f"{self.phi.label()} basis norm")
         return np.where(inter, xi_state + xi_grad, np.inf)
 
     def __repr__(self):  # pragma: no cover - cosmetic
@@ -163,10 +164,20 @@ def _check_member(setup: EnergySetup, u: GridFunction):
     return u
 
 
+def _magnitude(setup: EnergySetup, u: GridFunction) -> np.ndarray:
+    """Cell gradient magnitudes of ``u``, checked once: finite nodal values
+    still overflow where a difference exceeds the largest float.  The
+    energies and derivatives evaluate the Young functions unchecked, on
+    these and on the finite values of ``u``."""
+    mag = gradient_magnitude(setup.dom, u.values)
+    _check_finite(mag)
+    return mag
+
+
 def energy_I(setup: EnergySetup, u: GridFunction) -> float:
     """Diffusion energy: cell quadrature of ``w Phi(|grad u|)``."""
     _check_member(setup, u)
-    mag = gradient_magnitude(setup.dom, u.values)
+    mag = _magnitude(setup, u)
     return float(_modular(setup.phi, setup.w_cell_qw, mag[None, ...])[0])
 
 
@@ -186,9 +197,9 @@ def gateaux_I(setup: EnergySetup, u: GridFunction) -> DualGridFunction:
     _check_member(setup, u)
     dom = setup.dom
     comps = gradient_components(dom, u.values)
-    mag = gradient_magnitude(dom, u.values)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        factor = np.asarray(setup.phi.derivative(mag), dtype=float) / mag
+    mag = _magnitude(setup, u)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        factor = setup.phi._derivative_raw(mag) / mag
     factor = np.where(mag > 0, factor, 0.0) * setup.w_cells * dom.cell_qw
     nodal = gradient_adjoint(dom, tuple(factor * g for g in comps))
     density = np.divide(nodal, dom.node_qw,
@@ -201,8 +212,9 @@ def gateaux_J(setup: EnergySetup, u: GridFunction) -> DualGridFunction:
     """Weak form of the reaction term: pairs as ``int w1 psi(|u|) sgn(u) v``."""
     _check_member(setup, u)
     vals = u.values
-    density = setup.w1.values * np.asarray(
-        setup.psi.derivative(np.abs(vals)), dtype=float) * np.sign(vals)
+    with np.errstate(over="ignore"):
+        slope = setup.psi._derivative_raw(np.abs(vals))
+    density = setup.w1.values * slope * np.sign(vals)
     return DualGridFunction(setup.dom, density)
 
 

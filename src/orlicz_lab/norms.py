@@ -212,9 +212,9 @@ class WeightField:
         values = np.asarray(values, dtype=float)
         if values.shape != domain.node_shape:
             raise DomainError("weight values must match the node layout")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise DomainError("weights must be finite")
-        if np.any(values[domain.mask] < 1.0):
+        if (values[domain.mask] < 1.0).any():
             raise DomainError("weights must be >= 1 everywhere on the domain")
         self.domain = domain
         self.values = values
@@ -256,11 +256,11 @@ class GridFunction:
         values = np.asarray(values, dtype=float)
         if values.shape != domain.node_shape:
             raise DomainError("values must match the node layout")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise DomainError("nodal values must be finite")
         if trace == "zero":
             values = np.where(domain.interior, values, 0.0)
-        elif not np.all(values[~domain.mask] == 0.0):
+        elif not (values[~domain.mask] == 0.0).all():
             raise DomainError("values must vanish outside the domain mask")
         self.domain = domain
         self.values = values
@@ -343,21 +343,33 @@ def gradient_adjoint(domain: GridDomain, cell_fields) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # modulars and norms (raw-array kernels + GridFunction wrappers)
+#
+# The public functions check their rows once per call, and the kernels
+# evaluate the Young functions unchecked: a root search over scaled rows
+# pays for no check per evaluation.
+
+
+def _check_finite(t):
+    """The Young evaluators' finiteness check, on rows for the kernels."""
+    if not np.isfinite(t).all():
+        raise DomainError("t must be finite")
 
 
 def modular_values(phi: YoungFunction, weight: np.ndarray, qw,
                    rows: np.ndarray) -> np.ndarray:
     """Batched modular ``sum qw * weight * Phi(|row|)`` over leading axes."""
+    _check_finite(rows)
     return _modular(phi, np.ravel(np.asarray(weight, dtype=float) * qw), rows)
 
 
 def _modular(phi: YoungFunction, wq: np.ndarray, rows: np.ndarray
              ) -> np.ndarray:
     """:func:`modular_values` with the weighted quadrature ``wq`` (the
-    flattened ``weight * qw``) formed by the caller."""
+    flattened ``weight * qw``) formed by the caller, on rows the caller
+    has checked."""
     flat = np.abs(rows).reshape(rows.shape[0], -1)
     with np.errstate(over="ignore"):
-        vals = np.asarray(phi.value(flat), dtype=float)
+        vals = phi._value_raw(flat)
     return vals @ wq
 
 
@@ -391,6 +403,8 @@ def scale_to_modular(phi: YoungFunction, wq: np.ndarray, rows: np.ndarray,
         raise DomainError("level must be positive")
     rows = np.asarray(rows, dtype=float)
     amax = np.max(np.abs(rows).reshape(rows.shape[0], -1), axis=1)
+    # a NaN or an inf in a row is its maximum: one check covers the rows
+    _check_finite(amax)
     live = amax > 0
     scale = np.full(targets.shape + amax.shape, np.inf)
     if not np.any(live):
@@ -421,7 +435,8 @@ def luxemburg_values(phi: YoungFunction, weight: np.ndarray, qw,
     """Batched Luxemburg norms of the rows (leading axis indexes functions).
 
     The norm is ``1 / s`` for the factor ``s`` that brings the modular of
-    ``s * row`` to 1; a zero row has norm 0.
+    ``s * row`` to 1; a zero row has norm 0, and a row holding a NaN or
+    an inf raises :class:`DomainError`.
     """
     return 1.0 / scale_to_modular(
         phi, np.ravel(np.asarray(weight, dtype=float) * qw), rows, 1.0)
@@ -533,6 +548,14 @@ def poincare_estimate(phi: YoungFunction, psi: YoungFunction, w: WeightField,
     (a structure condition of the setup, or an exhausted iteration budget)
     the sampled bound is returned; any other error propagates.
     """
+    return _poincare_bound(phi, psi, w, w1, dom, trials, seed)
+
+
+def _poincare_bound(phi: YoungFunction, psi: YoungFunction, w: WeightField,
+                    w1: WeightField, dom: GridDomain, trials: int, seed: int,
+                    setup=None) -> float:
+    """:func:`poincare_estimate`, with the ``EnergySetup`` of the five
+    parts passed in when the caller holds one, else built here."""
     if trials < 1:
         raise DomainError("poincare_estimate needs trials >= 1")
     cand = smooth_candidates(dom, trials, seed)
@@ -544,7 +567,8 @@ def poincare_estimate(phi: YoungFunction, psi: YoungFunction, w: WeightField,
     # extremal shape, so its error is second order
     opts = SolverOptions(tol=1e-4, max_iter=2000)
     try:
-        setup = EnergySetup(phi, psi, w, w1, dom)
+        if setup is None:
+            setup = EnergySetup(phi, psi, w, w1, dom)
         pair = minimize_on_level(setup, 1.0, opts=opts)
     except OrliczLabError:
         pass  # the sampled bound stands on its own

@@ -37,8 +37,8 @@ import numpy as np
 from .eigensolver import SolverOptions, _descend
 from .errors import ConditionFailure, DomainError
 from .functionals import EnergySetup, energy_I, energy_J
-from .norms import (GridFunction, gradient_magnitude, modular_values,
-                    poincare_estimate, scale_to_modular, smooth_candidates,
+from .norms import (GridFunction, _poincare_bound, gradient_magnitude,
+                    modular_values, scale_to_modular, smooth_candidates,
                     sobolev_norm)
 from .young import sqrt_convexity_holds
 
@@ -206,9 +206,10 @@ def w_tilde_r(setup: EnergySetup, r: float, c1: float) -> float:
 
 
 def default_c1(setup: EnergySetup, trials: int = 24, seed: int = 0) -> float:
-    """Empirical norm-ratio constant from the shared estimator."""
-    return poincare_estimate(setup.phi, setup.psi, setup.w, setup.w1,
-                             setup.dom, trials, seed=seed)
+    """Empirical norm-ratio constant from the shared estimator
+    :func:`~orlicz_lab.norms.poincare_estimate`, run on ``setup`` itself."""
+    return _poincare_bound(setup.phi, setup.psi, setup.w, setup.w1,
+                           setup.dom, trials, seed, setup)
 
 
 def _sup_reaction_on_shell(setup: EnergySetup, r_values, samples: int,

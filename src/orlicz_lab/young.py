@@ -60,10 +60,16 @@ _T_MIN, _T_MAX = 1e-6, 1e6
 
 
 def _checked(t, name: str = "t"):
+    """``t`` as a float array, and whether it was a scalar; raises unless
+    every entry is finite and nonnegative, testing finiteness first.
+
+    Two reductions accept the common case, since a NaN fails either
+    comparison; only a rejected input pays for picking the message.
+    """
     arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    if np.any(arr < 0):
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
+        if not np.isfinite(arr).all():
+            raise DomainError(f"{name} must be finite")
         raise DomainError(f"{name} must be nonnegative")
     return arr, arr.ndim == 0
 
@@ -602,7 +608,8 @@ class ConjugateFunction(YoungFunction):
 
     def derivative_inverse(self, t):
         arr, scalar = _checked(t)
-        out = np.asarray(self.base.derivative(arr), dtype=float)
+        with np.errstate(over="ignore"):
+            out = np.asarray(self.base._derivative_raw(arr), dtype=float)
         return _ret(out, scalar)
 
     def _validate(self):

@@ -246,3 +246,77 @@ def test_dual_norm_rejects_foreign_functional():
     func = ol.DualGridFunction(other, np.zeros(256))
     with pytest.raises(DomainError):
         ol.dual_norm(setup, func)
+
+
+# ---------------------------------------------------------------------------
+# input checks: once at the public boundary, none in the kernels
+
+class ThroughPublic(ol.YoungFunction):
+    """A Young function whose unchecked evaluators are the public, checked
+    evaluators of ``base``: kernels built on it evaluate the same
+    expressions through the public entry points."""
+
+    def __init__(self, base):
+        self.base = base
+        super().__init__()
+
+    def indices(self):
+        return self.base.indices()
+
+    def _value_raw(self, t):
+        return self.base.value(t)
+
+    def _derivative_raw(self, t):
+        return self.base.derivative(t)
+
+    def _second_derivative_raw(self, t):
+        return self.base.second_derivative(t)
+
+
+def _kernel_outputs(setup, u):
+    pair = ol.minimize_on_level(setup, 1.0)
+    return [ol.energy_I(setup, u), ol.energy_J(setup, u),
+            ol.gateaux_I(setup, u).density, ol.gateaux_J(setup, u).density,
+            ol.project_to_level(setup, u, 0.3).values,
+            pair.lam, pair.u.values, pair.iterations]
+
+
+def test_kernels_make_no_input_checks(monkeypatch, rng):
+    cfg = {"shape": "box", "n": 9, "extent": [0.0, 1.0]}
+    setup = build_setup(ol.PowerSum(2.0, 4.0), ol.PowerSum(1.5, 2.5), cfg)
+    public = ol.EnergySetup(ThroughPublic(setup.phi),
+                            ThroughPublic(setup.psi), setup.w, setup.w1,
+                            setup.dom)
+    u = random_zero_trace(setup.dom, rng)
+    calls = []
+    checked = ol.young._checked
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return checked(*args, **kwargs)
+    monkeypatch.setattr(ol.young, "_checked", counting)
+    got = _kernel_outputs(setup, u)
+    assert calls == []
+    setup.phi.value(np.abs(u.values))
+    assert len(calls) == 1
+    # the same kernels on the public evaluators check every evaluation ...
+    want = _kernel_outputs(public, u)
+    assert len(calls) > 100
+    # ... and give the same numbers, bit for bit
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_overflowing_gradient_raises_the_evaluator_message():
+    # finite nodal values whose difference exceeds the largest float
+    setup = build_setup(ol.Power(3.0), ol.Power(2.0),
+                        {"shape": "interval", "n": 8, "extent": [0.0, 1.0]})
+    vals = np.zeros(8)
+    vals[3], vals[4] = 1e308, -1e308
+    u = ol.GridFunction(setup.dom, vals)
+    with np.errstate(over="ignore"):
+        for kernel in (ol.energy_I, ol.gateaux_I):
+            with pytest.raises(DomainError, match="^t must be finite$"):
+                kernel(setup, u)
+        with pytest.raises(DomainError, match="^t must be finite$"):
+            ol.scale_to_energy_level(setup, u, 1.0)

@@ -2,6 +2,7 @@
 pairing/Poincare estimators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,32 @@ def test_array_targets_scale_like_one_target_at_a_time(rng):
         ol.scale_to_modular(table, wq, unit, 1e6)
     with pytest.raises(HorizonError):
         ol.scale_to_modular(table, wq, unit, np.array([0.1, 1e6]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rows_with_a_non_finite_entry_raise_without_a_warning(rng, bad):
+    # a NaN row once came out with norm 0, and an inf row warned in a
+    # division before it raised
+    dom = ol.GridDomain("interval", (0.0, 1.0), 32)
+    weight = np.ones(32)
+    wq = weight * dom.node_qw
+    rows = np.stack([random_zero_trace(dom, rng).values, np.zeros(32)])
+    rows[1, 5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for phi in (ol.Power(3.0), ol.PowerSum(2.0, 4.0)):
+            calls = (
+                lambda: ol.luxemburg_values(phi, weight, dom.node_qw, rows),
+                lambda: ol.scale_to_modular(phi, wq, rows, 1.0),
+                lambda: ol.scale_to_modular(phi, wq, rows,
+                                            np.array([0.5, 2.0])),
+                lambda: ol.modular_values(phi, weight, dom.node_qw, rows))
+            for call in calls:
+                with pytest.raises(DomainError, match="^t must be finite$"):
+                    call()
+            # the finite row alone still goes through
+            assert ol.luxemburg_values(phi, weight, dom.node_qw,
+                                       rows[:1])[0] > 0
 
 
 def test_sobolev_norm_is_state_plus_gradient(rng):

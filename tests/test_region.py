@@ -450,3 +450,25 @@ def test_tiny_plateau_height_is_a_domain_error(disc_reference, monkeypatch):
         ol.gamma_d(setup, 1e-200)
     with pytest.raises(DomainError, match="too small"):
         ol.admissible(setup, 1e-200, R_REF, c1=0.5)
+
+
+def test_grid_search_builds_no_second_setup(monkeypatch):
+    # default_c1 runs the Poincare estimator on the caller's setup; it
+    # used to rebuild an equal one from its parts
+    setup = small_disc()
+    expected = ol.poincare_estimate(setup.phi, setup.psi, setup.w, setup.w1,
+                                    setup.dom, 24, seed=1)
+    built = []
+    init = ol.EnergySetup.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ol.EnergySetup, "__init__", counting)
+    reports = ol.grid_search(setup, [D_REF], [R_REF], samples=16, seed=1)
+    assert built == []
+    assert reports[0].c1 == expected
+    # the public estimator keeps building its own
+    ol.poincare_estimate(setup.phi, setup.psi, setup.w, setup.w1, setup.dom,
+                         4, seed=1)
+    assert len(built) == 1

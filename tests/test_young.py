@@ -88,12 +88,17 @@ def test_argument_check_messages():
                          (-1.0, "t must be nonnegative"),
                          ([1.0, -2.0, np.nan], "t must be finite"),
                          ([1.0, -2.0, np.inf], "t must be finite"),
-                         ([0.5, -2.0, 3.0], "t must be nonnegative")):
+                         ([0.5, -2.0, 3.0], "t must be nonnegative"),
+                         (np.array(np.inf), "t must be finite"),
+                         ([-1.0, np.nan], "t must be finite")):
         with pytest.raises(DomainError) as info:
             phi.value(bad)
         assert str(info.value) == message
     assert phi.value(-0.0) == 0.0 and phi.value(0.0) == 0.0
     assert phi.value(np.array([])).shape == (0,)
+    for good, scalar in ((np.array([]), False), (-0.0, True)):
+        arr, is_scalar = ol.young._checked(good)
+        assert np.array_equal(arr, good) and is_scalar == scalar
 
 
 def test_evaluate_and_derivative_are_vectorized():
