@@ -53,13 +53,10 @@ _TOP = {
     "seed": (count(0), 0),
     "solver": (SECTION, {}),
 }
-# main sets the seed's default to the top-level seed
 _SOLVER = {
     "tol": (POSITIVE, 1e-8),
     "max_iter": (count(0), 100_000),
     "onesigned": (BOOL, True),
-    "seed": (count(0), None),
-    "starts": (count(0), 8),
 }
 # per command: the top-level sections it needs, and the table of its own
 # section
@@ -395,9 +392,8 @@ def main(argv=None) -> int:
             **{section: (SECTION, {})}))
         body = config_values(cfg[section], table, section)
         seed = cfg["seed"]
-        solver = dict(_SOLVER, seed=(_SOLVER["seed"][0], seed))
         cfg["solver"] = SolverOptions(
-            **config_values(cfg["solver"], solver, "solver"))
+            **config_values(cfg["solver"], _SOLVER, "solver"))
         os.makedirs(args.out, exist_ok=True)
         if command == "region":
             return cmd_region(cfg, body, args.out, seed, args.proof_variant)

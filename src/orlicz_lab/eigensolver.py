@@ -74,16 +74,12 @@ __all__ = [
 class SolverOptions:
     """Knobs of the projected-gradient solver.
 
-    ``tol`` bounds the dual norm of the residual relative to ``1 + I(u)``;
-    ``starts`` only matters for the multi-start paths (2D deflation,
-    critical-point probing).
+    ``tol`` bounds the dual norm of the residual relative to ``1 + I(u)``.
     """
 
     tol: float = 1e-8
     max_iter: int = 100_000
     onesigned: bool = True
-    seed: int = 42
-    starts: int = 8
 
 
 # Armijo sufficient-decrease constant and step factor of the line searches
@@ -553,6 +549,12 @@ def _ls_1d(setup: EnergySetup, alpha: float, k_max: int,
     return out
 
 
+# the 2D ladder's penalized starts: their count and the seed of their
+# candidate fields and sign tilts
+_LS_STARTS = 8
+_LS_SEED = 42
+
+
 def _overlap(dom: GridDomain, a: np.ndarray, b: np.ndarray) -> float:
     na = math.sqrt(_qw_dot(dom, a, a))
     nb = math.sqrt(_qw_dot(dom, b, b))
@@ -572,14 +574,13 @@ def _ls_2d(setup: EnergySetup, alpha: float, k_max: int,
         first, "deflation-2d"))
     found.append((first.u.values, _qw_dot(dom, first.u.values,
                                           first.u.values)))
-    starts = max(2, opts.starts)
-    cands = smooth_candidates(dom, starts, opts.seed + 1)
+    cands = smooth_candidates(dom, _LS_STARTS, _LS_SEED + 1)
     # exploration only has to land in the right basin, so it runs coarse
     # and capped; certification happens in the polish
     explore = replace(opts, tol=max(1e-5, opts.tol), max_iter=2000,
                       onesigned=False)
     relax = replace(opts, max_iter=min(opts.max_iter, 300), onesigned=False)
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(_LS_SEED)
     for k in range(2, k_max + 1):
         best = None
         # the penalty has to dominate the spectral gap, which scales with

@@ -51,7 +51,6 @@ __all__ = [
     "w_tilde_r",
     "lambda_interval",
     "r_condition_cap",
-    "admissible",
     "count_critical_points",
     "region_report",
     "grid_search",
@@ -89,7 +88,7 @@ class RegionReport:
     ``bounds_ine`` sandwiches ``I_vd`` up to the O(h) stencil error;
     ``lambda_interval`` is empty unless lo < hi; ``sup_J_r`` is the
     sampled supremum behind the interval's right endpoint.
-    ``critical_points_found`` stays None unless the multi-start probe ran.
+    ``critical_points_found`` is None unless the multi-start probe ran.
     """
 
     d: float
@@ -102,10 +101,10 @@ class RegionReport:
     sup_J_r: float
     lambda_interval: tuple
     admissible: bool
-    critical_points_found: Optional[int] = None
-    c1: float = float("nan")
-    gamma_d_annulus: float = float("nan")
-    r_cap: float = float("nan")
+    critical_points_found: Optional[int]
+    c1: float
+    gamma_d_annulus: float
+    r_cap: float
 
 
 def _radial_distance(setup: EnergySetup) -> np.ndarray:
@@ -205,11 +204,12 @@ def w_tilde_r(setup: EnergySetup, r: float, c1: float) -> float:
                       r ** (m1 / l), r ** (m1 / m))
 
 
-def default_c1(setup: EnergySetup, trials: int = 24, seed: int = 0) -> float:
+def default_c1(setup: EnergySetup, seed: int = 0) -> float:
     """Empirical norm-ratio constant from the shared estimator
-    :func:`~orlicz_lab.norms.poincare_estimate`, run on ``setup`` itself."""
+    :func:`~orlicz_lab.norms.poincare_estimate`, run on ``setup`` itself
+    with 24 seeded candidates."""
     return _poincare_bound(setup.phi, setup.psi, setup.w, setup.w1,
-                           setup.dom, trials, seed, setup)
+                           setup.dom, 24, seed, setup)
 
 
 def _sup_reaction_on_shell(setup: EnergySetup, r_values, samples: int,
@@ -287,33 +287,13 @@ def r_condition_cap(setup: EnergySetup, d: float, two_n: bool = False
     return min(nrm ** l, nrm ** m)
 
 
-def admissible(setup: EnergySetup, d: float, r: float,
-               c1: Optional[float] = None, two_n: bool = False) -> bool:
-    """Both region inequalities with computed quantities: r below
-    min{||2d/D||^l, ||2d/D||^m} and w_tilde_r below gamma_d."""
-    _check_region_conditions(setup)
-    _check_radius(r)
-    build_test_function(setup, d)  # rejects d = 0
-    if c1 is None:
-        c1 = default_c1(setup)
-    return _region_flag(r, r_condition_cap(setup, d, two_n=two_n),
-                        w_tilde_r(setup, r, c1), gamma_d(setup, d))
-
-
-def _region_flag(r: float, cap: float, w_tilde: float, gamma: float) -> bool:
-    """The two region inequalities: r below its cap and w_tilde_r below
-    gamma_d."""
-    return r < cap and w_tilde < gamma
-
-
 def count_critical_points(setup: EnergySetup, lam: float, starts: int,
-                          seed: int = 0, tol: float = 1e-6,
-                          max_iter: int = 2000) -> int:
+                          seed: int = 0) -> int:
     """Advisory probe: cluster count of converged free-energy descents.
 
     Runs ``starts`` free descents on ``I - lam J`` with the eigensolver's
     descent loop (``alpha=None``, multiplier ``lam``, stop test
-    ``tol * (1 + |I - lam J|)``, at most ``max_iter`` iterations), from
+    ``1e-6 * (1 + |I - lam J|)``, at most 2000 iterations), from
     random smooth fields scaled by amplitudes drawn log-uniformly in
     [1e-2, 10].  Keeps the converged iterates plus the exact zero function
     (always a critical point), and counts clusters under the Sobolev-norm
@@ -325,7 +305,7 @@ def count_critical_points(setup: EnergySetup, lam: float, starts: int,
     cands = smooth_candidates(dom, starts, seed)
     rng = np.random.default_rng(seed + 1)
     amplitudes = 10.0 ** rng.uniform(-2.0, 1.0, size=starts)
-    opts = SolverOptions(tol=tol, max_iter=max_iter)
+    opts = SolverOptions(tol=1e-6, max_iter=2000)
     iterates = [np.zeros(dom.node_shape)]
     for c, amp in zip(cands, amplitudes):
         pair, ok = _descend(setup, None, GridFunction(dom, amp * c), opts,
@@ -371,7 +351,8 @@ def grid_search(setup: EnergySetup, d_values, r_values,
     computed once and shared across the grid: the shell sample batch is
     drawn and scaled onto every shell once, and each r only evaluates J
     over its rescaled batch.  Returns the reports in row-major (d, r)
-    order; callers filter on ``admissible`` and window nonemptiness.
+    order; callers filter on ``admissible``, which holds when r is below
+    its cap and w_tilde_r below gamma_d, and on window nonemptiness.
     With ``probe_starts`` > 0, the critical-point probe runs at the
     window midpoint of every admissible pair with a nonempty window.
     """
@@ -395,16 +376,16 @@ def grid_search(setup: EnergySetup, d_values, r_values,
         for r, sup_j in zip(r_values, sups):
             lo, hi = i_vd / j_vd, r / sup_j
             w_tilde = w_tilde_r(setup, r, c1)
-            rep = RegionReport(
+            flag = r < cap and w_tilde < g_omega
+            found = (count_critical_points(setup, math.sqrt(lo * hi),
+                                           probe_starts, seed=seed)
+                     if probe_starts > 0 and flag and lo < hi else None)
+            reports.append(RegionReport(
                 d=d, r=r, I_vd=i_vd, J_vd=j_vd,
                 bounds_ine=bounds, gamma_d=g_omega, w_tilde_r=w_tilde,
-                sup_J_r=sup_j, lambda_interval=(lo, hi),
-                admissible=_region_flag(r, cap, w_tilde, g_omega),
-                c1=c1, gamma_d_annulus=g_ann, r_cap=cap)
-            if probe_starts > 0 and rep.admissible and lo < hi:
-                rep.critical_points_found = count_critical_points(
-                    setup, math.sqrt(lo * hi), probe_starts, seed=seed)
-            reports.append(rep)
+                sup_J_r=sup_j, lambda_interval=(lo, hi), admissible=flag,
+                critical_points_found=found, c1=c1, gamma_d_annulus=g_ann,
+                r_cap=cap))
     return reports
 
 

@@ -754,11 +754,6 @@ class SobolevConjugate:
     h_values: np.ndarray
     growth_exponent: float
 
-    def h(self, t):
-        arr, scalar = _checked(t)
-        out = np.interp(arr, self.grid, self.h_values)
-        return _ret(out, scalar)
-
     def h_inverse(self, s):
         arr, scalar = _checked(s, "s")
         arr = clip_to_horizon(arr, self.h_values[-1], "H inverse",

@@ -158,8 +158,8 @@ def test_w_tilde_r_brute_force_and_monotone(disc_reference):
 
 
 def test_default_c1_deterministic(disc_reference):
-    a = ol.default_c1(disc_reference, trials=8, seed=5)
-    b = ol.default_c1(disc_reference, trials=8, seed=5)
+    a = ol.default_c1(disc_reference, seed=5)
+    b = ol.default_c1(disc_reference, seed=5)
     assert a == b and a > 0
 
 
@@ -225,13 +225,13 @@ def test_r_cap_variants_and_ine_link(disc_reference):
 def test_admissible_matches_its_two_clauses(disc_reference):
     setup = disc_reference
     c1 = 0.499862
-    flag = ol.admissible(setup, D_REF, R_REF, c1=c1)
+    flag = ol.region_report(setup, D_REF, R_REF, c1=c1).admissible
     manual = (R_REF < ol.r_condition_cap(setup, D_REF)
               and ol.w_tilde_r(setup, R_REF, c1) < ol.gamma_d(setup, D_REF))
     assert flag == manual
     assert flag
     # a huge radius breaks the cap clause
-    assert not ol.admissible(setup, D_REF, 10.0, c1=c1)
+    assert not ol.region_report(setup, D_REF, 10.0, c1=c1).admissible
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +266,14 @@ def test_admissible_validates_before_computing_c1(monkeypatch):
     setup = small_disc(n=17)
 
     def no_work(*args, **kwargs):
-        raise AssertionError("admissible computed c1 before validating")
+        raise AssertionError("region_report computed c1 before validating")
     monkeypatch.setattr(region, "default_c1", no_work)
     with pytest.raises(DomainError, match="plateau height d must be nonzero"):
-        ol.admissible(setup, 0.0, R_REF)
+        ol.region_report(setup, 0.0, R_REF)
     with pytest.raises(DomainError, match="energy radius r must be positive"):
-        ol.admissible(setup, D_REF, -1.0)
+        ol.region_report(setup, D_REF, -1.0)
     with pytest.raises(ConditionFailure):
-        ol.admissible(small_disc(n=17, phi=ol.Power(1.5)), D_REF, R_REF)
+        ol.region_report(small_disc(n=17, phi=ol.Power(1.5)), D_REF, R_REF)
 
 
 def test_region_conditions_gate():
@@ -448,8 +448,6 @@ def test_tiny_plateau_height_is_a_domain_error(disc_reference, monkeypatch):
         ol.region_report(setup, 1e-200, R_REF, c1=0.5)
     with pytest.raises(DomainError, match="too small"):
         ol.gamma_d(setup, 1e-200)
-    with pytest.raises(DomainError, match="too small"):
-        ol.admissible(setup, 1e-200, R_REF, c1=0.5)
 
 
 def test_grid_search_builds_no_second_setup(monkeypatch):
