@@ -54,7 +54,8 @@ print(f"  int w|uv| = {lhs:.6g} <= 2 ||u|| ||v||~ = {rhs:.6g}")
 
 print()
 print("== embedding constant on (0,1) ==")
-est = ol.poincare_estimate(phi2, phi2, w, w, dom, trials=16, seed=3)
+est = ol.poincare_estimate(ol.EnergySetup(phi2, phi2, w, w, dom), trials=16,
+                           seed=3)
 print(f"  empirical C with ||u||_2 <= C ||u'||_2: {est:.6g} "
       f"(sharp constant 1/pi = {1 / np.pi:.6g})")
 

@@ -43,7 +43,8 @@ _NODAL = {"constant": REAL, "csv": PATH}
 _C1 = ConfigKind("a positive finite number or null",
                  lambda v: None if v is None else POSITIVE.convert(v))
 # the top level; main adds the command's section and requires the
-# sections the command needs.  The --out flag sets the output directory
+# sections the command needs.  The --out flag sets the output directory,
+# and main passes region's --proof-variant flag on as proof_variant
 _TOP = {
     "phi": (SECTION, None),
     "psi": (SECTION, None),
@@ -125,7 +126,10 @@ def _fmt(x):
     return str(x)
 
 
-def _write_csv(out_dir, command: str, columns, rows) -> str:
+def _write_outputs(out_dir, command: str, seed: int, columns, rows,
+                   results: dict):
+    """``<command>.csv`` with the versioned header comment, then
+    ``summary.json`` naming it."""
     path = os.path.join(out_dir, f"{command}.csv")
     with open(path, "w", newline="") as fh:
         fh.write(f"# orlicz-lab v{__version__} {command}\n")
@@ -133,29 +137,26 @@ def _write_csv(out_dir, command: str, columns, rows) -> str:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
-    return path
-
-
-def _write_summary(out_dir, command: str, seed: int, results: dict,
-                   outputs: list) -> str:
-    path = os.path.join(out_dir, "summary.json")
     payload = {
         "command": command,
         "version": __version__,
         "seed": seed,
-        "outputs": sorted(outputs),
+        "outputs": [path],
         "results": results,
     }
-    with open(path, "w") as fh:
+    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 # --------------------------------------------------------------------------
 # subcommands
+#
+# Each prints its report and returns ``(columns, rows, results, exit
+# code)``: the CSV columns and rows and the summary's results, which main
+# writes.
 
-def cmd_catalog(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
+def cmd_catalog(cfg: dict, body: dict) -> tuple:
     rows = []
     for kind, phi in catalog():
         l, m = simonenko_indices(phi)
@@ -164,16 +165,13 @@ def cmd_catalog(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
                      int(rep.satisfied),
                      repr(rep.bound if rep.satisfied else rep.witness)])
     columns = ["kind", "label", "l", "m", "delta2", "bound_or_witness"]
-    path = _write_csv(out_dir, "catalog", columns, rows)
     for row in rows:
         flag = "doubling" if row[4] else "not doubling"
         print(f"{row[0]:>10s}  {row[1]:28s} indices ({row[2]}, {row[3]})  "
               f"{flag}")
     n_ok = sum(r[4] for r in rows)
-    _write_summary(out_dir, "catalog", seed,
-                   {"entries": len(rows), "doubling": n_ok,
-                    "violators": len(rows) - n_ok}, [path])
-    return 0
+    return columns, rows, {"entries": len(rows), "doubling": n_ok,
+                           "violators": len(rows) - n_ok}, 0
 
 
 def _involution_errors(phi, ss) -> np.ndarray:
@@ -183,7 +181,7 @@ def _involution_errors(phi, ss) -> np.ndarray:
     return np.abs(back - ref) / (1.0 + ref)
 
 
-def cmd_check_young(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
+def cmd_check_young(cfg: dict, body: dict) -> tuple:
     phi = from_config(cfg["phi"])
     rows = []
     l, m = simonenko_indices(phi)
@@ -207,17 +205,14 @@ def cmd_check_young(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
                      "1 < l <= m < inf"])
         rows.append(["psi_grows_slower", int(dominates_essentially(psi, phi)),
                      "psi grows essentially slower than phi"])
-    path = _write_csv(out_dir, "check-young", ["condition", "holds", "detail"],
-                      rows)
     for name, holds, detail in rows:
         print(f"{name:26s} {'ok' if holds else 'NO':3s} {detail}")
-    _write_summary(out_dir, "check-young", seed,
-                   {"conditions": len(rows),
-                    "holding": int(sum(r[1] for r in rows))}, [path])
-    return 0
+    return (["condition", "holds", "detail"], rows,
+            {"conditions": len(rows),
+             "holding": int(sum(r[1] for r in rows))}, 0)
 
 
-def cmd_conjugate(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
+def cmd_conjugate(cfg: dict, body: dict) -> tuple:
     phi = from_config(cfg["phi"])
     s_min, s_max, points = body["s_min"], body["s_max"], body["points"]
     if not s_min < s_max:
@@ -227,18 +222,14 @@ def cmd_conjugate(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
     errs = _involution_errors(phi, ss)
     rows = [[repr(float(s)), repr(float(v)), repr(float(e))]
             for s, v, e in zip(ss, vals, errs)]
-    path = _write_csv(out_dir, "conjugate",
-                      ["s", "conjugate_value", "involution_rel_err"], rows)
     worst = float(np.max(errs))
     print(f"conjugate of {phi.label()} on [{s_min:g}, {s_max:g}], "
           f"{points} points; worst involution error {worst:.3e}")
-    _write_summary(out_dir, "conjugate", seed,
-                   {"points": points, "max_involution_rel_err": worst},
-                   [path])
-    return 0
+    return (["s", "conjugate_value", "involution_rel_err"], rows,
+            {"points": points, "max_involution_rel_err": worst}, 0)
 
 
-def cmd_norm(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
+def cmd_norm(cfg: dict, body: dict) -> tuple:
     phi = from_config(cfg["phi"])
     dom = domain_from_config(cfg["domain"])
     w = WeightField(dom, _nodal_values(dom, cfg["weight"], "weight"))
@@ -250,30 +241,31 @@ def cmd_norm(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
         psi = from_config(cfg["psi"])
         w1 = WeightField(dom, _nodal_values(dom, cfg["weight1"], "weight1"))
         rows.append(["sobolev", repr(sobolev_norm(phi, psi, w, w1, u))])
-    path = _write_csv(out_dir, "norm", ["quantity", "value"], rows)
     for name, value in rows:
         print(f"{name:16s} {value}")
-    _write_summary(out_dir, "norm", seed,
-                   {name: float(value) for name, value in rows}, [path])
-    return 0
+    return (["quantity", "value"], rows,
+            {name: float(value) for name, value in rows}, 0)
 
 
-def cmd_eig(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
+# the columns of one solved level, in eig.csv and spectrum.csv
+_PAIR_COLUMNS = ["alpha", "lambda", "level_I", "residual", "iterations"]
+
+
+def _pair_row(alpha: float, pair) -> list:
+    return [repr(alpha), repr(pair.lam), repr(pair.level),
+            repr(pair.residual), pair.iterations]
+
+
+def cmd_eig(cfg: dict, body: dict) -> tuple:
     setup = _build_setup(cfg)
     pair = minimize_on_level(setup, body["alpha"], opts=cfg["solver"])
-    rows = [[repr(pair.alpha), repr(pair.lam), repr(pair.level),
-             repr(pair.residual), pair.iterations]]
-    path = _write_csv(out_dir, "eig",
-                      ["alpha", "lambda", "level_I", "residual", "iterations"],
-                      rows)
     print(f"alpha={pair.alpha:g}: lambda = {pair.lam:.8g}  "
           f"I(u) = {pair.level:.8g}  residual {pair.residual:.3e}  "
           f"({pair.iterations} iterations)")
-    _write_summary(out_dir, "eig", seed,
-                   {"alpha": pair.alpha, "lambda": pair.lam,
-                    "level_I": pair.level, "residual": pair.residual,
-                    "iterations": pair.iterations}, [path])
-    return 0
+    return (_PAIR_COLUMNS, [_pair_row(pair.alpha, pair)],
+            {"alpha": pair.alpha, "lambda": pair.lam,
+             "level_I": pair.level, "residual": pair.residual,
+             "iterations": pair.iterations}, 0)
 
 
 def _sweep_levels(body: dict, given) -> list:
@@ -295,40 +287,34 @@ def _sweep_levels(body: dict, given) -> list:
     return sorted(set(levels))
 
 
-def cmd_spectrum(cfg: dict, body: dict, out_dir: str, seed: int) -> int:
+def cmd_spectrum(cfg: dict, body: dict) -> tuple:
     setup = _build_setup(cfg)
     levels = _sweep_levels(body, set(cfg["spectrum"]))
     sweep = spectrum_sweep(setup, levels, cfg["solver"])
     failures = sweep.failures
     failed = {alpha for alpha, _ in failures}
     solved = [alpha for alpha in levels if alpha not in failed]
-    rows = [[repr(alpha), repr(pair.lam), repr(pair.level),
-             repr(pair.residual), pair.iterations]
-            for alpha, pair in zip(solved, sweep.pairs)]
-    path = _write_csv(out_dir, "spectrum",
-                      ["alpha", "lambda", "level_I", "residual", "iterations"],
-                      rows)
+    rows = [_pair_row(alpha, pair) for alpha, pair in zip(solved, sweep.pairs)]
     lams = [pair.lam for pair in sweep.pairs]
     spread = ((max(lams) - min(lams)) / abs(max(lams))) if lams else None
     print(f"{len(rows)}/{len(levels)} levels solved; lambda spread "
           f"{spread if spread is None else format(spread, '.3e')}")
     for alpha, err in failures:
         print(f"  failed at alpha={alpha:g}: {err}")
-    _write_summary(out_dir, "spectrum", seed,
-                   {"levels": len(levels), "solved": len(rows),
-                    "lambda_spread": spread,
-                    "failures": [list(f) for f in failures]}, [path])
-    return 3 if failures else 0
+    return (_PAIR_COLUMNS, rows,
+            {"levels": len(levels), "solved": len(rows),
+             "lambda_spread": spread,
+             "failures": [list(f) for f in failures]},
+            3 if failures else 0)
 
 
-def cmd_region(cfg: dict, body: dict, out_dir: str, seed: int,
-               two_n: bool) -> int:
+def cmd_region(cfg: dict, body: dict) -> tuple:
     setup = _build_setup(cfg)
+    two_n = cfg["proof_variant"]
     reports = grid_search(setup, body["d_values"], body["r_values"],
-                          samples=body["samples"], seed=seed, c1=body["c1"],
-                          two_n=two_n, probe_starts=body["starts"])
-    rows = [report_row(rep) for rep in reports]
-    path = _write_csv(out_dir, "region", REPORT_COLUMNS, rows)
+                          samples=body["samples"], seed=cfg["seed"],
+                          c1=body["c1"], two_n=two_n,
+                          probe_starts=body["starts"])
     winners = [rep for rep in reports
                if rep.admissible
                and rep.lambda_interval[0] < rep.lambda_interval[1]]
@@ -338,16 +324,15 @@ def cmd_region(cfg: dict, body: dict, out_dir: str, seed: int,
           f"{' (2N constant)' if two_n else ''}")
     if winners:
         print(format_report(winners[0]))
-    _write_summary(out_dir, "region", seed,
-                   {"pairs": len(reports), "admissible": int(n_adm),
-                    "nonempty_windows": len(winners),
-                    "proof_variant": bool(two_n),
-                    "best": (None if not winners
-                             else {"d": winners[0].d, "r": winners[0].r,
-                                   "lambda_lo": winners[0].lambda_interval[0],
-                                   "lambda_hi": winners[0].lambda_interval[1]}
-                             )}, [path])
-    return 0
+    return (REPORT_COLUMNS, [report_row(rep) for rep in reports],
+            {"pairs": len(reports), "admissible": int(n_adm),
+             "nonempty_windows": len(winners),
+             "proof_variant": bool(two_n),
+             "best": (None if not winners
+                      else {"d": winners[0].d, "r": winners[0].r,
+                            "lambda_lo": winners[0].lambda_interval[0],
+                            "lambda_hi": winners[0].lambda_interval[1]})},
+            0)
 
 
 # --------------------------------------------------------------------------
@@ -355,7 +340,7 @@ def cmd_region(cfg: dict, body: dict, out_dir: str, seed: int,
 
 _COMMANDS = {"catalog": cmd_catalog, "check-young": cmd_check_young,
              "conjugate": cmd_conjugate, "norm": cmd_norm, "eig": cmd_eig,
-             "spectrum": cmd_spectrum}
+             "region": cmd_region, "spectrum": cmd_spectrum}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -391,13 +376,14 @@ def main(argv=None) -> int:
             _TOP, **{key: (SECTION, ...) for key in needs},
             **{section: (SECTION, {})}))
         body = config_values(cfg[section], table, section)
-        seed = cfg["seed"]
         cfg["solver"] = SolverOptions(
             **config_values(cfg["solver"], _SOLVER, "solver"))
+        cfg["proof_variant"] = getattr(args, "proof_variant", False)
         os.makedirs(args.out, exist_ok=True)
-        if command == "region":
-            return cmd_region(cfg, body, args.out, seed, args.proof_variant)
-        return _COMMANDS[command](cfg, body, args.out, seed)
+        columns, rows, results, code = _COMMANDS[command](cfg, body)
+        _write_outputs(args.out, command, cfg["seed"], columns, rows,
+                       results)
+        return code
     except NonConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

@@ -117,8 +117,9 @@ class LSLevel:
 
 @dataclass
 class SweepResult:
-    """Outcome of a level sweep: pairs keyed by alpha plus per-alpha
-    failures that did not stop the sweep."""
+    """Outcome of a level sweep: the solved pairs in increasing level
+    order, plus the ``(alpha, message)`` failures that did not stop the
+    sweep."""
 
     pairs: list
     failures: list
@@ -577,9 +578,8 @@ def _ls_2d(setup: EnergySetup, alpha: float, k_max: int,
     cands = smooth_candidates(dom, _LS_STARTS, _LS_SEED + 1)
     # exploration only has to land in the right basin, so it runs coarse
     # and capped; certification happens in the polish
-    explore = replace(opts, tol=max(1e-5, opts.tol), max_iter=2000,
-                      onesigned=False)
-    relax = replace(opts, max_iter=min(opts.max_iter, 300), onesigned=False)
+    explore = replace(opts, tol=max(1e-5, opts.tol), max_iter=2000)
+    relax = replace(opts, max_iter=min(opts.max_iter, 300))
     rng = np.random.default_rng(_LS_SEED)
     for k in range(2, k_max + 1):
         best = None

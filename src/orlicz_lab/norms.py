@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, OrliczLabError
+from .errors import ConfigError, DomainError
 from .util import REALS, config_values, count, invert_increasing, one_of
 from .young import YoungFunction
 
@@ -39,7 +39,6 @@ __all__ = [
     "gradient_norm",
     "sobolev_norm",
     "holder_check",
-    "poincare_estimate",
     "smooth_candidates",
     "save_values_csv",
     "load_values_csv",
@@ -60,69 +59,50 @@ class GridDomain:
     def __init__(self, kind: str, extent, n: int):
         if n < 4:
             raise DomainError("need at least 4 nodes per axis")
-        self.kind = kind
-        self.n = int(n)
-        if kind == "interval":
+        if kind == "disc":
+            radius = float(extent[0])
+            if not radius > 0:
+                raise DomainError("disc needs a positive radius")
+            a, b = -radius, radius
+            self.extent = (radius,)
+        elif kind in ("interval", "box"):
             a, b = float(extent[0]), float(extent[1])
             if not b > a:
-                raise DomainError("interval extent needs a < b")
-            self.ndim = 1
-            self.h = (b - a) / (n - 1)
-            self.axis = np.linspace(a, b, n)
-            self.nodes = self.axis[:, None]
-            self.mask = np.ones(n, dtype=bool)
-            self.interior = np.zeros(n, dtype=bool)
-            self.interior[1:-1] = True
-            qw = np.full(n, self.h)
-            qw[[0, -1]] = 0.5 * self.h
-            self.node_qw = qw
-            self.x0 = np.array([0.5 * (a + b)])
-            self.D = 0.5 * (b - a)
-            self.measure = b - a
+                raise DomainError(f"{kind} extent needs a < b")
             self.extent = (a, b)
-        elif kind in ("box", "disc"):
-            if kind == "box":
-                a, b = float(extent[0]), float(extent[1])
-                if not b > a:
-                    raise DomainError("box extent needs a < b")
-            else:
-                radius = float(extent[0])
-                if not radius > 0:
-                    raise DomainError("disc needs a positive radius")
-                a, b = -radius, radius
-            self.ndim = 2
-            self.h = (b - a) / (n - 1)
-            self.axis = np.linspace(a, b, n)
-            gx, gy = np.meshgrid(self.axis, self.axis, indexing="ij")
-            self.nodes = np.stack([gx, gy], axis=-1)
-            self.x0 = np.array([0.5 * (a + b), 0.5 * (a + b)])
-            w1 = np.full(n, self.h)
-            w1[[0, -1]] = 0.5 * self.h
-            if kind == "box":
-                self.mask = np.ones((n, n), dtype=bool)
-                self.interior = np.zeros((n, n), dtype=bool)
-                self.interior[1:-1, 1:-1] = True
-                self.node_qw = np.outer(w1, w1)
-                self.D = 0.5 * (b - a)
-                self.measure = (b - a) ** 2
-                self.extent = (a, b)
-            else:
-                r2 = (gx - self.x0[0]) ** 2 + (gy - self.x0[1]) ** 2
-                self.mask = r2 <= radius * radius * (1 + 1e-12)
-                inner = self.mask.copy()
-                inner[1:, :] &= self.mask[:-1, :]
-                inner[:-1, :] &= self.mask[1:, :]
-                inner[:, 1:] &= self.mask[:, :-1]
-                inner[:, :-1] &= self.mask[:, 1:]
-                inner[[0, -1], :] = False
-                inner[:, [0, -1]] = False
-                self.interior = inner
-                self.node_qw = np.outer(w1, w1) * self.mask
-                self.D = radius
-                self.measure = math.pi * radius * radius
-                self.extent = (radius,)
         else:
             raise DomainError(f"unknown domain shape '{kind}'")
+        self.kind = kind
+        self.n = int(n)
+        self.ndim = 1 if kind == "interval" else 2
+        self.h = (b - a) / (n - 1)
+        self.axis = np.linspace(a, b, n)
+        qw = np.full(n, self.h)
+        qw[[0, -1]] = 0.5 * self.h
+        if self.ndim == 1:
+            self.nodes = self.axis[:, None]
+        else:
+            qw = np.outer(qw, qw)
+            self.nodes = np.stack(
+                np.meshgrid(self.axis, self.axis, indexing="ij"), axis=-1)
+        self.x0 = np.full(self.ndim, 0.5 * (a + b))
+        self.D = 0.5 * (b - a)
+        self.mask = np.ones(self.node_shape, dtype=bool)
+        self.measure = (b - a) ** self.ndim
+        if kind == "disc":
+            off = self.nodes - self.x0
+            self.mask = (off[..., 0] ** 2 + off[..., 1] ** 2
+                         <= radius * radius * (1 + 1e-12))
+            self.measure = math.pi * radius * radius
+        self.node_qw = qw * self.mask
+        # a node is interior when it and its neighbours along every axis
+        # lie in the mask; the padding puts the grid edge outside
+        pad = np.pad(self.mask, 1)
+        self.interior = self.mask.copy()
+        for ax in range(self.ndim):
+            for shift in (-1, 1):
+                self.interior &= np.roll(pad, shift, axis=ax)[
+                    (slice(1, -1),) * self.ndim]
         self.node_qw.setflags(write=False)
         self.mask.setflags(write=False)
         self.interior.setflags(write=False)
@@ -226,13 +206,7 @@ class WeightField:
 
     @classmethod
     def from_callable(cls, domain: GridDomain, fn):
-        pts = domain.nodes
-        if domain.ndim == 1:
-            vals = np.asarray([fn(p[0]) for p in pts], dtype=float)
-        else:
-            vals = np.asarray(
-                [[fn(x, y) for y in domain.axis] for x in domain.axis])
-        return cls(domain, vals)
+        return cls(domain, _sample_nodes(domain, fn))
 
     @classmethod
     def from_csv(cls, domain: GridDomain, path):
@@ -269,12 +243,7 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, domain: GridDomain, fn, trace: str = "zero"):
-        if domain.ndim == 1:
-            vals = np.asarray([fn(x) for x in domain.axis], dtype=float)
-        else:
-            vals = np.asarray(
-                [[fn(x, y) for y in domain.axis] for x in domain.axis])
-        return cls(domain, vals, trace)
+        return cls(domain, _sample_nodes(domain, fn), trace)
 
     def scaled(self, s: float) -> "GridFunction":
         return GridFunction(self.domain, s * self.values, self.trace)
@@ -282,6 +251,14 @@ class GridFunction:
     def __repr__(self):  # pragma: no cover - cosmetic
         return (f"<GridFunction on {self.domain.kind} "
                 f"max|u|={np.max(np.abs(self.values)):.3g}>")
+
+
+def _sample_nodes(domain: GridDomain, fn) -> np.ndarray:
+    """``fn`` at every node in the node layout: ``fn(x)`` in 1D,
+    ``fn(x, y)`` in 2D."""
+    pts = domain.nodes.reshape(-1, domain.ndim)
+    return np.asarray([fn(*p) for p in pts],
+                      dtype=float).reshape(domain.node_shape)
 
 
 def _same_domain(*objs):
@@ -479,7 +456,7 @@ def holder_check(phi: YoungFunction, w: WeightField, u: GridFunction,
 
 
 # --------------------------------------------------------------------------
-# candidate fields and the Poincare-constant estimate
+# candidate fields
 
 
 def smooth_candidates(domain: GridDomain, count: int, seed: int = 0) -> np.ndarray:
@@ -534,53 +511,6 @@ def smooth_candidates(domain: GridDomain, count: int, seed: int = 0) -> np.ndarr
             out.append(base ** p * wobble)
     cand = np.stack(out[:count])
     return np.where(domain.interior, cand, 0.0)
-
-
-def poincare_estimate(phi: YoungFunction, psi: YoungFunction, w: WeightField,
-                      w1: WeightField, dom: GridDomain, trials: int,
-                      seed: int = 0) -> float:
-    """Empirical lower bound for the embedding constant ``C`` in
-    ``||u||_Psi,w1 <= C ||grad u||_Phi,w`` over zero-trace fields.
-
-    Maximizes the ratio over seeded smooth candidates and one
-    constrained-minimizer run, whose optimum is the extremal shape in the
-    power case.  If that run fails with one of the package's own errors
-    (a structure condition of the setup, or an exhausted iteration budget)
-    the sampled bound is returned; any other error propagates.
-    """
-    return _poincare_bound(phi, psi, w, w1, dom, trials, seed)
-
-
-def _poincare_bound(phi: YoungFunction, psi: YoungFunction, w: WeightField,
-                    w1: WeightField, dom: GridDomain, trials: int, seed: int,
-                    setup=None) -> float:
-    """:func:`poincare_estimate`, with the ``EnergySetup`` of the five
-    parts passed in when the caller holds one, else built here."""
-    if trials < 1:
-        raise DomainError("poincare_estimate needs trials >= 1")
-    cand = smooth_candidates(dom, trials, seed)
-    from .eigensolver import SolverOptions, minimize_on_level
-    from .functionals import EnergySetup
-
-    # tol 1e-4 takes 8 iterations on the n=81 reference disc against 18 at
-    # 1e-6, and the quotient still agrees to 8 digits: it is maximal at the
-    # extremal shape, so its error is second order
-    opts = SolverOptions(tol=1e-4, max_iter=2000)
-    try:
-        if setup is None:
-            setup = EnergySetup(phi, psi, w, w1, dom)
-        pair = minimize_on_level(setup, 1.0, opts=opts)
-    except OrliczLabError:
-        pass  # the sampled bound stands on its own
-    else:
-        cand = np.concatenate([cand, pair.u.values[None, ...]])
-    num = luxemburg_values(psi, w1.values, dom.node_qw, cand)
-    mags = gradient_magnitude(dom, cand)
-    den = luxemburg_values(phi, w.cell_values(), dom.cell_qw, mags)
-    good = den > 0
-    if not np.any(good):
-        raise DomainError("all candidates degenerate; enlarge trials")
-    return float(np.max(num[good] / den[good]))
 
 
 # --------------------------------------------------------------------------

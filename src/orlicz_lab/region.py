@@ -34,10 +34,10 @@ from typing import Optional
 
 import numpy as np
 
-from .eigensolver import SolverOptions, _descend
-from .errors import ConditionFailure, DomainError
+from .eigensolver import SolverOptions, _descend, minimize_on_level
+from .errors import ConditionFailure, DomainError, OrliczLabError
 from .functionals import EnergySetup, energy_I, energy_J
-from .norms import (GridFunction, _poincare_bound, gradient_magnitude,
+from .norms import (GridFunction, gradient_magnitude, luxemburg_values,
                     modular_values, scale_to_modular, smooth_candidates,
                     sobolev_norm)
 from .young import sqrt_convexity_holds
@@ -54,6 +54,7 @@ __all__ = [
     "count_critical_points",
     "region_report",
     "grid_search",
+    "poincare_estimate",
     "default_c1",
     "format_report",
     "REPORT_COLUMNS",
@@ -204,12 +205,44 @@ def w_tilde_r(setup: EnergySetup, r: float, c1: float) -> float:
                       r ** (m1 / l), r ** (m1 / m))
 
 
+def poincare_estimate(setup: EnergySetup, trials: int, seed: int = 0
+                      ) -> float:
+    """Empirical lower bound for the embedding constant ``C`` in
+    ``||u||_Psi,w1 <= C ||grad u||_Phi,w`` over zero-trace fields.
+
+    Maximizes the ratio over ``trials`` seeded smooth candidates and one
+    constrained-minimizer run on ``setup``, whose optimum is the extremal
+    shape in the power case.  If that run fails with one of the package's
+    own errors (an exhausted iteration budget, say) the sampled bound is
+    returned; any other error propagates.
+    """
+    if trials < 1:
+        raise DomainError("poincare_estimate needs trials >= 1")
+    dom = setup.dom
+    cand = smooth_candidates(dom, trials, seed)
+    # tol 1e-4 takes 8 iterations on the n=81 reference disc against 18 at
+    # 1e-6, and the quotient still agrees to 8 digits: it is maximal at the
+    # extremal shape, so its error is second order
+    opts = SolverOptions(tol=1e-4, max_iter=2000)
+    try:
+        pair = minimize_on_level(setup, 1.0, opts=opts)
+    except OrliczLabError:
+        pass  # the sampled bound stands on its own
+    else:
+        cand = np.concatenate([cand, pair.u.values[None, ...]])
+    num = luxemburg_values(setup.psi, setup.w1.values, dom.node_qw, cand)
+    den = luxemburg_values(setup.phi, setup.w_cells, dom.cell_qw,
+                           gradient_magnitude(dom, cand))
+    good = den > 0
+    if not np.any(good):
+        raise DomainError("all candidates degenerate; enlarge trials")
+    return float(np.max(num[good] / den[good]))
+
+
 def default_c1(setup: EnergySetup, seed: int = 0) -> float:
-    """Empirical norm-ratio constant from the shared estimator
-    :func:`~orlicz_lab.norms.poincare_estimate`, run on ``setup`` itself
-    with 24 seeded candidates."""
-    return _poincare_bound(setup.phi, setup.psi, setup.w, setup.w1,
-                           setup.dom, 24, seed, setup)
+    """The constant :func:`grid_search` takes when given none:
+    :func:`poincare_estimate` with 24 seeded candidates."""
+    return poincare_estimate(setup, 24, seed)
 
 
 def _sup_reaction_on_shell(setup: EnergySetup, r_values, samples: int,

@@ -302,6 +302,30 @@ def test_exhausted_solver_exits_3(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_spectrum_with_every_level_failed_exits_3(tmp_path, capsys):
+    # the sweep reports its failures instead of raising, and the run still
+    # writes a header-only CSV and a summary listing each failure
+    cfg = write_cfg(tmp_path, {
+        "phi": {"kind": "power", "p": 3},
+        "psi": {"kind": "power", "p": 2},
+        "domain": {"shape": "interval", "n": 65, "extent": [0.0, 1.0]},
+        "solver": {"tol": 1e-13, "max_iter": 2},
+        "spectrum": {"alphas": [0.5, 2.0]}})
+    out = tmp_path / "runs"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 3
+    header, columns, rows = read_csv(out, "spectrum")
+    assert header == f"# orlicz-lab v{__version__} spectrum"
+    assert columns == ["alpha", "lambda", "level_I", "residual",
+                       "iterations"]
+    assert rows == []
+    results = read_summary(out)["results"]
+    assert results["levels"] == 2 and results["solved"] == 0
+    assert results["lambda_spread"] is None
+    assert [alpha for alpha, _ in results["failures"]] == [0.5, 2.0]
+    assert all("no convergence" in msg for _, msg in results["failures"])
+    assert "0/2 levels solved" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("section,body", [
     ("eig", {"alpha": "abc"}),
     ("solver", {"tol": "abc"}),

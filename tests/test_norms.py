@@ -1,5 +1,5 @@
-"""Grids, weights, gradients, modulars, Luxemburg norms, and the
-pairing/Poincare estimators."""
+"""Grids, weights, gradients, modulars, Luxemburg norms, the pairing
+inequality and the Poincare estimate."""
 
 import math
 import warnings
@@ -47,6 +47,33 @@ def test_disc_domain_mask_and_staircase_area():
     # the interior is the mask eroded by one ring
     assert dom.interior.sum() < dom.mask.sum()
     assert not dom.interior[0, :].any() and not dom.interior[:, 0].any()
+
+
+def test_domain_layouts_are_exact():
+    for n in (4, 5, 9, 21, 33):
+        ends = np.full(n, 1.0 / (n - 1))
+        ends[[0, -1]] *= 0.5
+        line = ol.GridDomain("interval", (0.0, 1.0), n)
+        assert np.array_equal(line.node_qw, ends)
+        assert np.flatnonzero(~line.interior).tolist() == [0, n - 1]
+        box = ol.GridDomain("box", (0.0, 1.0), n)
+        inner = np.zeros((n, n), dtype=bool)
+        inner[1:-1, 1:-1] = True
+        assert box.mask.all()
+        assert np.array_equal(box.interior, inner)
+        assert np.array_equal(box.node_qw, np.outer(ends, ends))
+        # on the disc a node is interior iff it and its four neighbours
+        # are in the mask; the grid edge is outside
+        disc = ol.GridDomain("disc", (0.5,), n)
+        m = disc.mask
+        inner = np.zeros((n, n), dtype=bool)
+        inner[1:-1, 1:-1] = (m[1:-1, 1:-1] & m[:-2, 1:-1] & m[2:, 1:-1]
+                             & m[1:-1, :-2] & m[1:-1, 2:])
+        assert np.array_equal(disc.interior, inner)
+        assert np.array_equal(disc.node_qw, np.outer(ends, ends) * m)
+        for dom in (line, box, disc):
+            assert not dom.node_qw.flags.writeable
+            assert not dom.interior.flags.writeable
 
 
 def test_domain_rejects_bad_configs():
@@ -356,7 +383,8 @@ def test_poincare_estimate_near_sharp_constant():
     dom = ol.GridDomain("interval", (0.0, 1.0), 129)
     w = ol.WeightField.constant(dom)
     phi = ol.Power(2.0, 1.0)
-    got = ol.poincare_estimate(phi, phi, w, w, dom, trials=16, seed=3)
+    got = ol.poincare_estimate(ol.EnergySetup(phi, phi, w, w, dom),
+                               trials=16, seed=3)
     assert got >= 1.0 / math.pi - 1e-2
     assert got <= 1.0 / math.pi + 1e-2
 

@@ -163,15 +163,15 @@ def test_default_c1_deterministic(disc_reference):
     assert a == b and a > 0
 
 
-def sampled_poincare_bound(monkeypatch, args, seed=0):
+def sampled_poincare_bound(monkeypatch, setup, trials, seed=0):
     """The estimate from the seeded candidates alone: the solver run is
     made to fail, so the estimator falls back to the sampled bound."""
     def exhausted(*_, **__):
         raise ol.NonConvergenceError("iteration budget exhausted")
 
     with monkeypatch.context() as patched:
-        patched.setattr("orlicz_lab.eigensolver.minimize_on_level", exhausted)
-        return ol.poincare_estimate(*args, seed=seed)
+        patched.setattr("orlicz_lab.region.minimize_on_level", exhausted)
+        return ol.poincare_estimate(setup, trials, seed=seed)
 
 
 def test_default_c1_reaches_the_extremal_quotient(disc_reference,
@@ -180,9 +180,8 @@ def test_default_c1_reaches_the_extremal_quotient(disc_reference,
     # norm quotient, so the estimate must reach its quotient rather than
     # stop at the best seeded sample
     setup = disc_reference
-    args = (setup.phi, setup.psi, setup.w, setup.w1, setup.dom, 24)
-    got = ol.poincare_estimate(*args, seed=1)
-    sampled = sampled_poincare_bound(monkeypatch, args, seed=1)
+    got = ol.poincare_estimate(setup, 24, seed=1)
+    sampled = sampled_poincare_bound(monkeypatch, setup, 24, seed=1)
     u = ol.minimize_on_level(setup, 1.0, opts=ol.SolverOptions(tol=1e-6)).u
     quotient = (ol.luxemburg_norm(setup.psi, setup.w1, u)
                 / ol.gradient_norm(setup.phi, setup.w, u))
@@ -193,8 +192,7 @@ def test_default_c1_reaches_the_extremal_quotient(disc_reference,
 
 def test_poincare_estimate_solver_failures(monkeypatch):
     setup = small_disc()
-    args = (setup.phi, setup.psi, setup.w, setup.w1, setup.dom, 8)
-    sampled = sampled_poincare_bound(monkeypatch, args)
+    sampled = sampled_poincare_bound(monkeypatch, setup, 8)
 
     def broken(*_, **__):
         raise TypeError("unexpected argument")
@@ -209,9 +207,9 @@ def test_poincare_estimate_solver_failures(monkeypatch):
                               setup.dom.cell_qw, mags)
     assert sampled == np.max(num / den)
     # ... but a programming error is not mistaken for one
-    monkeypatch.setattr("orlicz_lab.eigensolver.minimize_on_level", broken)
+    monkeypatch.setattr("orlicz_lab.region.minimize_on_level", broken)
     with pytest.raises(TypeError):
-        ol.poincare_estimate(*args)
+        ol.poincare_estimate(setup, 8)
 
 
 def test_r_cap_variants_and_ine_link(disc_reference):
@@ -451,11 +449,10 @@ def test_tiny_plateau_height_is_a_domain_error(disc_reference, monkeypatch):
 
 
 def test_grid_search_builds_no_second_setup(monkeypatch):
-    # default_c1 runs the Poincare estimator on the caller's setup; it
-    # used to rebuild an equal one from its parts
+    # C1 comes from the Poincare estimate on the caller's setup, so the
+    # search builds no EnergySetup of its own
     setup = small_disc()
-    expected = ol.poincare_estimate(setup.phi, setup.psi, setup.w, setup.w1,
-                                    setup.dom, 24, seed=1)
+    expected = ol.poincare_estimate(setup, 24, seed=1)
     built = []
     init = ol.EnergySetup.__init__
 
@@ -466,7 +463,3 @@ def test_grid_search_builds_no_second_setup(monkeypatch):
     reports = ol.grid_search(setup, [D_REF], [R_REF], samples=16, seed=1)
     assert built == []
     assert reports[0].c1 == expected
-    # the public estimator keeps building its own
-    ol.poincare_estimate(setup.phi, setup.psi, setup.w, setup.w1, setup.dom,
-                         4, seed=1)
-    assert len(built) == 1
