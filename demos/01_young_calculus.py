@@ -46,9 +46,3 @@ pairs = [(ol.Power(2.0), ol.Power(3.0)),
 for slow, fast in pairs:
     flag = ol.dominates_essentially(slow, fast)
     print(f"  {slow.label():24s} << {fast.label():12s} : {flag}")
-
-print()
-print("== growth of the inverse toward the critical exponent ==")
-star = ol.sobolev_conjugate(ol.Power(2.0), 3)
-print(f"  conjugate-exponent fit for t**2/2 in dimension 3: "
-      f"growth exponent {star.growth_exponent:.3g} (2* = 6 expected)")

@@ -1,8 +1,7 @@
 """Grids, weights, and Luxemburg norms.
 
 Builds the three domain shapes, evaluates modulars and norms against
-closed forms, and runs the pairing inequality and the embedding-constant
-estimate.
+closed forms, and runs the embedding-constant estimate.
 """
 
 import numpy as np
@@ -44,13 +43,6 @@ v = ol.GridFunction(dom, vals)
 nrm = ol.luxemburg_norm(phi, w, v)
 print(f"  modular(v / ||v||) = "
       f"{ol.modular(phi, w, v.scaled(1.0 / nrm)):.10g}")
-
-print()
-print("== pairing inequality ==")
-a = ol.GridFunction(dom, rng.normal(size=257))
-b = ol.GridFunction(dom, rng.normal(size=257))
-lhs, rhs = ol.holder_check(ol.Power(3.0), w, a, b)
-print(f"  int w|uv| = {lhs:.6g} <= 2 ||u|| ||v||~ = {rhs:.6g}")
 
 print()
 print("== embedding constant on (0,1) ==")

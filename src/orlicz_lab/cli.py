@@ -247,12 +247,13 @@ def cmd_norm(cfg: dict, body: dict) -> tuple:
             {name: float(value) for name, value in rows}, 0)
 
 
-# the columns of one solved level, in eig.csv and spectrum.csv
+# the columns of one solved level, in eig.csv and spectrum.csv; alpha is
+# the measured J(u), like lambda, level_I and residual measured at u
 _PAIR_COLUMNS = ["alpha", "lambda", "level_I", "residual", "iterations"]
 
 
-def _pair_row(alpha: float, pair) -> list:
-    return [repr(alpha), repr(pair.lam), repr(pair.level),
+def _pair_row(pair) -> list:
+    return [repr(pair.alpha), repr(pair.lam), repr(pair.level),
             repr(pair.residual), pair.iterations]
 
 
@@ -262,7 +263,7 @@ def cmd_eig(cfg: dict, body: dict) -> tuple:
     print(f"alpha={pair.alpha:g}: lambda = {pair.lam:.8g}  "
           f"I(u) = {pair.level:.8g}  residual {pair.residual:.3e}  "
           f"({pair.iterations} iterations)")
-    return (_PAIR_COLUMNS, [_pair_row(pair.alpha, pair)],
+    return (_PAIR_COLUMNS, [_pair_row(pair)],
             {"alpha": pair.alpha, "lambda": pair.lam,
              "level_I": pair.level, "residual": pair.residual,
              "iterations": pair.iterations}, 0)
@@ -292,9 +293,7 @@ def cmd_spectrum(cfg: dict, body: dict) -> tuple:
     levels = _sweep_levels(body, set(cfg["spectrum"]))
     sweep = spectrum_sweep(setup, levels, cfg["solver"])
     failures = sweep.failures
-    failed = {alpha for alpha, _ in failures}
-    solved = [alpha for alpha in levels if alpha not in failed]
-    rows = [_pair_row(alpha, pair) for alpha, pair in zip(solved, sweep.pairs)]
+    rows = [_pair_row(pair) for pair in sweep.pairs]
     lams = [pair.lam for pair in sweep.pairs]
     spread = ((max(lams) - min(lams)) / abs(max(lams))) if lams else None
     print(f"{len(rows)}/{len(levels)} levels solved; lambda spread "

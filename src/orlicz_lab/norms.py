@@ -38,9 +38,7 @@ __all__ = [
     "luxemburg_values",
     "gradient_norm",
     "sobolev_norm",
-    "holder_check",
     "smooth_candidates",
-    "save_values_csv",
     "load_values_csv",
     "domain_from_config",
 ]
@@ -440,21 +438,6 @@ def sobolev_norm(phi: YoungFunction, psi: YoungFunction, w: WeightField,
     return (luxemburg_norm(psi, w1, u) + gradient_norm(phi, w, u))
 
 
-def holder_check(phi: YoungFunction, w: WeightField, u: GridFunction,
-                 v: GridFunction):
-    """Both sides of the weighted Hoelder-type inequality.
-
-    Returns ``(lhs, rhs)`` with ``lhs = int w |u v|`` and
-    ``rhs = 2 ||u||_Phi,w ||v||_Phi~,w``; the conjugate norm uses the
-    memoized default conjugate table.
-    """
-    dom = _same_domain(w, u, v)
-    lhs = float(np.sum(dom.node_qw * w.values * np.abs(u.values * v.values)))
-    rhs = 2.0 * luxemburg_norm(phi, w, u) \
-        * luxemburg_norm(phi.conjugate(), w, v)
-    return lhs, rhs
-
-
 # --------------------------------------------------------------------------
 # candidate fields
 
@@ -515,10 +498,6 @@ def smooth_candidates(domain: GridDomain, count: int, seed: int = 0) -> np.ndarr
 
 # --------------------------------------------------------------------------
 # I/O and config
-
-
-def save_values_csv(values: np.ndarray, path):
-    np.savetxt(path, np.atleast_2d(values), delimiter=",")
 
 
 def load_values_csv(domain: GridDomain, path) -> np.ndarray:

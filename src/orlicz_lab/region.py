@@ -52,7 +52,6 @@ __all__ = [
     "lambda_interval",
     "r_condition_cap",
     "count_critical_points",
-    "region_report",
     "grid_search",
     "poincare_estimate",
     "default_c1",
@@ -360,16 +359,6 @@ def count_critical_points(setup: EnergySetup, lam: float, starts: int,
         if not hit:
             clusters.append(v)
     return len(clusters)
-
-
-def region_report(setup: EnergySetup, d: float, r: float,
-                  samples: int = 48, seed: int = 0,
-                  c1: Optional[float] = None, two_n: bool = False,
-                  probe_starts: int = 0) -> RegionReport:
-    """Evaluate every region quantity for one (d, r) pair: the single cell
-    of :func:`grid_search` over ``[d] x [r]``."""
-    return grid_search(setup, [d], [r], samples=samples, seed=seed, c1=c1,
-                       two_n=two_n, probe_starts=probe_starts)[0]
 
 
 def grid_search(setup: EnergySetup, d_values, r_values,

@@ -39,6 +39,8 @@ _LN2 = math.log(2.0)
 _MAX_STEPS = 200
 # queries per block of a MonotoneCubic evaluation
 _BLOCK = 8192
+# log-spaced knots of every CumulativeTable
+_TABLE_KNOTS = 4096
 
 
 def gauss_panels(f, left, right):
@@ -67,13 +69,11 @@ class CumulativeTable:
     Callers keep queries inside ``[0, x_max]``.
     """
 
-    def __init__(self, f, x_min: float, x_max: float, n: int = 4096):
+    def __init__(self, f, x_min: float, x_max: float):
         if not (0.0 < x_min < x_max):
             raise DomainError("table needs 0 < x_min < x_max")
-        if n < 16:
-            raise DomainError("table needs at least 16 knots")
         self.f = f
-        grid = np.geomspace(x_min, x_max, int(n))
+        grid = np.geomspace(x_min, x_max, _TABLE_KNOTS)
         head = gauss_panels(f, np.array([0.0]), grid[:1])
         panels = gauss_panels(f, grid[:-1], grid[1:])
         # knots and values with the origin in front, indexed by the count

@@ -11,9 +11,7 @@ tabulated data), plus the derived calculus on top of them:
 * growth indices ``l <= t phi(t)/Phi(t) <= m`` (closed form where known,
   dense scan otherwise),
 * the doubling-condition check ``Phi(2t) <= K Phi(t)``,
-* essential domination ``Psi(ct)/Phi(t) -> 0``,
-* the dimension-dependent conjugate ``Phi_N = Phi o H^{-1}`` with its two
-  integral admissibility conditions.
+* essential domination ``Psi(ct)/Phi(t) -> 0``.
 
 All evaluators are vectorized over numpy arrays and accept scalars.
 """
@@ -27,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionFailure, ConfigError, DomainError
+from .errors import ConfigError, DomainError
 from .util import (PATH, REAL, CumulativeTable, MonotoneCubic,
                    clip_to_horizon, config_values, gauss_panels,
                    invert_increasing)
@@ -42,13 +40,10 @@ __all__ = [
     "ExpSquare",
     "Tabulated",
     "ConjugateFunction",
-    "SobolevConjugate",
     "Delta2Report",
-    "conjugate_sup_estimate",
     "simonenko_indices",
     "check_delta2",
     "dominates_essentially",
-    "sobolev_conjugate",
     "sqrt_convexity_holds",
     "catalog",
     "from_config",
@@ -623,29 +618,6 @@ class ConjugateFunction(YoungFunction):
 # module-level operations
 
 
-def conjugate_sup_estimate(phi: YoungFunction, s):
-    """Brute-force ``max_t (st - Phi(t))`` on a dense grid of 20001 points.
-
-    Used as an independent cross-check of the transform; the grid tops out
-    at twice the stationary point, where the objective is already falling,
-    or at the horizon.
-    """
-    arr, scalar = _checked(s, "s")
-    flat = np.atleast_1d(arr).ravel()
-    out = np.empty_like(flat)
-    for i, si in enumerate(flat):
-        if si == 0.0:
-            out[i] = 0.0
-            continue
-        t_star = phi.derivative_inverse(si)
-        t_hi = min(max(2.0 * t_star, 1e-8), phi.horizon)
-        grid = np.linspace(0.0, t_hi, 20001)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = si * grid - np.asarray(phi.value(grid), dtype=float)
-        out[i] = np.nanmax(vals)
-    return _ret(out.reshape(arr.shape), scalar)
-
-
 @dataclass(frozen=True)
 class Delta2Report:
     """Outcome of the doubling-condition scan."""
@@ -737,94 +709,6 @@ def dominates_essentially(psi: YoungFunction, phi: YoungFunction) -> bool:
         if not (r_end <= 1e-2 and decreasing):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class SobolevConjugate:
-    """Dimension-dependent conjugate ``Phi_N = Phi o H^{-1}``.
-
-    ``grid``/``h_values`` tabulate the auxiliary growth map ``H``;
-    ``growth_exponent`` is the log-log slope of ``Phi_N`` over the top of
-    the tabulated range.
-    """
-
-    base: YoungFunction
-    n_dim: int
-    grid: np.ndarray
-    h_values: np.ndarray
-    growth_exponent: float
-
-    def h_inverse(self, s):
-        arr, scalar = _checked(s, "s")
-        arr = clip_to_horizon(arr, self.h_values[-1], "H inverse",
-                              "H is tabulated up to min(1e6, base horizon)")
-        out = np.exp(np.interp(np.log(np.maximum(arr, self.h_values[0])),
-                               np.log(self.h_values), np.log(self.grid)))
-        out = np.where(arr <= self.h_values[0],
-                       self.grid[0] * arr / self.h_values[0], out)
-        return _ret(out, scalar)
-
-    def value(self, t):
-        return self.base.value(self.h_inverse(t))
-
-    __call__ = value
-
-
-def sobolev_conjugate(phi: YoungFunction, n_dim: int) -> SobolevConjugate:
-    """Build ``Phi_N`` after checking the two integral admissibility conditions.
-
-    ``H`` is tabulated on 2048 log-spaced points of ``[1e-6, 1e6]``.
-
-    The divergence condition at infinity (named ``emdh1``) fails when the
-    decade contributions of ``(t/Phi(t))^{1/(N-1)}`` shrink geometrically,
-    i.e. the integral converges.  The convergence condition at zero (named
-    ``embh2``) fails when decade contributions grow toward 0, i.e. the
-    integral diverges at a power rate; a logarithmic borderline passes, which
-    matches the usual treatment of the critical power ``p = N``.
-    """
-    if int(n_dim) != n_dim or n_dim < 2:
-        raise DomainError("dimension must be an integer >= 2")
-    n_dim = int(n_dim)
-    exponent = 1.0 / (n_dim - 1.0)
-
-    def g(tau):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = np.asarray(phi.value(tau), dtype=float)
-            out = (tau / vals) ** exponent
-        return np.where(np.isfinite(out), out, 0.0)
-
-    # Condition at zero: decade panels of int g toward the origin.
-    edges = 10.0 ** -np.arange(0, 10.0)
-    down = gauss_panels(g, edges[1:], edges[:-1])  # [1e-1,1], [1e-2,1e-1], ...
-    with np.errstate(divide="ignore", invalid="ignore"):
-        growth = down[3:] / down[2:-1]
-    if np.all(growth[-3:] > 1.1):
-        raise ConditionFailure(
-            "embh2", f"{phi.label()}: the near-zero integral of "
-            "(t/Phi)^(1/(N-1)) diverges at a power rate")
-    # Condition at infinity: decade panels of int g outward.  Panels where
-    # Phi has overflowed contribute 0; flooring the denominators lets a
-    # dead tail read as geometric decay instead of 0/0.
-    n_up = int(min(8, np.floor(np.log10(phi.horizon * 0.999))))
-    up_edges = 10.0 ** np.arange(0, n_up + 1.0)
-    up = gauss_panels(g, up_edges[:-1], up_edges[1:])
-    decay = up[1:] / np.maximum(up[:-1], 1e-300)
-    if decay.size >= 3 and np.all(decay[-3:] < 0.9):
-        raise ConditionFailure(
-            "emdh1", f"{phi.label()}: the integral of (t/Phi)^(1/(N-1)) "
-            "converges at infinity")
-
-    table = CumulativeTable(g, _T_MIN, min(_T_MAX, phi.horizon * 0.999), 2048)
-    h_vals = table.cum ** ((n_dim - 1.0) / n_dim)
-    # Growth exponent of Phi_N: slope of log Phi(grid) against log H(grid)
-    # over the top two decades of the H range.
-    mask = h_vals >= h_vals[-1] / 100.0
-    with np.errstate(over="ignore"):
-        py = np.log(np.asarray(phi.value(table.grid[mask]), dtype=float))
-    px = np.log(h_vals[mask])
-    keep = np.isfinite(py)
-    slope = float(np.polyfit(px[keep], py[keep], 1)[0])
-    return SobolevConjugate(phi, n_dim, table.grid, h_vals, slope)
 
 
 def sqrt_convexity_holds(phi: YoungFunction) -> bool:

@@ -210,6 +210,25 @@ def test_spectrum_range_form(tmp_path):
     assert summary["results"]["failures"] == []
 
 
+def test_eig_and_spectrum_write_the_same_alpha(tmp_path):
+    # at this level the projected J(u) differs from the requested alpha in
+    # the last bit; both commands write the measured value
+    alpha = 1.291549665014884
+    setup = {"phi": {"kind": "power", "p": 3},
+             "psi": {"kind": "power", "p": 2},
+             "domain": {"shape": "interval", "n": 257, "extent": [0.0, 1.0]}}
+    written = []
+    for command, section in (("eig", {"alpha": alpha}),
+                             ("spectrum", {"alphas": [alpha]})):
+        cfg = write_cfg(tmp_path, {**setup, command: section},
+                        name=f"{command}.yaml")
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        _, columns, rows = read_csv(out, command)
+        written.append(rows[0][columns.index("alpha")])
+    assert written[0] == written[1]
+
+
 def test_region_run_and_proof_variant_flag(tmp_path, capsys):
     payload = {
         "phi": {"kind": "power", "p": 3},

