@@ -26,10 +26,11 @@ step reproduces inverse power iteration and the matrix is factored once.
 The sparsity pattern and its band layout are built once per grid.  The
 interior nodes keep their row-major numbering, so the matrix is banded
 (half-bandwidth ``n - 2`` on the box, 1 in 1D) and is factored by a
-row-pivoted banded LU (LAPACK ``dgbtrf``/``dgbtrs``).  That one kernel
-also serves the indefinite shifted systems of the saddle polisher and the
-free-energy probe.  Each solve keeps its last factorization and refactors
-only when the assembled values change.
+banded Cholesky factorization (LAPACK ``dpbtrf``/``dpbtrs``).  The
+indefinite shifted systems of the saddle polisher and the free-energy
+probe take a row-pivoted banded LU (``dgbtrf``/``dgbtrs``); whether a
+shift is given decides the kernel.  Each solve keeps its last
+factorization and refactors only when the assembled values change.
 
 Higher levels of the Ljusternik-Schnirelmann hierarchy are approximated by
 structure, not by genus: in 1D, gluing sign-alternating copies of the
@@ -210,62 +211,86 @@ def _reaction_curvature(setup: EnergySetup, values: np.ndarray) -> np.ndarray:
 class _Tangent:
     """Tangent stiffness of ``I`` on the interior of one solve.
 
-    Factors with a row-pivoted banded LU (LAPACK ``dgbtrf``, Golub and
-    Van Loan, *Matrix Computations*, sec. 4.3) in the band layout of the
-    grid's :class:`StiffnessPattern`, and solves with ``dgbtrs``.  The one
-    kernel serves the positive definite descent tangent and the indefinite
-    shifted systems alike; an exactly zero pivot raises ``RuntimeError``.
-    Keeps the last factorization and refactors only when the assembled
-    values change, so a quadratic ``Phi`` factors once per solve.  Each
+    Factors in the band layouts of the grid's :class:`StiffnessPattern`
+    (Golub and Van Loan, *Matrix Computations*, sec. 4.3).  The unshifted
+    tangent is symmetric positive definite by construction, so it takes a
+    banded Cholesky factorization of its lower triangle (LAPACK
+    ``dpbtrf``/``dpbtrs``): ``k + 1`` band rows and no pivoting.  The
+    shifted systems of the saddle polisher and the free-energy probe are
+    indefinite and take a row-pivoted banded LU (``dgbtrf``/``dgbtrs``,
+    ``3k + 1`` band rows).  A non-positive Cholesky pivot or an exactly
+    zero LU pivot raises ``RuntimeError``.  Keeps the last factorization
+    and refactors only when the kernel or the assembled values change.
+    For a quadratic ``Phi`` the unshifted tangent does not depend on the
+    iterate, so it is factored once and later calls return at once.  Each
     solve owns its instance; only the grid's pattern is shared.  Given
     ``penalty_rows`` (the ``b_j`` of :func:`_penalty_rows`),
     :meth:`direction` solves with ``A + sum_j b_j b_j^T`` through the
-    Sherman-Morrison-Woodbury identity on the LU of ``A``, keeping
-    ``A^-1 B`` while the LU is reused.
+    Sherman-Morrison-Woodbury identity on the factorization of ``A``,
+    keeping ``A^-1 B`` while the factorization is reused.
     """
 
     def __init__(self, setup: EnergySetup, penalty_rows=None):
         self.setup = setup
         self.pat = setup.dom.stiffness_pattern
         self.rows = penalty_rows
+        self._constant = setup.phi.indices() == (2.0, 2.0)
         self._data = None
-        self._lu = None
-        self._piv = None
+        self._fac = None
+        self._piv = None  # None with a Cholesky factor
         self._kb = None
 
     def factor(self, values: np.ndarray, shift=None):
-        """LU of the tangent at ``values``, minus ``diag(shift)`` on the
+        """Factor the tangent at ``values``, minus ``diag(shift)`` on the
         interior when given; kept for :meth:`solve`."""
+        cholesky = shift is None
+        held = self._fac is not None and (self._piv is None) == cholesky
+        if held and cholesky and self._constant:
+            return
         pat = self.pat
         data = pat.assemble(_tangent_tensor(self.setup, values))
-        if shift is not None:
+        if not cholesky:
             data[pat.diag] -= shift
-        if self._data is not None and np.array_equal(data, self._data):
+        if held and np.array_equal(data, self._data):
             return
         # scipy.linalg loads with the first factorization, not with the
         # package
         from scipy.linalg import lapack
         # free the old factors first
-        self._lu = self._piv = self._data = self._kb = None
+        self._fac = self._piv = self._data = self._kb = None
         k = pat.bandwidth
-        band = np.zeros(pat.idx.size * (3 * k + 1))
-        band[pat.band] = data
-        # column-major (3k + 1) x size, factored in place
-        lu, piv, info = lapack.dgbtrf(
-            band.reshape(pat.idx.size, 3 * k + 1).T, k, k, overwrite_ab=1)
+        size = pat.idx.size
+        # column-major band x size, factored in place
+        if cholesky:
+            band = np.zeros(size * (k + 1))
+            band[pat.sym_band] = data[pat.lower]
+            fac, info = lapack.dpbtrf(band.reshape(size, k + 1).T,
+                                      lower=1, overwrite_ab=1)
+            piv = None
+        else:
+            band = np.zeros(size * (3 * k + 1))
+            band[pat.band] = data
+            fac, piv, info = lapack.dgbtrf(
+                band.reshape(size, 3 * k + 1).T, k, k, overwrite_ab=1)
         if info != 0:
-            # info > 0: the pivot of that column is exactly zero
-            raise RuntimeError(f"banded LU failed (dgbtrf info {info})")
-        self._lu, self._piv, self._data = lu, piv, data
+            # info > 0: the leading minor of that order is not positive
+            # (Cholesky), or the pivot of that column is exactly zero (LU)
+            kernel = "dpbtrf" if cholesky else "dgbtrf"
+            raise RuntimeError(f"banded factorization failed "
+                               f"({kernel} info {info})")
+        self._fac, self._piv, self._data = fac, piv, data
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``A^-1 rhs`` with the last factorization, for one right-hand
         side or a block of them in columns."""
         from scipy.linalg import lapack
-        k = self.pat.bandwidth
-        x, info = lapack.dgbtrs(self._lu, k, k, rhs, self._piv)
+        if self._piv is None:
+            x, info = lapack.dpbtrs(self._fac, rhs, lower=1)
+        else:
+            k = self.pat.bandwidth
+            x, info = lapack.dgbtrs(self._fac, k, k, rhs, self._piv)
         if info != 0:
-            raise RuntimeError(f"banded solve failed (dgbtrs info {info})")
+            raise RuntimeError(f"banded solve failed (info {info})")
         return x
 
     def direction(self, values: np.ndarray, rho: np.ndarray,
@@ -312,8 +337,9 @@ def _descend(setup: EnergySetup, alpha: float | None, init: GridFunction,
 
     With ``anchors`` the merit is ``I + mu sum_j c_j^2`` and the
     preconditioner adds the penalty's rank-one curvature per anchor
-    through the Woodbury identity on the stiffness's LU.  Without it the
-    full step overshoots along the anchors and the line search backtracks.
+    through the Woodbury identity on the stiffness's factorization.
+    Without it the full step overshoots along the anchors and the line
+    search backtracks.
     """
     dom = setup.dom
     free = alpha is None

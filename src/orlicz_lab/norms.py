@@ -136,12 +136,14 @@ class StiffnessPattern:
     per-cell ``ndim x ndim`` tensor.  The pattern keeps the entries between
     interior nodes (flat indices ``idx``) in column-major order, with their
     interior ``rows`` and ``cols``, the positions of the diagonal, and the
-    band layout: the half-bandwidth ``bandwidth = max|i - j|`` and each
+    band layouts: the half-bandwidth ``bandwidth = max|i - j|``, each
     entry's flat position ``band`` in LAPACK general-band storage with
-    room for the LU's fill (``3 bandwidth + 1`` rows, column-major).
-    Interior nodes keep their row-major numbering, which gives a
-    half-bandwidth of ``n - 2`` on the box and 1 in 1D.  Assembly only
-    computes values.
+    room for the LU's fill (``3 bandwidth + 1`` rows, column-major), and
+    for the entries ``lower`` of the lower triangle their flat positions
+    ``sym_band`` in LAPACK symmetric-band storage (``bandwidth + 1`` rows,
+    column-major, the diagonal first).  Interior nodes keep their
+    row-major numbering, which gives a half-bandwidth of ``n - 2`` on the
+    box and 1 in 1D.  Assembly only computes values.
     """
 
     def __init__(self, dom: GridDomain):
@@ -174,6 +176,10 @@ class StiffnessPattern:
         # the row pivoting, then the k superdiagonals, the diagonal and the
         # k subdiagonals
         self.band = self.cols * (3 * k + 1) + 2 * k + self.rows - self.cols
+        # A[i, j] with i >= j sits in row i - j of column j
+        self.lower = np.flatnonzero(self.rows >= self.cols)
+        self.sym_band = (self.cols[self.lower] * (k + 1)
+                         + self.rows[self.lower] - self.cols[self.lower])
 
     def assemble(self, tensor: np.ndarray) -> np.ndarray:
         """Entry values for per-cell tensors of shape ``(ndim, ndim, cells)``."""

@@ -217,14 +217,21 @@ def poincare_estimate(setup: EnergySetup, trials: int, seed: int = 0
     """
     if trials < 1:
         raise DomainError("poincare_estimate needs trials >= 1")
+    return _poincare_quotient(setup, smooth_candidates(setup.dom, trials,
+                                                       seed))
+
+
+def _poincare_quotient(setup: EnergySetup, cand: np.ndarray) -> float:
+    """:func:`poincare_estimate` over the drawn candidates ``cand``; the
+    solver run starts from ``cand[0]``, the reference bump."""
     dom = setup.dom
-    cand = smooth_candidates(dom, trials, seed)
     # tol 1e-4 takes 8 iterations on the n=81 reference disc against 18 at
     # 1e-6, and the quotient still agrees to 8 digits: it is maximal at the
     # extremal shape, so its error is second order
     opts = SolverOptions(tol=1e-4, max_iter=2000)
     try:
-        pair = minimize_on_level(setup, 1.0, opts=opts)
+        pair = minimize_on_level(setup, 1.0, init=GridFunction(dom, cand[0]),
+                                 opts=opts)
     except OrliczLabError:
         pass  # the sampled bound stands on its own
     else:
@@ -238,26 +245,37 @@ def poincare_estimate(setup: EnergySetup, trials: int, seed: int = 0
     return float(np.max(num[good] / den[good]))
 
 
-def default_c1(setup: EnergySetup, seed: int = 0) -> float:
+_C1_TRIALS = 24
+
+
+def default_c1(setup: EnergySetup, seed: int = 0, *, cands=None) -> float:
     """The constant :func:`grid_search` takes when given none:
-    :func:`poincare_estimate` with 24 seeded candidates."""
-    return poincare_estimate(setup, 24, seed)
+    :func:`poincare_estimate` with 24 seeded candidates.  ``cands`` is a
+    draw of at least 24 fields at ``seed`` to take them from."""
+    if cands is None:
+        return poincare_estimate(setup, _C1_TRIALS, seed)
+    return _poincare_quotient(setup, cands[:_C1_TRIALS])
 
 
-def _sup_reaction_on_shell(setup: EnergySetup, r_values, samples: int,
-                           seed: int) -> list:
-    """Sampled sups of J on the shells I = r, one per r in ``r_values``.
-
-    The batch of random zero-trace fields and their gradient magnitudes is
-    drawn once, and one batched scaling puts it onto every shell; each r
-    then takes the largest J over its rescaled batch.
-    """
+def _draw(dom, samples: int, seed: int, count: int = 0) -> np.ndarray:
+    """One seeded batch of ``max(count, samples + 1)`` fields.  Row 0 is
+    the deterministic reference bump; the shell supremum is defined by
+    random sampling, so its samples are rows 1 to ``samples``."""
     if samples < 1:
         raise DomainError("need at least one sample")
+    return smooth_candidates(dom, max(count, samples + 1), seed)
+
+
+def _sup_reaction_on_shell(setup: EnergySetup, r_values,
+                           cands: np.ndarray) -> list:
+    """Sampled sups of J on the shells I = r, one per r in ``r_values``,
+    over the shell samples ``cands``.
+
+    The gradient magnitudes are taken once, and one batched scaling puts
+    the batch onto every shell; each r then takes the largest J over its
+    rescaled batch.
+    """
     dom = setup.dom
-    # the supremum estimator is defined by random sampling; the leading
-    # candidate is the deterministic reference bump, so drop it
-    cands = smooth_candidates(dom, samples + 1, seed)[1:]
     scales = scale_to_modular(setup.phi, setup.w_cell_qw,
                               gradient_magnitude(dom, cands),
                               np.asarray(r_values, dtype=float))
@@ -301,7 +319,8 @@ def lambda_interval(setup: EnergySetup, d: float, r: float,
     _check_region_conditions(setup)
     _check_radius(r)
     i_vd, j_vd = _plateau_energies(setup, d)
-    sup_j, = _sup_reaction_on_shell(setup, [r], samples, seed)
+    shell = _draw(setup.dom, samples, seed)[1:]
+    sup_j, = _sup_reaction_on_shell(setup, [r], shell)
     return i_vd / j_vd, r / sup_j, sup_j
 
 
@@ -370,11 +389,12 @@ def grid_search(setup: EnergySetup, d_values, r_values,
     The region conditions, the nonempty d and r lists and every r are
     checked once, and every plateau height d must give a positive J(v_d),
     before the constant c1 is computed.  c1 and the shell suprema are
-    computed once and shared across the grid: the shell sample batch is
-    drawn and scaled onto every shell once, and each r only evaluates J
-    over its rescaled batch.  Returns the reports in row-major (d, r)
-    order; callers filter on ``admissible``, which holds when r is below
-    its cap and w_tilde_r below gamma_d, and on window nonemptiness.
+    computed once and shared across the grid from one seeded draw: its
+    first 24 fields serve c1, its shell samples are scaled onto every
+    shell once, and each r only evaluates J over its rescaled batch.
+    Returns the reports in row-major (d, r) order; callers filter on
+    ``admissible``, which holds when r is below its cap and w_tilde_r
+    below gamma_d, and on window nonemptiness.
     With ``probe_starts`` > 0, the critical-point probe runs at the
     window midpoint of every admissible pair with a nonempty window.
     """
@@ -386,9 +406,13 @@ def grid_search(setup: EnergySetup, d_values, r_values,
     for r in r_values:
         _check_radius(r)
     energies = [_plateau_energies(setup, d) for d in d_values]
+    # one draw serves C1 (its first 24 rows) and the shells (rows 1 to
+    # samples)
+    batch = _draw(setup.dom, samples, seed,
+                  _C1_TRIALS if c1 is None else 0)
     if c1 is None:
-        c1 = default_c1(setup, seed=seed)
-    sups = _sup_reaction_on_shell(setup, r_values, samples, seed)
+        c1 = default_c1(setup, seed=seed, cands=batch)
+    sups = _sup_reaction_on_shell(setup, r_values, batch[1:samples + 1])
     reports = []
     for d, (i_vd, j_vd) in zip(d_values, energies):
         bounds = energy_bounds_ine(setup, d)

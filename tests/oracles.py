@@ -105,7 +105,7 @@ def legendre_transform(value_fn, s: float, t_hi: float = 1e6) -> float:
     is limited by the refinement tolerance, roughly 1e-9 relative.
     """
     ts = np.concatenate([[0.0], np.geomspace(1e-9, t_hi, 4001)])
-    gains = s * ts - np.array([value_fn(t) for t in ts])
+    gains = s * ts - np.asarray(value_fn(ts), dtype=float)
     i = int(np.argmax(gains))
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, len(ts) - 1)]

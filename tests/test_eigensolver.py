@@ -440,11 +440,11 @@ def test_free_descent_stops_at_a_critical_point_of_the_free_energy():
 
 
 # ---------------------------------------------------------------------------
-# the banded LU kernel of the tangent stiffness
+# the banded kernels of the tangent stiffness: Cholesky unshifted, LU shifted
 
-def _tangent_case(cfg):
+def _tangent_case(cfg, phi=ol.Power(3.0)):
     from orlicz_lab.eigensolver import _tangent_tensor
-    setup = build_setup(ol.Power(3.0), ol.Power(2.0), cfg)
+    setup = build_setup(phi, ol.Power(2.0), cfg)
     pat = setup.dom.stiffness_pattern
     u = ol.smooth_candidates(setup.dom, 2, seed=5)[1]
     dense = _stiffness_matrix(
@@ -487,6 +487,87 @@ def test_tangent_solves_match_dense(cfg):
                     np.linalg.solve(shifted, rhs)) <= 1e-10
 
 
+_KERNEL_CFGS = [_interval(65), _unit_box(17),
+                {"shape": "disc", "n": 21, "extent": [1.0]}]
+_KERNEL_IDS = ["interval65", "box17", "disc21"]
+
+
+@pytest.mark.parametrize("case", ["cholesky", "lu", "woodbury"])
+@pytest.mark.parametrize("cfg", _KERNEL_CFGS, ids=_KERNEL_IDS)
+def test_tangent_direction_matches_dense(cfg, case):
+    from orlicz_lab.eigensolver import _Tangent, _penalty_rows
+    setup, u, dense = _tangent_case(cfg)
+    dom = setup.dom
+    idx = dom.stiffness_pattern.idx
+    size = dense.shape[0]
+    rng = np.random.default_rng(13)
+    rho = random_zero_trace(dom, rng).values * dom.interior
+    shift, rows = None, None
+    if case == "lu":
+        # halfway between two low eigenvalues: indefinite
+        ev = np.linalg.eigvalsh(dense)
+        shift = np.full(size, 0.5 * (ev[size // 4] + ev[size // 4 + 1]))
+        dense = dense - np.diag(shift)
+    elif case == "woodbury":
+        anchors = []
+        for _ in range(2):
+            a = random_zero_trace(dom, rng).values * dom.interior
+            anchors.append((a, float(np.sum(dom.node_qw * a * a))))
+        rows = _penalty_rows(dom, anchors, 3.0)
+        dense = dense + rows.T @ rows
+    want = np.linalg.solve(dense, (dom.node_qw * rho).ravel()[idx])
+    tangent = _Tangent(setup, rows)
+    got = tangent.direction(u, rho, shift)
+    assert _rel_err(got.ravel()[idx], want) <= 1e-10
+    assert np.all(got[~dom.interior] == 0.0)
+    # the kernel follows from whether a shift is given: the Cholesky
+    # factor carries no pivots
+    assert (tangent._piv is None) == (shift is None)
+
+
+@pytest.mark.parametrize("cfg", _KERNEL_CFGS, ids=_KERNEL_IDS)
+def test_symmetric_band_positions_hold_the_lower_triangle(cfg):
+    setup, _, dense = _tangent_case(cfg)
+    pat = setup.dom.stiffness_pattern
+    # distinct entry values show that each entry lands in its own place
+    distinct = _stiffness_matrix(pat, np.arange(1.0, pat.rows.size + 1.0))
+    size, k = pat.idx.size, pat.bandwidth
+    for values in (dense, distinct.toarray()):
+        entries = values[pat.rows, pat.cols]
+        band = np.zeros((size, k + 1))  # row j is band column j
+        band.ravel()[pat.sym_band] = entries[pat.lower]
+        back = np.zeros((size, size))
+        for r in range(k + 1):
+            j = np.arange(size - r)
+            back[j + r, j] = band[j, r]
+            # past the last row the band stays empty
+            assert np.all(band[size - r:, r] == 0.0)
+        assert np.array_equal(back, np.tril(values))
+
+
+def test_quadratic_tangent_switches_kernel_with_the_shift():
+    # the held factor is reused only for the same kernel, also when the
+    # unshifted tangent is constant and the shift is zero
+    from orlicz_lab.eigensolver import _Tangent
+    setup, u, dense = _tangent_case(_unit_box(17), ol.Power(2.0))
+    dom = setup.dom
+    pat = dom.stiffness_pattern
+    size = dense.shape[0]
+    rho = random_zero_trace(dom, np.random.default_rng(3)).values \
+        * dom.interior
+    rhs = (dom.node_qw * rho).ravel()[pat.idx]
+    # the lowest eigenvalue is simple, the next is double on the square
+    ev = np.linalg.eigvalsh(dense)
+    indefinite = np.full(size, 0.5 * (ev[0] + ev[1]))
+    tangent = _Tangent(setup)
+    for shift in (None, np.zeros(size), None, indefinite, None):
+        matrix = dense if shift is None else dense - np.diag(shift)
+        got = tangent.direction(u, rho, shift)
+        assert _rel_err(got.ravel()[pat.idx],
+                        np.linalg.solve(matrix, rhs)) <= 1e-10
+        assert (tangent._piv is None) == (shift is None)
+
+
 def test_zero_tangent_raises_runtime_error(monkeypatch):
     # the solver loops catch RuntimeError as a singular linearization
     from orlicz_lab import eigensolver
@@ -494,8 +575,25 @@ def test_zero_tangent_raises_runtime_error(monkeypatch):
     monkeypatch.setattr(
         eigensolver, "_tangent_tensor",
         lambda s, values: np.zeros((2, 2, (s.dom.n - 1) ** 2)))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="dpbtrf"):
         eigensolver._Tangent(setup).factor(u)
+    with pytest.raises(RuntimeError, match="dgbtrf"):
+        eigensolver._Tangent(setup).factor(
+            u, shift=np.zeros(setup.dom.stiffness_pattern.idx.size))
+
+
+def test_indefinite_unshifted_tangent_raises_runtime_error(monkeypatch):
+    # a non-positive Cholesky pivot follows the zero LU pivot's contract,
+    # while the LU of the same matrix succeeds
+    from orlicz_lab import eigensolver
+    setup, u, _ = _tangent_case(_unit_box(9))
+    real = eigensolver._tangent_tensor
+    monkeypatch.setattr(eigensolver, "_tangent_tensor",
+                        lambda s, values: -real(s, values))
+    with pytest.raises(RuntimeError, match="dpbtrf"):
+        eigensolver._Tangent(setup).factor(u)
+    eigensolver._Tangent(setup).factor(
+        u, shift=np.zeros(setup.dom.stiffness_pattern.idx.size))
 
 
 def _count_factorizations(monkeypatch):
@@ -505,9 +603,9 @@ def _count_factorizations(monkeypatch):
     factor = _Tangent.factor
 
     def counted(self, *args, **kwargs):
-        before = self._lu
+        before = self._fac
         factor(self, *args, **kwargs)
-        made.append(self._lu is not before)
+        made.append(self._fac is not before)
 
     monkeypatch.setattr(_Tangent, "factor", counted)
     return made
@@ -531,3 +629,39 @@ def test_cubic_box_solve_factors_once_per_iteration(monkeypatch):
     pair = ol.minimize_on_level(setup, 1.0, opts=ol.SolverOptions(tol=1e-8))
     assert pair.iterations == 6
     assert sum(made) == 6
+
+
+def test_quadratic_ladder_tangent_factors_once_per_solve(monkeypatch):
+    # for Phi = t^2/2 the unshifted tangent does not depend on u: each
+    # solve assembles and factors it once, and every later call returns at
+    # once; the polisher's shifted systems refactor as before
+    from orlicz_lab import eigensolver
+    factor, tensor = eigensolver._Tangent.factor, eigensolver._tangent_tensor
+    made, assembled, current = {}, {}, []
+
+    def counted_factor(self, values, shift=None):
+        key = (self, shift is None)  # keeps the instance alive
+        current.append(key)
+        before = self._fac
+        try:
+            factor(self, values, shift)
+        finally:
+            current.pop()
+        made[key] = made.get(key, 0) + (self._fac is not before)
+
+    def counted_tensor(setup, values):
+        if current:
+            assembled[current[-1]] = assembled.get(current[-1], 0) + 1
+        return tensor(setup, values)
+
+    monkeypatch.setattr(eigensolver._Tangent, "factor", counted_factor)
+    monkeypatch.setattr(eigensolver, "_tangent_tensor", counted_tensor)
+    setup = build_setup(ol.Power(2.0), ol.Power(2.0), _unit_box(21))
+    levels = ol.ls_sequence(setup, 1.0, 3)
+    unshifted = [key for key in made if key[1]]
+    assert unshifted and any(not key[1] for key in made)
+    assert all(made[key] == 1 and assembled[key] == 1 for key in unshifted)
+    # the same multipliers, bit for bit, as with one LU kernel for every
+    # system and an assembled comparison on every call
+    assert [lv.pair.lam for lv in levels] == [
+        19.698655047779635, 49.004114487766955, 49.004114487766955]

@@ -368,6 +368,27 @@ def test_grid_search_draws_the_shell_batch_once(monkeypatch):
         assert sup_j == row.sup_J_r
 
 
+@pytest.mark.parametrize("samples", [16, 30])
+def test_grid_search_draws_one_batch_for_c1_and_the_shells(monkeypatch,
+                                                          samples):
+    # c1 takes the first 24 fields of the draw and the shells rows 1 to
+    # samples, so both read the values of their own seeded draws
+    setup = small_disc(n=33)
+    want_c1 = ol.poincare_estimate(setup, 24, seed=3)
+    want_sup = ol.lambda_interval(setup, D_REF, R_REF, samples=samples,
+                                  seed=3)[2]
+    calls = []
+    draw = region.smooth_candidates
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return draw(*args, **kwargs)
+    monkeypatch.setattr(region, "smooth_candidates", counted)
+    rep, = ol.grid_search(setup, [D_REF], [R_REF], samples=samples, seed=3)
+    assert calls == [max(24, samples + 1)]
+    assert rep.c1 == want_c1 and rep.sup_J_r == want_sup
+
+
 def test_grid_search_validates_every_pair_before_any_work(disc_reference,
                                                           monkeypatch):
     setup = disc_reference
