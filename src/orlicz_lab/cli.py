@@ -30,8 +30,8 @@ from .norms import (GridDomain, GridFunction, WeightField, domain_from_config,
                     gradient_norm, load_values_csv, luxemburg_norm,
                     sobolev_norm)
 from .region import REPORT_COLUMNS, format_report, grid_search, report_row
-from .util import (BOOL, PATH, POSITIVE, REAL, REALS, SECTION,
-                   ConfigKind, config_values, count)
+from .util import (PATH, POSITIVE, REAL, REALS, SECTION, ConfigKind,
+                   config_values, count)
 from .young import (catalog, check_delta2, dominates_essentially,
                     from_config, simonenko_indices, sqrt_convexity_holds)
 
@@ -57,7 +57,6 @@ _TOP = {
 _SOLVER = {
     "tol": (POSITIVE, 1e-8),
     "max_iter": (count(0), 100_000),
-    "onesigned": (BOOL, True),
 }
 # per command: the top-level sections it needs, and the table of its own
 # section

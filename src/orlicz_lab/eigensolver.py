@@ -80,7 +80,6 @@ class SolverOptions:
 
     tol: float = 1e-8
     max_iter: int = 100_000
-    onesigned: bool = True
 
 
 # Armijo sufficient-decrease constant and step factor of the line searches
@@ -340,21 +339,34 @@ def _descend(setup: EnergySetup, alpha: float | None, init: GridFunction,
     through the Woodbury identity on the stiffness's factorization.
     Without it the full step overshoots along the anchors and the line
     search backtracks.
+
+    The start and every trial go through one point evaluator; an accepted
+    trial's values are the next iterate's, so the loop head adds only the
+    Gateaux pair and the multiplier.
     """
     dom = setup.dom
     free = alpha is None
-    u = init if free else project_to_level(setup, init, alpha)
     penalized = bool(anchors) and mu != 0.0
     tangent = _Tangent(setup, _penalty_rows(dom, anchors, mu)
                        if penalized else None)
     idx = tangent.pat.idx
+
+    def point(v):
+        """(merit, projected point, I, energy, penalty density) at v."""
+        if not free:
+            v = project_to_level(setup, v, alpha)
+        level = energy_I(setup, v)
+        energy = level - lam0 * energy_J(setup, v) if free else level
+        pen, pen_dens = _penalty_density(dom, v.values, anchors, mu)
+        return energy + pen, v, level, energy, pen_dens
+
+    merit, u, level, energy, pen_dens = point(init)
     hist = []
     iters = 0
     lam = lam0
     for iters in range(opts.max_iter + 1):
         f_i = gateaux_I(setup, u)
         f_j = gateaux_J(setup, u)
-        pen, pen_dens = _penalty_density(dom, u.values, anchors, mu)
         if not free:
             # the multiplier must project out the full merit gradient, or
             # the stop test can never fire at a penalized stationary point
@@ -363,8 +375,6 @@ def _descend(setup: EnergySetup, alpha: float | None, init: GridFunction,
             lam = num / f_j.pairing(u)
         res_fun = f_i.combine(f_j, -lam)
         rho = np.where(dom.interior, res_fun.density + pen_dens, 0.0)
-        level = energy_I(setup, u)
-        energy = level - lam0 * energy_J(setup, u) if free else level
         res = dual_norm(setup, DualGridFunction(dom, rho))
         hist.append(res)
         if res <= opts.tol * (1.0 + abs(energy)):
@@ -385,18 +395,11 @@ def _descend(setup: EnergySetup, alpha: float | None, init: GridFunction,
         else:
             direction = rho
             slope = -_qw_dot(dom, rho, rho)
-        merit = energy + pen
         step = 1.0
         for _ in range(60):
-            trial = GridFunction(dom, u.values - step * direction)
-            if not free:
-                trial = project_to_level(setup, trial, alpha)
-            t_energy = energy_I(setup, trial)
-            if free:
-                t_energy -= lam0 * energy_J(setup, trial)
-            t_pen, _ = _penalty_density(dom, trial.values, anchors, mu)
-            if t_energy + t_pen <= merit + _ARMIJO_C1 * step * slope:
-                u = trial
+            trial = point(GridFunction(dom, u.values - step * direction))
+            if trial[0] <= merit + _ARMIJO_C1 * step * slope:
+                merit, u, level, energy, pen_dens = trial
                 break
             step *= _BACKTRACK
         else:
@@ -421,37 +424,42 @@ def _newton_polish(setup: EnergySetup, alpha: float, init: GridFunction,
     the exact diagonal ``qw * w1 * psi'(|u|)`` for that of ``J``.  Steps
     must shrink the algebraic residual square, so the iteration cannot
     slide off a sign-changing saddle toward the ground state the way plain
-    energy descent does.  Returns ``(pair, converged)``.
+    energy descent does.  The start and every trial go through one point
+    evaluator; an accepted trial's values are the next iterate's, so the
+    loop head adds only ``I`` and the dual norm.  Returns
+    ``(pair, converged)``.
     """
     dom = setup.dom
-    u = project_to_level(setup, init, alpha)
-    lam = rayleigh_multiplier(setup, u)
     tangent = _Tangent(setup)
     idx = tangent.pat.idx
+
+    def point(v, lam_v):
+        """(merit, point, multiplier, J', residual functional, level gap)
+        at v with multiplier lam_v."""
+        f_j = gateaux_J(setup, v)
+        res_fun = gateaux_I(setup, v).combine(f_j, -lam_v)
+        f_vec = (dom.node_qw * res_fun.density).ravel()[idx]
+        jgap = energy_J(setup, v) - alpha
+        return float(f_vec @ f_vec) + jgap * jgap, v, lam_v, f_j, res_fun, jgap
+
+    u = project_to_level(setup, init, alpha)
+    merit, u, lam, f_j, res_fun, jgap = point(u, rayleigh_multiplier(setup, u))
     hist = []
     iters = 0
     for iters in range(opts.max_iter + 1):
-        f_i = gateaux_I(setup, u)
-        f_j = gateaux_J(setup, u)
-        res_fun = f_i.combine(f_j, -lam)
-        rho = np.where(dom.interior, res_fun.density, 0.0)
         level = energy_I(setup, u)
-        res = dual_norm(setup, DualGridFunction(dom, rho))
+        res = dual_norm(setup, res_fun)
         hist.append(res)
-        jgap = energy_J(setup, u) - alpha
         if res <= opts.tol * (1.0 + level) and abs(jgap) <= 1e-9 * alpha:
-            pair = EigenPair(lam, u, alpha + jgap, level,
-                             dual_norm(setup, res_fun), iters)
-            return pair, True
+            return EigenPair(lam, u, alpha + jgap, level, res, iters), True
         if iters == opts.max_iter:
             break
         bdiag = _reaction_curvature(setup, u.values).ravel()[idx]
         bvec = (dom.node_qw * f_j.density).ravel()[idx]
-        f_vec = (dom.node_qw * rho).ravel()[idx]
+        f_vec = (dom.node_qw * res_fun.density).ravel()[idx]
         try:
             tangent.factor(u.values, shift=lam * bdiag)
-            k_f = tangent.solve(f_vec)
-            k_b = tangent.solve(bvec)
+            k_f, k_b = tangent.solve(np.column_stack([f_vec, bvec])).T
         except RuntimeError:
             break  # singular linearization
         denom = float(bvec @ k_b)
@@ -461,27 +469,17 @@ def _newton_polish(setup: EnergySetup, alpha: float, init: GridFunction,
         du = -k_f + dlam * k_b
         if not np.all(np.isfinite(du)):
             break
-        merit = float(f_vec @ f_vec) + jgap * jgap
         t = 1.0
-        accepted = False
         for _ in range(30):
             flat = u.values.ravel().copy()
             flat[idx] += t * du
-            u_try = GridFunction(dom, flat.reshape(dom.node_shape))
-            lam_try = lam + t * dlam
-            fi_t = gateaux_I(setup, u_try)
-            fj_t = gateaux_J(setup, u_try)
-            rho_t = np.where(dom.interior,
-                             fi_t.density - lam_try * fj_t.density, 0.0)
-            f_t = (dom.node_qw * rho_t).ravel()[idx]
-            jgap_t = energy_J(setup, u_try) - alpha
-            if float(f_t @ f_t) + jgap_t * jgap_t \
-                    <= (1.0 - _ARMIJO_C1 * t) * merit:
-                u, lam = u_try, lam_try
-                accepted = True
+            trial = point(GridFunction(dom, flat.reshape(dom.node_shape)),
+                          lam + t * dlam)
+            if trial[0] <= (1.0 - _ARMIJO_C1 * t) * merit:
+                merit, u, lam, f_j, res_fun, jgap = trial
                 break
             t *= _BACKTRACK
-        if not accepted:
+        else:
             break
     try:
         lam_fin = rayleigh_multiplier(setup, u)
@@ -496,11 +494,11 @@ def minimize_on_level(setup: EnergySetup, alpha: float,
     """Solve the level-constrained minimization and certify the eigenpair.
 
     Descends from ``init`` (default: the one-signed bump) until the dual
-    norm of the projected gradient drops below ``tol * (1 + I(u))``.  With
-    ``opts.onesigned`` the minimizer is replaced by its absolute value,
-    which leaves ``J`` unchanged, and re-polished if that bumps the
-    residual.  Raises :class:`NonConvergenceError` with the last iterate
-    and residual history when the budget runs out.
+    norm of the projected gradient drops below ``tol * (1 + I(u))``.  The
+    minimizer is then replaced by its absolute value, which leaves ``J``
+    unchanged, and re-polished if that bumps the residual.  Raises
+    :class:`NonConvergenceError` with the last iterate and residual
+    history when the budget runs out.
     """
     if alpha <= 0:
         raise DomainError("level alpha must be positive")
@@ -509,7 +507,7 @@ def minimize_on_level(setup: EnergySetup, alpha: float,
     if init is None:
         init = default_init(setup.dom)
     pair, ok = _descend(setup, alpha, init, opts)
-    if ok and opts.onesigned and np.any(pair.u.values < 0):
+    if ok and np.any(pair.u.values < 0):
         flipped = GridFunction(setup.dom, np.abs(pair.u.values))
         cand = _pair(setup, flipped, rayleigh_multiplier(setup, flipped),
                      pair.iterations)
@@ -555,24 +553,18 @@ def _subinterval_pair(setup: EnergySetup, j: int, k: int, level: float,
 
 def _ls_1d(setup: EnergySetup, alpha: float, k_max: int,
            opts: SolverOptions) -> list:
+    """Rungs 2..k_max as ``(pair, reliable)``, polished from glued bumps."""
     out = []
-    for k in range(1, k_max + 1):
-        reliable = True
-        if k == 1:
-            pair = minimize_on_level(setup, alpha, opts=opts)
-        else:
-            pieces = [_subinterval_pair(setup, j, k, alpha / k, opts)
-                      for j in range(k)]
-            glued = np.zeros(setup.dom.n)
-            for j, piece in enumerate(pieces):
-                glued += (-1.0) ** j * piece
-            init = GridFunction(setup.dom, glued)
-            # the glue is near a sign-changing saddle, so relax with the
-            # saddle-capable polisher, not with energy descent
-            pair, reliable = _newton_polish(setup, alpha, init, opts)
-        scaled = scale_to_energy_level(setup, pair.u, alpha)
-        out.append(LSLevel(k, energy_J(setup, scaled), pair, "nodal-1d",
-                           reliable=reliable))
+    for k in range(2, k_max + 1):
+        pieces = [_subinterval_pair(setup, j, k, alpha / k, opts)
+                  for j in range(k)]
+        glued = np.zeros(setup.dom.n)
+        for j, piece in enumerate(pieces):
+            glued += (-1.0) ** j * piece
+        init = GridFunction(setup.dom, glued)
+        # the glue is near a sign-changing saddle, so relax with the
+        # saddle-capable polisher, not with energy descent
+        out.append(_newton_polish(setup, alpha, init, opts))
     return out
 
 
@@ -590,17 +582,14 @@ def _overlap(dom: GridDomain, a: np.ndarray, b: np.ndarray) -> float:
     return abs(_qw_dot(dom, a, b)) / (na * nb)
 
 
-def _ls_2d(setup: EnergySetup, alpha: float, k_max: int,
+def _ls_2d(setup: EnergySetup, alpha: float, k_max: int, first: EigenPair,
            opts: SolverOptions) -> list:
+    """Rungs 2..k_max as ``(pair, reliable)``, polished from penalized
+    multi-start descents against the pairs found so far."""
     dom = setup.dom
     out = []
-    found = []
-    first = minimize_on_level(setup, alpha, opts=opts)
-    out.append(LSLevel(1, energy_J(
-        setup, scale_to_energy_level(setup, first.u, alpha)),
-        first, "deflation-2d"))
-    found.append((first.u.values, _qw_dot(dom, first.u.values,
-                                          first.u.values)))
+    prev = first
+    found = [(first.u.values, _qw_dot(dom, first.u.values, first.u.values))]
     cands = smooth_candidates(dom, _LS_STARTS, _LS_SEED + 1)
     # exploration only has to land in the right basin, so it runs coarse
     # and capped; certification happens in the polish
@@ -611,7 +600,7 @@ def _ls_2d(setup: EnergySetup, alpha: float, k_max: int,
         best = None
         # the penalty has to dominate the spectral gap, which scales with
         # the energies themselves; escalate when every start collapses
-        mu0 = 10.0 * (1.0 + out[-1].pair.level)
+        mu0 = 10.0 * (1.0 + prev.level)
         for boost in (1.0, 10.0, 100.0):
             for c in cands:
                 tilt = c * np.sign(rng.standard_normal(dom.node_shape)
@@ -637,15 +626,12 @@ def _ls_2d(setup: EnergySetup, alpha: float, k_max: int,
                 break
         if best is None:
             # deflation failed to separate; fall back to the previous pair
-            prev = out[-1].pair
-            out.append(LSLevel(k, out[-1].c_k_alpha, prev,
-                               "deflation-2d", reliable=False))
+            out.append((prev, False))
             continue
         found.append((best.u.values, _qw_dot(dom, best.u.values,
                                              best.u.values)))
-        out.append(LSLevel(k, energy_J(
-            setup, scale_to_energy_level(setup, best.u, alpha)),
-            best, "deflation-2d"))
+        out.append((best, True))
+        prev = best
     return out
 
 
@@ -665,9 +651,16 @@ def ls_sequence(setup: EnergySetup, alpha: float, k_max: int,
         raise DomainError("level alpha must be positive")
     if opts is None:
         opts = SolverOptions()
+    first = minimize_on_level(setup, alpha, opts=opts)
     if setup.dom.ndim == 1:
-        return _ls_1d(setup, alpha, k_max, opts)
-    return _ls_2d(setup, alpha, k_max, opts)
+        method, rest = "nodal-1d", _ls_1d(setup, alpha, k_max, opts)
+    else:
+        method, rest = "deflation-2d", _ls_2d(setup, alpha, k_max, first,
+                                              opts)
+    rungs = [(first, True)] + rest
+    return [LSLevel(k, energy_J(setup, scale_to_energy_level(
+                        setup, pair.u, alpha)), pair, method, reliable)
+            for k, (pair, reliable) in enumerate(rungs, 1)]
 
 
 def spectrum_sweep(setup: EnergySetup, alphas,

@@ -358,7 +358,6 @@ def one_of(*names: str) -> ConfigKind:
 REAL = ConfigKind("a finite number", _finite)
 POSITIVE = ConfigKind("a positive finite number", _positive)
 REALS = ConfigKind("a nonempty list of finite numbers", _finite_list)
-BOOL = ConfigKind("true or false", _of_type(bool))
 PATH = ConfigKind("a path string", _of_type(str))
 # a section that its own reader walks with its own table
 SECTION = ConfigKind("a mapping", _of_type(dict))

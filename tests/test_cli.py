@@ -525,11 +525,6 @@ _MALFORMED_NUMBER = st.one_of(
     st.tuples(st.sampled_from(["eig", "spectrum"]), st.just("solver"),
               st.just("max_iter"),
               st.one_of(_NOT_AN_INTEGER, st.integers(-10 ** 6, -1))),
-    st.tuples(st.sampled_from(["eig", "spectrum"]), st.just("solver"),
-              st.just("onesigned"),
-              st.one_of(st.none(), _WORD, _MAPPING, st.integers(-3, 3),
-                        st.sampled_from(["true", "false"]),
-                        st.lists(st.booleans(), max_size=2))),
     st.tuples(st.just("eig"), st.just("eig"), st.just("alpha"),
               st.one_of(_BAD_REAL, _NONPOSITIVE)),
     st.tuples(st.just("spectrum"), st.just("spectrum"), st.just("alphas"),
@@ -606,6 +601,8 @@ def test_number_config_fuzz_exits_2(tmp_path, case):
     ("region", ("region", "samples"), True, "region samples must"),
     ("region", ("region", "starts"), True, "region starts must"),
     ("region", ("region", "starts"), -1, "region starts must"),
+    # every minimizer is flipped to |u|; there is no switch for it
+    ("eig", ("solver", "onesigned"), True, "['onesigned'] in solver"),
 ])
 def test_malformed_entry_exits_2_naming_its_key(tmp_path, monkeypatch,
                                                 command, path, value, needle):

@@ -234,6 +234,23 @@ def test_ls_sequence_powersum_second_rung_certified():
     assert _nodal_domains(rung.pair.u.values) == 2
 
 
+def test_ls_2d_unseparated_rung_repeats_the_previous_one(monkeypatch):
+    # with every polish failed no start separates, so rung 2 falls back
+    # to rung 1: the same pair and the same level, flagged unreliable
+    from orlicz_lab import eigensolver
+
+    def failed(setup, alpha, init, opts):
+        return ol.EigenPair(0.0, init, alpha, 0.0, math.inf, 0), False
+
+    monkeypatch.setattr(eigensolver, "_newton_polish", failed)
+    setup = build_setup(ol.Power(2.0), ol.Power(2.0), _unit_box(11))
+    first, second = ol.ls_sequence(setup, 1.0, 2)
+    assert first.reliable and not second.reliable
+    assert second.method == first.method == "deflation-2d"
+    assert second.pair is first.pair
+    assert second.c_k_alpha == first.c_k_alpha
+
+
 # ---------------------------------------------------------------------------
 # level sweeps
 
@@ -437,6 +454,48 @@ def test_free_descent_stops_at_a_critical_point_of_the_free_energy():
     res = ol.residual(setup, pair)
     assert res == pair.residual
     assert res <= tol * (1.0 + abs(free))
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls of each named function in the eigensolver."""
+    from orlicz_lab import eigensolver
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, inner):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(eigensolver, name,
+                            counted(name, getattr(eigensolver, name)))
+    return calls
+
+
+def test_descent_evaluates_each_iterate_once(monkeypatch):
+    # the accepted trial's energy is the next iterate's, so I is taken
+    # once per projected point and never again at the loop head
+    from orlicz_lab import eigensolver
+    calls = _count_calls(monkeypatch, "energy_I", "project_to_level")
+    setup = build_setup(ol.Power(3.0), ol.Power(2.0), _unit_box(33))
+    pair, ok = eigensolver._descend(setup, 1.0, ol.default_init(setup.dom),
+                                    ol.SolverOptions())
+    assert ok and pair.iterations == 6
+    assert calls == {"energy_I": 7, "project_to_level": 7}
+
+
+def test_polish_evaluates_each_iterate_once(monkeypatch):
+    # one evaluation for the start and one per accepted full step; the
+    # extra I' is the start's Rayleigh multiplier
+    from orlicz_lab import eigensolver
+    calls = _count_calls(monkeypatch, "gateaux_I", "energy_J")
+    setup = build_setup(ol.Power(3.0), ol.Power(2.0), _unit_box(17))
+    pair, ok = eigensolver._newton_polish(
+        setup, 1.0, ol.default_init(setup.dom), ol.SolverOptions())
+    assert ok and pair.iterations > 1
+    assert calls == {"gateaux_I": pair.iterations + 2,
+                     "energy_J": pair.iterations + 1}
 
 
 # ---------------------------------------------------------------------------
