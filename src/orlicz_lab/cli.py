@@ -262,10 +262,11 @@ def cmd_eig(cfg: dict, body: dict) -> tuple:
     print(f"alpha={pair.alpha:g}: lambda = {pair.lam:.8g}  "
           f"I(u) = {pair.level:.8g}  residual {pair.residual:.3e}  "
           f"({pair.iterations} iterations)")
+    # the solver's work counts go to the summary only, never to the CSV
     return (_PAIR_COLUMNS, [_pair_row(pair)],
             {"alpha": pair.alpha, "lambda": pair.lam,
              "level_I": pair.level, "residual": pair.residual,
-             "iterations": pair.iterations}, 0)
+             "iterations": pair.iterations, "stats": dict(pair.stats)}, 0)
 
 
 def _sweep_levels(body: dict, given) -> list:

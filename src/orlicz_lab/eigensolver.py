@@ -15,6 +15,16 @@ on ``I - lambda J`` for the critical-point probe of the region module.  The
 other solver loop is the ladder's damped Newton polisher, which also
 converges to saddles.
 
+Both loops evaluate the start and every line-search trial as one point
+record (:class:`_Point`) on raw nodal arrays, through the kernels behind
+the public functions of :mod:`functionals`: the cell gradient is taken
+and checked finite once per point and shared by ``I``, ``I'`` and the
+tangent, and an accepted trial's record is the next iterate.  No
+``GridFunction`` or ``DualGridFunction`` is built inside the loops, only
+for the returned :class:`EigenPair`, whose ``stats`` count the work where
+it happens: iterations, trials, projections, evaluations of ``I``, ``J``,
+``I'`` and ``J'``, factorizations done and reused, and solves.
+
 The tangent stiffness is the second variation of ``I`` with its radial
 curvature ``phi'(t)`` raised to the secant slope ``phi(t)/t`` where it
 falls below it.  That keeps the matrix symmetric positive definite for
@@ -46,16 +56,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .functionals import (DualGridFunction, EnergySetup, dual_norm, energy_I,
-                          energy_J, gateaux_I, gateaux_J, project_to_level,
-                          scale_to_energy_level)
-from .norms import (GridDomain, GridFunction, WeightField,
-                    gradient_components, gradient_magnitude,
-                    smooth_candidates)
+from .functionals import (EnergySetup, energy_J, scale_to_energy_level,
+                          _check_member, _dual_norm, _energy_I, _energy_J,
+                          _gateaux_I, _gateaux_J, _gradient, _level_scale)
+from .norms import GridDomain, GridFunction, WeightField, smooth_candidates
 
 __all__ = [
     "SolverOptions",
@@ -93,6 +102,11 @@ class EigenPair:
 
     ``lam`` is the Rayleigh multiplier, ``level`` the diffusion energy
     ``I(u)``, ``residual`` the discrete dual norm of ``I'(u) - lam J'(u)``.
+    ``stats`` counts the work of the solve that produced the pair, as
+    counted by its loops (keys in ``STAT_KEYS``): iterations, line-search
+    trials, projections onto the level set, evaluations of ``I``, ``J``,
+    ``I'`` and ``J'``, tangent factorizations done and reused, and banded
+    solves.
     """
 
     lam: float
@@ -102,6 +116,7 @@ class EigenPair:
     residual: float
     iterations: int
     history: list = field(default_factory=list, repr=False)
+    stats: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -131,21 +146,88 @@ def default_init(dom: GridDomain) -> GridFunction:
 
 
 def _qw_dot(dom: GridDomain, a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(dom.node_qw * a * b))
+    return float((dom.node_qw * a * b).sum())
+
+
+# the counters of EigenPair.stats
+STAT_KEYS = ("iterations", "trials", "projections", "energy_I", "energy_J",
+             "gateaux_I", "gateaux_J", "factorizations", "factor_reuses",
+             "solves")
+
+
+def _new_stats() -> dict:
+    return dict.fromkeys(STAT_KEYS, 0)
+
+
+class _Point:
+    """One iterate or line-search trial of a solver loop, evaluated once.
+
+    Holds nodal ``values`` and their cell gradient ``grad``, which ``I``,
+    ``I'`` and the tangent stiffness share; it is taken, and checked
+    finite, at construction.  ``I``, ``J`` and the densities of ``I'``
+    and ``J'`` are evaluated the first time a loop asks for them, through
+    the kernels behind the public functions, and counted in ``stats``.
+    Given ``alpha``, the values are first scaled onto ``J = alpha``.
+    """
+
+    def __init__(self, setup: EnergySetup, values: np.ndarray, stats: dict,
+                 alpha: float | None = None):
+        if alpha is not None:
+            stats["projections"] += 1
+            values = _level_scale(setup, values, alpha) * values
+        self.setup, self.stats, self.values = setup, stats, values
+        self.grad = _gradient(setup.dom, values)
+
+    @cached_property
+    def level(self) -> float:
+        """``I``."""
+        self.stats["energy_I"] += 1
+        return _energy_I(self.setup, self.grad[1])
+
+    @cached_property
+    def reaction(self) -> float:
+        """``J``."""
+        self.stats["energy_J"] += 1
+        return _energy_J(self.setup, self.values)
+
+    @cached_property
+    def d_I(self) -> np.ndarray:
+        """Density of ``I'``."""
+        self.stats["gateaux_I"] += 1
+        return _gateaux_I(self.setup, *self.grad)
+
+    @cached_property
+    def d_J(self) -> np.ndarray:
+        """Density of ``J'``."""
+        self.stats["gateaux_J"] += 1
+        return _gateaux_J(self.setup, self.values)
+
+    def residual(self, lam: float) -> np.ndarray:
+        """Density of ``I' - lam J'``."""
+        return np.where(self.setup.dom.interior, self.d_I - lam * self.d_J,
+                        0.0)
+
+    def rayleigh(self) -> float:
+        """Multiplier ``<I', u> / <J', u>``."""
+        dom = self.setup.dom
+        den = _qw_dot(dom, self.d_J, self.values)
+        if den <= 0.0:
+            raise DomainError(
+                "multiplier undefined: <J'(u), u> is not positive")
+        return _qw_dot(dom, self.d_I, self.values) / den
 
 
 def rayleigh_multiplier(setup: EnergySetup, u: GridFunction) -> float:
     """Multiplier estimate ``<I'(u), u> / <J'(u), u>``; positive for u != 0."""
-    den = gateaux_J(setup, u).pairing(u)
-    if den <= 0.0:
-        raise DomainError("multiplier undefined: <J'(u), u> is not positive")
-    return gateaux_I(setup, u).pairing(u) / den
+    _check_member(setup, u)
+    return _Point(setup, u.values, _new_stats()).rayleigh()
 
 
 def residual(setup: EnergySetup, pair: EigenPair) -> float:
     """Weak-solution certificate: dual norm of ``I'(u) - lam J'(u)``."""
-    r = gateaux_I(setup, pair.u).combine(gateaux_J(setup, pair.u), -pair.lam)
-    return dual_norm(setup, r)
+    _check_member(setup, pair.u)
+    return _dual_norm(setup, _Point(setup, pair.u.values,
+                                    _new_stats()).residual(pair.lam))
 
 
 def _penalty_density(dom: GridDomain, values: np.ndarray, anchors, mu: float):
@@ -176,18 +258,19 @@ def _floored(mag: np.ndarray) -> np.ndarray:
     return np.maximum(mag, 1e-7 * max(float(np.max(mag)), 1e-30))
 
 
-def _tangent_tensor(setup: EnergySetup, values: np.ndarray) -> np.ndarray:
+def _tangent_tensor(setup: EnergySetup, grad) -> np.ndarray:
     """Per-cell tensor ``w cq (s Id + (max(phi', s) - s) e e^T)``.
 
     ``s = phi(t)/t`` and ``e = g/t`` with ``t`` the floored magnitude of
-    the cell gradient ``g``.  Where ``phi' >= s`` this is the second
-    variation of ``I``; elsewhere the radial curvature is raised to the
-    secant slope, so the tensor stays positive definite.  In 1D it reduces
-    to ``max(phi'(t), phi(t)/t)``.
+    the cell gradient ``g``, given as ``grad = (components, magnitudes)``.
+    Where ``phi' >= s`` this is the second variation of ``I``; elsewhere
+    the radial curvature is raised to the secant slope, so the tensor
+    stays positive definite.  In 1D it reduces to
+    ``max(phi'(t), phi(t)/t)``.
     """
     dom = setup.dom
-    comps = np.stack([c.ravel() for c in gradient_components(dom, values)])
-    t = _floored(gradient_magnitude(dom, values).ravel())
+    comps = np.stack([c.ravel() for c in grad[0]])
+    t = _floored(grad[1].ravel())
     phi = setup.phi
     # t is finite and positive: the Young functions are evaluated unchecked
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -226,37 +309,43 @@ class _Tangent:
     ``penalty_rows`` (the ``b_j`` of :func:`_penalty_rows`),
     :meth:`direction` solves with ``A + sum_j b_j b_j^T`` through the
     Sherman-Morrison-Woodbury identity on the factorization of ``A``,
-    keeping ``A^-1 B`` while the factorization is reused.
+    keeping ``A^-1 B`` and the small matrix ``Id + B^T A^-1 B`` while the
+    factorization is reused.  Factorizations done and reused, and solves,
+    are counted in ``stats``.
     """
 
-    def __init__(self, setup: EnergySetup, penalty_rows=None):
+    def __init__(self, setup: EnergySetup, penalty_rows=None, stats=None):
         self.setup = setup
         self.pat = setup.dom.stiffness_pattern
         self.rows = penalty_rows
+        self.stats = _new_stats() if stats is None else stats
         self._constant = setup.phi.indices() == (2.0, 2.0)
         self._data = None
         self._fac = None
         self._piv = None  # None with a Cholesky factor
-        self._kb = None
+        self._kb = self._small = None
 
-    def factor(self, values: np.ndarray, shift=None):
-        """Factor the tangent at ``values``, minus ``diag(shift)`` on the
-        interior when given; kept for :meth:`solve`."""
+    def factor(self, grad, shift=None):
+        """Factor the tangent at the cell gradient ``grad`` (components,
+        magnitudes), minus ``diag(shift)`` on the interior when given;
+        kept for :meth:`solve`."""
         cholesky = shift is None
         held = self._fac is not None and (self._piv is None) == cholesky
         if held and cholesky and self._constant:
+            self.stats["factor_reuses"] += 1
             return
         pat = self.pat
-        data = pat.assemble(_tangent_tensor(self.setup, values))
+        data = pat.assemble(_tangent_tensor(self.setup, grad))
         if not cholesky:
             data[pat.diag] -= shift
         if held and np.array_equal(data, self._data):
+            self.stats["factor_reuses"] += 1
             return
         # scipy.linalg loads with the first factorization, not with the
         # package
         from scipy.linalg import lapack
         # free the old factors first
-        self._fac = self._piv = self._data = self._kb = None
+        self._fac = self._piv = self._data = self._kb = self._small = None
         k = pat.bandwidth
         size = pat.idx.size
         # column-major band x size, factored in place
@@ -278,11 +367,13 @@ class _Tangent:
             raise RuntimeError(f"banded factorization failed "
                                f"({kernel} info {info})")
         self._fac, self._piv, self._data = fac, piv, data
+        self.stats["factorizations"] += 1
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``A^-1 rhs`` with the last factorization, for one right-hand
         side or a block of them in columns."""
         from scipy.linalg import lapack
+        self.stats["solves"] += 1
         if self._piv is None:
             x, info = lapack.dpbtrs(self._fac, rhs, lower=1)
         else:
@@ -292,37 +383,37 @@ class _Tangent:
             raise RuntimeError(f"banded solve failed (info {info})")
         return x
 
-    def direction(self, values: np.ndarray, rho: np.ndarray,
-                  shift=None) -> np.ndarray:
+    def direction(self, grad, rho: np.ndarray, shift=None) -> np.ndarray:
         """Solve ``A d = qw * rho`` on the interior, ``A`` the tangent at
-        ``values`` minus ``diag(shift)``, plus ``sum_j b_j b_j^T`` for
-        the penalty rows; nodal ``d``, zero trace."""
+        the cell gradient ``grad`` minus ``diag(shift)``, plus
+        ``sum_j b_j b_j^T`` for the penalty rows; nodal ``d``, zero
+        trace."""
         dom = self.setup.dom
         idx = self.pat.idx
-        self.factor(values, shift)
+        self.factor(grad, shift)
         d = self.solve((dom.node_qw * rho).ravel()[idx])
         if self.rows is not None:
             if self._kb is None:
                 self._kb = self.solve(self.rows.T)
-            small = np.eye(len(self.rows)) + self.rows @ self._kb
-            d -= self._kb @ np.linalg.solve(small, self.rows @ d)
+                self._small = np.eye(len(self.rows)) + self.rows @ self._kb
+            d -= self._kb @ np.linalg.solve(self._small, self.rows @ d)
         flat = np.zeros(dom.interior.size)
         flat[idx] = d
         return flat.reshape(dom.node_shape)
 
 
-def _pair(setup: EnergySetup, u: GridFunction, lam: float, iters: int,
-          history=()) -> EigenPair:
-    """The pair at ``u`` with multiplier ``lam``, certified afresh."""
-    return EigenPair(lam, u, energy_J(setup, u), energy_I(setup, u),
-                     dual_norm(setup, gateaux_I(setup, u).combine(
-                         gateaux_J(setup, u), -lam)),
-                     iters, list(history))
+def _pair(point: _Point, lam: float, iters: int, history=()) -> EigenPair:
+    """The pair at ``point`` with multiplier ``lam``, certified afresh."""
+    setup = point.setup
+    return EigenPair(lam, GridFunction(setup.dom, point.values),
+                     point.reaction, point.level,
+                     _dual_norm(setup, point.residual(lam)), iters,
+                     list(history), point.stats)
 
 
 def _descend(setup: EnergySetup, alpha: float | None, init: GridFunction,
              opts: SolverOptions, anchors=(), mu: float = 0.0,
-             lam0: float = 0.0):
+             lam0: float = 0.0, stats: dict | None = None):
     """Core preconditioned descent loop; returns (pair, converged).
 
     Minimizes ``I`` on ``J = alpha``, projecting the start and every trial
@@ -340,53 +431,52 @@ def _descend(setup: EnergySetup, alpha: float | None, init: GridFunction,
     Without it the full step overshoots along the anchors and the line
     search backtracks.
 
-    The start and every trial go through one point evaluator; an accepted
-    trial's values are the next iterate's, so the loop head adds only the
-    Gateaux pair and the multiplier.
+    The start and every trial are one :class:`_Point`; an accepted
+    trial's point is the next iterate, so the loop head adds only the
+    densities of ``I'`` and ``J'`` on its gradient and the multiplier.
+    The work is counted in ``stats`` (a fresh dict when not given), which
+    the returned pair carries.
     """
     dom = setup.dom
     free = alpha is None
+    stats = _new_stats() if stats is None else stats
     penalized = bool(anchors) and mu != 0.0
     tangent = _Tangent(setup, _penalty_rows(dom, anchors, mu)
-                       if penalized else None)
+                       if penalized else None, stats)
     idx = tangent.pat.idx
 
-    def point(v):
-        """(merit, projected point, I, energy, penalty density) at v."""
-        if not free:
-            v = project_to_level(setup, v, alpha)
-        level = energy_I(setup, v)
-        energy = level - lam0 * energy_J(setup, v) if free else level
-        pen, pen_dens = _penalty_density(dom, v.values, anchors, mu)
-        return energy + pen, v, level, energy, pen_dens
+    def point(values):
+        """(merit, point, energy, penalty density) at nodal values."""
+        p = _Point(setup, values, stats, alpha)
+        energy = p.level - lam0 * p.reaction if free else p.level
+        pen, pen_dens = _penalty_density(dom, p.values, anchors, mu)
+        return energy + pen, p, energy, pen_dens
 
-    merit, u, level, energy, pen_dens = point(init)
+    merit, u, energy, pen_dens = point(init.values)
     hist = []
     iters = 0
     lam = lam0
     for iters in range(opts.max_iter + 1):
-        f_i = gateaux_I(setup, u)
-        f_j = gateaux_J(setup, u)
         if not free:
             # the multiplier must project out the full merit gradient, or
             # the stop test can never fire at a penalized stationary point
-            num = f_i.pairing(u) + (_qw_dot(dom, pen_dens, u.values)
-                                    if penalized else 0.0)
-            lam = num / f_j.pairing(u)
-        res_fun = f_i.combine(f_j, -lam)
-        rho = np.where(dom.interior, res_fun.density + pen_dens, 0.0)
-        res = dual_norm(setup, DualGridFunction(dom, rho))
+            num = _qw_dot(dom, u.d_I, u.values) + (
+                _qw_dot(dom, pen_dens, u.values) if penalized else 0.0)
+            lam = num / _qw_dot(dom, u.d_J, u.values)
+        res_dens = u.residual(lam)
+        rho = np.where(dom.interior, res_dens + pen_dens, 0.0)
+        res = _dual_norm(setup, rho)
         hist.append(res)
         if res <= opts.tol * (1.0 + abs(energy)):
-            return EigenPair(lam, u, energy_J(setup, u), level,
-                             dual_norm(setup, res_fun), iters), True
+            stats["iterations"] += iters
+            return _pair(u, lam, iters), True
         if iters == opts.max_iter:
             break
         shifts = ((lam0 * _reaction_curvature(setup, u.values).ravel()[idx],
                    None) if free else (None,))
         for shift in shifts:
             try:
-                direction = tangent.direction(u.values, rho, shift)
+                direction = tangent.direction(u.grad, rho, shift)
             except RuntimeError:
                 continue  # singular free-energy tangent
             slope = -_qw_dot(dom, rho, direction)
@@ -397,9 +487,10 @@ def _descend(setup: EnergySetup, alpha: float | None, init: GridFunction,
             slope = -_qw_dot(dom, rho, rho)
         step = 1.0
         for _ in range(60):
-            trial = point(GridFunction(dom, u.values - step * direction))
+            stats["trials"] += 1
+            trial = point(u.values - step * direction)
             if trial[0] <= merit + _ARMIJO_C1 * step * slope:
-                merit, u, level, energy, pen_dens = trial
+                merit, u, energy, pen_dens = trial
                 break
             step *= _BACKTRACK
         else:
@@ -407,12 +498,13 @@ def _descend(setup: EnergySetup, alpha: float | None, init: GridFunction,
         if free and float(np.max(np.abs(u.values))) > 1e8:
             break  # free energy not coercive at this multiplier
     if not free:
-        lam = rayleigh_multiplier(setup, u)
-    return _pair(setup, u, lam, iters, hist[-50:]), False
+        lam = u.rayleigh()
+    stats["iterations"] += iters
+    return _pair(u, lam, iters, hist[-50:]), False
 
 
 def _newton_polish(setup: EnergySetup, alpha: float, init: GridFunction,
-                   opts: SolverOptions):
+                   opts: SolverOptions, stats: dict | None = None):
     """Converge to the critical point nearest to ``init``, saddles included.
 
     Damped Newton on the bordered stationarity system
@@ -424,41 +516,44 @@ def _newton_polish(setup: EnergySetup, alpha: float, init: GridFunction,
     the exact diagonal ``qw * w1 * psi'(|u|)`` for that of ``J``.  Steps
     must shrink the algebraic residual square, so the iteration cannot
     slide off a sign-changing saddle toward the ground state the way plain
-    energy descent does.  The start and every trial go through one point
-    evaluator; an accepted trial's values are the next iterate's, so the
-    loop head adds only ``I`` and the dual norm.  Returns
+    energy descent does.  The start and every trial are one
+    :class:`_Point`; an accepted trial's point and merit terms are the
+    next iterate's, so the loop head adds only ``I`` and the dual norm.
+    The work is counted in ``stats`` as in :func:`_descend`.  Returns
     ``(pair, converged)``.
     """
     dom = setup.dom
-    tangent = _Tangent(setup)
+    stats = _new_stats() if stats is None else stats
+    tangent = _Tangent(setup, stats=stats)
     idx = tangent.pat.idx
 
-    def point(v, lam_v):
-        """(merit, point, multiplier, J', residual functional, level gap)
-        at v with multiplier lam_v."""
-        f_j = gateaux_J(setup, v)
-        res_fun = gateaux_I(setup, v).combine(f_j, -lam_v)
-        f_vec = (dom.node_qw * res_fun.density).ravel()[idx]
-        jgap = energy_J(setup, v) - alpha
-        return float(f_vec @ f_vec) + jgap * jgap, v, lam_v, f_j, res_fun, jgap
+    def merit_at(p, lam_v):
+        """(merit, residual density, its interior weak form, level gap) at
+        point p with multiplier lam_v."""
+        res_dens = p.residual(lam_v)
+        f_vec = (dom.node_qw * res_dens).ravel()[idx]
+        jgap = p.reaction - alpha
+        return float(f_vec @ f_vec) + jgap * jgap, res_dens, f_vec, jgap
 
-    u = project_to_level(setup, init, alpha)
-    merit, u, lam, f_j, res_fun, jgap = point(u, rayleigh_multiplier(setup, u))
+    u = _Point(setup, init.values, stats, alpha)
+    lam = u.rayleigh()
+    merit, res_dens, f_vec, jgap = merit_at(u, lam)
     hist = []
     iters = 0
     for iters in range(opts.max_iter + 1):
-        level = energy_I(setup, u)
-        res = dual_norm(setup, res_fun)
+        level = u.level
+        res = _dual_norm(setup, res_dens)
         hist.append(res)
         if res <= opts.tol * (1.0 + level) and abs(jgap) <= 1e-9 * alpha:
-            return EigenPair(lam, u, alpha + jgap, level, res, iters), True
+            stats["iterations"] += iters
+            return EigenPair(lam, GridFunction(dom, u.values), alpha + jgap,
+                             level, res, iters, stats=stats), True
         if iters == opts.max_iter:
             break
         bdiag = _reaction_curvature(setup, u.values).ravel()[idx]
-        bvec = (dom.node_qw * f_j.density).ravel()[idx]
-        f_vec = (dom.node_qw * res_fun.density).ravel()[idx]
+        bvec = (dom.node_qw * u.d_J).ravel()[idx]
         try:
-            tangent.factor(u.values, shift=lam * bdiag)
+            tangent.factor(u.grad, shift=lam * bdiag)
             k_f, k_b = tangent.solve(np.column_stack([f_vec, bvec])).T
         except RuntimeError:
             break  # singular linearization
@@ -471,21 +566,25 @@ def _newton_polish(setup: EnergySetup, alpha: float, init: GridFunction,
             break
         t = 1.0
         for _ in range(30):
+            stats["trials"] += 1
             flat = u.values.ravel().copy()
             flat[idx] += t * du
-            trial = point(GridFunction(dom, flat.reshape(dom.node_shape)),
-                          lam + t * dlam)
-            if trial[0] <= (1.0 - _ARMIJO_C1 * t) * merit:
-                merit, u, lam, f_j, res_fun, jgap = trial
+            trial = _Point(setup, flat.reshape(dom.node_shape), stats)
+            lam_t = lam + t * dlam
+            terms = merit_at(trial, lam_t)
+            if terms[0] <= (1.0 - _ARMIJO_C1 * t) * merit:
+                u, lam = trial, lam_t
+                merit, res_dens, f_vec, jgap = terms
                 break
             t *= _BACKTRACK
         else:
             break
     try:
-        lam_fin = rayleigh_multiplier(setup, u)
+        lam_fin = u.rayleigh()
     except DomainError:
         lam_fin = lam
-    return _pair(setup, u, lam_fin, iters, hist[-50:]), False
+    stats["iterations"] += iters
+    return _pair(u, lam_fin, iters, hist[-50:]), False
 
 
 def minimize_on_level(setup: EnergySetup, alpha: float,
@@ -496,7 +595,8 @@ def minimize_on_level(setup: EnergySetup, alpha: float,
     Descends from ``init`` (default: the one-signed bump) until the dual
     norm of the projected gradient drops below ``tol * (1 + I(u))``.  The
     minimizer is then replaced by its absolute value, which leaves ``J``
-    unchanged, and re-polished if that bumps the residual.  Raises
+    unchanged, and re-polished if that bumps the residual.  The pair's
+    ``stats`` count the work of every step.  Raises
     :class:`NonConvergenceError` with the last iterate and residual
     history when the budget runs out.
     """
@@ -506,15 +606,15 @@ def minimize_on_level(setup: EnergySetup, alpha: float,
         opts = SolverOptions()
     if init is None:
         init = default_init(setup.dom)
-    pair, ok = _descend(setup, alpha, init, opts)
+    stats = _new_stats()
+    pair, ok = _descend(setup, alpha, init, opts, stats=stats)
     if ok and np.any(pair.u.values < 0):
-        flipped = GridFunction(setup.dom, np.abs(pair.u.values))
-        cand = _pair(setup, flipped, rayleigh_multiplier(setup, flipped),
-                     pair.iterations)
+        flipped = _Point(setup, np.abs(pair.u.values), stats)
+        cand = _pair(flipped, flipped.rayleigh(), pair.iterations)
         if cand.residual <= opts.tol * (1.0 + cand.level):
             pair = cand
         else:
-            polish, ok2 = _descend(setup, alpha, flipped, opts)
+            polish, ok2 = _descend(setup, alpha, cand.u, opts, stats=stats)
             if ok2 and not np.any(polish.u.values < 0):
                 pair = polish
             # else: keep the signed certified minimizer
@@ -606,11 +706,14 @@ def _ls_2d(setup: EnergySetup, alpha: float, k_max: int, first: EigenPair,
                 tilt = c * np.sign(rng.standard_normal(dom.node_shape)
                                    + 0.5) if k > 2 else c
                 init = GridFunction(dom, tilt)
+                # one start's exploration and polish count as one solve
+                stats = _new_stats()
                 try:
                     pen_pair, _ = _descend(setup, alpha, init, explore,
-                                           anchors=found, mu=boost * mu0)
+                                           anchors=found, mu=boost * mu0,
+                                           stats=stats)
                     pair, ok = _newton_polish(setup, alpha, pen_pair.u,
-                                              relax)
+                                              relax, stats)
                     if not ok:
                         continue
                 except DomainError:

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import ConditionFailure, DomainError
 from .norms import (GridDomain, GridFunction, WeightField,
                     gradient_adjoint, gradient_components, gradient_magnitude,
-                    _check_finite, _modular, scale_to_modular)
+                    _cell_magnitude, _check_finite, _modular,
+                    scale_to_modular)
 from .util import invert_increasing
 from .young import YoungFunction, dominates_essentially, simonenko_indices
 
@@ -53,6 +54,15 @@ class DualGridFunction:
         self.domain = domain
         self.density = np.where(domain.interior, density, 0.0)
         self.density.setflags(write=False)
+
+    @classmethod
+    def _of(cls, domain: GridDomain, density: np.ndarray):
+        """The functional with a density already zero off the interior."""
+        out = cls.__new__(cls)
+        out.domain = domain
+        out.density = density
+        density.setflags(write=False)
+        return out
 
     def pairing(self, v) -> float:
         vals = v.values if isinstance(v, GridFunction) else np.asarray(v)
@@ -103,6 +113,7 @@ class EnergySetup:
         # evaluation and level scaling pairs against
         self.w_cell_qw = np.ravel(self.w_cells * dom.cell_qw)
         self.w1_node_qw = np.ravel(w1.values * dom.node_qw)
+        # Sobolev norms of the interior nodal hats, in row-major order
         self._basis_w = self._basis_norms()
 
     # -- basis Sobolev norms ----------------------------------------------
@@ -151,7 +162,7 @@ class EnergySetup:
             xi_grad[inter] = 1.0 / invert_increasing(
                 modular, np.ones_like(a), lo=fat / root2, hi=fat,
                 what=f"{self.phi.label()} basis norm")
-        return np.where(inter, xi_state + xi_grad, np.inf)
+        return (xi_state + xi_grad)[inter]
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return (f"<EnergySetup {self.phi.label()} / {self.psi.label()} "
@@ -164,27 +175,90 @@ def _check_member(setup: EnergySetup, u: GridFunction):
     return u
 
 
-def _magnitude(setup: EnergySetup, u: GridFunction) -> np.ndarray:
-    """Cell gradient magnitudes of ``u``, checked once: finite nodal values
-    still overflow where a difference exceeds the largest float.  The
-    energies and derivatives evaluate the Young functions unchecked, on
-    these and on the finite values of ``u``."""
-    mag = gradient_magnitude(setup.dom, u.values)
+# --------------------------------------------------------------------------
+# raw-array kernels at one point
+#
+# The public functions below check their operands and wrap these; the
+# solver loops call them directly on nodal arrays, so each quantity has one
+# formula.  The kernels evaluate the Young functions unchecked, on finite
+# nodal values and on magnitudes checked by :func:`_gradient`.
+
+
+def _gradient(dom: GridDomain, values: np.ndarray) -> tuple:
+    """Cell gradient ``(components, magnitudes)`` of nodal ``values``, the
+    magnitudes checked once: finite nodal values still overflow where a
+    difference exceeds the largest float."""
+    comps = gradient_components(dom, values)
+    mag = _cell_magnitude(comps)
     _check_finite(mag)
-    return mag
+    return comps, mag
+
+
+def _energy_I(setup: EnergySetup, mag: np.ndarray) -> float:
+    """``I`` from the cell gradient magnitudes."""
+    return float(_modular(setup.phi, setup.w_cell_qw, mag[None, ...])[0])
+
+
+def _energy_J(setup: EnergySetup, values: np.ndarray) -> float:
+    """``J`` at finite nodal ``values``."""
+    return float(_modular(setup.psi, setup.w1_node_qw, values[None, ...])[0])
+
+
+def _gateaux_I(setup: EnergySetup, comps, mag: np.ndarray) -> np.ndarray:
+    """Density of ``I'`` from the cell gradient, zero off the interior."""
+    dom = setup.dom
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        factor = setup.phi._derivative_raw(mag) / mag
+        factor = np.where(mag > 0, factor, 0.0) * setup.w_cells * dom.cell_qw
+        nodal = gradient_adjoint(dom, tuple(factor * g for g in comps))
+        # interior nodes carry positive quadrature weights
+        return np.where(dom.interior, nodal / dom.node_qw, 0.0)
+
+
+def _gateaux_J(setup: EnergySetup, values: np.ndarray) -> np.ndarray:
+    """Density of ``J'`` at finite nodal ``values``, zero off the
+    interior."""
+    with np.errstate(over="ignore"):
+        slope = setup.psi._derivative_raw(np.abs(values))
+    density = setup.w1.values * slope * np.sign(values)
+    return np.where(setup.dom.interior, density, 0.0)
+
+
+def _dual_norm(setup: EnergySetup, density: np.ndarray) -> float:
+    """Dual norm of the functional with ``density``."""
+    pairings = np.abs(setup.dom.node_qw * density)[setup.dom.interior]
+    return float((pairings / setup._basis_w).max(initial=0.0))
+
+
+def _level_scale(setup: EnergySetup, values: np.ndarray,
+                 alpha: float) -> float:
+    """The factor ``s`` with ``J(s u) = alpha``, for nodal ``values`` of
+    ``u``."""
+    return _one_scale(scale_to_modular(setup.psi, setup.w1_node_qw,
+                                       values[None], alpha))
+
+
+def _one_scale(scale: np.ndarray) -> float:
+    """The factor of a one-row :func:`scale_to_modular`."""
+    if not np.isfinite(scale[0]):
+        raise DomainError("cannot project the zero function onto a level set")
+    return float(scale[0])
+
+
+# --------------------------------------------------------------------------
+# checked public functions
 
 
 def energy_I(setup: EnergySetup, u: GridFunction) -> float:
     """Diffusion energy: cell quadrature of ``w Phi(|grad u|)``."""
     _check_member(setup, u)
-    mag = _magnitude(setup, u)
-    return float(_modular(setup.phi, setup.w_cell_qw, mag[None, ...])[0])
+    return _energy_I(setup, _gradient(setup.dom, u.values)[1])
 
 
 def energy_J(setup: EnergySetup, u: GridFunction) -> float:
     """Reaction energy: nodal quadrature of ``w1 Psi(|u|)``."""
     _check_member(setup, u)
-    return float(_modular(setup.psi, setup.w1_node_qw, u.values[None, ...])[0])
+    return _energy_J(setup, u.values)
 
 
 def gateaux_I(setup: EnergySetup, u: GridFunction) -> DualGridFunction:
@@ -195,27 +269,14 @@ def gateaux_I(setup: EnergySetup, u: GridFunction) -> DualGridFunction:
     the Young function vanishes at 0.
     """
     _check_member(setup, u)
-    dom = setup.dom
-    comps = gradient_components(dom, u.values)
-    mag = _magnitude(setup, u)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        factor = setup.phi._derivative_raw(mag) / mag
-    factor = np.where(mag > 0, factor, 0.0) * setup.w_cells * dom.cell_qw
-    nodal = gradient_adjoint(dom, tuple(factor * g for g in comps))
-    density = np.divide(nodal, dom.node_qw,
-                        out=np.zeros(dom.node_shape),
-                        where=dom.node_qw > 0)
-    return DualGridFunction(dom, density)
+    return DualGridFunction._of(setup.dom, _gateaux_I(
+        setup, *_gradient(setup.dom, u.values)))
 
 
 def gateaux_J(setup: EnergySetup, u: GridFunction) -> DualGridFunction:
     """Weak form of the reaction term: pairs as ``int w1 psi(|u|) sgn(u) v``."""
     _check_member(setup, u)
-    vals = u.values
-    with np.errstate(over="ignore"):
-        slope = setup.psi._derivative_raw(np.abs(vals))
-    density = setup.w1.values * slope * np.sign(vals)
-    return DualGridFunction(setup.dom, density)
+    return DualGridFunction._of(setup.dom, _gateaux_J(setup, u.values))
 
 
 def project_to_level(setup: EnergySetup, u: GridFunction,
@@ -228,8 +289,7 @@ def project_to_level(setup: EnergySetup, u: GridFunction,
     bracket it.  The returned level matches to 1e-12 relative.
     """
     _check_member(setup, u)
-    return _scaled(u, scale_to_modular(setup.psi, setup.w1_node_qw,
-                                       u.values[None], alpha))
+    return u.scaled(_level_scale(setup, u.values, alpha))
 
 
 def scale_to_energy_level(setup: EnergySetup, u: GridFunction,
@@ -237,14 +297,8 @@ def scale_to_energy_level(setup: EnergySetup, u: GridFunction,
     """Scale ``u`` so the diffusion energy ``I`` hits ``level`` exactly."""
     _check_member(setup, u)
     mag = gradient_magnitude(setup.dom, u.values)
-    return _scaled(u, scale_to_modular(setup.phi, setup.w_cell_qw, mag[None],
-                                       level))
-
-
-def _scaled(u: GridFunction, scale: np.ndarray) -> GridFunction:
-    if not np.isfinite(scale[0]):
-        raise DomainError("cannot project the zero function onto a level set")
-    return u.scaled(float(scale[0]))
+    return u.scaled(_one_scale(scale_to_modular(setup.phi, setup.w_cell_qw,
+                                                mag[None], level)))
 
 
 def dual_norm(setup: EnergySetup, functional: DualGridFunction) -> float:
@@ -256,6 +310,4 @@ def dual_norm(setup: EnergySetup, functional: DualGridFunction) -> float:
     """
     if functional.domain is not setup.dom:
         raise DomainError("functional lives on a different domain")
-    inter = setup.dom.interior
-    pairings = np.abs(setup.dom.node_qw * functional.density)[inter]
-    return float(np.max(pairings / setup._basis_w[inter], initial=0.0))
+    return _dual_norm(setup, functional.density)

@@ -21,7 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .util import REALS, config_values, count, invert_increasing, one_of
+from .util import (_HUGE, REALS, config_values, count, invert_increasing,
+                   one_of)
 from .young import YoungFunction
 
 __all__ = [
@@ -297,7 +298,11 @@ def gradient_components(domain: GridDomain, values: np.ndarray):
 
 def gradient_magnitude(domain: GridDomain, values: np.ndarray) -> np.ndarray:
     """Cell magnitudes of :func:`gradient_components`, stacks included."""
-    comps = gradient_components(domain, values)
+    return _cell_magnitude(gradient_components(domain, values))
+
+
+def _cell_magnitude(comps) -> np.ndarray:
+    """Magnitudes of the cell gradient with components ``comps``."""
     if len(comps) == 1:
         return np.abs(comps[0])
     return np.hypot(comps[0], comps[1])
@@ -371,7 +376,8 @@ def scale_to_modular(phi: YoungFunction, wq: np.ndarray, rows: np.ndarray,
     ``max|row| = 1``, the closed-form growth indices ``(l, m)`` of
     ``phi`` (else ``(1, inf)``, which convexity alone gives) bracket the
     factor between ``ratio^(1/l)`` and ``ratio^(1/m)``; for a power the
-    bracket has zero width and is the answer.
+    bracket has zero width and is the answer, returned here unless it
+    lies past the horizon.
 
     ``target`` is one level, or a 1-D array of levels: then the result
     has one row of factors per level, equal to the factors of that level
@@ -383,19 +389,25 @@ def scale_to_modular(phi: YoungFunction, wq: np.ndarray, rows: np.ndarray,
     if not (targets > 0).all():
         raise DomainError("level must be positive")
     rows = np.asarray(rows, dtype=float)
-    amax = np.max(np.abs(rows).reshape(rows.shape[0], -1), axis=1)
+    amax = np.abs(rows).reshape(rows.shape[0], -1).max(axis=1)
     # a NaN or an inf in a row is its maximum: one check covers the rows
     _check_finite(amax)
     live = amax > 0
-    scale = np.full(targets.shape + amax.shape, np.inf)
-    if not np.any(live):
+    if not live.all():
+        scale = np.full(targets.shape + amax.shape, np.inf)
+        if live.any():
+            scale[..., live] = scale_to_modular(phi, wq, rows[live], target)
         return scale
     shape = (-1,) + (1,) * (rows.ndim - 1)
-    unit = rows[live] / amax[live].reshape(shape)
+    unit = rows / amax.reshape(shape)
     l, m = phi.indices() or (1.0, np.inf)
     levels = targets[..., None]
     ratio = levels / _modular(phi, wq, unit)
     ends = (ratio ** (1.0 / l), ratio ** (1.0 / m))
+    if l == m and (ends[0] <= min(phi.horizon, _HUGE)).all():
+        # the zero-width bracket inside the horizon, which the root
+        # search would return as it is
+        return ends[0] / amax
 
     def level(s):
         return _modular(phi, wq, unit * s.reshape(shape))
@@ -403,12 +415,11 @@ def scale_to_modular(phi: YoungFunction, wq: np.ndarray, rows: np.ndarray,
     def each_level(s):
         return np.concatenate([level(f) for f in s.reshape(targets.size, -1)])
 
-    scale[..., live] = invert_increasing(
+    return invert_increasing(
         level if targets.ndim == 0 else each_level,
         np.full(ratio.shape, levels), lo=np.minimum(*ends),
         hi=np.maximum(*ends), horizon=phi.horizon,
-        what=f"{phi.label()} modular") / amax[live]
-    return scale
+        what=f"{phi.label()} modular") / amax
 
 
 def luxemburg_values(phi: YoungFunction, weight: np.ndarray, qw,

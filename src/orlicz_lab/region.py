@@ -217,13 +217,16 @@ def poincare_estimate(setup: EnergySetup, trials: int, seed: int = 0
     """
     if trials < 1:
         raise DomainError("poincare_estimate needs trials >= 1")
-    return _poincare_quotient(setup, smooth_candidates(setup.dom, trials,
-                                                       seed))
+    cand = smooth_candidates(setup.dom, trials, seed)
+    return _poincare_quotient(setup, cand, gradient_magnitude(setup.dom,
+                                                              cand))
 
 
-def _poincare_quotient(setup: EnergySetup, cand: np.ndarray) -> float:
-    """:func:`poincare_estimate` over the drawn candidates ``cand``; the
-    solver run starts from ``cand[0]``, the reference bump."""
+def _poincare_quotient(setup: EnergySetup, cand: np.ndarray,
+                       mags: np.ndarray) -> float:
+    """:func:`poincare_estimate` over the drawn candidates ``cand`` with
+    cell gradient magnitudes ``mags``; the solver run starts from
+    ``cand[0]``, the reference bump."""
     dom = setup.dom
     # tol 1e-4 takes 8 iterations on the n=81 reference disc against 18 at
     # 1e-6, and the quotient still agrees to 8 digits: it is maximal at the
@@ -236,9 +239,10 @@ def _poincare_quotient(setup: EnergySetup, cand: np.ndarray) -> float:
         pass  # the sampled bound stands on its own
     else:
         cand = np.concatenate([cand, pair.u.values[None, ...]])
+        mags = np.concatenate([mags, gradient_magnitude(
+            dom, pair.u.values)[None, ...]])
     num = luxemburg_values(setup.psi, setup.w1.values, dom.node_qw, cand)
-    den = luxemburg_values(setup.phi, setup.w_cells, dom.cell_qw,
-                           gradient_magnitude(dom, cand))
+    den = luxemburg_values(setup.phi, setup.w_cells, dom.cell_qw, mags)
     good = den > 0
     if not np.any(good):
         raise DomainError("all candidates degenerate; enlarge trials")
@@ -248,13 +252,15 @@ def _poincare_quotient(setup: EnergySetup, cand: np.ndarray) -> float:
 _C1_TRIALS = 24
 
 
-def default_c1(setup: EnergySetup, seed: int = 0, *, cands=None) -> float:
+def default_c1(setup: EnergySetup, seed: int = 0, *, cands=None,
+               mags=None) -> float:
     """The constant :func:`grid_search` takes when given none:
-    :func:`poincare_estimate` with 24 seeded candidates.  ``cands`` is a
-    draw of at least 24 fields at ``seed`` to take them from."""
+    :func:`poincare_estimate` with 24 seeded candidates.  ``cands``, a
+    draw of at least 24 fields at ``seed`` to take them from, comes with
+    ``mags``, its cell gradient magnitudes."""
     if cands is None:
         return poincare_estimate(setup, _C1_TRIALS, seed)
-    return _poincare_quotient(setup, cands[:_C1_TRIALS])
+    return _poincare_quotient(setup, cands[:_C1_TRIALS], mags[:_C1_TRIALS])
 
 
 def _draw(dom, samples: int, seed: int, count: int = 0) -> np.ndarray:
@@ -266,27 +272,26 @@ def _draw(dom, samples: int, seed: int, count: int = 0) -> np.ndarray:
     return smooth_candidates(dom, max(count, samples + 1), seed)
 
 
-def _sup_reaction_on_shell(setup: EnergySetup, r_values,
-                           cands: np.ndarray) -> list:
+def _sup_reaction_on_shell(setup: EnergySetup, r_values, cands: np.ndarray,
+                           mags: np.ndarray) -> list:
     """Sampled sups of J on the shells I = r, one per r in ``r_values``,
-    over the shell samples ``cands``.
+    over the shell samples ``cands`` with cell gradient magnitudes
+    ``mags``.
 
-    The gradient magnitudes are taken once, and one batched scaling puts
-    the batch onto every shell; each r then takes the largest J over its
-    rescaled batch.
+    One batched scaling puts the batch onto every shell; each r then
+    takes the largest J over its rescaled batch.
     """
-    dom = setup.dom
-    scales = scale_to_modular(setup.phi, setup.w_cell_qw,
-                              gradient_magnitude(dom, cands),
+    scales = scale_to_modular(setup.phi, setup.w_cell_qw, mags,
                               np.asarray(r_values, dtype=float))
     # a sample is degenerate (a zero gradient) on every shell or on none
     live = np.isfinite(scales[0])
     if not np.any(live):
         raise DomainError("all shell samples are degenerate")
-    cands = cands[live]
+    if not live.all():
+        cands, scales = cands[live], scales[:, live]
     shape = (-1,) + (1,) * (cands.ndim - 1)
     sups = []
-    for row in scales[:, live]:
+    for row in scales:
         sup_j = float(np.max(modular_values(
             setup.psi, setup.w1_node_qw, 1.0, cands * row.reshape(shape))))
         if sup_j <= 0:
@@ -320,7 +325,8 @@ def lambda_interval(setup: EnergySetup, d: float, r: float,
     _check_radius(r)
     i_vd, j_vd = _plateau_energies(setup, d)
     shell = _draw(setup.dom, samples, seed)[1:]
-    sup_j, = _sup_reaction_on_shell(setup, [r], shell)
+    sup_j, = _sup_reaction_on_shell(setup, [r], shell,
+                                    gradient_magnitude(setup.dom, shell))
     return i_vd / j_vd, r / sup_j, sup_j
 
 
@@ -407,12 +413,14 @@ def grid_search(setup: EnergySetup, d_values, r_values,
         _check_radius(r)
     energies = [_plateau_energies(setup, d) for d in d_values]
     # one draw serves C1 (its first 24 rows) and the shells (rows 1 to
-    # samples)
+    # samples); its gradient magnitudes are taken once for both
     batch = _draw(setup.dom, samples, seed,
                   _C1_TRIALS if c1 is None else 0)
+    mags = gradient_magnitude(setup.dom, batch)
     if c1 is None:
-        c1 = default_c1(setup, seed=seed, cands=batch)
-    sups = _sup_reaction_on_shell(setup, r_values, batch[1:samples + 1])
+        c1 = default_c1(setup, seed=seed, cands=batch, mags=mags)
+    sups = _sup_reaction_on_shell(setup, r_values, batch[1:samples + 1],
+                                  mags[1:samples + 1])
     reports = []
     for d, (i_vd, j_vd) in zip(d_values, energies):
         bounds = energy_bounds_ine(setup, d)

@@ -161,6 +161,17 @@ def test_eig_matches_dense_oracle(tmp_path):
         1.0 + summary["results"]["level_I"])
 
 
+def test_eig_writes_solver_stats_to_the_summary_only(tmp_path):
+    from orlicz_lab.eigensolver import STAT_KEYS
+    cfg = write_cfg(tmp_path, EIG_CFG)
+    out = tmp_path / "runs"
+    assert main(["eig", "--config", cfg, "--out", str(out)]) == 0
+    results = read_summary(out)["results"]
+    assert sorted(results["stats"]) == sorted(STAT_KEYS)
+    assert results["stats"]["iterations"] == results["iterations"]
+    assert "stats" not in (out / "eig.csv").read_text()
+
+
 def test_eig_byte_determinism(tmp_path):
     cfg = write_cfg(tmp_path, EIG_CFG)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

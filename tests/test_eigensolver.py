@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 import orlicz_lab as ol
 from orlicz_lab import DomainError, NonConvergenceError
+from orlicz_lab.functionals import _gradient
 
 from conftest import build_setup, random_zero_trace
 import oracles as oc
@@ -152,6 +153,29 @@ def test_minimize_exhausted_budget_raises_with_diagnostics(rng):
     assert isinstance(err.value.history, list) and err.value.history
 
 
+def test_stats_count_the_work_of_a_solve(rng):
+    from orlicz_lab.eigensolver import STAT_KEYS
+    setup = build_setup(ol.Power(3.0), ol.Power(3.0), _interval(101))
+    pair = ol.minimize_on_level(setup, 1.0)
+    stats = pair.stats
+    assert tuple(stats) == STAT_KEYS
+    assert stats["iterations"] == pair.iterations > 0
+    # one projected point per trial plus the start, and I once at each
+    assert stats["projections"] == stats["trials"] + 1 == stats["energy_I"]
+    # the densities at every iterate, the converged one included
+    assert stats["gateaux_I"] == stats["gateaux_J"] == pair.iterations + 1
+    # one tangent and one solve per step
+    assert stats["factorizations"] + stats["factor_reuses"] \
+        == stats["solves"] == pair.iterations
+
+    init = random_zero_trace(setup.dom, rng)
+    with pytest.raises(NonConvergenceError) as err:
+        ol.minimize_on_level(setup, 1.0, init=init,
+                             opts=ol.SolverOptions(tol=1e-13, max_iter=2))
+    assert err.value.last.stats["iterations"] == 2
+    assert err.value.last.stats["solves"] == 2
+
+
 # ---------------------------------------------------------------------------
 # minimax ladder
 
@@ -239,7 +263,7 @@ def test_ls_2d_unseparated_rung_repeats_the_previous_one(monkeypatch):
     # to rung 1: the same pair and the same level, flagged unreliable
     from orlicz_lab import eigensolver
 
-    def failed(setup, alpha, init, opts):
+    def failed(setup, alpha, init, opts, stats=None):
         return ol.EigenPair(0.0, init, alpha, 0.0, math.inf, 0), False
 
     monkeypatch.setattr(eigensolver, "_newton_polish", failed)
@@ -323,7 +347,8 @@ def test_tangent_is_the_hessian_where_curvature_dominates(cfg, phi):
     u = ol.smooth_candidates(dom, 2, seed=5)[1]
     v = random_zero_trace(dom, rng).values
     pat = dom.stiffness_pattern
-    got = _stiffness_matrix(pat, pat.assemble(_tangent_tensor(setup, u))) \
+    got = _stiffness_matrix(
+        pat, pat.assemble(_tangent_tensor(setup, _gradient(dom, u)))) \
         @ v.ravel()[pat.idx]
     eps = 1e-5
 
@@ -402,13 +427,14 @@ def test_penalized_direction_solves_the_merit_tangent():
     assert np.allclose(rows.T @ (rows @ v.ravel()[idx]), fd,
                        rtol=0.0, atol=1e-10 * np.max(np.abs(fd)))
 
+    grad = _gradient(dom, u)
     dense = _stiffness_matrix(
-        pat, pat.assemble(_tangent_tensor(setup, u))).toarray()
+        pat, pat.assemble(_tangent_tensor(setup, grad))).toarray()
     for a_vals, a_nrm2 in anchors:
         b = math.sqrt(2.0 * mu) * qw * a_vals.ravel()[idx] / a_nrm2
         dense += np.outer(b, b)
     want = np.linalg.solve(dense, qw * rho.ravel()[idx])
-    got = _Tangent(setup, rows).direction(u, rho)
+    got = _Tangent(setup, rows).direction(grad, rho)
     assert np.linalg.norm(got.ravel()[idx] - want) \
         <= 1e-10 * np.linalg.norm(want)
     assert np.all(got[~dom.interior] == 0.0)
@@ -456,59 +482,43 @@ def test_free_descent_stops_at_a_critical_point_of_the_free_energy():
     assert res <= tol * (1.0 + abs(free))
 
 
-def _count_calls(monkeypatch, *names):
-    """Count the calls of each named function in the eigensolver."""
-    from orlicz_lab import eigensolver
-    calls = dict.fromkeys(names, 0)
-
-    def counted(name, inner):
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-        return call
-
-    for name in names:
-        monkeypatch.setattr(eigensolver, name,
-                            counted(name, getattr(eigensolver, name)))
-    return calls
-
-
-def test_descent_evaluates_each_iterate_once(monkeypatch):
+def test_descent_evaluates_each_iterate_once():
     # the accepted trial's energy is the next iterate's, so I is taken
     # once per projected point and never again at the loop head
     from orlicz_lab import eigensolver
-    calls = _count_calls(monkeypatch, "energy_I", "project_to_level")
     setup = build_setup(ol.Power(3.0), ol.Power(2.0), _unit_box(33))
     pair, ok = eigensolver._descend(setup, 1.0, ol.default_init(setup.dom),
                                     ol.SolverOptions())
     assert ok and pair.iterations == 6
-    assert calls == {"energy_I": 7, "project_to_level": 7}
+    assert pair.stats["iterations"] == 6
+    assert pair.stats["energy_I"] == 7 and pair.stats["projections"] == 7
 
 
-def test_polish_evaluates_each_iterate_once(monkeypatch):
+def test_polish_evaluates_each_iterate_once():
     # one evaluation for the start and one per accepted full step; the
-    # extra I' is the start's Rayleigh multiplier
+    # start's Rayleigh multiplier reuses the start's I' and J'
     from orlicz_lab import eigensolver
-    calls = _count_calls(monkeypatch, "gateaux_I", "energy_J")
     setup = build_setup(ol.Power(3.0), ol.Power(2.0), _unit_box(17))
     pair, ok = eigensolver._newton_polish(
         setup, 1.0, ol.default_init(setup.dom), ol.SolverOptions())
     assert ok and pair.iterations > 1
-    assert calls == {"gateaux_I": pair.iterations + 2,
-                     "energy_J": pair.iterations + 1}
+    assert pair.stats["trials"] == pair.iterations
+    assert pair.stats["gateaux_I"] == pair.iterations + 1
+    assert pair.stats["energy_J"] == pair.iterations + 1
 
 
 # ---------------------------------------------------------------------------
 # the banded kernels of the tangent stiffness: Cholesky unshifted, LU shifted
 
 def _tangent_case(cfg, phi=ol.Power(3.0)):
+    """(setup, cell gradient of a smooth field, dense tangent there)."""
     from orlicz_lab.eigensolver import _tangent_tensor
     setup = build_setup(phi, ol.Power(2.0), cfg)
     pat = setup.dom.stiffness_pattern
-    u = ol.smooth_candidates(setup.dom, 2, seed=5)[1]
+    grad = _gradient(setup.dom, ol.smooth_candidates(setup.dom, 2, seed=5)[1])
     dense = _stiffness_matrix(
-        pat, pat.assemble(_tangent_tensor(setup, u))).toarray()
-    return setup, u, dense
+        pat, pat.assemble(_tangent_tensor(setup, grad))).toarray()
+    return setup, grad, dense
 
 
 def _rel_err(got, want):
@@ -520,13 +530,13 @@ def _rel_err(got, want):
                          ids=["interval65", "box17", "disc21"])
 def test_tangent_solves_match_dense(cfg):
     from orlicz_lab.eigensolver import _Tangent
-    setup, u, dense = _tangent_case(cfg)
+    setup, grad, dense = _tangent_case(cfg)
     size = dense.shape[0]
     rng = np.random.default_rng(11)
     rhs = rng.standard_normal((size, 2))
 
     tangent = _Tangent(setup)
-    tangent.factor(u)
+    tangent.factor(grad)
     assert _rel_err(tangent.solve(rhs[:, 0]),
                     np.linalg.solve(dense, rhs[:, 0])) <= 1e-10
     assert _rel_err(tangent.solve(rhs), np.linalg.solve(dense, rhs)) <= 1e-10
@@ -539,7 +549,7 @@ def test_tangent_solves_match_dense(cfg):
     shifted = dense - np.diag(shift)
     ev_shifted = np.linalg.eigvalsh(shifted)
     assert ev_shifted[0] < 0.0 < ev_shifted[-1]
-    tangent.factor(u, shift=shift)
+    tangent.factor(grad, shift=shift)
     assert _rel_err(tangent.solve(rhs[:, 0]),
                     np.linalg.solve(shifted, rhs[:, 0])) <= 1e-10
     assert _rel_err(tangent.solve(rhs),
@@ -555,7 +565,7 @@ _KERNEL_IDS = ["interval65", "box17", "disc21"]
 @pytest.mark.parametrize("cfg", _KERNEL_CFGS, ids=_KERNEL_IDS)
 def test_tangent_direction_matches_dense(cfg, case):
     from orlicz_lab.eigensolver import _Tangent, _penalty_rows
-    setup, u, dense = _tangent_case(cfg)
+    setup, grad, dense = _tangent_case(cfg)
     dom = setup.dom
     idx = dom.stiffness_pattern.idx
     size = dense.shape[0]
@@ -576,7 +586,7 @@ def test_tangent_direction_matches_dense(cfg, case):
         dense = dense + rows.T @ rows
     want = np.linalg.solve(dense, (dom.node_qw * rho).ravel()[idx])
     tangent = _Tangent(setup, rows)
-    got = tangent.direction(u, rho, shift)
+    got = tangent.direction(grad, rho, shift)
     assert _rel_err(got.ravel()[idx], want) <= 1e-10
     assert np.all(got[~dom.interior] == 0.0)
     # the kernel follows from whether a shift is given: the Cholesky
@@ -608,7 +618,7 @@ def test_quadratic_tangent_switches_kernel_with_the_shift():
     # the held factor is reused only for the same kernel, also when the
     # unshifted tangent is constant and the shift is zero
     from orlicz_lab.eigensolver import _Tangent
-    setup, u, dense = _tangent_case(_unit_box(17), ol.Power(2.0))
+    setup, grad, dense = _tangent_case(_unit_box(17), ol.Power(2.0))
     dom = setup.dom
     pat = dom.stiffness_pattern
     size = dense.shape[0]
@@ -621,7 +631,7 @@ def test_quadratic_tangent_switches_kernel_with_the_shift():
     tangent = _Tangent(setup)
     for shift in (None, np.zeros(size), None, indefinite, None):
         matrix = dense if shift is None else dense - np.diag(shift)
-        got = tangent.direction(u, rho, shift)
+        got = tangent.direction(grad, rho, shift)
         assert _rel_err(got.ravel()[pat.idx],
                         np.linalg.solve(matrix, rhs)) <= 1e-10
         assert (tangent._piv is None) == (shift is None)
@@ -630,29 +640,29 @@ def test_quadratic_tangent_switches_kernel_with_the_shift():
 def test_zero_tangent_raises_runtime_error(monkeypatch):
     # the solver loops catch RuntimeError as a singular linearization
     from orlicz_lab import eigensolver
-    setup, u, _ = _tangent_case(_unit_box(9))
+    setup, grad, _ = _tangent_case(_unit_box(9))
     monkeypatch.setattr(
         eigensolver, "_tangent_tensor",
-        lambda s, values: np.zeros((2, 2, (s.dom.n - 1) ** 2)))
+        lambda s, g: np.zeros((2, 2, (s.dom.n - 1) ** 2)))
     with pytest.raises(RuntimeError, match="dpbtrf"):
-        eigensolver._Tangent(setup).factor(u)
+        eigensolver._Tangent(setup).factor(grad)
     with pytest.raises(RuntimeError, match="dgbtrf"):
         eigensolver._Tangent(setup).factor(
-            u, shift=np.zeros(setup.dom.stiffness_pattern.idx.size))
+            grad, shift=np.zeros(setup.dom.stiffness_pattern.idx.size))
 
 
 def test_indefinite_unshifted_tangent_raises_runtime_error(monkeypatch):
     # a non-positive Cholesky pivot follows the zero LU pivot's contract,
     # while the LU of the same matrix succeeds
     from orlicz_lab import eigensolver
-    setup, u, _ = _tangent_case(_unit_box(9))
+    setup, grad, _ = _tangent_case(_unit_box(9))
     real = eigensolver._tangent_tensor
     monkeypatch.setattr(eigensolver, "_tangent_tensor",
-                        lambda s, values: -real(s, values))
+                        lambda s, g: -real(s, g))
     with pytest.raises(RuntimeError, match="dpbtrf"):
-        eigensolver._Tangent(setup).factor(u)
+        eigensolver._Tangent(setup).factor(grad)
     eigensolver._Tangent(setup).factor(
-        u, shift=np.zeros(setup.dom.stiffness_pattern.idx.size))
+        grad, shift=np.zeros(setup.dom.stiffness_pattern.idx.size))
 
 
 def _count_factorizations(monkeypatch):
@@ -698,20 +708,20 @@ def test_quadratic_ladder_tangent_factors_once_per_solve(monkeypatch):
     factor, tensor = eigensolver._Tangent.factor, eigensolver._tangent_tensor
     made, assembled, current = {}, {}, []
 
-    def counted_factor(self, values, shift=None):
+    def counted_factor(self, grad, shift=None):
         key = (self, shift is None)  # keeps the instance alive
         current.append(key)
         before = self._fac
         try:
-            factor(self, values, shift)
+            factor(self, grad, shift)
         finally:
             current.pop()
         made[key] = made.get(key, 0) + (self._fac is not before)
 
-    def counted_tensor(setup, values):
+    def counted_tensor(setup, grad):
         if current:
             assembled[current[-1]] = assembled.get(current[-1], 0) + 1
-        return tensor(setup, values)
+        return tensor(setup, grad)
 
     monkeypatch.setattr(eigensolver._Tangent, "factor", counted_factor)
     monkeypatch.setattr(eigensolver, "_tangent_tensor", counted_tensor)

@@ -320,3 +320,35 @@ def test_overflowing_gradient_raises_the_evaluator_message():
                 kernel(setup, u)
         with pytest.raises(DomainError, match="^t must be finite$"):
             ol.scale_to_energy_level(setup, u, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# one formula per quantity: the solver loops' raw-array kernels and the
+# checked public functions
+
+@pytest.mark.parametrize("cfg", [
+    {"shape": "interval", "n": 65, "extent": [0.0, 1.0]},
+    {"shape": "box", "n": 17, "extent": [0.0, 1.0]},
+    {"shape": "disc", "n": 21, "extent": [1.0]}],
+    ids=["interval", "box", "disc"])
+@pytest.mark.parametrize("phi, psi", [
+    (ol.Power(3.0), ol.Power(2.0)),
+    (ol.PowerSum(2.0, 4.0), ol.PowerSum(1.5, 2.5))],
+    ids=["power", "powersum"])
+def test_raw_kernels_equal_the_public_functions(cfg, phi, psi):
+    from orlicz_lab import functionals as fn
+    setup = build_setup(phi, psi, cfg)
+    dom = setup.dom
+    u = random_zero_trace(dom, np.random.default_rng(2))
+    comps, mag = fn._gradient(dom, u.values)
+    d_i = fn._gateaux_I(setup, comps, mag)
+    assert fn._energy_I(setup, mag) == ol.energy_I(setup, u)
+    assert fn._energy_J(setup, u.values) == ol.energy_J(setup, u)
+    assert np.array_equal(d_i, ol.gateaux_I(setup, u).density)
+    assert np.array_equal(fn._gateaux_J(setup, u.values),
+                          ol.gateaux_J(setup, u).density)
+    assert fn._dual_norm(setup, d_i) == ol.dual_norm(setup,
+                                                     ol.gateaux_I(setup, u))
+    scale = fn._level_scale(setup, u.values, 0.7)
+    assert np.array_equal(scale * u.values,
+                          ol.project_to_level(setup, u, 0.7).values)
