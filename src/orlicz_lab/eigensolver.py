@@ -15,15 +15,25 @@ on ``I - lambda J`` for the critical-point probe of the region module.  The
 other solver loop is the ladder's damped Newton polisher, which also
 converges to saddles.
 
-Both loops evaluate the start and every line-search trial as one point
-record (:class:`_Point`) on raw nodal arrays, through the kernels behind
-the public functions of :mod:`functionals`: the cell gradient is taken
-and checked finite once per point and shared by ``I``, ``I'`` and the
-tangent, and an accepted trial's record is the next iterate.  No
-``GridFunction`` or ``DualGridFunction`` is built inside the loops, only
-for the returned :class:`EigenPair`, whose ``stats`` count the work where
-it happens: iterations, trials, projections, evaluations of ``I``, ``J``,
-``I'`` and ``J'``, factorizations done and reused, and solves.
+Both loops run a stack of starts in lockstep, one row each, and return
+one ``(pair, converged)`` per start, bit for bit what the start gives
+alone: each row keeps its own multiplier, stop test and Armijo step and
+leaves the batch when it converges, stalls or fails, and every row
+reduction is batch-invariant (one dot product or sum per row; a
+matrix-vector product over several rows rounds differently).  A 2D
+ladder rung runs its penalized starts as one batch; the other callers
+pass a stack of one.  The loops evaluate the starts and every
+line-search trial as one point record per batch (:class:`_Point`) on raw
+nodal arrays, through the kernels behind the public functions of
+:mod:`functionals`: the cell gradient is taken and checked finite once
+per point and shared by ``I``, ``I'`` and the tangent, and an accepted
+trial's row is that row's next iterate.  No ``GridFunction`` or
+``DualGridFunction`` is built inside the loops, only for the returned
+:class:`EigenPair`, whose ``stats`` count the work of its batch where it
+happens: iterations, trials, projections, evaluations of ``I``, ``J``,
+``I'`` and ``J'`` (summed over rows), factorizations done and reused, and
+LAPACK solve calls.  :class:`LSLevel` ``stats`` count a whole ladder
+rung.
 
 The tangent stiffness is the second variation of ``I`` with its radial
 curvature ``phi'(t)`` raised to the secant slope ``phi(t)/t`` where it
@@ -36,11 +46,13 @@ step reproduces inverse power iteration and the matrix is factored once.
 The sparsity pattern and its band layout are built once per grid.  The
 interior nodes keep their row-major numbering, so the matrix is banded
 (half-bandwidth ``n - 2`` on the box, 1 in 1D) and is factored by a
-banded Cholesky factorization (LAPACK ``dpbtrf``/``dpbtrs``).  The
-indefinite shifted systems of the saddle polisher and the free-energy
-probe take a row-pivoted banded LU (``dgbtrf``/``dgbtrs``); whether a
-shift is given decides the kernel.  Each solve keeps its last
-factorization and refactors only when the assembled values change.
+banded Cholesky factorization (LAPACK ``dpbtrf``/``dpbtrs``); a batch
+shares the one factor of a quadratic ``Phi`` and solves all its rows
+with one multi-right-hand-side call.  The indefinite shifted systems of
+the saddle polisher and the free-energy probe take a row-pivoted banded
+LU (``dgbtrf``/``dgbtrs``); whether a shift is given decides the kernel.
+Each solve keeps its last factorization and refactors only when the
+assembled values change.
 
 Higher levels of the Ljusternik-Schnirelmann hierarchy are approximated by
 structure, not by genus: in 1D, gluing sign-alternating copies of the
@@ -49,7 +61,8 @@ multi-start descent penalized against overlap with already-found pairs.
 Both are tagged as heuristics in the output.  A penalized descent is
 preconditioned with the tangent of the whole merit: the overlap penalty
 adds one rank-one term per found pair, which the solve absorbs through the
-Sherman-Morrison-Woodbury identity on the same factorization.
+Sherman-Morrison-Woodbury identity on the same factorization, one
+right-hand side at a time.
 """
 
 from __future__ import annotations
@@ -63,8 +76,9 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError
 from .functionals import (EnergySetup, energy_J, scale_to_energy_level,
                           _check_member, _dual_norm, _energy_I, _energy_J,
-                          _gateaux_I, _gateaux_J, _gradient, _level_scale)
-from .norms import GridDomain, GridFunction, WeightField, smooth_candidates
+                          _gateaux_I, _gateaux_J, _level_scale)
+from .norms import (GridDomain, GridFunction, WeightField,
+                    gradient_components, smooth_candidates, _cell_magnitude)
 
 __all__ = [
     "SolverOptions",
@@ -102,11 +116,11 @@ class EigenPair:
 
     ``lam`` is the Rayleigh multiplier, ``level`` the diffusion energy
     ``I(u)``, ``residual`` the discrete dual norm of ``I'(u) - lam J'(u)``.
-    ``stats`` counts the work of the solve that produced the pair, as
-    counted by its loops (keys in ``STAT_KEYS``): iterations, line-search
-    trials, projections onto the level set, evaluations of ``I``, ``J``,
-    ``I'`` and ``J'``, tangent factorizations done and reused, and banded
-    solves.
+    ``stats`` counts the work of the solve that produced the pair, every
+    row of its batch, as counted by its loops (keys in ``STAT_KEYS``):
+    iterations, line-search trials, projections onto the level set,
+    evaluations of ``I``, ``J``, ``I'`` and ``J'`` (summed over rows),
+    tangent factorizations done and reused, and banded solve calls.
     """
 
     lam: float
@@ -121,13 +135,20 @@ class EigenPair:
 
 @dataclass
 class LSLevel:
-    """One rung of the approximate Ljusternik-Schnirelmann ladder."""
+    """One rung of the approximate Ljusternik-Schnirelmann ladder.
+
+    ``stats`` counts the whole work of the rung, keys as in
+    ``EigenPair.stats``: rung 1 its :func:`minimize_on_level`, a 1D rung
+    its subinterval solves and its polish, a 2D rung the exploration and
+    polish of every start over every penalty boost tried.
+    """
 
     k: int
     c_k_alpha: float
     pair: EigenPair
     method: str
     reliable: bool = True
+    stats: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -145,8 +166,21 @@ def default_init(dom: GridDomain) -> GridFunction:
     return GridFunction(dom, smooth_candidates(dom, 1)[0])
 
 
+def _qw_dots(dom: GridDomain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Quadrature inner products of stacked nodal arrays, one per row; each
+    row is summed alone, so it equals :func:`_qw_dot` of that row."""
+    prod = dom.node_qw * a * b
+    return prod.reshape(len(prod), -1).sum(axis=1)
+
+
 def _qw_dot(dom: GridDomain, a: np.ndarray, b: np.ndarray) -> float:
-    return float((dom.node_qw * a * b).sum())
+    return float(_qw_dots(dom, a[None], b)[0])
+
+
+def _rows(x: np.ndarray, dom: GridDomain) -> np.ndarray:
+    """Per-row scalars ``x`` shaped to broadcast against stacked nodal
+    layouts."""
+    return x.reshape((-1,) + (1,) * dom.ndim)
 
 
 # the counters of EigenPair.stats
@@ -159,88 +193,145 @@ def _new_stats() -> dict:
     return dict.fromkeys(STAT_KEYS, 0)
 
 
+_NO_MULTIPLIER = "multiplier undefined: <J'(u), u> is not positive"
+
+
 class _Point:
-    """One iterate or line-search trial of a solver loop, evaluated once.
+    """Iterates or line-search trials of a solver loop, stacked over a
+    leading axis (one row per start) and evaluated once.
 
     Holds nodal ``values`` and their cell gradient ``grad``, which ``I``,
-    ``I'`` and the tangent stiffness share; it is taken, and checked
-    finite, at construction.  ``I``, ``J`` and the densities of ``I'``
-    and ``J'`` are evaluated the first time a loop asks for them, through
-    the kernels behind the public functions, and counted in ``stats``.
-    Given ``alpha``, the values are first scaled onto ``J = alpha``.
+    ``I'`` and the tangent stiffness share.  Given ``alpha``, the rows are
+    first scaled onto ``J = alpha``.  A row that cannot be scaled (zero or
+    not finite) or whose gradient overflows is not raised but recorded in
+    ``failed`` (row -> :class:`DomainError`), so that it cannot end the
+    other rows.  ``I``, ``J`` and the densities of ``I'`` and ``J'`` are
+    evaluated for all rows the first time a loop asks for them, through
+    the kernels behind the public functions, and counted per row in
+    ``stats``.  Every array attribute, these and the merit terms a loop
+    sets, holds one entry per row, so :meth:`take` and :meth:`join` carry
+    it along.
     """
 
     def __init__(self, setup: EnergySetup, values: np.ndarray, stats: dict,
                  alpha: float | None = None):
+        self.setup, self.stats, self.failed = setup, stats, {}
         if alpha is not None:
-            stats["projections"] += 1
-            values = _level_scale(setup, values, alpha) * values
-        self.setup, self.stats, self.values = setup, stats, values
-        self.grad = _gradient(setup.dom, values)
+            stats["projections"] += len(values)
+            scale = _level_scale(setup, values, alpha)
+            if not np.isfinite(scale).all():
+                for i in np.flatnonzero(~np.isfinite(scale)):
+                    self.failed[i] = DomainError(
+                        "t must be finite" if np.isnan(scale[i]) else
+                        "cannot project the zero function onto a level set")
+                scale = np.where(np.isfinite(scale), scale, 0.0)
+            values = _rows(scale, setup.dom) * values
+        comps = gradient_components(setup.dom, values)
+        mag = _cell_magnitude(comps)
+        if not np.isfinite(mag).all():
+            for i in np.flatnonzero(
+                    ~np.isfinite(mag).reshape(len(mag), -1).all(axis=1)):
+                self.failed.setdefault(i, DomainError("t must be finite"))
+        self.values, self.grad = values, (comps, mag)
+
+    def take(self, rows) -> "_Point":
+        """The point of the given rows, with everything evaluated so far."""
+        def pick(v):
+            if isinstance(v, np.ndarray):
+                return v[rows]
+            return tuple(map(pick, v)) if isinstance(v, tuple) else v
+        out = _Point.__new__(_Point)
+        out.__dict__.update({k: pick(v) for k, v in self.__dict__.items()},
+                            failed={})
+        return out
+
+    @staticmethod
+    def join(parts) -> "_Point":
+        """The rows of ``parts`` stacked in order; each part has the same
+        attributes evaluated."""
+        def cat(vs):
+            if isinstance(vs[0], np.ndarray):
+                return np.concatenate(vs)
+            return (tuple(map(cat, zip(*vs))) if isinstance(vs[0], tuple)
+                    else vs[0])
+        out = _Point.__new__(_Point)
+        out.__dict__.update({k: cat([p.__dict__[k] for p in parts])
+                             for k in parts[0].__dict__}, failed={})
+        return out
+
+    def row_grad(self, i: int):
+        """The cell gradient of row ``i``."""
+        comps, mag = self.grad
+        return tuple(c[i] for c in comps), mag[i]
 
     @cached_property
-    def level(self) -> float:
+    def level(self) -> np.ndarray:
         """``I``."""
-        self.stats["energy_I"] += 1
+        self.stats["energy_I"] += len(self.values)
         return _energy_I(self.setup, self.grad[1])
 
     @cached_property
-    def reaction(self) -> float:
+    def reaction(self) -> np.ndarray:
         """``J``."""
-        self.stats["energy_J"] += 1
+        self.stats["energy_J"] += len(self.values)
         return _energy_J(self.setup, self.values)
 
     @cached_property
     def d_I(self) -> np.ndarray:
         """Density of ``I'``."""
-        self.stats["gateaux_I"] += 1
+        self.stats["gateaux_I"] += len(self.values)
         return _gateaux_I(self.setup, *self.grad)
 
     @cached_property
     def d_J(self) -> np.ndarray:
         """Density of ``J'``."""
-        self.stats["gateaux_J"] += 1
+        self.stats["gateaux_J"] += len(self.values)
         return _gateaux_J(self.setup, self.values)
 
-    def residual(self, lam: float) -> np.ndarray:
-        """Density of ``I' - lam J'``."""
-        return np.where(self.setup.dom.interior, self.d_I - lam * self.d_J,
+    def residual(self, lam) -> np.ndarray:
+        """Density of ``I' - lam J'``, with one ``lam`` per row."""
+        dom = self.setup.dom
+        return np.where(dom.interior, self.d_I - _rows(lam, dom) * self.d_J,
                         0.0)
 
-    def rayleigh(self) -> float:
-        """Multiplier ``<I', u> / <J', u>``."""
+    def rayleigh(self):
+        """Multipliers ``<I', u> / <J', u>``, and whether each is defined
+        (``<J', u>`` positive)."""
         dom = self.setup.dom
-        den = _qw_dot(dom, self.d_J, self.values)
-        if den <= 0.0:
-            raise DomainError(
-                "multiplier undefined: <J'(u), u> is not positive")
-        return _qw_dot(dom, self.d_I, self.values) / den
+        den = _qw_dots(dom, self.d_J, self.values)
+        defined = den > 0.0
+        return (_qw_dots(dom, self.d_I, self.values)
+                / np.where(defined, den, 1.0)), defined
 
 
 def rayleigh_multiplier(setup: EnergySetup, u: GridFunction) -> float:
     """Multiplier estimate ``<I'(u), u> / <J'(u), u>``; positive for u != 0."""
     _check_member(setup, u)
-    return _Point(setup, u.values, _new_stats()).rayleigh()
+    lam, defined = _Point(setup, u.values[None], _new_stats()).rayleigh()
+    if not defined[0]:
+        raise DomainError(_NO_MULTIPLIER)
+    return float(lam[0])
 
 
 def residual(setup: EnergySetup, pair: EigenPair) -> float:
     """Weak-solution certificate: dual norm of ``I'(u) - lam J'(u)``."""
     _check_member(setup, pair.u)
-    return _dual_norm(setup, _Point(setup, pair.u.values,
-                                    _new_stats()).residual(pair.lam))
+    point = _Point(setup, pair.u.values[None], _new_stats())
+    return float(_dual_norm(setup, point.residual(np.array([pair.lam])))[0])
 
 
 def _penalty_density(dom: GridDomain, values: np.ndarray, anchors, mu: float):
-    """Gradient density of the overlap penalty mu * sum_j c_j(u)^2 with
-    c_j = <u, u_j> / <u_j, u_j> in the quadrature inner product."""
+    """Per row of the stacked ``values``, the overlap penalty
+    mu * sum_j c_j(u)^2 with c_j = <u, u_j> / <u_j, u_j> in the quadrature
+    inner product, and its gradient density."""
     if not anchors or mu == 0.0:
         return 0.0, 0.0
     pen = 0.0
-    dens = np.zeros(dom.node_shape)
+    dens = np.zeros(values.shape)
     for a_vals, a_nrm2 in anchors:
-        c = _qw_dot(dom, values, a_vals) / a_nrm2
+        c = _qw_dots(dom, values, a_vals) / a_nrm2
         pen += mu * c * c
-        dens += 2.0 * mu * c / a_nrm2 * a_vals
+        dens += _rows(2.0 * mu * c / a_nrm2, dom) * a_vals
     return pen, dens
 
 
@@ -253,9 +344,11 @@ def _penalty_rows(dom: GridDomain, anchors, mu: float) -> np.ndarray:
 
 
 def _floored(mag: np.ndarray) -> np.ndarray:
-    """Magnitudes floored at 1e-7 of their maximum, so secant slopes stay
-    finite for slowly growing densities and positive for fast ones."""
-    return np.maximum(mag, 1e-7 * max(float(np.max(mag)), 1e-30))
+    """Magnitudes floored at 1e-7 of the maximum of their row (the last
+    axis), so secant slopes stay finite for slowly growing densities and
+    positive for fast ones."""
+    return np.maximum(mag, 1e-7 * np.maximum(
+        mag.max(axis=-1, keepdims=True), 1e-30))
 
 
 def _tangent_tensor(setup: EnergySetup, grad) -> np.ndarray:
@@ -283,11 +376,14 @@ def _tangent_tensor(setup: EnergySetup, grad) -> np.ndarray:
 
 
 def _reaction_curvature(setup: EnergySetup, values: np.ndarray) -> np.ndarray:
-    """Diagonal ``qw * w1 * psi'(|u|)`` of the reaction Hessian, with the
+    """Diagonal ``qw * w1 * psi'(|u|)`` of the reaction Hessian on the
+    interior, one row per stacked layout of ``values``, with the
     stiffness's magnitude floor."""
+    flat = np.abs(values).reshape(len(values), -1)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        curv = setup.psi._second_derivative_raw(_floored(np.abs(values)))
-    return setup.dom.node_qw * setup.w1.values * curv
+        curv = setup.psi._second_derivative_raw(_floored(flat))
+    return np.take(setup.w1_node_qw * curv, setup.dom.stiffness_pattern.idx,
+                   axis=1)
 
 
 class _Tangent:
@@ -304,14 +400,17 @@ class _Tangent:
     zero LU pivot raises ``RuntimeError``.  Keeps the last factorization
     and refactors only when the kernel or the assembled values change.
     For a quadratic ``Phi`` the unshifted tangent does not depend on the
-    iterate, so it is factored once and later calls return at once.  Each
-    solve owns its instance; only the grid's pattern is shared.  Given
-    ``penalty_rows`` (the ``b_j`` of :func:`_penalty_rows`),
-    :meth:`direction` solves with ``A + sum_j b_j b_j^T`` through the
-    Sherman-Morrison-Woodbury identity on the factorization of ``A``,
-    keeping ``A^-1 B`` and the small matrix ``Id + B^T A^-1 B`` while the
-    factorization is reused.  Factorizations done and reused, and solves,
-    are counted in ``stats``.
+    iterate, so it is factored once and later calls return at once; the
+    descent on a level set then shares one instance among the rows of its
+    batch (see :func:`_tangents`), which solve in one multi-right-hand-side
+    call.  Otherwise each row owns its instance; only the grid's pattern
+    is shared.  Given ``penalty_rows`` (the ``b_j`` of
+    :func:`_penalty_rows`), :meth:`direction` solves with
+    ``A + sum_j b_j b_j^T`` through the Sherman-Morrison-Woodbury identity
+    on the factorization of ``A``, keeping ``A^-1 B`` and the LU factors
+    of the small matrix ``Id + B^T A^-1 B`` while the factorization is
+    reused.  Factorizations done and reused, and banded solve calls, are
+    counted in ``stats``.
     """
 
     def __init__(self, setup: EnergySetup, penalty_rows=None, stats=None):
@@ -371,7 +470,8 @@ class _Tangent:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``A^-1 rhs`` with the last factorization, for one right-hand
-        side or a block of them in columns."""
+        side or a block of them in columns; LAPACK solves each column
+        alone, so a column's solution does not depend on the others."""
         from scipy.linalg import lapack
         self.stats["solves"] += 1
         if self._piv is None:
@@ -387,34 +487,139 @@ class _Tangent:
         """Solve ``A d = qw * rho`` on the interior, ``A`` the tangent at
         the cell gradient ``grad`` minus ``diag(shift)``, plus
         ``sum_j b_j b_j^T`` for the penalty rows; nodal ``d``, zero
-        trace."""
+        trace.  ``rho`` may stack densities over a leading axis: they are
+        solved in one call, and ``d`` keeps the stack."""
         dom = self.setup.dom
         idx = self.pat.idx
         self.factor(grad, shift)
-        d = self.solve((dom.node_qw * rho).ravel()[idx])
+        rhs = np.take((dom.node_qw * rho).reshape(-1, dom.interior.size),
+                      idx, axis=1)
+        d = self.solve(rhs.T)
         if self.rows is not None:
+            from scipy.linalg import lapack
             if self._kb is None:
                 self._kb = self.solve(self.rows.T)
-                self._small = np.eye(len(self.rows)) + self.rows @ self._kb
-            d -= self._kb @ np.linalg.solve(self._small, self.rows @ d)
-        flat = np.zeros(dom.interior.size)
-        flat[idx] = d
-        return flat.reshape(dom.node_shape)
+                # the LU factors of the small matrix (LAPACK dgetrf, as
+                # np.linalg.solve takes them)
+                lu, piv, info = lapack.dgetrf(
+                    np.eye(len(self.rows)) + self.rows @ self._kb)
+                if info != 0:
+                    raise RuntimeError(f"Woodbury matrix is singular "
+                                       f"(dgetrf info {info})")
+                self._small = lu, piv
+            # one right-hand side at a time, as a matrix product on the
+            # block rounds differently; the columns of the column-major
+            # solution are contiguous
+            for x in d.T:
+                x -= self._kb @ lapack.dgetrs(*self._small,
+                                              self.rows @ x)[0]
+        flat = np.zeros((d.shape[1], dom.interior.size))
+        flat.T[idx] = d
+        return flat.reshape(rho.shape)
 
 
-def _pair(point: _Point, lam: float, iters: int, history=()) -> EigenPair:
-    """The pair at ``point`` with multiplier ``lam``, certified afresh."""
+def _tangents(setup: EnergySetup, count: int, shifted: bool,
+              penalty_rows, stats: dict) -> list:
+    """The tangent of each of ``count`` rows.  A constant tangent that is
+    never shifted is one instance shared by all rows, so it is factored
+    once per batch; otherwise each row owns one.  So rows share their
+    tangent exactly when the first and the last do."""
+    first = _Tangent(setup, penalty_rows, stats)
+    if first._constant and not shifted:
+        return [first] * count
+    return [first] + [_Tangent(setup, penalty_rows, stats)
+                      for _ in range(count - 1)]
+
+
+def _directions(tangents: list, ids, point: _Point, rows, rho: np.ndarray,
+                shift=None):
+    """Tangent directions for the stacked ``rho``, row ``i`` with the
+    tangent of start ``ids[i]`` at the cell gradient of row ``rows[i]``
+    of ``point``, minus ``diag(shift[i])`` when ``shift`` is given.  Rows
+    that share a tangent (never shifted) solve in one call.  Returns the
+    directions and whether each row solved (one flag for a shared
+    tangent); a failed factorization leaves NaN in its rows."""
+    first = tangents[ids[0]]
+    if first is tangents[ids[-1]]:
+        # one row, or rows sharing their tangent (see _tangents)
+        try:
+            return first.direction(point.row_grad(rows[0]), rho,
+                                   None if shift is None else shift[0]), True
+        except RuntimeError:
+            return np.full(rho.shape, np.nan), False  # singular tangent
+    d = np.full(rho.shape, np.nan)
+    solved = np.zeros(len(ids), dtype=bool)
+    for i, start in enumerate(ids):
+        try:
+            d[i] = tangents[start].direction(
+                point.row_grad(rows[i]), rho[i],
+                None if shift is None else shift[i])
+        except RuntimeError:
+            continue
+        solved[i] = True
+    return d, solved
+
+
+def _pairs(point: _Point, lam, iters: int, histories) -> list:
+    """The pairs at the rows of ``point`` with multipliers ``lam``,
+    certified afresh, one residual history per row."""
     setup = point.setup
-    return EigenPair(lam, GridFunction(setup.dom, point.values),
-                     point.reaction, point.level,
-                     _dual_norm(setup, point.residual(lam)), iters,
-                     list(history), point.stats)
+    res = _dual_norm(setup, point.residual(lam))
+    return [EigenPair(float(lam[i]), GridFunction(setup.dom, point.values[i]),
+                      float(point.reaction[i]), float(point.level[i]),
+                      float(res[i]), iters, list(hist), point.stats)
+            for i, hist in enumerate(histories)]
 
 
-def _descend(setup: EnergySetup, alpha: float | None, init: GridFunction,
+def _single(outcomes: list):
+    """The ``(pair, converged)`` of a one-start call of a solver loop,
+    raising the start's error."""
+    (pair, converged), = outcomes
+    if isinstance(pair, Exception):
+        raise pair
+    return pair, converged
+
+
+def _evaluated(point: _Point, ids, out: list):
+    """``(point, kept)``: the rows of ``point`` that evaluated, ``kept``
+    indexing them (``slice(None)`` when all did; ``point`` is None when
+    none did).  A failed row's start ``ids[i]`` ends in ``out`` with its
+    error."""
+    if not point.failed:
+        return point, slice(None)
+    for i, err in point.failed.items():
+        out[ids[i]] = (err, False)
+    kept = np.setdiff1d(np.arange(len(ids)), list(point.failed))
+    return (point.take(kept) if kept.size else None), kept
+
+
+def _every(rows, count: int):
+    """``rows`` as an index, a slice (no copy) when it holds all
+    ``count`` rows of the batch."""
+    return rows if len(rows) < count else slice(None)
+
+
+def _merged(accepted: list):
+    """The accepted ``(batch rows, trial point)`` parts of a line search
+    as one, in row order."""
+    if len(accepted) == 1:
+        return accepted[0]
+    rows = np.concatenate([r for r, _ in accepted])
+    order = np.argsort(rows, kind="stable")
+    return rows[order], _Point.join([p for _, p in accepted]).take(order)
+
+
+def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
              opts: SolverOptions, anchors=(), mu: float = 0.0,
-             lam0: float = 0.0, stats: dict | None = None):
-    """Core preconditioned descent loop; returns (pair, converged).
+             lam0: float = 0.0, stats: dict | None = None) -> list:
+    """Core preconditioned descent loop on a stack of starts.
+
+    ``starts`` stacks zero-trace nodal values over a leading axis; the
+    rows iterate in lockstep, and one ``(pair, converged)`` is returned
+    per start, equal to what the start gives alone.  A start whose point
+    cannot be evaluated (see :class:`_Point`) or whose multiplier is
+    undefined gets ``(DomainError, False)`` instead, and the other rows
+    run on; a one-start caller raises it (:func:`_single`).
 
     Minimizes ``I`` on ``J = alpha``, projecting the start and every trial
     and taking the Rayleigh multiplier.  ``alpha=None`` descends freely on
@@ -431,81 +636,144 @@ def _descend(setup: EnergySetup, alpha: float | None, init: GridFunction,
     Without it the full step overshoots along the anchors and the line
     search backtracks.
 
-    The start and every trial are one :class:`_Point`; an accepted
-    trial's point is the next iterate, so the loop head adds only the
-    densities of ``I'`` and ``J'`` on its gradient and the multiplier.
-    The work is counted in ``stats`` (a fresh dict when not given), which
-    the returned pair carries.
+    The start and every trial are one :class:`_Point` per batch; an
+    accepted trial's row is that row's next iterate, so the loop head adds
+    only the densities of ``I'`` and ``J'`` on its gradient and the
+    multiplier.  Each row keeps its own multiplier, stop test and Armijo
+    step, and leaves the batch when it converges, stalls or fails.  The
+    work of all rows is counted in ``stats`` (a fresh dict when not
+    given), which every returned pair carries.
     """
     dom = setup.dom
     free = alpha is None
     stats = _new_stats() if stats is None else stats
     penalized = bool(anchors) and mu != 0.0
-    tangent = _Tangent(setup, _penalty_rows(dom, anchors, mu)
-                       if penalized else None, stats)
-    idx = tangent.pat.idx
+    tangents = _tangents(setup, len(starts), free, _penalty_rows(
+        dom, anchors, mu) if penalized else None, stats)
+    out = [None] * len(starts)
+    hist = [[] for _ in starts]
 
-    def point(values):
-        """(merit, point, energy, penalty density) at nodal values."""
-        p = _Point(setup, values, stats, alpha)
-        energy = p.level - lam0 * p.reaction if free else p.level
-        pen, pen_dens = _penalty_density(dom, p.values, anchors, mu)
-        return energy + pen, p, energy, pen_dens
+    def point(values, ids):
+        """:func:`_evaluated` at nodal ``values`` of the starts ``ids``,
+        with the merit terms."""
+        p, kept = _evaluated(_Point(setup, values, stats, alpha), ids, out)
+        if p is not None:
+            p.energy = p.level - lam0 * p.reaction if free else p.level
+            pen, p.pen_dens = _penalty_density(dom, p.values, anchors, mu)
+            p.merit = p.energy + pen
+        return p, kept
 
-    merit, u, energy, pen_dens = point(init.values)
-    hist = []
+    def finish(p, ids, lam, iters, converged):
+        """End the starts ``ids`` at the rows of ``p``."""
+        if not converged and not free:
+            lam, defined = p.rayleigh()
+            for i in np.flatnonzero(~defined):
+                out[ids[i]] = (DomainError(_NO_MULTIPLIER), False)
+            p, ids, lam = p.take(defined), ids[defined], lam[defined]
+        stats["iterations"] += iters * len(ids)
+        pairs = _pairs(p, lam, iters, [() if converged else hist[i][-50:]
+                                       for i in ids])
+        for i, pair in zip(ids, pairs):
+            out[i] = (pair, converged)
+
+    u, kept = point(starts, np.arange(len(starts)))
+    ids = np.arange(len(starts))[kept]
+    if u is None:
+        return out
+    lam = np.full(len(ids), float(lam0))
     iters = 0
-    lam = lam0
     for iters in range(opts.max_iter + 1):
         if not free:
             # the multiplier must project out the full merit gradient, or
             # the stop test can never fire at a penalized stationary point
-            num = _qw_dot(dom, u.d_I, u.values) + (
-                _qw_dot(dom, pen_dens, u.values) if penalized else 0.0)
-            lam = num / _qw_dot(dom, u.d_J, u.values)
-        res_dens = u.residual(lam)
-        rho = np.where(dom.interior, res_dens + pen_dens, 0.0)
+            num = _qw_dots(dom, u.d_I, u.values) + (
+                _qw_dots(dom, u.pen_dens, u.values) if penalized else 0.0)
+            lam = num / _qw_dots(dom, u.d_J, u.values)
+        rho = np.where(dom.interior, u.residual(lam) + u.pen_dens, 0.0)
         res = _dual_norm(setup, rho)
-        hist.append(res)
-        if res <= opts.tol * (1.0 + abs(energy)):
-            stats["iterations"] += iters
-            return _pair(u, lam, iters), True
+        for i, r in zip(ids.tolist(), res.tolist()):
+            hist[i].append(r)
+        done = res <= opts.tol * (1.0 + np.abs(u.energy))
+        if done.any():
+            finish(u.take(done), ids[done], lam[done], iters, True)
+            if done.all():
+                return out
+            live = ~done
+            u, ids, lam, rho = u.take(live), ids[live], lam[live], rho[live]
         if iters == opts.max_iter:
             break
-        shifts = ((lam0 * _reaction_curvature(setup, u.values).ravel()[idx],
-                   None) if free else (None,))
+        count = len(ids)
+        direction = slope = None
+        pending = np.arange(count)
+        shifts = (lam0 * _reaction_curvature(setup, u.values), None) \
+            if free else (None,)
         for shift in shifts:
-            try:
-                direction = tangent.direction(u.grad, rho, shift)
-            except RuntimeError:
-                continue  # singular free-energy tangent
-            slope = -_qw_dot(dom, rho, direction)
-            if slope < 0 and np.all(np.isfinite(direction)):
+            sel = _every(pending, count)
+            got, solved = _directions(tangents, ids[sel], u, pending,
+                                      rho[sel], None if shift is None
+                                      else shift[sel])
+            s = -_qw_dots(dom, rho[sel], got)
+            good = solved & (s < 0)
+            if not np.isfinite(got).all():
+                good &= np.isfinite(got).reshape(len(got), -1).all(axis=1)
+            if direction is None:
+                if good.all():
+                    direction, slope, pending = got, s, pending[:0]
+                    break
+                direction, slope = rho.copy(), np.empty(count)
+            direction[pending[good]] = got[good]
+            slope[pending[good]] = s[good]
+            pending = pending[~good]
+            if not pending.size:
                 break
-        else:
-            direction = rho
-            slope = -_qw_dot(dom, rho, rho)
-        step = 1.0
+        if pending.size:
+            # no descending tangent direction: steepest descent
+            slope[pending] = -_qw_dots(dom, rho[pending], rho[pending])
+        step = np.ones(count)
+        search = np.arange(count)
+        accepted = []
         for _ in range(60):
-            stats["trials"] += 1
-            trial = point(u.values - step * direction)
-            if trial[0] <= merit + _ARMIJO_C1 * step * slope:
-                merit, u, energy, pen_dens = trial
+            sel = _every(search, count)
+            stats["trials"] += len(search)
+            trial, kept = point(u.values[sel] - _rows(step[sel], dom)
+                                * direction[sel], ids[sel])
+            search = search[kept]
+            if not search.size:
                 break
-            step *= _BACKTRACK
-        else:
-            break  # line search stalled at machine scale
-        if free and float(np.max(np.abs(u.values))) > 1e8:
-            break  # free energy not coercive at this multiplier
-    if not free:
-        lam = u.rayleigh()
-    stats["iterations"] += iters
-    return _pair(u, lam, iters, hist[-50:]), False
+            sel = _every(search, count)
+            ok = trial.merit <= (u.merit[sel] + _ARMIJO_C1 * step[sel]
+                                 * slope[sel])
+            if ok.all():
+                accepted.append((search, trial))
+                search = search[:0]
+                break
+            if ok.any():
+                accepted.append((search[ok], trial.take(ok)))
+            search = search[~ok]
+            step[search] *= _BACKTRACK
+        if search.size:
+            # line search stalled at machine scale
+            finish(u.take(search), ids[search], lam[search], iters, False)
+        if not accepted:
+            return out
+        rows, u = _merged(accepted)
+        ids, lam = ids[rows], lam[rows]
+        if free:
+            # free energy not coercive at this multiplier
+            big = np.abs(u.values).reshape(len(ids), -1).max(axis=1) > 1e8
+            if big.any():
+                finish(u.take(big), ids[big], lam[big], iters, False)
+                if big.all():
+                    return out
+                u, ids, lam = u.take(~big), ids[~big], lam[~big]
+    finish(u, ids, lam, iters, False)
+    return out
 
 
-def _newton_polish(setup: EnergySetup, alpha: float, init: GridFunction,
-                   opts: SolverOptions, stats: dict | None = None):
-    """Converge to the critical point nearest to ``init``, saddles included.
+def _newton_polish(setup: EnergySetup, alpha: float, starts: np.ndarray,
+                   opts: SolverOptions, stats: dict | None = None) -> list:
+    """Converge to the critical point nearest to each start, saddles
+    included.
 
     Damped Newton on the bordered stationarity system
 
@@ -517,74 +785,130 @@ def _newton_polish(setup: EnergySetup, alpha: float, init: GridFunction,
     must shrink the algebraic residual square, so the iteration cannot
     slide off a sign-changing saddle toward the ground state the way plain
     energy descent does.  The start and every trial are one
-    :class:`_Point`; an accepted trial's point and merit terms are the
-    next iterate's, so the loop head adds only ``I`` and the dual norm.
-    The work is counted in ``stats`` as in :func:`_descend`.  Returns
-    ``(pair, converged)``.
+    :class:`_Point` per batch; an accepted trial's row and merit terms are
+    that row's next iterate, so the loop head adds only ``I`` and the dual
+    norm.  ``starts`` is a stack as in :func:`_descend`, and so are the
+    returned ``(pair, converged)`` per start, the errors and ``stats``;
+    each row factors its own shifted system.
     """
     dom = setup.dom
     stats = _new_stats() if stats is None else stats
-    tangent = _Tangent(setup, stats=stats)
-    idx = tangent.pat.idx
+    tangents = _tangents(setup, len(starts), True, None, stats)
+    idx = dom.stiffness_pattern.idx
+    out = [None] * len(starts)
+    hist = [[] for _ in starts]
 
     def merit_at(p, lam_v):
-        """(merit, residual density, its interior weak form, level gap) at
-        point p with multiplier lam_v."""
-        res_dens = p.residual(lam_v)
-        f_vec = (dom.node_qw * res_dens).ravel()[idx]
-        jgap = p.reaction - alpha
-        return float(f_vec @ f_vec) + jgap * jgap, res_dens, f_vec, jgap
+        """Set the merit terms of ``p`` at the multipliers ``lam_v``."""
+        p.lam = lam_v
+        p.res_dens = p.residual(lam_v)
+        # np.take keeps each row contiguous, which a dot product's rounding
+        # depends on; fancy indexing on the second axis does not
+        p.f_vec = np.take((dom.node_qw * p.res_dens).reshape(len(lam_v), -1),
+                          idx, axis=1)
+        p.jgap = p.reaction - alpha
+        p.merit = (np.matmul(p.f_vec[:, None, :], p.f_vec[:, :, None])[:, 0, 0]
+                   + p.jgap * p.jgap)
 
-    u = _Point(setup, init.values, stats, alpha)
-    lam = u.rayleigh()
-    merit, res_dens, f_vec, jgap = merit_at(u, lam)
-    hist = []
+    def finish(p, ids, iters):
+        """End the starts ``ids``, not converged, at the rows of ``p``."""
+        lam_fin, defined = p.rayleigh()
+        stats["iterations"] += iters * len(ids)
+        pairs = _pairs(p, np.where(defined, lam_fin, p.lam), iters,
+                       [hist[i][-50:] for i in ids])
+        for i, pair in zip(ids, pairs):
+            out[i] = (pair, False)
+
+    u, kept = _evaluated(_Point(setup, starts, stats, alpha),
+                         np.arange(len(starts)), out)
+    ids = np.arange(len(starts))[kept]
+    if u is not None:
+        lam, defined = u.rayleigh()
+        for i in np.flatnonzero(~defined):
+            out[ids[i]] = (DomainError(_NO_MULTIPLIER), False)
+        if not defined.all():
+            u, ids, lam = u.take(defined), ids[defined], lam[defined]
+    if not ids.size:
+        return out
+    merit_at(u, lam)
     iters = 0
     for iters in range(opts.max_iter + 1):
         level = u.level
-        res = _dual_norm(setup, res_dens)
-        hist.append(res)
-        if res <= opts.tol * (1.0 + level) and abs(jgap) <= 1e-9 * alpha:
+        res = _dual_norm(setup, u.res_dens)
+        for i, r in zip(ids.tolist(), res.tolist()):
+            hist[i].append(r)
+        done = (res <= opts.tol * (1.0 + level)) \
+            & (np.abs(u.jgap) <= 1e-9 * alpha)
+        for i in np.flatnonzero(done):
             stats["iterations"] += iters
-            return EigenPair(lam, GridFunction(dom, u.values), alpha + jgap,
-                             level, res, iters, stats=stats), True
+            out[ids[i]] = (EigenPair(
+                float(u.lam[i]), GridFunction(dom, u.values[i]),
+                alpha + float(u.jgap[i]), float(level[i]), float(res[i]),
+                iters, stats=stats), True)
+        if done.any():
+            if done.all():
+                return out
+            u, ids = u.take(~done), ids[~done]
         if iters == opts.max_iter:
             break
-        bdiag = _reaction_curvature(setup, u.values).ravel()[idx]
-        bvec = (dom.node_qw * u.d_J).ravel()[idx]
-        try:
-            tangent.factor(u.grad, shift=lam * bdiag)
-            k_f, k_b = tangent.solve(np.column_stack([f_vec, bvec])).T
-        except RuntimeError:
-            break  # singular linearization
-        denom = float(bvec @ k_b)
-        if denom == 0.0 or not np.isfinite(denom):
-            break
-        dlam = (float(bvec @ k_f) - jgap) / denom
-        du = -k_f + dlam * k_b
-        if not np.all(np.isfinite(du)):
-            break
-        t = 1.0
+        count = len(ids)
+        bdiag = _reaction_curvature(setup, u.values)
+        bvec = np.take((dom.node_qw * u.d_J).reshape(count, -1), idx, axis=1)
+        du = np.empty((count, idx.size))
+        dlam = np.empty(count)
+        stuck = np.zeros(count, dtype=bool)
+        for i in range(count):
+            tangent = tangents[ids[i]]
+            try:
+                tangent.factor(u.row_grad(i), shift=u.lam[i] * bdiag[i])
+                k_f, k_b = tangent.solve(np.column_stack([u.f_vec[i],
+                                                          bvec[i]])).T
+            except RuntimeError:
+                stuck[i] = True  # singular linearization
+                continue
+            denom = float(bvec[i] @ k_b)
+            if denom == 0.0 or not np.isfinite(denom):
+                stuck[i] = True
+                continue
+            dlam[i] = (float(bvec[i] @ k_f) - u.jgap[i]) / denom
+            du[i] = -k_f + dlam[i] * k_b
+            stuck[i] = not np.all(np.isfinite(du[i]))
+        t = np.ones(count)
+        search = np.flatnonzero(~stuck)
+        accepted = []
         for _ in range(30):
-            stats["trials"] += 1
-            flat = u.values.ravel().copy()
-            flat[idx] += t * du
-            trial = _Point(setup, flat.reshape(dom.node_shape), stats)
-            lam_t = lam + t * dlam
-            terms = merit_at(trial, lam_t)
-            if terms[0] <= (1.0 - _ARMIJO_C1 * t) * merit:
-                u, lam = trial, lam_t
-                merit, res_dens, f_vec, jgap = terms
+            if not search.size:
                 break
-            t *= _BACKTRACK
-        else:
-            break
-    try:
-        lam_fin = u.rayleigh()
-    except DomainError:
-        lam_fin = lam
-    stats["iterations"] += iters
-    return _pair(u, lam_fin, iters, hist[-50:]), False
+            sel = _every(search, count)
+            stats["trials"] += len(search)
+            flat = u.values[search].reshape(len(search), -1)
+            flat[:, idx] += t[sel, None] * du[sel]
+            trial, kept = _evaluated(_Point(
+                setup, flat.reshape((-1,) + dom.node_shape), stats),
+                ids[sel], out)
+            search = search[kept]
+            if not search.size:
+                break
+            sel = _every(search, count)
+            merit_at(trial, u.lam[sel] + t[sel] * dlam[sel])
+            ok = trial.merit <= (1.0 - _ARMIJO_C1 * t[sel]) * u.merit[sel]
+            if ok.all():
+                accepted.append((search, trial))
+                search = search[:0]
+                break
+            if ok.any():
+                accepted.append((search[ok], trial.take(ok)))
+            search = search[~ok]
+            t[search] *= _BACKTRACK
+        stuck[search] = True
+        if stuck.any():
+            finish(u.take(stuck), ids[stuck], iters)
+        if not accepted:
+            return out
+        rows, u = _merged(accepted)
+        ids = ids[rows]
+    finish(u, ids, iters)
+    return out
 
 
 def minimize_on_level(setup: EnergySetup, alpha: float,
@@ -607,14 +931,19 @@ def minimize_on_level(setup: EnergySetup, alpha: float,
     if init is None:
         init = default_init(setup.dom)
     stats = _new_stats()
-    pair, ok = _descend(setup, alpha, init, opts, stats=stats)
+    pair, ok = _single(_descend(setup, alpha, init.values[None], opts,
+                                stats=stats))
     if ok and np.any(pair.u.values < 0):
-        flipped = _Point(setup, np.abs(pair.u.values), stats)
-        cand = _pair(flipped, flipped.rayleigh(), pair.iterations)
+        flipped = _Point(setup, np.abs(pair.u.values)[None], stats)
+        lam, defined = flipped.rayleigh()
+        if not defined[0]:
+            raise DomainError(_NO_MULTIPLIER)
+        cand, = _pairs(flipped, lam, pair.iterations, [()])
         if cand.residual <= opts.tol * (1.0 + cand.level):
             pair = cand
         else:
-            polish, ok2 = _descend(setup, alpha, cand.u, opts, stats=stats)
+            polish, ok2 = _single(_descend(setup, alpha, cand.u.values[None],
+                                           opts, stats=stats))
             if ok2 and not np.any(polish.u.values < 0):
                 pair = polish
             # else: keep the signed certified minimizer
@@ -634,7 +963,8 @@ def _subinterval_pair(setup: EnergySetup, j: int, k: int, level: float,
                       opts: SolverOptions):
     """Solve the one-bump problem on the j-th of k equal subintervals,
     restricting both weights by interpolation; returns nodal values of the
-    sub-solution interpolated back onto the parent grid (zero outside)."""
+    sub-solution interpolated back onto the parent grid (zero outside),
+    and the solve's stats."""
     dom = setup.dom
     a, b = dom.extent
     width = (b - a) / k
@@ -648,23 +978,27 @@ def _subinterval_pair(setup: EnergySetup, j: int, k: int, level: float,
     inside = (dom.axis >= lo) & (dom.axis <= lo + width)
     vals = np.zeros(dom.n)
     vals[inside] = np.interp(dom.axis[inside], sub.axis, pair.u.values)
-    return vals
+    return vals, pair.stats
 
 
 def _ls_1d(setup: EnergySetup, alpha: float, k_max: int,
            opts: SolverOptions) -> list:
-    """Rungs 2..k_max as ``(pair, reliable)``, polished from glued bumps."""
+    """Rungs 2..k_max as ``(pair, reliable, stats)``, polished from glued
+    bumps."""
     out = []
     for k in range(2, k_max + 1):
-        pieces = [_subinterval_pair(setup, j, k, alpha / k, opts)
-                  for j in range(k)]
+        stats = _new_stats()
         glued = np.zeros(setup.dom.n)
-        for j, piece in enumerate(pieces):
+        for j in range(k):
+            piece, sub_stats = _subinterval_pair(setup, j, k, alpha / k, opts)
             glued += (-1.0) ** j * piece
+            for key in STAT_KEYS:
+                stats[key] += sub_stats[key]
         init = GridFunction(setup.dom, glued)
         # the glue is near a sign-changing saddle, so relax with the
         # saddle-capable polisher, not with energy descent
-        out.append(_newton_polish(setup, alpha, init, opts))
+        out.append(_single(_newton_polish(setup, alpha, init.values[None],
+                                          opts, stats)) + (stats,))
     return out
 
 
@@ -684,8 +1018,13 @@ def _overlap(dom: GridDomain, a: np.ndarray, b: np.ndarray) -> float:
 
 def _ls_2d(setup: EnergySetup, alpha: float, k_max: int, first: EigenPair,
            opts: SolverOptions) -> list:
-    """Rungs 2..k_max as ``(pair, reliable)``, polished from penalized
-    multi-start descents against the pairs found so far."""
+    """Rungs 2..k_max as ``(pair, reliable, stats)``, polished from
+    penalized multi-start descents against the pairs found so far.
+
+    The starts of one rung and boost run as one batch through the
+    exploration and then through the polish; the candidates are then
+    taken in start order, so the choice is the one a start-by-start
+    search makes."""
     dom = setup.dom
     out = []
     prev = first
@@ -698,25 +1037,26 @@ def _ls_2d(setup: EnergySetup, alpha: float, k_max: int, first: EigenPair,
     rng = np.random.default_rng(_LS_SEED)
     for k in range(2, k_max + 1):
         best = None
+        stats = _new_stats()
         # the penalty has to dominate the spectral gap, which scales with
         # the energies themselves; escalate when every start collapses
         mu0 = 10.0 * (1.0 + prev.level)
         for boost in (1.0, 10.0, 100.0):
-            for c in cands:
-                tilt = c * np.sign(rng.standard_normal(dom.node_shape)
-                                   + 0.5) if k > 2 else c
-                init = GridFunction(dom, tilt)
-                # one start's exploration and polish count as one solve
-                stats = _new_stats()
-                try:
-                    pen_pair, _ = _descend(setup, alpha, init, explore,
-                                           anchors=found, mu=boost * mu0,
-                                           stats=stats)
-                    pair, ok = _newton_polish(setup, alpha, pen_pair.u,
-                                              relax, stats)
-                    if not ok:
-                        continue
-                except DomainError:
+            tilts = np.stack([c * np.sign(rng.standard_normal(dom.node_shape)
+                                          + 0.5) if k > 2 else c
+                              for c in cands])
+            explored = _descend(setup, alpha,
+                                np.where(dom.interior, tilts, 0.0), explore,
+                                anchors=found, mu=boost * mu0, stats=stats)
+            landed = [i for i, (pen_pair, _) in enumerate(explored)
+                      if isinstance(pen_pair, EigenPair)]
+            polished = dict(zip(landed, _newton_polish(
+                setup, alpha, np.stack([explored[i][0].u.values
+                                        for i in landed]), relax, stats)
+                if landed else ()))
+            for i in landed:
+                pair, ok = polished[i]
+                if not ok:
                     continue
                 sep = max((_overlap(dom, pair.u.values, f[0])
                            for f in found), default=0.0)
@@ -729,11 +1069,11 @@ def _ls_2d(setup: EnergySetup, alpha: float, k_max: int, first: EigenPair,
                 break
         if best is None:
             # deflation failed to separate; fall back to the previous pair
-            out.append((prev, False))
+            out.append((prev, False, stats))
             continue
         found.append((best.u.values, _qw_dot(dom, best.u.values,
                                              best.u.values)))
-        out.append((best, True))
+        out.append((best, True, stats))
         prev = best
     return out
 
@@ -760,10 +1100,10 @@ def ls_sequence(setup: EnergySetup, alpha: float, k_max: int,
     else:
         method, rest = "deflation-2d", _ls_2d(setup, alpha, k_max, first,
                                               opts)
-    rungs = [(first, True)] + rest
+    rungs = [(first, True, first.stats)] + rest
     return [LSLevel(k, energy_J(setup, scale_to_energy_level(
-                        setup, pair.u, alpha)), pair, method, reliable)
-            for k, (pair, reliable) in enumerate(rungs, 1)]
+                        setup, pair.u, alpha)), pair, method, reliable, stats)
+            for k, (pair, reliable, stats) in enumerate(rungs, 1)]
 
 
 def spectrum_sweep(setup: EnergySetup, alphas,

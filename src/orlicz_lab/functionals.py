@@ -113,8 +113,10 @@ class EnergySetup:
         # evaluation and level scaling pairs against
         self.w_cell_qw = np.ravel(self.w_cells * dom.cell_qw)
         self.w1_node_qw = np.ravel(w1.values * dom.node_qw)
-        # Sobolev norms of the interior nodal hats, in row-major order
-        self._basis_w = self._basis_norms()
+        # Sobolev norms of the interior nodal hats on the flattened node
+        # layout, inf off the interior, where no hat sits
+        self._basis_w = np.full(dom.interior.size, np.inf)
+        self._basis_w[np.flatnonzero(dom.interior)] = self._basis_norms()
 
     # -- basis Sobolev norms ----------------------------------------------
     def _basis_norms(self) -> np.ndarray:
@@ -176,12 +178,15 @@ def _check_member(setup: EnergySetup, u: GridFunction):
 
 
 # --------------------------------------------------------------------------
-# raw-array kernels at one point
+# raw-array kernels
 #
 # The public functions below check their operands and wrap these; the
 # solver loops call them directly on nodal arrays, so each quantity has one
 # formula.  The kernels evaluate the Young functions unchecked, on finite
-# nodal values and on magnitudes checked by :func:`_gradient`.
+# nodal values and on magnitudes checked by :func:`_gradient`.  They take
+# layouts stacked over a leading axis (the energies need it, the others
+# take any leading axes, as :func:`gradient_components` does), and each
+# row of the result equals the kernel on that row alone.
 
 
 def _gradient(dom: GridDomain, values: np.ndarray) -> tuple:
@@ -194,14 +199,14 @@ def _gradient(dom: GridDomain, values: np.ndarray) -> tuple:
     return comps, mag
 
 
-def _energy_I(setup: EnergySetup, mag: np.ndarray) -> float:
-    """``I`` from the cell gradient magnitudes."""
-    return float(_modular(setup.phi, setup.w_cell_qw, mag[None, ...])[0])
+def _energy_I(setup: EnergySetup, mag: np.ndarray) -> np.ndarray:
+    """``I`` per row from the stacked cell gradient magnitudes."""
+    return _modular(setup.phi, setup.w_cell_qw, mag)
 
 
-def _energy_J(setup: EnergySetup, values: np.ndarray) -> float:
-    """``J`` at finite nodal ``values``."""
-    return float(_modular(setup.psi, setup.w1_node_qw, values[None, ...])[0])
+def _energy_J(setup: EnergySetup, values: np.ndarray) -> np.ndarray:
+    """``J`` per row at the stacked finite nodal ``values``."""
+    return _modular(setup.psi, setup.w1_node_qw, values)
 
 
 def _gateaux_I(setup: EnergySetup, comps, mag: np.ndarray) -> np.ndarray:
@@ -224,18 +229,30 @@ def _gateaux_J(setup: EnergySetup, values: np.ndarray) -> np.ndarray:
     return np.where(setup.dom.interior, density, 0.0)
 
 
-def _dual_norm(setup: EnergySetup, density: np.ndarray) -> float:
-    """Dual norm of the functional with ``density``."""
-    pairings = np.abs(setup.dom.node_qw * density)[setup.dom.interior]
-    return float((pairings / setup._basis_w).max(initial=0.0))
+def _dual_norm(setup: EnergySetup, density: np.ndarray):
+    """Dual norm of the functional with ``density``, which is zero off the
+    interior."""
+    dom = setup.dom
+    pairings = np.abs(dom.node_qw * density).reshape(
+        density.shape[:density.ndim - dom.ndim] + (-1,))
+    return (pairings / setup._basis_w).max(axis=-1, initial=0.0)
 
 
 def _level_scale(setup: EnergySetup, values: np.ndarray,
-                 alpha: float) -> float:
-    """The factor ``s`` with ``J(s u) = alpha``, for nodal ``values`` of
-    ``u``."""
-    return _one_scale(scale_to_modular(setup.psi, setup.w1_node_qw,
-                                       values[None], alpha))
+                 alpha: float) -> np.ndarray:
+    """Per row of the stacked nodal ``values`` of ``u``, the factor ``s``
+    with ``J(s u) = alpha``: ``inf`` for a zero row and NaN for a row that
+    is not finite, so one row cannot fail the others."""
+    try:
+        return scale_to_modular(setup.psi, setup.w1_node_qw, values, alpha)
+    except DomainError:
+        # a row that is not finite; a bad level raises again below
+        finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    scale = np.full(len(values), np.nan)
+    if finite.any():
+        scale[finite] = scale_to_modular(setup.psi, setup.w1_node_qw,
+                                         values[finite], alpha)
+    return scale
 
 
 def _one_scale(scale: np.ndarray) -> float:
@@ -252,13 +269,13 @@ def _one_scale(scale: np.ndarray) -> float:
 def energy_I(setup: EnergySetup, u: GridFunction) -> float:
     """Diffusion energy: cell quadrature of ``w Phi(|grad u|)``."""
     _check_member(setup, u)
-    return _energy_I(setup, _gradient(setup.dom, u.values)[1])
+    return float(_energy_I(setup, _gradient(setup.dom, u.values[None])[1])[0])
 
 
 def energy_J(setup: EnergySetup, u: GridFunction) -> float:
     """Reaction energy: nodal quadrature of ``w1 Psi(|u|)``."""
     _check_member(setup, u)
-    return _energy_J(setup, u.values)
+    return float(_energy_J(setup, u.values[None])[0])
 
 
 def gateaux_I(setup: EnergySetup, u: GridFunction) -> DualGridFunction:
@@ -289,7 +306,7 @@ def project_to_level(setup: EnergySetup, u: GridFunction,
     bracket it.  The returned level matches to 1e-12 relative.
     """
     _check_member(setup, u)
-    return u.scaled(_level_scale(setup, u.values, alpha))
+    return u.scaled(_one_scale(_level_scale(setup, u.values[None], alpha)))
 
 
 def scale_to_energy_level(setup: EnergySetup, u: GridFunction,
@@ -310,4 +327,4 @@ def dual_norm(setup: EnergySetup, functional: DualGridFunction) -> float:
     """
     if functional.domain is not setup.dom:
         raise DomainError("functional lives on a different domain")
-    return _dual_norm(setup, functional.density)
+    return float(_dual_norm(setup, functional.density))

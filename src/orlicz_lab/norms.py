@@ -310,20 +310,22 @@ def _cell_magnitude(comps) -> np.ndarray:
 
 def gradient_adjoint(domain: GridDomain, cell_fields) -> np.ndarray:
     """Exact adjoint of :func:`gradient_components` under plain summation:
-    returns nodal ``d`` with ``sum(d * v) = sum_c q_c . grad(v)_c``."""
+    returns nodal ``d`` with ``sum(d * v) = sum_c q_c . grad(v)_c``.  The
+    fields may stack cell layouts over leading axes, as the components
+    do; ``d`` then keeps those axes, slice by slice the adjoint of each."""
     h = domain.h
+    lead = np.shape(cell_fields[0])[:-domain.ndim]
+    out = np.zeros(lead + domain.node_shape)
     if domain.ndim == 1:
         (q,) = cell_fields
-        out = np.zeros(domain.node_shape)
-        out[1:] += q / h
-        out[:-1] -= q / h
+        out[..., 1:] += q / h
+        out[..., :-1] -= q / h
         return out
     qx, qy = cell_fields
-    out = np.zeros(domain.node_shape)
-    out[1:, :-1] += qx
-    out[:-1, :-1] -= qx
-    out[:-1, 1:] += qy
-    out[:-1, :-1] -= qy
+    out[..., 1:, :-1] += qx
+    out[..., :-1, :-1] -= qx
+    out[..., :-1, 1:] += qy
+    out[..., :-1, :-1] -= qy
     return out / h
 
 
@@ -352,11 +354,16 @@ def _modular(phi: YoungFunction, wq: np.ndarray, rows: np.ndarray
              ) -> np.ndarray:
     """:func:`modular_values` with the weighted quadrature ``wq`` (the
     flattened ``weight * qw``) formed by the caller, on rows the caller
-    has checked."""
+    has checked.
+
+    Each row is reduced by its own dot product, so a row's modular does
+    not depend on the rows stacked with it; a matrix-vector product on
+    several rows differs from a lone row's dot by up to 1 ulp.
+    """
     flat = np.abs(rows).reshape(rows.shape[0], -1)
     with np.errstate(over="ignore"):
         vals = phi._value_raw(flat)
-    return vals @ wq
+    return np.matmul(vals[:, None, :], wq[:, None])[:, 0, 0]
 
 
 def modular(phi: YoungFunction, w: WeightField, u: GridFunction) -> float:

@@ -34,7 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .eigensolver import SolverOptions, _descend, minimize_on_level
+from .eigensolver import (SolverOptions, _descend, _single,
+                          minimize_on_level)
 from .errors import ConditionFailure, DomainError, OrliczLabError
 from .functionals import EnergySetup, energy_I, energy_J
 from .norms import (GridFunction, gradient_magnitude, luxemburg_values,
@@ -365,8 +366,9 @@ def count_critical_points(setup: EnergySetup, lam: float, starts: int,
     opts = SolverOptions(tol=1e-6, max_iter=2000)
     iterates = [np.zeros(dom.node_shape)]
     for c, amp in zip(cands, amplitudes):
-        pair, ok = _descend(setup, None, GridFunction(dom, amp * c), opts,
-                            lam0=lam)
+        pair, ok = _single(_descend(setup, None,
+                                    GridFunction(dom, amp * c).values[None],
+                                    opts, lam0=lam))
         if ok:
             iterates.append(pair.u.values)
     norms = [sobolev_norm(setup.phi, setup.psi, setup.w, setup.w1,

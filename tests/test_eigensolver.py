@@ -188,6 +188,10 @@ def test_ls_sequence_quadratic_matches_dense_ladder():
         assert lv.method == "nodal-1d"
         assert lv.reliable
         assert lv.pair.lam == pytest.approx(lam_ref, rel=1e-6)
+        # a rung's stats hold its k subinterval solves and its polish, each
+        # of which projects its start
+        assert lv.stats["projections"] >= lv.k + (lv.k > 1)
+        assert lv.stats["iterations"] >= lv.pair.iterations
     cs = [lv.c_k_alpha for lv in levels]
     assert cs[0] > cs[1] > cs[2]
 
@@ -263,8 +267,9 @@ def test_ls_2d_unseparated_rung_repeats_the_previous_one(monkeypatch):
     # to rung 1: the same pair and the same level, flagged unreliable
     from orlicz_lab import eigensolver
 
-    def failed(setup, alpha, init, opts, stats=None):
-        return ol.EigenPair(0.0, init, alpha, 0.0, math.inf, 0), False
+    def failed(setup, alpha, starts, opts, stats=None):
+        return [(ol.EigenPair(0.0, ol.GridFunction(setup.dom, start), alpha,
+                              0.0, math.inf, 0), False) for start in starts]
 
     monkeypatch.setattr(eigensolver, "_newton_polish", failed)
     setup = build_setup(ol.Power(2.0), ol.Power(2.0), _unit_box(11))
@@ -420,8 +425,8 @@ def test_penalized_direction_solves_the_merit_tangent():
     eps = 1e-3
 
     def weak(vals):
-        _, dens = _penalty_density(dom, vals, anchors, mu)
-        return (dom.node_qw * dens).ravel()[idx]
+        _, dens = _penalty_density(dom, vals[None], anchors, mu)
+        return (dom.node_qw * dens[0]).ravel()[idx]
 
     fd = (weak(u + eps * v) - weak(u - eps * v)) / (2.0 * eps)
     assert np.allclose(rows.T @ (rows @ v.ravel()[idx]), fd,
@@ -451,10 +456,10 @@ def test_penalized_exploration_iterations_bounded(monkeypatch, n, tol):
     counts = []
 
     def counted(*args, **kwargs):
-        pair, ok = inner(*args, **kwargs)
+        outcomes = inner(*args, **kwargs)
         if kwargs.get("anchors"):
-            counts.append(pair.iterations)
-        return pair, ok
+            counts.extend(pair.iterations for pair, _ in outcomes)
+        return outcomes
 
     monkeypatch.setattr(eigensolver, "_descend", counted)
     setup = build_setup(ol.Power(2.0), ol.Power(2.0), _unit_box(n))
@@ -470,9 +475,9 @@ def test_free_descent_stops_at_a_critical_point_of_the_free_energy():
                         {"shape": "disc", "n": 33, "extent": [1.0]})
     lam0, tol = 1.5, 1e-6
     init = ol.GridFunction(setup.dom, 2.0 * ol.default_init(setup.dom).values)
-    pair, ok = eigensolver._descend(
-        setup, None, init, ol.SolverOptions(tol=tol, max_iter=2000),
-        lam0=lam0)
+    (pair, ok), = eigensolver._descend(
+        setup, None, init.values[None],
+        ol.SolverOptions(tol=tol, max_iter=2000), lam0=lam0)
     assert ok
     assert pair.lam == lam0
     assert np.max(np.abs(pair.u.values)) > 0.1  # not the zero state
@@ -487,8 +492,9 @@ def test_descent_evaluates_each_iterate_once():
     # once per projected point and never again at the loop head
     from orlicz_lab import eigensolver
     setup = build_setup(ol.Power(3.0), ol.Power(2.0), _unit_box(33))
-    pair, ok = eigensolver._descend(setup, 1.0, ol.default_init(setup.dom),
-                                    ol.SolverOptions())
+    (pair, ok), = eigensolver._descend(
+        setup, 1.0, ol.default_init(setup.dom).values[None],
+        ol.SolverOptions())
     assert ok and pair.iterations == 6
     assert pair.stats["iterations"] == 6
     assert pair.stats["energy_I"] == 7 and pair.stats["projections"] == 7
@@ -499,12 +505,134 @@ def test_polish_evaluates_each_iterate_once():
     # start's Rayleigh multiplier reuses the start's I' and J'
     from orlicz_lab import eigensolver
     setup = build_setup(ol.Power(3.0), ol.Power(2.0), _unit_box(17))
-    pair, ok = eigensolver._newton_polish(
-        setup, 1.0, ol.default_init(setup.dom), ol.SolverOptions())
+    (pair, ok), = eigensolver._newton_polish(
+        setup, 1.0, ol.default_init(setup.dom).values[None],
+        ol.SolverOptions())
     assert ok and pair.iterations > 1
     assert pair.stats["trials"] == pair.iterations
     assert pair.stats["gateaux_I"] == pair.iterations + 1
     assert pair.stats["energy_J"] == pair.iterations + 1
+
+
+# ---------------------------------------------------------------------------
+# batches: every start of a stack ends as it ends alone
+
+def _batch_case(case):
+    """(setup, stacked zero-trace starts, options, keyword arguments of
+    the descent) of three stacks: the 8 penalized rung-2 starts of the
+    p=2 ladder, and unpenalized smooth starts on a p=3 box and a
+    PowerSum disc."""
+    from orlicz_lab import eigensolver
+    if case == "anchored-p2-box":
+        setup = build_setup(ol.Power(2.0), ol.Power(2.0), _unit_box(21))
+        first = ol.minimize_on_level(setup, 1.0)
+        kwargs = {"anchors": [(first.u.values, float(np.sum(
+                      setup.dom.node_qw * first.u.values ** 2)))],
+                  "mu": 10.0 * (1.0 + first.level)}
+        cands = ol.smooth_candidates(setup.dom, eigensolver._LS_STARTS,
+                                     eigensolver._LS_SEED + 1)
+        opts = ol.SolverOptions(tol=1e-5, max_iter=2000)
+    else:
+        phi, psi, cfg = ((ol.Power(3.0), ol.Power(2.0), _unit_box(21))
+                         if case == "p3-box" else
+                         (ol.PowerSum(2.0, 4.0), ol.PowerSum(1.5, 2.5),
+                          {"shape": "disc", "n": 21, "extent": [1.0]}))
+        setup = build_setup(phi, psi, cfg)
+        cands = ol.smooth_candidates(setup.dom, 6, seed=4)
+        kwargs, opts = {}, ol.SolverOptions(tol=1e-8, max_iter=12)
+    return setup, np.where(setup.dom.interior, cands, 0.0), opts, kwargs
+
+
+def _assert_same_outcome(got, alone):
+    pair, ok = got
+    want, want_ok = alone
+    assert ok == want_ok
+    assert np.array_equal(pair.u.values, want.u.values)
+    assert (pair.lam, pair.residual, pair.level, pair.iterations) \
+        == (want.lam, want.residual, want.level, want.iterations)
+
+
+_BATCH_CASES = ["anchored-p2-box", "p3-box", "powersum-disc"]
+
+
+@pytest.mark.parametrize("case", _BATCH_CASES)
+def test_batched_descent_equals_one_start_calls(case):
+    from orlicz_lab import eigensolver
+    setup, starts, opts, kwargs = _batch_case(case)
+    batch = eigensolver._descend(setup, 1.0, starts, opts, **kwargs)
+    iters = set()
+    for start, got in zip(starts, batch):
+        alone = eigensolver._single(eigensolver._descend(
+            setup, 1.0, start[None], opts, **kwargs))
+        _assert_same_outcome(got, alone)
+        iters.add(got[0].iterations)
+    # rows leave the batch at different iterations
+    assert len(iters) > 1
+
+
+@pytest.mark.parametrize("case", _BATCH_CASES)
+def test_batched_polish_equals_one_start_calls(case):
+    from orlicz_lab import eigensolver
+    setup, starts, opts, kwargs = _batch_case(case)
+    explored = np.stack([pair.u.values for pair, _ in eigensolver._descend(
+        setup, 1.0, starts, opts, **kwargs)])
+    relax = ol.SolverOptions(max_iter=300)
+    batch = eigensolver._newton_polish(setup, 1.0, explored, relax)
+    for start, got in zip(explored, batch):
+        _assert_same_outcome(got, eigensolver._single(
+            eigensolver._newton_polish(setup, 1.0, start[None], relax)))
+
+
+def test_zero_start_ends_only_its_row():
+    # the zero function cannot be projected: its row ends with the error
+    # a one-start call raises, and the other rows run on unchanged
+    from orlicz_lab import eigensolver
+    setup, starts, opts, kwargs = _batch_case("anchored-p2-box")
+    holed = starts.copy()
+    holed[2] = 0.0
+    for loop, args in ((eigensolver._descend, kwargs),
+                       (eigensolver._newton_polish, {})):
+        run = opts if loop is eigensolver._descend else ol.SolverOptions()
+        full = loop(setup, 1.0, starts, run, **args)
+        holey = loop(setup, 1.0, holed, run, **args)
+        error, ok = holey[2]
+        assert isinstance(error, DomainError) and not ok
+        with pytest.raises(DomainError, match=str(error)):
+            eigensolver._single(loop(setup, 1.0, holed[2:3], run, **args))
+        for i in (0, 1, 3, 4, 5, 6, 7):
+            _assert_same_outcome(holey[i], full[i])
+
+
+def test_ladder_stats_count_every_start(monkeypatch):
+    # the start-by-start ladder ran 17 descents with 168 iterations and 16
+    # polishes with 30, one trial each, and projected the 33 starts and
+    # the 168 descent trials; its explorations made 15 factorizations and
+    # 183 solves
+    from orlicz_lab import eigensolver
+    from orlicz_lab.eigensolver import STAT_KEYS
+    inner = eigensolver._descend
+    explorations = []
+
+    def counted(*args, **kwargs):
+        before = dict(kwargs["stats"]) if kwargs.get("anchors") else None
+        outcomes = inner(*args, **kwargs)
+        if before is not None:
+            explorations.append({key: kwargs["stats"][key] - before[key]
+                                 for key in STAT_KEYS})
+        return outcomes
+
+    monkeypatch.setattr(eigensolver, "_descend", counted)
+    setup = build_setup(ol.Power(2.0), ol.Power(2.0), _unit_box(21))
+    levels = ol.ls_sequence(setup, 1.0, 3)
+    assert levels[0].stats is levels[0].pair.stats
+    total = {key: sum(lv.stats[key] for lv in levels) for key in STAT_KEYS}
+    assert total["iterations"] == total["trials"] == 198
+    assert total["projections"] == 201
+    # one Cholesky factorization per rung's batch, and per batch iteration
+    # one solve for all rows (16 and 13 iterations), plus one for the
+    # Woodbury block
+    assert [e["factorizations"] for e in explorations] == [1, 1]
+    assert sum(e["solves"] for e in explorations) == 31
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +830,9 @@ def test_cubic_box_solve_factors_once_per_iteration(monkeypatch):
 
 def test_quadratic_ladder_tangent_factors_once_per_solve(monkeypatch):
     # for Phi = t^2/2 the unshifted tangent does not depend on u: each
-    # solve assembles and factors it once, and every later call returns at
-    # once; the polisher's shifted systems refactor as before
+    # solve, a batch of starts included, assembles and factors it once, and
+    # every later call returns at once; the polisher's shifted systems
+    # refactor as before
     from orlicz_lab import eigensolver
     factor, tensor = eigensolver._Tangent.factor, eigensolver._tangent_tensor
     made, assembled, current = {}, {}, []
@@ -728,7 +857,10 @@ def test_quadratic_ladder_tangent_factors_once_per_solve(monkeypatch):
     setup = build_setup(ol.Power(2.0), ol.Power(2.0), _unit_box(21))
     levels = ol.ls_sequence(setup, 1.0, 3)
     unshifted = [key for key in made if key[1]]
-    assert unshifted and any(not key[1] for key in made)
+    assert any(not key[1] for key in made)
+    # rung 1 starts at the eigenvector; each later rung's exploration
+    # batch shares one tangent
+    assert len(unshifted) == 2
     assert all(made[key] == 1 and assembled[key] == 1 for key in unshifted)
     # the same multipliers, bit for bit, as with one LU kernel for every
     # system and an assembled comparison on every call

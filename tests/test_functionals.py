@@ -336,19 +336,25 @@ def test_overflowing_gradient_raises_the_evaluator_message():
     (ol.PowerSum(2.0, 4.0), ol.PowerSum(1.5, 2.5))],
     ids=["power", "powersum"])
 def test_raw_kernels_equal_the_public_functions(cfg, phi, psi):
+    # on a stack of two functions, each slice equals the public function
+    # of that function alone
     from orlicz_lab import functionals as fn
     setup = build_setup(phi, psi, cfg)
     dom = setup.dom
-    u = random_zero_trace(dom, np.random.default_rng(2))
-    comps, mag = fn._gradient(dom, u.values)
+    us = [random_zero_trace(dom, np.random.default_rng(seed))
+          for seed in (2, 3)]
+    stack = np.stack([u.values for u in us])
+    comps, mag = fn._gradient(dom, stack)
     d_i = fn._gateaux_I(setup, comps, mag)
-    assert fn._energy_I(setup, mag) == ol.energy_I(setup, u)
-    assert fn._energy_J(setup, u.values) == ol.energy_J(setup, u)
-    assert np.array_equal(d_i, ol.gateaux_I(setup, u).density)
-    assert np.array_equal(fn._gateaux_J(setup, u.values),
-                          ol.gateaux_J(setup, u).density)
-    assert fn._dual_norm(setup, d_i) == ol.dual_norm(setup,
-                                                     ol.gateaux_I(setup, u))
-    scale = fn._level_scale(setup, u.values, 0.7)
-    assert np.array_equal(scale * u.values,
-                          ol.project_to_level(setup, u, 0.7).values)
+    d_j = fn._gateaux_J(setup, stack)
+    energy_i, energy_j = fn._energy_I(setup, mag), fn._energy_J(setup, stack)
+    duals = fn._dual_norm(setup, d_i)
+    scales = fn._level_scale(setup, stack, 0.7)
+    for k, u in enumerate(us):
+        assert energy_i[k] == ol.energy_I(setup, u)
+        assert energy_j[k] == ol.energy_J(setup, u)
+        assert np.array_equal(d_i[k], ol.gateaux_I(setup, u).density)
+        assert np.array_equal(d_j[k], ol.gateaux_J(setup, u).density)
+        assert duals[k] == ol.dual_norm(setup, ol.gateaux_I(setup, u))
+        assert np.array_equal(scales[k] * u.values,
+                              ol.project_to_level(setup, u, 0.7).values)

@@ -236,6 +236,22 @@ def test_modular_values_batch_matches_loop(rng):
             ol.modular(ol.Plasticity(2.0, 1.0), w, u), rel=1e-12)
 
 
+@pytest.mark.parametrize("rows", [1, 8, 48, 500])
+def test_modular_rows_equal_each_row_alone(rows):
+    # a matrix-vector product on several rows rounds differently from a
+    # lone row's dot product; the solver loops need a row's modular not to
+    # depend on the rows stacked with it
+    from orlicz_lab.norms import _modular
+    rng = np.random.default_rng(rows)
+    for size in (64, 441, 6561):
+        wq = rng.random(size)
+        batch = rng.normal(size=(rows, size))
+        got = _modular(ol.PowerSum(1.5, 2.5), wq, batch)
+        for i in range(rows):
+            assert got[i] == _modular(ol.PowerSum(1.5, 2.5), wq,
+                                      batch[i].copy()[None])[0]
+
+
 # ---------------------------------------------------------------------------
 # Luxemburg norms
 
