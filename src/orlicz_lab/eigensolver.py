@@ -27,13 +27,16 @@ line-search trial as one point record per batch (:class:`_Point`) on raw
 nodal arrays, through the kernels behind the public functions of
 :mod:`functionals`: the cell gradient is taken and checked finite once
 per point and shared by ``I``, ``I'`` and the tangent, and an accepted
-trial's row is that row's next iterate.  No ``GridFunction`` or
-``DualGridFunction`` is built inside the loops, only for the returned
-:class:`EigenPair`, whose ``stats`` count the work of its batch where it
-happens: iterations, trials, projections, evaluations of ``I``, ``J``,
-``I'`` and ``J'`` (summed over rows), factorizations done and reused, and
-LAPACK solve calls.  :class:`LSLevel` ``stats`` count a whole ladder
-rung.
+trial's row is that row's next iterate.  The loops share one batched
+line search (:func:`_line_search`), given only each loop's trial point
+and acceptance test, one per-row tangent-solve path
+(:func:`_directions`), and one exit for a finished row (:func:`_pairs`).
+No ``GridFunction`` or ``DualGridFunction`` is built inside the loops,
+only for the returned :class:`EigenPair`, whose ``stats`` count the work
+of its batch where it happens: iterations, trials, projections,
+evaluations of ``I``, ``J``, ``I'`` and ``J'`` (summed over rows),
+factorizations done and reused, and LAPACK solve calls.
+:class:`LSLevel` ``stats`` count a whole ladder rung.
 
 The tangent stiffness is the second variation of ``I`` with its radial
 curvature ``phi'(t)`` raised to the secant slope ``phi(t)/t`` where it
@@ -51,8 +54,8 @@ shares the one factor of a quadratic ``Phi`` and solves all its rows
 with one multi-right-hand-side call.  The indefinite shifted systems of
 the saddle polisher and the free-energy probe take a row-pivoted banded
 LU (``dgbtrf``/``dgbtrs``); whether a shift is given decides the kernel.
-Each solve keeps its last factorization and refactors only when the
-assembled values change.
+Only a quadratic ``Phi``'s unshifted tangent is reused; every other
+tangent is assembled and factored afresh on each call.
 
 Higher levels of the Ljusternik-Schnirelmann hierarchy are approximated by
 structure, not by genus: in 1D, gluing sign-alternating copies of the
@@ -294,14 +297,17 @@ class _Point:
         return np.where(dom.interior, self.d_I - _rows(lam, dom) * self.d_J,
                         0.0)
 
-    def rayleigh(self):
-        """Multipliers ``<I', u> / <J', u>``, and whether each is defined
+    def rayleigh(self, extra=None):
+        """Multipliers ``<I' + extra, u> / <J', u>``, ``extra`` an optional
+        density stacked like ``values``, and whether each is defined
         (``<J', u>`` positive)."""
         dom = self.setup.dom
         den = _qw_dots(dom, self.d_J, self.values)
         defined = den > 0.0
-        return (_qw_dots(dom, self.d_I, self.values)
-                / np.where(defined, den, 1.0)), defined
+        num = _qw_dots(dom, self.d_I, self.values)
+        if extra is not None:
+            num = num + _qw_dots(dom, extra, self.values)
+        return num / np.where(defined, den, 1.0), defined
 
 
 def rayleigh_multiplier(setup: EnergySetup, u: GridFunction) -> float:
@@ -397,14 +403,13 @@ class _Tangent:
     shifted systems of the saddle polisher and the free-energy probe are
     indefinite and take a row-pivoted banded LU (``dgbtrf``/``dgbtrs``,
     ``3k + 1`` band rows).  A non-positive Cholesky pivot or an exactly
-    zero LU pivot raises ``RuntimeError``.  Keeps the last factorization
-    and refactors only when the kernel or the assembled values change.
-    For a quadratic ``Phi`` the unshifted tangent does not depend on the
-    iterate, so it is factored once and later calls return at once; the
-    descent on a level set then shares one instance among the rows of its
-    batch (see :func:`_tangents`), which solve in one multi-right-hand-side
-    call.  Otherwise each row owns its instance; only the grid's pattern
-    is shared.  Given ``penalty_rows`` (the ``b_j`` of
+    zero LU pivot raises ``RuntimeError``.  Only a quadratic ``Phi``'s
+    unshifted tangent is reused: it does not depend on the iterate, so it
+    is factored once and later calls return at once; every other call
+    refactors.  The descent on a level set then shares one instance among
+    the rows of its batch (see :func:`_tangents`), which solve in one
+    multi-right-hand-side call.  Otherwise each row owns its instance;
+    only the grid's pattern is shared.  Given ``penalty_rows`` (the ``b_j`` of
     :func:`_penalty_rows`), :meth:`direction` solves with
     ``A + sum_j b_j b_j^T`` through the Sherman-Morrison-Woodbury identity
     on the factorization of ``A``, keeping ``A^-1 B`` and the LU factors
@@ -419,7 +424,6 @@ class _Tangent:
         self.rows = penalty_rows
         self.stats = _new_stats() if stats is None else stats
         self._constant = setup.phi.indices() == (2.0, 2.0)
-        self._data = None
         self._fac = None
         self._piv = None  # None with a Cholesky factor
         self._kb = self._small = None
@@ -429,22 +433,19 @@ class _Tangent:
         magnitudes), minus ``diag(shift)`` on the interior when given;
         kept for :meth:`solve`."""
         cholesky = shift is None
-        held = self._fac is not None and (self._piv is None) == cholesky
-        if held and cholesky and self._constant:
+        if cholesky and self._constant and self._fac is not None \
+                and self._piv is None:
             self.stats["factor_reuses"] += 1
             return
         pat = self.pat
         data = pat.assemble(_tangent_tensor(self.setup, grad))
         if not cholesky:
             data[pat.diag] -= shift
-        if held and np.array_equal(data, self._data):
-            self.stats["factor_reuses"] += 1
-            return
         # scipy.linalg loads with the first factorization, not with the
         # package
         from scipy.linalg import lapack
         # free the old factors first
-        self._fac = self._piv = self._data = self._kb = self._small = None
+        self._fac = self._piv = self._kb = self._small = None
         k = pat.bandwidth
         size = pat.idx.size
         # column-major band x size, factored in place
@@ -465,7 +466,7 @@ class _Tangent:
             kernel = "dpbtrf" if cholesky else "dgbtrf"
             raise RuntimeError(f"banded factorization failed "
                                f"({kernel} info {info})")
-        self._fac, self._piv, self._data = fac, piv, data
+        self._fac, self._piv = fac, piv
         self.stats["factorizations"] += 1
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -533,31 +534,25 @@ def _tangents(setup: EnergySetup, count: int, shifted: bool,
 
 def _directions(tangents: list, ids, point: _Point, rows, rho: np.ndarray,
                 shift=None):
-    """Tangent directions for the stacked ``rho``, row ``i`` with the
-    tangent of start ``ids[i]`` at the cell gradient of row ``rows[i]``
-    of ``point``, minus ``diag(shift[i])`` when ``shift`` is given.  Rows
-    that share a tangent (never shifted) solve in one call.  Returns the
-    directions and whether each row solved (one flag for a shared
-    tangent); a failed factorization leaves NaN in its rows."""
-    first = tangents[ids[0]]
-    if first is tangents[ids[-1]]:
-        # one row, or rows sharing their tangent (see _tangents)
-        try:
-            return first.direction(point.row_grad(rows[0]), rho,
-                                   None if shift is None else shift[0]), True
-        except RuntimeError:
-            return np.full(rho.shape, np.nan), False  # singular tangent
+    """Tangent solves (:meth:`_Tangent.direction`) for the stacked
+    ``rho``, row ``i`` with the tangent of start ``ids[i]`` at the cell
+    gradient of row ``rows[i]`` of ``point``, minus ``diag(shift[i])``
+    when ``shift`` is given; a row may stack several densities, as the
+    polisher's two.  Rows that share a tangent (never shifted) solve in
+    one call.  A failed factorization or solve leaves NaN in its rows."""
+    # one call for one row, or for rows sharing their tangent (see
+    # _tangents)
+    shared = tangents[ids[0]] is tangents[ids[-1]]
     d = np.full(rho.shape, np.nan)
-    solved = np.zeros(len(ids), dtype=bool)
-    for i, start in enumerate(ids):
+    for i in range(1 if shared else len(ids)):
+        part = slice(None) if shared else i
         try:
-            d[i] = tangents[start].direction(
-                point.row_grad(rows[i]), rho[i],
+            d[part] = tangents[ids[i]].direction(
+                point.row_grad(rows[i]), rho[part],
                 None if shift is None else shift[i])
         except RuntimeError:
-            continue
-        solved[i] = True
-    return d, solved
+            pass
+    return d
 
 
 def _pairs(point: _Point, lam, iters: int, histories) -> list:
@@ -599,14 +594,42 @@ def _every(rows, count: int):
     return rows if len(rows) < count else slice(None)
 
 
-def _merged(accepted: list):
-    """The accepted ``(batch rows, trial point)`` parts of a line search
-    as one, in row order."""
-    if len(accepted) == 1:
-        return accepted[0]
-    rows = np.concatenate([r for r, _ in accepted])
-    order = np.argsort(rows, kind="stable")
-    return rows[order], _Point.join([p for _, p in accepted]).take(order)
+def _line_search(count: int, search: np.ndarray, trial_at, accept,
+                 tries: int, stats: dict):
+    """Batched backtracking (Nocedal and Wright, *Numerical Optimization*,
+    ch. 3) for the rows ``search`` of a batch of ``count``: each row's step
+    is 1 first and halves after each rejected trial, for ``tries`` trials.
+    ``trial_at(sel, step)`` evaluates the rows ``sel`` as :func:`_evaluated`
+    does, and ``accept(trial, sel, step)`` tests them.  Returns the
+    accepted ``(batch rows, trial point)`` in row order (None when no row
+    moved) and the rows that stalled."""
+    step = np.ones(count)
+    accepted = []
+    for _ in range(tries):
+        if not search.size:
+            break
+        sel = _every(search, count)
+        stats["trials"] += len(search)
+        trial, kept = trial_at(sel, step[sel])
+        search = search[kept]
+        if not search.size:
+            break
+        sel = _every(search, count)
+        ok = accept(trial, sel, step[sel])
+        if ok.all():
+            accepted.append((search, trial))
+            search = search[:0]
+            break
+        if ok.any():
+            accepted.append((search[ok], trial.take(ok)))
+        search = search[~ok]
+        step[search] *= _BACKTRACK
+    if len(accepted) > 1:
+        rows = np.concatenate([r for r, _ in accepted])
+        order = np.argsort(rows, kind="stable")
+        accepted = [(rows[order],
+                     _Point.join([p for _, p in accepted]).take(order))]
+    return (accepted[0] if accepted else None), search
 
 
 def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
@@ -686,10 +709,9 @@ def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
         if not free:
             # the multiplier must project out the full merit gradient, or
             # the stop test can never fire at a penalized stationary point
-            num = _qw_dots(dom, u.d_I, u.values) + (
-                _qw_dots(dom, u.pen_dens, u.values) if penalized else 0.0)
-            lam = num / _qw_dots(dom, u.d_J, u.values)
-        rho = np.where(dom.interior, u.residual(lam) + u.pen_dens, 0.0)
+            lam = u.rayleigh(u.pen_dens if penalized else None)[0]
+        # the anchors, and so the penalty density, are zero off the interior
+        rho = u.residual(lam) + u.pen_dens
         res = _dual_norm(setup, rho)
         for i, r in zip(ids.tolist(), res.tolist()):
             hist[i].append(r)
@@ -709,11 +731,11 @@ def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
             if free else (None,)
         for shift in shifts:
             sel = _every(pending, count)
-            got, solved = _directions(tangents, ids[sel], u, pending,
-                                      rho[sel], None if shift is None
-                                      else shift[sel])
+            got = _directions(tangents, ids[sel], u, pending, rho[sel],
+                              None if shift is None else shift[sel])
+            # a failed solve's NaN slope is not negative
             s = -_qw_dots(dom, rho[sel], got)
-            good = solved & (s < 0)
+            good = s < 0
             if not np.isfinite(got).all():
                 good &= np.isfinite(got).reshape(len(got), -1).all(axis=1)
             if direction is None:
@@ -729,34 +751,19 @@ def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
         if pending.size:
             # no descending tangent direction: steepest descent
             slope[pending] = -_qw_dots(dom, rho[pending], rho[pending])
-        step = np.ones(count)
-        search = np.arange(count)
-        accepted = []
-        for _ in range(60):
-            sel = _every(search, count)
-            stats["trials"] += len(search)
-            trial, kept = point(u.values[sel] - _rows(step[sel], dom)
-                                * direction[sel], ids[sel])
-            search = search[kept]
-            if not search.size:
-                break
-            sel = _every(search, count)
-            ok = trial.merit <= (u.merit[sel] + _ARMIJO_C1 * step[sel]
-                                 * slope[sel])
-            if ok.all():
-                accepted.append((search, trial))
-                search = search[:0]
-                break
-            if ok.any():
-                accepted.append((search[ok], trial.take(ok)))
-            search = search[~ok]
-            step[search] *= _BACKTRACK
-        if search.size:
+        moved, stalled = _line_search(
+            count, np.arange(count),
+            lambda sel, step: point(u.values[sel] - _rows(step, dom)
+                                    * direction[sel], ids[sel]),
+            lambda trial, sel, step: trial.merit <= (
+                u.merit[sel] + _ARMIJO_C1 * step * slope[sel]),
+            60, stats)
+        if stalled.size:
             # line search stalled at machine scale
-            finish(u.take(search), ids[search], lam[search], iters, False)
-        if not accepted:
+            finish(u.take(stalled), ids[stalled], lam[stalled], iters, False)
+        if moved is None:
             return out
-        rows, u = _merged(accepted)
+        rows, u = moved
         ids, lam = ids[rows], lam[rows]
         if free:
             # free energy not coercive at this multiplier
@@ -804,20 +811,37 @@ def _newton_polish(setup: EnergySetup, alpha: float, starts: np.ndarray,
         p.res_dens = p.residual(lam_v)
         # np.take keeps each row contiguous, which a dot product's rounding
         # depends on; fancy indexing on the second axis does not
-        p.f_vec = np.take((dom.node_qw * p.res_dens).reshape(len(lam_v), -1),
-                          idx, axis=1)
+        f_vec = np.take((dom.node_qw * p.res_dens).reshape(len(lam_v), -1),
+                        idx, axis=1)
         p.jgap = p.reaction - alpha
-        p.merit = (np.matmul(p.f_vec[:, None, :], p.f_vec[:, :, None])[:, 0, 0]
+        p.merit = (np.matmul(f_vec[:, None, :], f_vec[:, :, None])[:, 0, 0]
                    + p.jgap * p.jgap)
 
-    def finish(p, ids, iters):
-        """End the starts ``ids``, not converged, at the rows of ``p``."""
-        lam_fin, defined = p.rayleigh()
+    def finish(p, ids, iters, converged):
+        """End the starts ``ids`` at the rows of ``p``; an unconverged row
+        takes its Rayleigh multiplier where that is defined."""
+        lam = p.lam
+        if not converged:
+            ray, defined = p.rayleigh()
+            lam = np.where(defined, ray, lam)
         stats["iterations"] += iters * len(ids)
-        pairs = _pairs(p, np.where(defined, lam_fin, p.lam), iters,
-                       [hist[i][-50:] for i in ids])
+        pairs = _pairs(p, lam, iters, [() if converged else hist[i][-50:]
+                                       for i in ids])
         for i, pair in zip(ids, pairs):
-            out[i] = (pair, False)
+            out[i] = (pair, converged)
+
+    def trial_at(sel, t):
+        """The trial points ``u + t du`` of the rows ``sel``."""
+        flat = u.values[sel].reshape(len(t), -1).copy()
+        flat[:, idx] += t[:, None] * du[sel]
+        return _evaluated(_Point(setup, flat.reshape((-1,) + dom.node_shape),
+                                 stats), ids[sel], out)
+
+    def accept(trial, sel, t):
+        """Armijo on the residual square, at the multipliers
+        ``lam + t dlam``."""
+        merit_at(trial, u.lam[sel] + t * dlam[sel])
+        return trial.merit <= (1.0 - _ARMIJO_C1 * t) * u.merit[sel]
 
     u, kept = _evaluated(_Point(setup, starts, stats, alpha),
                          np.arange(len(starts)), out)
@@ -833,81 +857,50 @@ def _newton_polish(setup: EnergySetup, alpha: float, starts: np.ndarray,
     merit_at(u, lam)
     iters = 0
     for iters in range(opts.max_iter + 1):
-        level = u.level
         res = _dual_norm(setup, u.res_dens)
         for i, r in zip(ids.tolist(), res.tolist()):
             hist[i].append(r)
-        done = (res <= opts.tol * (1.0 + level)) \
+        # at convergence |J - alpha| is so small that the pair's J(u) is
+        # alpha + jgap exactly (Sterbenz)
+        done = (res <= opts.tol * (1.0 + u.level)) \
             & (np.abs(u.jgap) <= 1e-9 * alpha)
-        for i in np.flatnonzero(done):
-            stats["iterations"] += iters
-            out[ids[i]] = (EigenPair(
-                float(u.lam[i]), GridFunction(dom, u.values[i]),
-                alpha + float(u.jgap[i]), float(level[i]), float(res[i]),
-                iters, stats=stats), True)
         if done.any():
+            finish(u.take(done), ids[done], iters, True)
             if done.all():
                 return out
             u, ids = u.take(~done), ids[~done]
         if iters == opts.max_iter:
             break
         count = len(ids)
-        bdiag = _reaction_curvature(setup, u.values)
+        # the two solves of the bordered system, A (k_f, k_b) = (f, b) with
+        # A the tangent minus lam times the reaction curvature and b = qw J';
+        # a failed solve leaves NaN, so its row is stuck below
+        k = _directions(tangents, ids, u, np.arange(count),
+                        np.stack([u.res_dens, u.d_J], axis=1),
+                        u.lam[:, None] * _reaction_curvature(setup, u.values))
+        k = np.take(k.reshape(count, 2, -1), idx, axis=2)
         bvec = np.take((dom.node_qw * u.d_J).reshape(count, -1), idx, axis=1)
         du = np.empty((count, idx.size))
         dlam = np.empty(count)
         stuck = np.zeros(count, dtype=bool)
-        for i in range(count):
-            tangent = tangents[ids[i]]
-            try:
-                tangent.factor(u.row_grad(i), shift=u.lam[i] * bdiag[i])
-                k_f, k_b = tangent.solve(np.column_stack([u.f_vec[i],
-                                                          bvec[i]])).T
-            except RuntimeError:
-                stuck[i] = True  # singular linearization
-                continue
+        for i, (k_f, k_b) in enumerate(k):
             denom = float(bvec[i] @ k_b)
             if denom == 0.0 or not np.isfinite(denom):
-                stuck[i] = True
+                stuck[i] = True  # singular linearization
                 continue
             dlam[i] = (float(bvec[i] @ k_f) - u.jgap[i]) / denom
             du[i] = -k_f + dlam[i] * k_b
             stuck[i] = not np.all(np.isfinite(du[i]))
-        t = np.ones(count)
-        search = np.flatnonzero(~stuck)
-        accepted = []
-        for _ in range(30):
-            if not search.size:
-                break
-            sel = _every(search, count)
-            stats["trials"] += len(search)
-            flat = u.values[search].reshape(len(search), -1)
-            flat[:, idx] += t[sel, None] * du[sel]
-            trial, kept = _evaluated(_Point(
-                setup, flat.reshape((-1,) + dom.node_shape), stats),
-                ids[sel], out)
-            search = search[kept]
-            if not search.size:
-                break
-            sel = _every(search, count)
-            merit_at(trial, u.lam[sel] + t[sel] * dlam[sel])
-            ok = trial.merit <= (1.0 - _ARMIJO_C1 * t[sel]) * u.merit[sel]
-            if ok.all():
-                accepted.append((search, trial))
-                search = search[:0]
-                break
-            if ok.any():
-                accepted.append((search[ok], trial.take(ok)))
-            search = search[~ok]
-            t[search] *= _BACKTRACK
-        stuck[search] = True
+        moved, stalled = _line_search(count, np.flatnonzero(~stuck),
+                                      trial_at, accept, 30, stats)
+        stuck[stalled] = True
         if stuck.any():
-            finish(u.take(stuck), ids[stuck], iters)
-        if not accepted:
+            finish(u.take(stuck), ids[stuck], iters, False)
+        if moved is None:
             return out
-        rows, u = _merged(accepted)
+        rows, u = moved
         ids = ids[rows]
-    finish(u, ids, iters)
+    finish(u, ids, iters, False)
     return out
 
 
@@ -922,7 +915,7 @@ def minimize_on_level(setup: EnergySetup, alpha: float,
     unchanged, and re-polished if that bumps the residual.  The pair's
     ``stats`` count the work of every step.  Raises
     :class:`NonConvergenceError` with the last iterate and residual
-    history when the budget runs out.
+    history when the budget runs out or the line search stalls.
     """
     if alpha <= 0:
         raise DomainError("level alpha must be positive")
@@ -948,8 +941,11 @@ def minimize_on_level(setup: EnergySetup, alpha: float,
                 pair = polish
             # else: keep the signed certified minimizer
     if not ok:
+        # the loop stops at the budget before it searches a line
+        cause = ("no convergence" if pair.iterations == opts.max_iter
+                 else "no convergence: the line search stalled")
         raise NonConvergenceError(
-            f"no convergence after {opts.max_iter} iterations "
+            f"{cause} after {pair.iterations} iterations "
             f"(last residual {pair.residual:.3e})",
             last=pair, history=pair.history)
     return pair

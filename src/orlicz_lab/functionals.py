@@ -68,12 +68,6 @@ class DualGridFunction:
         vals = v.values if isinstance(v, GridFunction) else np.asarray(v)
         return float((self.domain.node_qw * self.density * vals).sum())
 
-    def combine(self, other: "DualGridFunction", scale: float
-                ) -> "DualGridFunction":
-        """The functional ``self + scale * other``."""
-        return DualGridFunction(self.domain,
-                                self.density + scale * other.density)
-
     def __repr__(self):  # pragma: no cover - cosmetic
         return (f"<DualGridFunction max|f|="
                 f"{np.max(np.abs(self.density)):.3g}>")

@@ -76,6 +76,10 @@ def _check_region_conditions(setup: EnergySetup):
     if not sqrt_convexity_holds(setup.phi):
         raise ConditionFailure(
             "phi2", f"t -> {setup.phi.label()}(sqrt(t)) is not convex")
+    _check_dominated(setup)
+
+
+def _check_dominated(setup: EnergySetup):
     if not setup.dominated:
         raise ConditionFailure(
             "psi2", f"{setup.psi.label()} does not grow essentially slower "
@@ -356,7 +360,11 @@ def count_critical_points(setup: EnergySetup, lam: float, starts: int,
     [1e-2, 10].  Keeps the converged iterates plus the exact zero function
     (always a critical point), and counts clusters under the Sobolev-norm
     metric with a 1e-3 relative separation.  starts = 0 reports 0.
+    Raises :class:`ConditionFailure` ``psi2`` unless Psi grows essentially
+    slower than Phi: otherwise ``I - lam J`` need not be coercive, and a
+    descent that runs off scales its stop test with the growing energy.
     """
+    _check_dominated(setup)
     if starts <= 0:
         return 0
     dom = setup.dom

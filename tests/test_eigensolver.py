@@ -515,6 +515,105 @@ def test_polish_evaluates_each_iterate_once():
 
 
 # ---------------------------------------------------------------------------
+# the exits of the two solver loops that a converging solve does not reach
+
+def _cubic_interval():
+    return build_setup(ol.Power(3.0), ol.Power(2.0), _interval(65))
+
+
+def _polish_start():
+    """A p=3 box of 11 nodes and a random zero-trace start, far from any
+    eigenfunction."""
+    setup = build_setup(ol.Power(3.0), ol.Power(2.0), _unit_box(11))
+    rng = np.random.default_rng(0)
+    return setup, random_zero_trace(setup.dom, rng).values * setup.dom.interior
+
+
+def test_descent_falls_back_to_steepest_descent(monkeypatch):
+    # with no tangent direction the residual density itself is the step,
+    # and the Armijo search still lowers I on the level set
+    from orlicz_lab import eigensolver
+    setup = _cubic_interval()
+    start = ol.default_init(setup.dom).values[None]
+    (first, _), = eigensolver._descend(setup, 1.0, start,
+                                       ol.SolverOptions(max_iter=0))
+
+    def singular(self, *args, **kwargs):
+        raise RuntimeError("singular tangent")
+
+    monkeypatch.setattr(eigensolver._Tangent, "direction", singular)
+    (pair, ok), = eigensolver._descend(setup, 1.0, start,
+                                       ol.SolverOptions(max_iter=5))
+    assert not ok and pair.iterations == 5
+    assert pair.stats["iterations"] == 5
+    assert pair.stats["factorizations"] == pair.stats["solves"] == 0
+    assert pair.stats["trials"] > 5
+    assert pair.stats["projections"] == pair.stats["trials"] + 1
+    assert pair.level < first.level
+    assert ol.energy_J(setup, pair.u) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_descent_line_search_stall_ends_the_row(monkeypatch):
+    # no step can meet a sufficient decrease a million times the slope:
+    # the row ends unconverged after its 60 trials, at the start
+    from orlicz_lab import eigensolver
+    setup = _cubic_interval()
+    monkeypatch.setattr(eigensolver, "_ARMIJO_C1", 1e6)
+    (pair, ok), = eigensolver._descend(
+        setup, 1.0, ol.default_init(setup.dom).values[None],
+        ol.SolverOptions())
+    assert not ok and pair.iterations == 0
+    assert pair.stats["trials"] == 60
+    assert pair.stats["projections"] == 61
+    assert pair.stats["factorizations"] == pair.stats["solves"] == 1
+    assert pair.history == [pair.residual]
+
+
+def test_stalled_solve_reports_the_iterations_done(monkeypatch):
+    from orlicz_lab import eigensolver
+    setup = _cubic_interval()
+    monkeypatch.setattr(eigensolver, "_ARMIJO_C1", 1e6)
+    with pytest.raises(NonConvergenceError) as err:
+        ol.minimize_on_level(setup, 1.0,
+                             opts=ol.SolverOptions(max_iter=1000))
+    message = str(err.value)
+    assert "line search stalled after 0 iterations" in message
+    assert "1000" not in message
+    assert err.value.last.iterations == 0
+
+
+def test_polish_singular_linearization_ends_the_row(monkeypatch):
+    from orlicz_lab import eigensolver
+    setup, start = _polish_start()
+
+    def singular(self, *args, **kwargs):
+        raise RuntimeError("singular tangent")
+
+    monkeypatch.setattr(eigensolver._Tangent, "factor", singular)
+    (pair, ok), = eigensolver._newton_polish(setup, 1.0, start[None],
+                                             ol.SolverOptions())
+    assert not ok and pair.iterations == 0
+    assert pair.stats["iterations"] == pair.stats["trials"] == 0
+    assert pair.stats["factorizations"] == pair.stats["solves"] == 0
+    assert pair.history == [pytest.approx(pair.residual, rel=1e-12)]
+
+
+def test_polish_budget_exit():
+    from orlicz_lab import eigensolver
+    setup, start = _polish_start()
+    (pair, ok), = eigensolver._newton_polish(setup, 1.0, start[None],
+                                             ol.SolverOptions(max_iter=1))
+    assert not ok and pair.iterations == 1
+    stats = pair.stats
+    assert stats["iterations"] == 1
+    # one shifted factorization and one two-column solve, then the
+    # backtracking trials of the one step
+    assert stats["factorizations"] == stats["solves"] == 1
+    assert stats["trials"] == 5 and stats["energy_J"] == 6
+    assert len(pair.history) == 2 and pair.history[1] < pair.history[0]
+
+
+# ---------------------------------------------------------------------------
 # batches: every start of a stack ends as it ends alone
 
 def _batch_case(case):

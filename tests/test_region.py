@@ -291,6 +291,17 @@ def test_count_critical_points_zero_starts(disc_reference):
     assert ol.count_critical_points(disc_reference, 1.5, 0) == 0
 
 
+def test_count_critical_points_needs_a_dominated_reaction():
+    # with Psi = Phi the free energy I - lam J is not coercive above the
+    # first eigenvalue: on this disc at lam = 2 lambda_1 the descents ran
+    # off to max|u| ~ 1e4 and were counted as 4 more critical points
+    for p in (2.0, 3.0):
+        setup = small_disc(phi=ol.Power(p), psi=ol.Power(p))
+        with pytest.raises(ConditionFailure) as err:
+            ol.count_critical_points(setup, 12.0, 4, seed=0)
+        assert err.value.condition == "psi2"
+
+
 def test_count_critical_points_finds_nontrivial_cluster():
     setup = small_disc(n=61)
     found = ol.count_critical_points(setup, 1.5, 4, seed=0)
