@@ -13,11 +13,11 @@ the weighted phi-Laplacian.  The solver is projected descent:
 Run free, with no level set and a fixed ``lambda``, the same loop descends
 on ``I - lambda J`` for the critical-point probe of the region module.  The
 other solver loop is the ladder's damped Newton polisher, which also
-converges to saddles.
+converges to saddles: its steps pass the natural monotonicity test.
 
 Both loops run a stack of starts in lockstep, one row each, and return
 one ``(pair, converged)`` per start, bit for bit what the start gives
-alone: each row keeps its own multiplier, stop test and Armijo step and
+alone: each row keeps its own multiplier, stop test and step length and
 leaves the batch when it converges, stalls or fails, and every row
 reduction is batch-invariant (one dot product or sum per row; a
 matrix-vector product over several rows rounds differently).  A 2D
@@ -108,7 +108,7 @@ class SolverOptions:
     max_iter: int = 100_000
 
 
-# Armijo sufficient-decrease constant and step factor of the line searches
+# Armijo constant of the descent's line search; step factor of both loops
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
 
@@ -143,7 +143,7 @@ class LSLevel:
     ``stats`` counts the whole work of the rung, keys as in
     ``EigenPair.stats``: rung 1 its :func:`minimize_on_level`, a 1D rung
     its subinterval solves and its polish, a 2D rung the exploration and
-    polish of every start over every penalty boost tried.
+    polish of every start.
     """
 
     k: int
@@ -211,8 +211,8 @@ class _Point:
     other rows.  ``I``, ``J`` and the densities of ``I'`` and ``J'`` are
     evaluated for all rows the first time a loop asks for them, through
     the kernels behind the public functions, and counted per row in
-    ``stats``.  Every array attribute, these and the merit terms a loop
-    sets, holds one entry per row, so :meth:`take` and :meth:`join` carry
+    ``stats``.  Every array attribute, these and the terms a loop sets,
+    holds one entry per row, so :meth:`take` and :meth:`join` carry
     it along.
     """
 
@@ -651,7 +651,7 @@ def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
     tangent minus ``lam0`` times the reaction curvature, because the
     tangent of ``I`` alone only halves the error along the ray through a
     critical point per step (at tol 1e-6 it stopped 3% off in I on the
-    n=61 disc), and gives up beyond 1e8 in max norm (not coercive).
+    n=61 disc).
 
     With ``anchors`` the merit is ``I + mu sum_j c_j^2`` and the
     preconditioner adds the penalty's rank-one curvature per anchor
@@ -765,14 +765,6 @@ def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
             return out
         rows, u = moved
         ids, lam = ids[rows], lam[rows]
-        if free:
-            # free energy not coercive at this multiplier
-            big = np.abs(u.values).reshape(len(ids), -1).max(axis=1) > 1e8
-            if big.any():
-                finish(u.take(big), ids[big], lam[big], iters, False)
-                if big.all():
-                    return out
-                u, ids, lam = u.take(~big), ids[~big], lam[~big]
     finish(u, ids, lam, iters, False)
     return out
 
@@ -788,12 +780,16 @@ def _newton_polish(setup: EnergySetup, alpha: float, starts: np.ndarray,
 
     with the tangent stiffness of ``I`` standing in for its second
     derivative, exact where the curvature dominates the secant slope, and
-    the exact diagonal ``qw * w1 * psi'(|u|)`` for that of ``J``.  Steps
-    must shrink the algebraic residual square, so the iteration cannot
-    slide off a sign-changing saddle toward the ground state the way plain
-    energy descent does.  The start and every trial are one
-    :class:`_Point` per batch; an accepted trial's row and merit terms are
-    that row's next iterate, so the loop head adds only ``I`` and the dual
+    the exact diagonal ``qw * w1 * psi'(|u|)`` for that of ``J``.  A step
+    ``t`` passes Deuflhard's natural monotonicity test (*Newton Methods
+    for Nonlinear Problems*, Springer 2004, ch. 3) when the simplified
+    correction at the trial, one more solve with the row's held
+    factorization, is at most ``1 - t/4`` times the Newton correction
+    ``(du, dlam)`` in the Euclidean norm.  No merit is descended, so the
+    iteration cannot slide off a sign-changing saddle toward the ground
+    state the way plain energy descent does.  The start and every trial
+    are one :class:`_Point` per batch; an accepted trial's row is that
+    row's next iterate, so the loop head adds only ``I`` and the dual
     norm.  ``starts`` is a stack as in :func:`_descend`, and so are the
     returned ``(pair, converged)`` per start, the errors and ``stats``;
     each row factors its own shifted system.
@@ -805,17 +801,19 @@ def _newton_polish(setup: EnergySetup, alpha: float, starts: np.ndarray,
     out = [None] * len(starts)
     hist = [[] for _ in starts]
 
-    def merit_at(p, lam_v):
-        """Set the merit terms of ``p`` at the multipliers ``lam_v``."""
+    def residual_at(p, lam_v):
+        """Set the residual terms of ``p`` at the multipliers ``lam_v``."""
         p.lam = lam_v
         p.res_dens = p.residual(lam_v)
-        # np.take keeps each row contiguous, which a dot product's rounding
-        # depends on; fancy indexing on the second axis does not
-        f_vec = np.take((dom.node_qw * p.res_dens).reshape(len(lam_v), -1),
-                        idx, axis=1)
         p.jgap = p.reaction - alpha
-        p.merit = (np.matmul(f_vec[:, None, :], f_vec[:, :, None])[:, 0, 0]
-                   + p.jgap * p.jgap)
+
+    def correction(i, k_f, jgap):
+        """Row ``i``'s correction ``(du, dlam)`` of the bordered system and
+        its Euclidean norm, from ``k_f = A^-1 f`` and the row's ``k_b``
+        and ``denom``."""
+        dlam_i = (float(bvec[i] @ k_f) - jgap) / denom[i]
+        du_i = -k_f + dlam_i * k[i, 1]
+        return du_i, dlam_i, math.sqrt(float(du_i @ du_i) + dlam_i * dlam_i)
 
     def finish(p, ids, iters, converged):
         """End the starts ``ids`` at the rows of ``p``; an unconverged row
@@ -838,10 +836,17 @@ def _newton_polish(setup: EnergySetup, alpha: float, starts: np.ndarray,
                                  stats), ids[sel], out)
 
     def accept(trial, sel, t):
-        """Armijo on the residual square, at the multipliers
-        ``lam + t dlam``."""
-        merit_at(trial, u.lam[sel] + t * dlam[sel])
-        return trial.merit <= (1.0 - _ARMIJO_C1 * t) * u.merit[sel]
+        """The natural monotonicity test at the multipliers
+        ``lam + t dlam``; a non-finite norm rejects."""
+        residual_at(trial, u.lam[sel] + t * dlam[sel])
+        # np.take keeps each row contiguous, which a dot product's rounding
+        # depends on; fancy indexing on the second axis does not
+        f_t = np.take((dom.node_qw * trial.res_dens).reshape(len(t), -1),
+                      idx, axis=1)
+        rows = np.arange(len(ids))[sel]
+        norm_t = np.array([correction(i, tangents[ids[i]].solve(f), gap)[2]
+                           for i, f, gap in zip(rows, f_t, trial.jgap)])
+        return norm_t <= (1.0 - 0.25 * t) * norm[rows]
 
     u, kept = _evaluated(_Point(setup, starts, stats, alpha),
                          np.arange(len(starts)), out)
@@ -854,7 +859,7 @@ def _newton_polish(setup: EnergySetup, alpha: float, starts: np.ndarray,
             u, ids, lam = u.take(defined), ids[defined], lam[defined]
     if not ids.size:
         return out
-    merit_at(u, lam)
+    residual_at(u, lam)
     iters = 0
     for iters in range(opts.max_iter + 1):
         res = _dual_norm(setup, u.res_dens)
@@ -880,17 +885,14 @@ def _newton_polish(setup: EnergySetup, alpha: float, starts: np.ndarray,
                         u.lam[:, None] * _reaction_curvature(setup, u.values))
         k = np.take(k.reshape(count, 2, -1), idx, axis=2)
         bvec = np.take((dom.node_qw * u.d_J).reshape(count, -1), idx, axis=1)
+        denom = np.array([float(b @ k_b) for b, k_b in zip(bvec, k[:, 1])])
         du = np.empty((count, idx.size))
-        dlam = np.empty(count)
-        stuck = np.zeros(count, dtype=bool)
-        for i, (k_f, k_b) in enumerate(k):
-            denom = float(bvec[i] @ k_b)
-            if denom == 0.0 or not np.isfinite(denom):
-                stuck[i] = True  # singular linearization
-                continue
-            dlam[i] = (float(bvec[i] @ k_f) - u.jgap[i]) / denom
-            du[i] = -k_f + dlam[i] * k_b
-            stuck[i] = not np.all(np.isfinite(du[i]))
+        dlam, norm = np.empty(count), np.full(count, np.nan)
+        for i in np.flatnonzero(denom != 0.0):
+            du[i], dlam[i], norm[i] = correction(i, k[i, 0], u.jgap[i])
+        # a singular linearization (zero or non-finite denom) or a
+        # non-finite correction
+        stuck = ~np.isfinite(norm)
         moved, stalled = _line_search(count, np.flatnonzero(~stuck),
                                       trial_at, accept, 30, stats)
         stuck[stalled] = True
@@ -947,7 +949,7 @@ def minimize_on_level(setup: EnergySetup, alpha: float,
         raise NonConvergenceError(
             f"{cause} after {pair.iterations} iterations "
             f"(last residual {pair.residual:.3e})",
-            last=pair, history=pair.history)
+            last=pair)
     return pair
 
 
@@ -1017,10 +1019,9 @@ def _ls_2d(setup: EnergySetup, alpha: float, k_max: int, first: EigenPair,
     """Rungs 2..k_max as ``(pair, reliable, stats)``, polished from
     penalized multi-start descents against the pairs found so far.
 
-    The starts of one rung and boost run as one batch through the
-    exploration and then through the polish; the candidates are then
-    taken in start order, so the choice is the one a start-by-start
-    search makes."""
+    The starts of one rung run as one batch through the exploration and
+    then through the polish; the candidates are then taken in start
+    order, so the choice is the one a start-by-start search makes."""
     dom = setup.dom
     out = []
     prev = first
@@ -1034,35 +1035,31 @@ def _ls_2d(setup: EnergySetup, alpha: float, k_max: int, first: EigenPair,
     for k in range(2, k_max + 1):
         best = None
         stats = _new_stats()
+        tilts = np.stack([c * np.sign(rng.standard_normal(dom.node_shape)
+                                      + 0.5) if k > 2 else c
+                          for c in cands])
         # the penalty has to dominate the spectral gap, which scales with
-        # the energies themselves; escalate when every start collapses
-        mu0 = 10.0 * (1.0 + prev.level)
-        for boost in (1.0, 10.0, 100.0):
-            tilts = np.stack([c * np.sign(rng.standard_normal(dom.node_shape)
-                                          + 0.5) if k > 2 else c
-                              for c in cands])
-            explored = _descend(setup, alpha,
-                                np.where(dom.interior, tilts, 0.0), explore,
-                                anchors=found, mu=boost * mu0, stats=stats)
-            landed = [i for i, (pen_pair, _) in enumerate(explored)
-                      if isinstance(pen_pair, EigenPair)]
-            polished = dict(zip(landed, _newton_polish(
-                setup, alpha, np.stack([explored[i][0].u.values
-                                        for i in landed]), relax, stats)
-                if landed else ()))
-            for i in landed:
-                pair, ok = polished[i]
-                if not ok:
-                    continue
-                sep = max((_overlap(dom, pair.u.values, f[0])
-                           for f in found), default=0.0)
-                if sep > 0.9:
-                    continue
-                if best is None or (pair.level, pair.residual) < \
-                        (best.level, best.residual):
-                    best = pair
-            if best is not None:
-                break
+        # the energies themselves
+        explored = _descend(setup, alpha, np.where(dom.interior, tilts, 0.0),
+                            explore, anchors=found,
+                            mu=10.0 * (1.0 + prev.level), stats=stats)
+        landed = [i for i, (pen_pair, _) in enumerate(explored)
+                  if isinstance(pen_pair, EigenPair)]
+        polished = dict(zip(landed, _newton_polish(
+            setup, alpha, np.stack([explored[i][0].u.values
+                                    for i in landed]), relax, stats)
+            if landed else ()))
+        for i in landed:
+            pair, ok = polished[i]
+            if not ok:
+                continue
+            sep = max((_overlap(dom, pair.u.values, f[0]) for f in found),
+                      default=0.0)
+            if sep > 0.9:
+                continue
+            if best is None or (pair.level, pair.residual) < \
+                    (best.level, best.residual):
+                best = pair
         if best is None:
             # deflation failed to separate; fall back to the previous pair
             out.append((prev, False, stats))

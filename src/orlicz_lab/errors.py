@@ -47,10 +47,9 @@ class ConfigError(OrliczLabError, ValueError):
 class NonConvergenceError(OrliczLabError, RuntimeError):
     """An iterative solver exhausted its budget.
 
-    Carries the last iterate and the residual history for diagnosis.
+    Carries the last iterate, with its residual history, for diagnosis.
     """
 
-    def __init__(self, message: str, last=None, history=None):
+    def __init__(self, message: str, last=None):
         super().__init__(message)
         self.last = last
-        self.history = list(history) if history is not None else []

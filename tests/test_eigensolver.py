@@ -150,7 +150,7 @@ def test_minimize_exhausted_budget_raises_with_diagnostics(rng):
         ol.minimize_on_level(setup, 1.0, init=init, opts=opts)
     assert "no convergence after 2 iterations" in str(err.value)
     assert isinstance(err.value.last, ol.EigenPair)
-    assert isinstance(err.value.history, list) and err.value.history
+    assert isinstance(err.value.last.history, list) and err.value.last.history
 
 
 def test_stats_count_the_work_of_a_solve(rng):
@@ -247,19 +247,58 @@ def _nodal_domains(u):
     return ndimage.label(u > eps)[1] + ndimage.label(u < -eps)[1]
 
 
-def test_ls_sequence_powersum_second_rung_certified():
+def test_ls_sequence_powersum_second_rung_certified(monkeypatch):
     # the polisher's Jacobian needs the exact reaction curvature psi':
     # with max(psi', psi/t) in its place every polish of rung 2 failed and
-    # the rung fell back to the first pair
+    # the rung fell back to the first pair.  Rung 3 needs the natural
+    # monotonicity test: with a residual-square Armijo test every polish
+    # of it stalled, and it fell back to rung 2 after two more penalized
+    # batches with the penalty raised 10 and 100 times
+    from orlicz_lab import eigensolver
+    descend, batches = eigensolver._descend, []
+
+    def counted(*args, **kwargs):
+        batches.append(bool(kwargs.get("anchors")))
+        return descend(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "_descend", counted)
     setup = build_setup(ol.PowerSum(2.0, 4.0), ol.PowerSum(1.5, 2.5),
                         {"shape": "box", "n": 21, "extent": [0.0, 1.0]})
     opts = ol.SolverOptions()
-    levels = ol.ls_sequence(setup, 1.0, 2, opts)
-    rung = levels[1]
-    assert rung.reliable
-    assert rung.pair.residual <= opts.tol * (1.0 + rung.pair.level)
-    assert _nodal_domains(levels[0].pair.u.values) == 1
-    assert _nodal_domains(rung.pair.u.values) == 2
+    levels = ol.ls_sequence(setup, 1.0, 3, opts)
+    # one penalized exploration batch per rung
+    assert sum(batches) == 2
+    for rung in levels[1:]:
+        assert rung.reliable
+        assert rung.pair.residual <= opts.tol * (1.0 + rung.pair.level)
+    assert [_nodal_domains(lv.pair.u.values) for lv in levels] == [1, 2, 2]
+    # the box's reflection symmetry: rung 3 is rung 2 transposed, up to sign
+    u2, u3 = levels[1].pair.u.values, levels[2].pair.u.values
+    assert levels[2].pair.lam == pytest.approx(levels[1].pair.lam, rel=1e-10)
+    assert np.max(np.abs(np.abs(u3) - np.abs(u2.T))) <= 1e-6
+
+
+def test_ls_sequence_no_polish_runs_out_its_budget(monkeypatch):
+    # at a converged pair of the double eigenvalue the residual-square
+    # Armijo test could not close a level gap of a few 1e-9: two rung-2
+    # polishes of this ladder ran their whole 300-iteration budget
+    from orlicz_lab import eigensolver
+    polish, iterations = eigensolver._newton_polish, []
+
+    def counted(setup, alpha, starts, opts, stats=None):
+        out = polish(setup, alpha, starts, opts, stats)
+        iterations.extend(pair.iterations for pair, _ in out
+                          if isinstance(pair, ol.EigenPair))
+        assert opts.max_iter == 300
+        return out
+
+    monkeypatch.setattr(eigensolver, "_newton_polish", counted)
+    setup = build_setup(ol.Power(2.0), ol.Power(2.0), _unit_box(11))
+    levels = ol.ls_sequence(setup, 1.0, 2)
+    assert len(iterations) == eigensolver._LS_STARTS
+    assert max(iterations) < 300
+    assert levels[1].reliable
+    assert levels[1].pair.lam == 47.985297865979796
 
 
 def test_ls_2d_unseparated_rung_repeats_the_previous_one(monkeypatch):
@@ -607,9 +646,11 @@ def test_polish_budget_exit():
     stats = pair.stats
     assert stats["iterations"] == 1
     # one shifted factorization and one two-column solve, then the
-    # backtracking trials of the one step
-    assert stats["factorizations"] == stats["solves"] == 1
+    # backtracking trials of the one step, each with one more solve on the
+    # held factorization
+    assert stats["factorizations"] == 1
     assert stats["trials"] == 5 and stats["energy_J"] == 6
+    assert stats["solves"] == 1 + stats["trials"] == 6
     assert len(pair.history) == 2 and pair.history[1] < pair.history[0]
 
 
