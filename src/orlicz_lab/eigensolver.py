@@ -48,14 +48,18 @@ descends, and it is the exact Hessian wherever ``phi' >= phi/t`` (powers
 step reproduces inverse power iteration and the matrix is factored once.
 The sparsity pattern and its band layout are built once per grid.  The
 interior nodes keep their row-major numbering, so the matrix is banded
-(half-bandwidth ``n - 2`` on the box, 1 in 1D) and is factored by a
-banded Cholesky factorization (LAPACK ``dpbtrf``/``dpbtrs``); a batch
-shares the one factor of a quadratic ``Phi`` and solves all its rows
-with one multi-right-hand-side call.  The indefinite shifted systems of
-the saddle polisher and the free-energy probe take a row-pivoted banded
-LU (``dgbtrf``/``dgbtrs``); whether a shift is given decides the kernel.
-Only a quadratic ``Phi``'s unshifted tangent is reused; every other
-tangent is assembled and factored afresh on each call.
+(half-bandwidth ``n - 2`` on the box, 1 in 1D).  The loop decides the
+kernel, not the shift: the descent factors every tangent, shifted or not,
+by a banded Cholesky factorization (LAPACK ``dpbtrf``/``dpbtrs``), and a
+batch shares the one factor of a quadratic ``Phi`` and solves all its
+rows with one multi-right-hand-side call.  The free-energy probe's
+shifted tangent is positive definite near the minimizers it descends
+to; where it is not, its pivot fails and the step takes the unshifted
+tangent.  Only the saddle polisher, whose bordered systems are
+indefinite at saddles, takes a row-pivoted banded LU
+(``dgbtrf``/``dgbtrs``).  Only a quadratic ``Phi``'s unshifted tangent
+is reused; every other tangent is assembled and factored afresh on each
+call.
 
 Higher levels of the Ljusternik-Schnirelmann hierarchy are approximated by
 structure, not by genus: in 1D, gluing sign-alternating copies of the
@@ -396,16 +400,19 @@ class _Tangent:
     """Tangent stiffness of ``I`` on the interior of one solve.
 
     Factors in the band layouts of the grid's :class:`StiffnessPattern`
-    (Golub and Van Loan, *Matrix Computations*, sec. 4.3).  The unshifted
-    tangent is symmetric positive definite by construction, so it takes a
-    banded Cholesky factorization of its lower triangle (LAPACK
-    ``dpbtrf``/``dpbtrs``): ``k + 1`` band rows and no pivoting.  The
-    shifted systems of the saddle polisher and the free-energy probe are
-    indefinite and take a row-pivoted banded LU (``dgbtrf``/``dgbtrs``,
-    ``3k + 1`` band rows).  A non-positive Cholesky pivot or an exactly
-    zero LU pivot raises ``RuntimeError``.  Only a quadratic ``Phi``'s
-    unshifted tangent is reused: it does not depend on the iterate, so it
-    is factored once and later calls return at once; every other call
+    (Golub and Van Loan, *Matrix Computations*, sec. 4.3).  The descent's
+    tangents, shifted or not, take a banded Cholesky factorization of
+    their lower triangle (LAPACK ``dpbtrf``/``dpbtrs``): ``k + 1`` band
+    rows and no pivoting.  The unshifted tangent is symmetric positive
+    definite by construction; the free-energy probe's shifted one need
+    not be, and then its pivot fails.  With ``lu``, the saddle
+    polisher's bordered systems, indefinite at saddles, take a
+    row-pivoted banded LU (``dgbtrf``/``dgbtrs``, ``3k + 1`` band rows).
+    A non-positive Cholesky pivot or an exactly zero LU pivot raises
+    ``RuntimeError``; the factorization is counted all the same.  Only a
+    quadratic ``Phi``'s unshifted tangent is reused: it does not depend
+    on the iterate, so it is factored once, and later unshifted calls
+    return at once while the held factor is that one; every other call
     refactors.  The descent on a level set then shares one instance among
     the rows of its batch (see :func:`_tangents`), which solve in one
     multi-right-hand-side call.  Otherwise each row owns its instance;
@@ -418,56 +425,59 @@ class _Tangent:
     counted in ``stats``.
     """
 
-    def __init__(self, setup: EnergySetup, penalty_rows=None, stats=None):
+    def __init__(self, setup: EnergySetup, penalty_rows=None, stats=None,
+                 lu: bool = False):
         self.setup = setup
         self.pat = setup.dom.stiffness_pattern
         self.rows = penalty_rows
         self.stats = _new_stats() if stats is None else stats
+        self._lu = lu
         self._constant = setup.phi.indices() == (2.0, 2.0)
-        self._fac = None
-        self._piv = None  # None with a Cholesky factor
+        self._fac = self._piv = None
+        self._reusable = False  # the held factor is a constant unshifted one
         self._kb = self._small = None
 
     def factor(self, grad, shift=None):
         """Factor the tangent at the cell gradient ``grad`` (components,
         magnitudes), minus ``diag(shift)`` on the interior when given;
         kept for :meth:`solve`."""
-        cholesky = shift is None
-        if cholesky and self._constant and self._fac is not None \
-                and self._piv is None:
+        if shift is None and self._reusable:
             self.stats["factor_reuses"] += 1
             return
         pat = self.pat
         data = pat.assemble(_tangent_tensor(self.setup, grad))
-        if not cholesky:
+        if shift is not None:
             data[pat.diag] -= shift
         # scipy.linalg loads with the first factorization, not with the
         # package
         from scipy.linalg import lapack
         # free the old factors first
         self._fac = self._piv = self._kb = self._small = None
+        self._reusable = False
         k = pat.bandwidth
         size = pat.idx.size
         # column-major band x size, factored in place
-        if cholesky:
+        if self._lu:
+            band = np.zeros(size * (3 * k + 1))
+            band[pat.band] = data
+            fac, piv, info = lapack.dgbtrf(
+                band.reshape(size, 3 * k + 1).T, k, k, overwrite_ab=1)
+        else:
             band = np.zeros(size * (k + 1))
             band[pat.sym_band] = data[pat.lower]
             fac, info = lapack.dpbtrf(band.reshape(size, k + 1).T,
                                       lower=1, overwrite_ab=1)
             piv = None
-        else:
-            band = np.zeros(size * (3 * k + 1))
-            band[pat.band] = data
-            fac, piv, info = lapack.dgbtrf(
-                band.reshape(size, 3 * k + 1).T, k, k, overwrite_ab=1)
+        # a factorization whose pivot fails ran too
+        self.stats["factorizations"] += 1
         if info != 0:
             # info > 0: the leading minor of that order is not positive
             # (Cholesky), or the pivot of that column is exactly zero (LU)
-            kernel = "dpbtrf" if cholesky else "dgbtrf"
+            kernel = "dgbtrf" if self._lu else "dpbtrf"
             raise RuntimeError(f"banded factorization failed "
                                f"({kernel} info {info})")
         self._fac, self._piv = fac, piv
-        self.stats["factorizations"] += 1
+        self._reusable = self._constant and shift is None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``A^-1 rhs`` with the last factorization, for one right-hand
@@ -475,11 +485,11 @@ class _Tangent:
         alone, so a column's solution does not depend on the others."""
         from scipy.linalg import lapack
         self.stats["solves"] += 1
-        if self._piv is None:
-            x, info = lapack.dpbtrs(self._fac, rhs, lower=1)
-        else:
+        if self._lu:
             k = self.pat.bandwidth
             x, info = lapack.dgbtrs(self._fac, k, k, rhs, self._piv)
+        else:
+            x, info = lapack.dpbtrs(self._fac, rhs, lower=1)
         if info != 0:
             raise RuntimeError(f"banded solve failed (info {info})")
         return x
@@ -520,15 +530,16 @@ class _Tangent:
 
 
 def _tangents(setup: EnergySetup, count: int, shifted: bool,
-              penalty_rows, stats: dict) -> list:
-    """The tangent of each of ``count`` rows.  A constant tangent that is
-    never shifted is one instance shared by all rows, so it is factored
-    once per batch; otherwise each row owns one.  So rows share their
-    tangent exactly when the first and the last do."""
-    first = _Tangent(setup, penalty_rows, stats)
+              penalty_rows, stats: dict, lu: bool = False) -> list:
+    """The tangent of each of ``count`` rows, factored by LU when ``lu``
+    and by Cholesky otherwise (see :class:`_Tangent`).  A constant
+    tangent that is never shifted is one instance shared by all rows, so
+    it is factored once per batch; otherwise each row owns one.  So rows
+    share their tangent exactly when the first and the last do."""
+    first = _Tangent(setup, penalty_rows, stats, lu)
     if first._constant and not shifted:
         return [first] * count
-    return [first] + [_Tangent(setup, penalty_rows, stats)
+    return [first] + [_Tangent(setup, penalty_rows, stats, lu)
                       for _ in range(count - 1)]
 
 
@@ -651,7 +662,10 @@ def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
     tangent minus ``lam0`` times the reaction curvature, because the
     tangent of ``I`` alone only halves the error along the ray through a
     critical point per step (at tol 1e-6 it stopped 3% off in I on the
-    n=61 disc).
+    n=61 disc).  That shifted tangent is factored by Cholesky, as every
+    tangent of this loop; where it is not positive definite, its pivot
+    fails and the row takes the unshifted tangent, as it does when the
+    Newton direction does not descend.
 
     With ``anchors`` the merit is ``I + mu sum_j c_j^2`` and the
     preconditioner adds the penalty's rank-one curvature per anchor
@@ -792,11 +806,11 @@ def _newton_polish(setup: EnergySetup, alpha: float, starts: np.ndarray,
     row's next iterate, so the loop head adds only ``I`` and the dual
     norm.  ``starts`` is a stack as in :func:`_descend`, and so are the
     returned ``(pair, converged)`` per start, the errors and ``stats``;
-    each row factors its own shifted system.
+    each row factors its own shifted system by LU.
     """
     dom = setup.dom
     stats = _new_stats() if stats is None else stats
-    tangents = _tangents(setup, len(starts), True, None, stats)
+    tangents = _tangents(setup, len(starts), True, None, stats, lu=True)
     idx = dom.stiffness_pattern.idx
     out = [None] * len(starts)
     hist = [[] for _ in starts]

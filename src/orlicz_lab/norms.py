@@ -144,21 +144,23 @@ class StiffnessPattern:
     ``sym_band`` in LAPACK symmetric-band storage (``bandwidth + 1`` rows,
     column-major, the diagonal first).  Interior nodes keep their
     row-major numbering, which gives a half-bandwidth of ``n - 2`` on the
-    box and 1 in 1D.  Assembly only computes values.
+    box and 1 in 1D.  The products of stencil entries are kept as the
+    matrix ``coef``, so assembly only computes values: the local entries
+    of every cell in one matrix product ``coef @ A``, summed into place.
     """
 
     def __init__(self, dom: GridDomain):
         n = dom.n
         if dom.ndim == 1:
             base = np.arange(n - 1)
-            self.stencil = np.array([[-1.0, 1.0]]) / dom.h
+            stencil = np.array([[-1.0, 1.0]]) / dom.h
             nodes = np.stack([base, base + 1])
         else:
             ii, jj = np.meshgrid(np.arange(n - 1), np.arange(n - 1),
                                  indexing="ij")
             base = (ii * n + jj).ravel()
-            self.stencil = np.array([[-1.0, 1.0, 0.0],
-                                     [-1.0, 0.0, 1.0]]) / dom.h
+            stencil = np.array([[-1.0, 1.0, 0.0],
+                                [-1.0, 0.0, 1.0]]) / dom.h
             nodes = np.stack([base, base + n, base + 1])
         self.idx = np.flatnonzero(dom.interior.ravel())
         size = self.idx.size
@@ -181,11 +183,15 @@ class StiffnessPattern:
         self.lower = np.flatnonzero(self.rows >= self.cols)
         self.sym_band = (self.cols[self.lower] * (k + 1)
                          + self.rows[self.lower] - self.cols[self.lower])
+        # entry (i, j) of G_c^T A_c G_c is sum_kl G_c[k, i] A_c[k, l]
+        # G_c[l, j]: one row of coef per (i, j), one column per (k, l)
+        d, m = stencil.shape
+        self.coef = np.einsum("ki,lj->ijkl", stencil, stencil).reshape(
+            m * m, d * d)
 
     def assemble(self, tensor: np.ndarray) -> np.ndarray:
         """Entry values for per-cell tensors of shape ``(ndim, ndim, cells)``."""
-        local = np.einsum("ki,klc,lj->ijc", self.stencil, tensor,
-                          self.stencil)
+        local = self.coef @ tensor.reshape(self.coef.shape[1], -1)
         return np.bincount(self.scatter, weights=local.ravel()[self.keep],
                            minlength=self.rows.size)
 

@@ -776,7 +776,8 @@ def test_ladder_stats_count_every_start(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the banded kernels of the tangent stiffness: Cholesky unshifted, LU shifted
+# the banded kernels of the tangent stiffness: Cholesky in the descent, LU
+# in the polisher
 
 def _tangent_case(cfg, phi=ol.Power(3.0)):
     """(setup, cell gradient of a smooth field, dense tangent there)."""
@@ -810,13 +811,17 @@ def test_tangent_solves_match_dense(cfg):
     assert _rel_err(tangent.solve(rhs), np.linalg.solve(dense, rhs)) <= 1e-10
 
     # a constant shift halfway between two eigenvalues in the lower part
-    # of the spectrum makes the matrix indefinite, so the LU must pivot
+    # of the spectrum makes the matrix indefinite: the Cholesky factor
+    # fails, and the polisher's LU must pivot
     ev = np.linalg.eigvalsh(dense)
     j = size // 4
     shift = np.full(size, 0.5 * (ev[j] + ev[j + 1]))
     shifted = dense - np.diag(shift)
     ev_shifted = np.linalg.eigvalsh(shifted)
     assert ev_shifted[0] < 0.0 < ev_shifted[-1]
+    with pytest.raises(RuntimeError, match="dpbtrf"):
+        tangent.factor(grad, shift=shift)
+    tangent = _Tangent(setup, lu=True)
     tangent.factor(grad, shift=shift)
     assert _rel_err(tangent.solve(rhs[:, 0]),
                     np.linalg.solve(shifted, rhs[:, 0])) <= 1e-10
@@ -829,7 +834,7 @@ _KERNEL_CFGS = [_interval(65), _unit_box(17),
 _KERNEL_IDS = ["interval65", "box17", "disc21"]
 
 
-@pytest.mark.parametrize("case", ["cholesky", "lu", "woodbury"])
+@pytest.mark.parametrize("case", ["cholesky", "lu", "woodbury", "definite"])
 @pytest.mark.parametrize("cfg", _KERNEL_CFGS, ids=_KERNEL_IDS)
 def test_tangent_direction_matches_dense(cfg, case):
     from orlicz_lab.eigensolver import _Tangent, _penalty_rows
@@ -845,6 +850,10 @@ def test_tangent_direction_matches_dense(cfg, case):
         ev = np.linalg.eigvalsh(dense)
         shift = np.full(size, 0.5 * (ev[size // 4] + ev[size // 4 + 1]))
         dense = dense - np.diag(shift)
+    elif case == "definite":
+        # below the lowest eigenvalue, as the probe's shifts mostly are
+        shift = np.full(size, 0.5 * np.linalg.eigvalsh(dense)[0])
+        dense = dense - np.diag(shift)
     elif case == "woodbury":
         anchors = []
         for _ in range(2):
@@ -853,13 +862,14 @@ def test_tangent_direction_matches_dense(cfg, case):
         rows = _penalty_rows(dom, anchors, 3.0)
         dense = dense + rows.T @ rows
     want = np.linalg.solve(dense, (dom.node_qw * rho).ravel()[idx])
-    tangent = _Tangent(setup, rows)
+    # the polisher's tangent is the only LU one
+    tangent = _Tangent(setup, rows, lu=case == "lu")
     got = tangent.direction(grad, rho, shift)
     assert _rel_err(got.ravel()[idx], want) <= 1e-10
     assert np.all(got[~dom.interior] == 0.0)
-    # the kernel follows from whether a shift is given: the Cholesky
+    # the kernel follows from the loop, not from the shift: the Cholesky
     # factor carries no pivots
-    assert (tangent._piv is None) == (shift is None)
+    assert (tangent._piv is None) == (case != "lu")
 
 
 @pytest.mark.parametrize("cfg", _KERNEL_CFGS, ids=_KERNEL_IDS)
@@ -883,8 +893,9 @@ def test_symmetric_band_positions_hold_the_lower_triangle(cfg):
 
 
 def test_quadratic_tangent_switches_kernel_with_the_shift():
-    # the held factor is reused only for the same kernel, also when the
-    # unshifted tangent is constant and the shift is zero
+    # the polisher's LU tangent keeps its kernel whatever the shift, and
+    # its held shifted factor is not reused for an unshifted call, also
+    # when the unshifted tangent is constant and the shift is zero
     from orlicz_lab.eigensolver import _Tangent
     setup, grad, dense = _tangent_case(_unit_box(17), ol.Power(2.0))
     dom = setup.dom
@@ -896,13 +907,42 @@ def test_quadratic_tangent_switches_kernel_with_the_shift():
     # the lowest eigenvalue is simple, the next is double on the square
     ev = np.linalg.eigvalsh(dense)
     indefinite = np.full(size, 0.5 * (ev[0] + ev[1]))
-    tangent = _Tangent(setup)
+    tangent = _Tangent(setup, lu=True)
     for shift in (None, np.zeros(size), None, indefinite, None):
         matrix = dense if shift is None else dense - np.diag(shift)
         got = tangent.direction(grad, rho, shift)
         assert _rel_err(got.ravel()[pat.idx],
                         np.linalg.solve(matrix, rhs)) <= 1e-10
-        assert (tangent._piv is None) == (shift is None)
+        assert tangent._piv is not None
+    assert tangent.stats["factorizations"] == 5
+    assert tangent.stats["factor_reuses"] == 0
+
+
+def test_quadratic_tangent_reuses_only_its_unshifted_factor():
+    # the probe's Cholesky tangent of a quadratic Phi holds a shifted
+    # factor after a shifted call; the next unshifted call refactors
+    from orlicz_lab.eigensolver import _Tangent
+    setup, grad, dense = _tangent_case(_unit_box(17), ol.Power(2.0))
+    dom = setup.dom
+    pat = dom.stiffness_pattern
+    size = dense.shape[0]
+    rho = random_zero_trace(dom, np.random.default_rng(3)).values \
+        * dom.interior
+    rhs = (dom.node_qw * rho).ravel()[pat.idx]
+    definite = np.full(size, 0.5 * np.linalg.eigvalsh(dense)[0])
+    tangent = _Tangent(setup)
+    made = []
+    for shift in (None, None, definite, None, None):
+        matrix = dense if shift is None else dense - np.diag(shift)
+        before = tangent._fac
+        got = tangent.direction(grad, rho, shift)
+        made.append(tangent._fac is not before)
+        assert _rel_err(got.ravel()[pat.idx],
+                        np.linalg.solve(matrix, rhs)) <= 1e-10
+        assert tangent._piv is None
+    assert made == [True, False, True, True, False]
+    assert tangent.stats["factorizations"] == 3
+    assert tangent.stats["factor_reuses"] == 2
 
 
 def test_zero_tangent_raises_runtime_error(monkeypatch):
@@ -912,11 +952,12 @@ def test_zero_tangent_raises_runtime_error(monkeypatch):
     monkeypatch.setattr(
         eigensolver, "_tangent_tensor",
         lambda s, g: np.zeros((2, 2, (s.dom.n - 1) ** 2)))
-    with pytest.raises(RuntimeError, match="dpbtrf"):
-        eigensolver._Tangent(setup).factor(grad)
+    zero = np.zeros(setup.dom.stiffness_pattern.idx.size)
+    for shift in (None, zero):
+        with pytest.raises(RuntimeError, match="dpbtrf"):
+            eigensolver._Tangent(setup).factor(grad, shift)
     with pytest.raises(RuntimeError, match="dgbtrf"):
-        eigensolver._Tangent(setup).factor(
-            grad, shift=np.zeros(setup.dom.stiffness_pattern.idx.size))
+        eigensolver._Tangent(setup, lu=True).factor(grad, shift=zero)
 
 
 def test_indefinite_unshifted_tangent_raises_runtime_error(monkeypatch):
@@ -929,7 +970,7 @@ def test_indefinite_unshifted_tangent_raises_runtime_error(monkeypatch):
                         lambda s, g: -real(s, g))
     with pytest.raises(RuntimeError, match="dpbtrf"):
         eigensolver._Tangent(setup).factor(grad)
-    eigensolver._Tangent(setup).factor(
+    eigensolver._Tangent(setup, lu=True).factor(
         grad, shift=np.zeros(setup.dom.stiffness_pattern.idx.size))
 
 

@@ -206,6 +206,27 @@ def test_stacked_gradients_equal_per_slice_gradients(rng, cfg):
                                   ol.gradient_magnitude(dom, stack[i, j]))
 
 
+@pytest.mark.parametrize("cfg", [
+    {"shape": "interval", "n": 17, "extent": [0.0, 1.0]},
+    {"shape": "box", "n": 13, "extent": [0.0, 2.0]},
+    {"shape": "disc", "n": 15, "extent": [1.5]},
+], ids=lambda cfg: cfg["shape"])
+def test_assembly_equals_the_three_operand_einsum(rng, cfg):
+    # one coefficient product per cell, against G_c^T A_c G_c written out
+    dom = ol.domain_from_config(cfg)
+    pat = dom.stiffness_pattern
+    stencil = (np.array([[-1.0, 1.0]]) if dom.ndim == 1 else
+               np.array([[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])) / dom.h
+    cells = math.prod(dom.cell_shape)
+    tensor = rng.normal(size=(dom.ndim, dom.ndim, cells))
+    tensor = tensor + tensor.transpose(1, 0, 2)
+    local = np.einsum("ki,klc,lj->ijc", stencil, tensor, stencil)
+    want = np.bincount(pat.scatter, weights=local.ravel()[pat.keep],
+                       minlength=pat.rows.size)
+    got = pat.assemble(tensor)
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
 # ---------------------------------------------------------------------------
 # modulars
 

@@ -325,6 +325,57 @@ def test_count_critical_points_merges_starts_for_mixed_growth():
     assert ol.count_critical_points(setup, 3.0, 4, seed=1) == 2
 
 
+def _probe_lapack(monkeypatch):
+    """Wrap the banded factorizations and the probe's descents: returns
+    ``(calls, failed, outcomes)``, LAPACK calls and failed pivots per
+    kernel and each descent's ``(pair, converged)``."""
+    from scipy.linalg import lapack
+    calls, failed, outcomes = {}, {}, []
+    for name in ("dgbtrf", "dpbtrf"):
+        def counted(*args, _real=getattr(lapack, name), _name=name,
+                    **kwargs):
+            out = _real(*args, **kwargs)
+            calls[_name] = calls.get(_name, 0) + 1
+            failed[_name] = failed.get(_name, 0) + (out[-1] != 0)
+            return out
+        monkeypatch.setattr(lapack, name, counted)
+    descend = region._descend
+
+    def recorded(*args, **kwargs):
+        out = descend(*args, **kwargs)
+        outcomes.extend(out)
+        return out
+    monkeypatch.setattr(region, "_descend", recorded)
+    return calls, failed, outcomes
+
+
+def test_count_critical_points_factors_by_cholesky_only(monkeypatch):
+    # the critical-probe instance with unit weights: every shifted tangent
+    # is positive definite, so no LU runs and no start falls back
+    calls, failed, outcomes = _probe_lapack(monkeypatch)
+    assert ol.count_critical_points(small_disc(n=41), 1.5, 2, seed=0) == 2
+    assert [pair.iterations for pair, _ in outcomes] == [5, 10]
+    assert all(ok for _, ok in outcomes)
+    assert calls == {"dpbtrf": 15} and failed == {"dpbtrf": 0}
+    assert sum(p.stats["factorizations"] for p, _ in outcomes) == 15
+
+
+def test_count_critical_points_falls_back_past_a_failed_cholesky(
+        monkeypatch):
+    # far above the first eigenvalue some shifted tangents are indefinite:
+    # their Cholesky pivot fails, the step takes the unshifted tangent and
+    # every start still converges in a few iterations; the failed
+    # factorizations are counted in stats
+    calls, failed, outcomes = _probe_lapack(monkeypatch)
+    assert ol.count_critical_points(small_disc(n=41), 2000.0, 4,
+                                    seed=0) == 2
+    assert [pair.iterations for pair, _ in outcomes] == [5, 5, 6, 6]
+    assert all(ok for _, ok in outcomes)
+    assert "dgbtrf" not in calls and failed["dpbtrf"] > 0
+    assert sum(p.stats["factorizations"] for p, _ in outcomes) \
+        == calls["dpbtrf"] == 28
+
+
 # ---------------------------------------------------------------------------
 # reports
 
