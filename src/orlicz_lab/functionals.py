@@ -8,10 +8,11 @@ restricted to a level set of ``J`` satisfies the discrete Euler-Lagrange
 system exactly.
 
 The dual norm of such a density is evaluated against the finite zero-trace
-nodal basis; each basis hat touches at most three cells, so its Sobolev norm
-follows from the inverses of the Young functions (one batched root solve
-of a three-cell modular in 2D).  That turns the residual check into one
-vectorized pass.
+nodal basis.  A basis hat has a nonzero gradient only in the ``ndim + 1``
+cells where its node is one of the grid's stencil ``corners``, so its
+Sobolev norm follows from the inverses of the Young functions and one
+batched root solve of that few-cell modular.  That turns the residual
+check into one vectorized pass.
 """
 
 from __future__ import annotations
@@ -115,50 +116,36 @@ class EnergySetup:
     # -- basis Sobolev norms ----------------------------------------------
     def _basis_norms(self) -> np.ndarray:
         dom = self.dom
-        qw = dom.node_qw
         inter = dom.interior
         # State part: the hat is 1 at one node, so the modular of e/xi is
         # qw * w1 * Psi(1/xi) and the norm inverts Psi directly.
-        tiny = np.where(inter, qw * self.w1.values, 1.0)
-        xi_state = np.zeros(dom.node_shape)
-        xi_state[inter] = 1.0 / np.asarray(
-            self.psi.inverse(1.0 / tiny[inter]), dtype=float)
-        # Gradient part.  In 1D the hat meets 2 cells with magnitude 1/h, so
-        # Phi inverts directly.  In 2D the base-corner stencil sees the hat
-        # in 3 cells (sqrt(2)/h once, 1/h twice); that mixed modular goes to
-        # the root kernel between brackets from the inverse of Phi.
+        tiny = (dom.node_qw * self.w1.values)[inter]
+        xi_state = 1.0 / np.asarray(self.psi.inverse(1.0 / tiny), dtype=float)
+        # Gradient part.  The hat's gradient is nonzero in the cells where
+        # its node is one of the stencil ``corners``: magnitude sqrt(ndim)/h
+        # at the base corner, 1/h at each step corner.  Padding the cell
+        # weights by a corner's offset puts at each node the weight of the
+        # cell in which the node is that corner.
         h = dom.h
-        wc = self.w_cells
-        xi_grad = np.zeros(dom.node_shape)
-        if dom.ndim == 1:
-            ssum = np.zeros(dom.node_shape)
-            ssum[1:-1] = h * (wc[:-1] + wc[1:])
-            xi_grad[inter] = 1.0 / (h * np.asarray(
-                self.phi.inverse(1.0 / ssum[inter]), dtype=float))
-        else:
-            cq = dom.h ** dom.ndim
-            own = np.zeros(dom.node_shape)
-            own[:-1, :-1] = wc
-            left = np.zeros(dom.node_shape)
-            left[1:, :-1] = wc
-            below = np.zeros(dom.node_shape)
-            below[:-1, 1:] = wc
-            a = cq * own[inter]
-            b = cq * (left[inter] + below[inter])
-            root2 = np.sqrt(2.0)
-            # with s = 1/xi the modular lies between (a + b) Phi(s/h) and
-            # (a + b) Phi(sqrt(2) s/h), which brackets s
-            fat = h * np.asarray(self.phi.inverse(1.0 / (a + b)), dtype=float)
-            # the root search evaluates positive finite arguments only
-            raw = self.phi._value_raw
+        base, *steps = [np.pad(self.w_cells, [(o, 1 - o) for o in c])[inter]
+                        for c in dom.corners]
+        a = dom.cell_qw * base
+        b = dom.cell_qw * sum(steps)
+        root = np.sqrt(dom.ndim)
+        # with s = 1/xi the modular lies between (a + b) Phi(s/h) and
+        # (a + b) Phi(sqrt(ndim) s/h), which brackets s; in 1D the bracket
+        # has zero width and is the answer
+        fat = h * np.asarray(self.phi.inverse(1.0 / (a + b)), dtype=float)
+        # the root search evaluates positive finite arguments only
+        raw = self.phi._value_raw
 
-            def modular(s):
-                return a * raw(root2 * s / h) + b * raw(s / h)
+        def modular(s):
+            return a * raw(root * s / h) + b * raw(s / h)
 
-            xi_grad[inter] = 1.0 / invert_increasing(
-                modular, np.ones_like(a), lo=fat / root2, hi=fat,
-                what=f"{self.phi.label()} basis norm")
-        return (xi_state + xi_grad)[inter]
+        xi_grad = 1.0 / invert_increasing(
+            modular, np.ones_like(a), lo=fat / root, hi=fat,
+            what=f"{self.phi.label()} basis norm")
+        return xi_state + xi_grad
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return (f"<EnergySetup {self.phi.label()} / {self.psi.label()} "

@@ -4,9 +4,12 @@ The continuum objects are a bounded domain, a pair of weights bounded below
 by 1, and the modular ``int_Omega w Phi(|u|) dx``.  Here the domain is a
 uniform grid over an interval, a square box, or a disc inside its bounding
 box; integrals are composite trapezoid sums (mask-clipped on the disc), and
-gradients live on cells as forward differences.  The Luxemburg norm is the
-level parameter that brings the modular of ``u / xi`` to 1; that map is
-continuous and strictly decreasing on a grid, so the root is unique.
+gradients live on cells as forward differences.  That stencil is written
+once, as the corner offsets ``GridDomain.corners``: the gradient, its
+adjoint, the stiffness pattern and the basis norms of
+:mod:`orlicz_lab.functionals` all derive from them.  The Luxemburg norm is
+the level parameter that brings the modular of ``u / xi`` to 1; that map
+is continuous and strictly decreasing on a grid, so the root is unique.
 :func:`scale_to_modular` finds it, and every other modular level.
 
 Array layout: nodal values have shape ``(n,)`` in 1D and ``(n, n)`` in 2D
@@ -16,7 +19,7 @@ Array layout: nodal values have shape ``(n,)`` in 1D and ``(n, n)`` in 2D
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -53,6 +56,13 @@ class GridDomain:
     are trapezoid quadrature weights, zeroed off the mask; ``cell_qw`` is
     the uniform cell volume.  ``x0`` is the center and ``D`` the exact
     inradius, so the ball ``B(x0, D)`` lies inside the domain.
+
+    ``corners`` is the cell stencil, the one place it is written: the
+    offsets of the base corner ``(0, ..., 0)`` and then of one unit step
+    along each axis.  ``corner_ix[k]`` indexes corner ``k`` of every cell
+    in a nodal layout, leading axes kept, so ``values[corner_ix[k]]`` has
+    the cell layout.  The gradient, its adjoint, the stiffness pattern
+    and the basis norms of the energies all derive from these.
     """
 
     def __init__(self, kind: str, extent, n: int):
@@ -78,12 +88,15 @@ class GridDomain:
         self.axis = np.linspace(a, b, n)
         qw = np.full(n, self.h)
         qw[[0, -1]] = 0.5 * self.h
-        if self.ndim == 1:
-            self.nodes = self.axis[:, None]
-        else:
-            qw = np.outer(qw, qw)
-            self.nodes = np.stack(
-                np.meshgrid(self.axis, self.axis, indexing="ij"), axis=-1)
+        qw = reduce(np.multiply.outer, [qw] * self.ndim)
+        self.nodes = np.stack(
+            np.meshgrid(*[self.axis] * self.ndim, indexing="ij"), axis=-1)
+        self.corners = ((0,) * self.ndim,) + tuple(
+            tuple(int(i == j) for j in range(self.ndim))
+            for i in range(self.ndim))
+        self.corner_ix = tuple(
+            (Ellipsis,) + tuple(slice(o, o + n - 1) for o in corner)
+            for corner in self.corners)
         self.x0 = np.full(self.ndim, 0.5 * (a + b))
         self.D = 0.5 * (b - a)
         self.mask = np.ones(self.node_shape, dtype=bool)
@@ -112,12 +125,11 @@ class GridDomain:
 
     @property
     def node_shape(self):
-        return (self.n,) if self.ndim == 1 else (self.n, self.n)
+        return (self.n,) * self.ndim
 
     @property
     def cell_shape(self):
-        m = self.n - 1
-        return (m,) if self.ndim == 1 else (m, m)
+        return (self.n - 1,) * self.ndim
 
     @cached_property
     def stiffness_pattern(self) -> "StiffnessPattern":
@@ -132,8 +144,9 @@ class GridDomain:
 class StiffnessPattern:
     """Interior sparsity of ``sum_c G_c^T A_c G_c`` over the cells.
 
-    ``G_c`` is the local stencil of :func:`gradient_components` (both ends
-    of the cell in 1D; base, right and top corner in 2D) and ``A_c`` a
+    ``G_c`` is the local stencil of :func:`gradient_components` on the
+    cell's ``corners`` (both ends in 1D; base, right and top corner in
+    2D): ``[-1 | Id] / h``, each step corner less the base.  ``A_c`` is a
     per-cell ``ndim x ndim`` tensor.  The pattern keeps the entries between
     interior nodes (flat indices ``idx``) in column-major order, with their
     interior ``rows`` and ``cols``, the positions of the diagonal, and the
@@ -150,18 +163,11 @@ class StiffnessPattern:
     """
 
     def __init__(self, dom: GridDomain):
-        n = dom.n
-        if dom.ndim == 1:
-            base = np.arange(n - 1)
-            stencil = np.array([[-1.0, 1.0]]) / dom.h
-            nodes = np.stack([base, base + 1])
-        else:
-            ii, jj = np.meshgrid(np.arange(n - 1), np.arange(n - 1),
-                                 indexing="ij")
-            base = (ii * n + jj).ravel()
-            stencil = np.array([[-1.0, 1.0, 0.0],
-                                [-1.0, 0.0, 1.0]]) / dom.h
-            nodes = np.stack([base, base + n, base + 1])
+        # nodes[k] numbers corner k of every cell in the flat node layout
+        flat = np.arange(dom.interior.size).reshape(dom.node_shape)
+        nodes = np.stack([flat[ix].ravel() for ix in dom.corner_ix])
+        unit = np.eye(len(nodes))
+        stencil = (unit[1:] - unit[0]) / dom.h
         self.idx = np.flatnonzero(dom.interior.ravel())
         size = self.idx.size
         red = np.full(dom.interior.size, -1, dtype=np.int64)
@@ -286,20 +292,18 @@ def _same_domain(*objs):
 def gradient_components(domain: GridDomain, values: np.ndarray):
     """Forward differences per cell, anchored at the cell's base corner.
 
-    In 2D each component is the difference along one edge leaving the base
-    corner.  Unlike edge-averaged stencils this one has no spurious
-    checkerboard kernel, and for quadratic energies of zero-trace functions
-    it reproduces the classical 5-point stiffness exactly.  ``values`` may
-    stack nodal layouts over leading axes; each component then keeps those
-    axes in front of the cell layout, equal slice by slice to the
-    components of each layout.
+    Component ``k`` is the difference along the edge from the base corner
+    to the step corner ``k + 1`` of ``domain.corners``.  Unlike
+    edge-averaged stencils this one has no spurious checkerboard kernel,
+    and for quadratic energies of zero-trace functions it reproduces the
+    classical 5-point stiffness exactly.  ``values`` may stack nodal
+    layouts over leading axes; each component then keeps those axes in
+    front of the cell layout, equal slice by slice to the components of
+    each layout.
     """
-    h = domain.h
-    if domain.ndim == 1:
-        return ((values[..., 1:] - values[..., :-1]) / h,)
-    gx = (values[..., 1:, :-1] - values[..., :-1, :-1]) / h
-    gy = (values[..., :-1, 1:] - values[..., :-1, :-1]) / h
-    return (gx, gy)
+    ix, h = domain.corner_ix, domain.h
+    base = values[ix[0]]
+    return tuple([(values[end] - base) / h for end in ix[1:]])
 
 
 def gradient_magnitude(domain: GridDomain, values: np.ndarray) -> np.ndarray:
@@ -319,20 +323,14 @@ def gradient_adjoint(domain: GridDomain, cell_fields) -> np.ndarray:
     returns nodal ``d`` with ``sum(d * v) = sum_c q_c . grad(v)_c``.  The
     fields may stack cell layouts over leading axes, as the components
     do; ``d`` then keeps those axes, slice by slice the adjoint of each."""
-    h = domain.h
+    ix = domain.corner_ix
     lead = np.shape(cell_fields[0])[:-domain.ndim]
     out = np.zeros(lead + domain.node_shape)
-    if domain.ndim == 1:
-        (q,) = cell_fields
-        out[..., 1:] += q / h
-        out[..., :-1] -= q / h
-        return out
-    qx, qy = cell_fields
-    out[..., 1:, :-1] += qx
-    out[..., :-1, :-1] -= qx
-    out[..., :-1, 1:] += qy
-    out[..., :-1, :-1] -= qy
-    return out / h
+    base = out[ix[0]]  # a view: subtracting from it writes into out
+    for end, q in zip(ix[1:], cell_fields):
+        out[end] += q
+        base -= q
+    return out / domain.h
 
 
 # --------------------------------------------------------------------------

@@ -148,3 +148,127 @@ def central_pairing(energy, u: np.ndarray, v: np.ndarray,
                     eps: float) -> float:
     """Symmetric difference quotient (E(u+eps v) - E(u-eps v)) / (2 eps)."""
     return (energy(u + eps * v) - energy(u - eps * v)) / (2.0 * eps)
+
+
+# Reference cell stencil, written out per dimension as raw-array slices:
+# the base corner and one step along each axis (both ends of the cell in
+# 1D; base, right and top corner in 2D).  The package derives the same
+# stencil from one set of corner offsets; these formulas check it with ==,
+# so each keeps the package's order of floating-point operations.
+
+
+def stencil_gradient(values: np.ndarray, h: float) -> tuple:
+    """Base-corner forward differences of one nodal layout, per axis."""
+    if values.ndim == 1:
+        return ((values[1:] - values[:-1]) / h,)
+    return ((values[1:, :-1] - values[:-1, :-1]) / h,
+            (values[:-1, 1:] - values[:-1, :-1]) / h)
+
+
+def stencil_adjoint(fields, h: float) -> np.ndarray:
+    """Adjoint of :func:`stencil_gradient`: each component added at its
+    step corner and subtracted at the base corner, divided by h last."""
+    out = np.zeros(tuple(m + 1 for m in fields[0].shape))
+    if len(fields) == 1:
+        (q,) = fields
+        out[1:] += q
+        out[:-1] -= q
+    else:
+        qx, qy = fields
+        out[1:, :-1] += qx
+        out[:-1, :-1] -= qx
+        out[:-1, 1:] += qy
+        out[:-1, :-1] -= qy
+    return out / h
+
+
+def stencil_pattern(interior: np.ndarray, h: float) -> dict:
+    """Interior entries of ``sum_c G_c^T A_c G_c`` with the local stencil
+    ``G`` of :func:`stencil_gradient`, from a dense coupling matrix.
+
+    Returns the interior flat indices ``idx``, the coupled ``rows`` and
+    ``cols`` in column-major order, their LAPACK general-band (``3k + 1``
+    rows) and symmetric-band (``k + 1`` rows) flat positions ``band`` and
+    ``sym_band``, the stencil products ``coef`` (one row per local entry,
+    one column per tensor entry) and ``assemble(tensor)``, which sums the
+    local entries ``coef @ A_c`` into the dense interior matrix in the
+    order local entry, then cell, and reads off the coupled entries.
+    """
+    n, ndim = interior.shape[0], interior.ndim
+    if ndim == 1:
+        base = np.arange(n - 1)
+        nodes = np.stack([base, base + 1])
+        stencil = np.array([[-1.0, 1.0]]) / h
+    else:
+        ii, jj = np.meshgrid(np.arange(n - 1), np.arange(n - 1),
+                             indexing="ij")
+        base = (ii * n + jj).ravel()
+        nodes = np.stack([base, base + n, base + 1])
+        stencil = np.array([[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]]) / h
+    idx = np.flatnonzero(interior)
+    size, m = idx.size, len(nodes)
+    pos = np.full(interior.size, -1)
+    pos[idx] = np.arange(size)
+    pairs = [(pos[nodes[i]], pos[nodes[j]]) for i in range(m)
+             for j in range(m)]
+    coupled = np.zeros((size, size), dtype=bool)
+    for r, c in pairs:
+        live = (r >= 0) & (c >= 0)
+        coupled[r[live], c[live]] = True
+    cols, rows = np.nonzero(coupled.T)
+    k = int(np.max(np.abs(rows - cols)))
+    lower = rows >= cols
+    coef = np.einsum("ki,lj->ijkl", stencil, stencil).reshape(
+        m * m, ndim * ndim)
+
+    def assemble(tensor):
+        local = coef @ tensor.reshape(ndim * ndim, -1)
+        dense = np.zeros((size, size))
+        for (r, c), vals in zip(pairs, local):
+            live = (r >= 0) & (c >= 0)
+            np.add.at(dense, (r[live], c[live]), vals[live])
+        return dense[rows, cols]
+
+    return {"idx": idx, "rows": rows, "cols": cols,
+            "band": cols * (3 * k + 1) + 2 * k + rows - cols,
+            "sym_band": cols[lower] * (k + 1) + rows[lower] - cols[lower],
+            "coef": coef, "assemble": assemble}
+
+
+def stencil_basis_norms(interior: np.ndarray, node_qw: np.ndarray,
+                        w_cells: np.ndarray, w1: np.ndarray, h: float,
+                        phi, phi_inverse, psi_inverse, solve) -> np.ndarray:
+    """Sobolev norms of the interior nodal hats, in interior order.
+
+    The state part inverts ``Psi`` at ``1 / (qw w1)``.  The gradient part
+    is the norm of a hat with gradient magnitude 1/h in each of its two
+    cells in 1D, which inverts ``Phi`` directly; in 2D sqrt(2)/h in the
+    cell whose base corner it is and 1/h in the two whose right or top
+    corner it is, solved by ``solve(modular, lo, hi)`` for
+    ``modular(s) = 1`` between the brackets from the inverse of ``Phi``.
+    """
+    xi_state = 1.0 / np.asarray(
+        psi_inverse(1.0 / (node_qw * w1)[interior]), dtype=float)
+    own = np.zeros(interior.shape)
+    if interior.ndim == 1:
+        left = np.zeros(interior.shape)
+        own[:-1] = w_cells
+        left[1:] = w_cells
+        fat = h * np.asarray(phi_inverse(
+            1.0 / (h * own[interior] + h * left[interior])), dtype=float)
+        return xi_state + 1.0 / fat
+    left = np.zeros(interior.shape)
+    below = np.zeros(interior.shape)
+    own[:-1, :-1] = w_cells
+    left[1:, :-1] = w_cells
+    below[:-1, 1:] = w_cells
+    cq = h ** 2
+    a = cq * own[interior]
+    b = cq * (left[interior] + below[interior])
+    root2 = math.sqrt(2.0)
+    fat = h * np.asarray(phi_inverse(1.0 / (a + b)), dtype=float)
+
+    def modular(s):
+        return a * phi(root2 * s / h) + b * phi(s / h)
+
+    return xi_state + 1.0 / solve(modular, fat / root2, fat)

@@ -9,6 +9,7 @@ import pytest
 
 import orlicz_lab as ol
 from orlicz_lab import ConfigError, DomainError, HorizonError
+from orlicz_lab.util import invert_increasing
 
 from conftest import build_setup, random_zero_trace
 import oracles as oc
@@ -225,6 +226,55 @@ def test_assembly_equals_the_three_operand_einsum(rng, cfg):
                        minlength=pat.rows.size)
     got = pat.assemble(tensor)
     assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+# Non-dyadic spacings only: with h a power of two, dividing by h is exact
+# and would hide a change in the order of the stencil's operations.
+@pytest.mark.parametrize("weights", ["constant", "random"])
+@pytest.mark.parametrize("cfg", [
+    {"shape": "interval", "n": 30, "extent": [0.0, 1.0]},
+    {"shape": "interval", "n": 512, "extent": [0.0, 1.0]},
+    {"shape": "box", "n": 22, "extent": [0.0, 1.0]},
+    {"shape": "disc", "n": 40, "extent": [1.0]},
+], ids=lambda cfg: f"{cfg['shape']}-n{cfg['n']}")
+def test_geometry_equals_the_written_out_stencil(rng, cfg, weights):
+    # every user of the grid's corner stencil against the raw-array slice
+    # formulas of the oracle, bit for bit
+    dom = ol.domain_from_config(cfg)
+    assert dom.h * 2 ** round(-math.log2(dom.h)) != 1.0
+    w_values = w1_values = None
+    if weights == "random":
+        w_values = 1.0 + rng.random(dom.node_shape)
+        w1_values = 1.0 + rng.random(dom.node_shape)
+    setup = build_setup(ol.PowerSum(2.0, 4.0), ol.PowerSum(1.5, 2.5), cfg,
+                        w_values, w1_values)
+    dom = setup.dom
+    values = rng.normal(size=dom.node_shape)
+    comps = ol.gradient_components(dom, values)
+    want = oc.stencil_gradient(values, dom.h)
+    assert len(comps) == len(want) == dom.ndim
+    for got, ref in zip(comps, want):
+        assert np.array_equal(got, ref)
+    fields = tuple(rng.normal(size=dom.cell_shape) for _ in range(dom.ndim))
+    assert np.array_equal(ol.gradient_adjoint(dom, fields),
+                          oc.stencil_adjoint(fields, dom.h))
+    pat = dom.stiffness_pattern
+    ref = oc.stencil_pattern(dom.interior, dom.h)
+    for key in ("idx", "rows", "cols", "band", "sym_band", "coef"):
+        assert np.array_equal(getattr(pat, key), ref[key]), key
+    tensor = rng.normal(size=(dom.ndim, dom.ndim, math.prod(dom.cell_shape)))
+    tensor = tensor + tensor.transpose(1, 0, 2)
+    assert np.array_equal(pat.assemble(tensor), ref["assemble"](tensor))
+
+    def solve(modular, lo, hi):
+        return invert_increasing(modular, np.ones_like(lo), lo=lo, hi=hi)
+
+    norms = oc.stencil_basis_norms(
+        dom.interior, dom.node_qw, setup.w_cells, setup.w1.values, dom.h,
+        setup.phi.value, setup.phi.inverse, setup.psi.inverse, solve)
+    basis = setup._basis_w.reshape(dom.node_shape)
+    assert np.array_equal(basis[dom.interior], norms)
+    assert (basis[~dom.interior] == np.inf).all()
 
 
 # ---------------------------------------------------------------------------
