@@ -22,15 +22,19 @@ leaves the batch when it converges, stalls or fails, and every row
 reduction is batch-invariant (one dot product or sum per row; a
 matrix-vector product over several rows rounds differently).  A 2D
 ladder rung runs its penalized starts as one batch; the other callers
-pass a stack of one.  The loops evaluate the starts and every
+pass a stack of one.  Both run through one iteration driver
+(:func:`_iterate`), which owns the iteration count, the residual
+history, the stop test, the shrinking batch and every row's exit
+(:func:`_exit`); a loop gives it only its head (multiplier, residual
+and stop mask) and its step.  The loops evaluate the starts and every
 line-search trial as one point record per batch (:class:`_Point`) on raw
 nodal arrays, through the kernels behind the public functions of
 :mod:`functionals`: the cell gradient is taken and checked finite once
 per point and shared by ``I``, ``I'`` and the tangent, and an accepted
-trial's row is that row's next iterate.  The loops share one batched
+trial's row is that row's next iterate.  The steps share one batched
 line search (:func:`_line_search`), given only each loop's trial point
-and acceptance test, one per-row tangent-solve path
-(:func:`_directions`), and one exit for a finished row (:func:`_pairs`).
+and acceptance test, and one per-row tangent-solve path
+(:func:`_directions`).
 No ``GridFunction`` or ``DualGridFunction`` is built inside the loops,
 only for the returned :class:`EigenPair`, whose ``stats`` count the work
 of its batch where it happens: iterations, trials, projections,
@@ -54,12 +58,12 @@ by a banded Cholesky factorization (LAPACK ``dpbtrf``/``dpbtrs``), and a
 batch shares the one factor of a quadratic ``Phi`` and solves all its
 rows with one multi-right-hand-side call.  The free-energy probe's
 shifted tangent is positive definite near the minimizers it descends
-to; where it is not, its pivot fails and the step takes the unshifted
-tangent.  Only the saddle polisher, whose bordered systems are
-indefinite at saddles, takes a row-pivoted banded LU
-(``dgbtrf``/``dgbtrs``).  Only a quadratic ``Phi``'s unshifted tangent
-is reused; every other tangent is assembled and factored afresh on each
-call.
+to; where it is not, its pivot fails and the unshifted tangent, assembled
+once for both, is factored instead.  Only the saddle polisher, whose
+bordered systems are indefinite at saddles, takes a row-pivoted banded
+LU (``dgbtrf``/``dgbtrs``).  Only a quadratic ``Phi``'s unshifted
+tangent is reused; every other tangent is assembled and factored afresh
+on each call.
 
 Higher levels of the Ljusternik-Schnirelmann hierarchy are approximated by
 structure, not by genus: in 1D, gluing sign-alternating copies of the
@@ -405,11 +409,13 @@ class _Tangent:
     their lower triangle (LAPACK ``dpbtrf``/``dpbtrs``): ``k + 1`` band
     rows and no pivoting.  The unshifted tangent is symmetric positive
     definite by construction; the free-energy probe's shifted one need
-    not be, and then its pivot fails.  With ``lu``, the saddle
-    polisher's bordered systems, indefinite at saddles, take a
-    row-pivoted banded LU (``dgbtrf``/``dgbtrs``, ``3k + 1`` band rows).
-    A non-positive Cholesky pivot or an exactly zero LU pivot raises
-    ``RuntimeError``; the factorization is counted all the same.  Only a
+    not be, and where its pivot fails the unshifted tangent is factored
+    instead.  With ``lu``, the saddle polisher's bordered systems,
+    indefinite at saddles, take a row-pivoted banded LU
+    (``dgbtrf``/``dgbtrs``, ``3k + 1`` band rows).  A non-positive
+    Cholesky pivot of the unshifted tangent or an exactly zero LU pivot
+    raises ``RuntimeError``; every factorization is counted, a failed
+    one too.  Only a
     quadratic ``Phi``'s unshifted tangent is reused: it does not depend
     on the iterate, so it is factored once, and later unshifted calls
     return at once while the held factor is that one; every other call
@@ -440,14 +446,18 @@ class _Tangent:
     def factor(self, grad, shift=None):
         """Factor the tangent at the cell gradient ``grad`` (components,
         magnitudes), minus ``diag(shift)`` on the interior when given;
-        kept for :meth:`solve`."""
+        kept for :meth:`solve`; a failed shifted Cholesky factorization
+        falls back to the unshifted tangent, assembled once for both."""
         if shift is None and self._reusable:
             self.stats["factor_reuses"] += 1
             return
         pat = self.pat
         data = pat.assemble(_tangent_tensor(self.setup, grad))
+        tries = [data]
         if shift is not None:
-            data[pat.diag] -= shift
+            shifted = data.copy()
+            shifted[pat.diag] -= shift
+            tries = [shifted] if self._lu else [shifted, data]
         # scipy.linalg loads with the first factorization, not with the
         # package
         from scipy.linalg import lapack
@@ -456,28 +466,31 @@ class _Tangent:
         self._reusable = False
         k = pat.bandwidth
         size = pat.idx.size
-        # column-major band x size, factored in place
-        if self._lu:
-            band = np.zeros(size * (3 * k + 1))
-            band[pat.band] = data
-            fac, piv, info = lapack.dgbtrf(
-                band.reshape(size, 3 * k + 1).T, k, k, overwrite_ab=1)
+        for entries in tries:
+            # column-major band x size, factored in place
+            if self._lu:
+                band = np.zeros(size * (3 * k + 1))
+                band[pat.band] = entries
+                fac, piv, info = lapack.dgbtrf(
+                    band.reshape(size, 3 * k + 1).T, k, k, overwrite_ab=1)
+            else:
+                band = np.zeros(size * (k + 1))
+                band[pat.sym_band] = entries[pat.lower]
+                fac, info = lapack.dpbtrf(band.reshape(size, k + 1).T,
+                                          lower=1, overwrite_ab=1)
+                piv = None
+            # a factorization whose pivot fails ran too
+            self.stats["factorizations"] += 1
+            if info == 0:
+                break
         else:
-            band = np.zeros(size * (k + 1))
-            band[pat.sym_band] = data[pat.lower]
-            fac, info = lapack.dpbtrf(band.reshape(size, k + 1).T,
-                                      lower=1, overwrite_ab=1)
-            piv = None
-        # a factorization whose pivot fails ran too
-        self.stats["factorizations"] += 1
-        if info != 0:
             # info > 0: the leading minor of that order is not positive
             # (Cholesky), or the pivot of that column is exactly zero (LU)
             kernel = "dgbtrf" if self._lu else "dpbtrf"
             raise RuntimeError(f"banded factorization failed "
                                f"({kernel} info {info})")
         self._fac, self._piv = fac, piv
-        self._reusable = self._constant and shift is None
+        self._reusable = self._constant and entries is data
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``A^-1 rhs`` with the last factorization, for one right-hand
@@ -543,12 +556,12 @@ def _tangents(setup: EnergySetup, count: int, shifted: bool,
                       for _ in range(count - 1)]
 
 
-def _directions(tangents: list, ids, point: _Point, rows, rho: np.ndarray,
+def _directions(tangents: list, ids, point: _Point, rho: np.ndarray,
                 shift=None):
     """Tangent solves (:meth:`_Tangent.direction`) for the stacked
     ``rho``, row ``i`` with the tangent of start ``ids[i]`` at the cell
-    gradient of row ``rows[i]`` of ``point``, minus ``diag(shift[i])``
-    when ``shift`` is given; a row may stack several densities, as the
+    gradient of row ``i`` of ``point``, minus ``diag(shift[i])`` when
+    ``shift`` is given; a row may stack several densities, as the
     polisher's two.  Rows that share a tangent (never shifted) solve in
     one call.  A failed factorization or solve leaves NaN in its rows."""
     # one call for one row, or for rows sharing their tangent (see
@@ -559,7 +572,7 @@ def _directions(tangents: list, ids, point: _Point, rows, rho: np.ndarray,
         part = slice(None) if shared else i
         try:
             d[part] = tangents[ids[i]].direction(
-                point.row_grad(rows[i]), rho[part],
+                point.row_grad(i), rho[part],
                 None if shift is None else shift[i])
         except RuntimeError:
             pass
@@ -612,8 +625,8 @@ def _line_search(count: int, search: np.ndarray, trial_at, accept,
     is 1 first and halves after each rejected trial, for ``tries`` trials.
     ``trial_at(sel, step)`` evaluates the rows ``sel`` as :func:`_evaluated`
     does, and ``accept(trial, sel, step)`` tests them.  Returns the
-    accepted ``(batch rows, trial point)`` in row order (None when no row
-    moved) and the rows that stalled."""
+    accepted ``(batch rows, trial point)``, in the order the rows were
+    accepted (None when no row moved), and the rows that stalled."""
     step = np.ones(count)
     accepted = []
     for _ in range(tries):
@@ -636,11 +649,64 @@ def _line_search(count: int, search: np.ndarray, trial_at, accept,
         search = search[~ok]
         step[search] *= _BACKTRACK
     if len(accepted) > 1:
-        rows = np.concatenate([r for r, _ in accepted])
-        order = np.argsort(rows, kind="stable")
-        accepted = [(rows[order],
-                     _Point.join([p for _, p in accepted]).take(order))]
+        accepted = [(np.concatenate([r for r, _ in accepted]),
+                     _Point.join([p for _, p in accepted]))]
     return (accepted[0] if accepted else None), search
+
+
+def _exit(p: _Point, ids, out: list, hist: list, iters: int,
+          converged: bool, level_set: bool):
+    """End the starts ``ids`` at the rows of ``p``, with the multipliers
+    ``p.lam`` and, unconverged, the last 50 residuals of ``hist``.  An
+    unconverged row on a level set takes its Rayleigh multiplier instead,
+    and ends with :class:`DomainError` where that is undefined."""
+    lam = p.lam
+    if level_set and not converged:
+        lam, defined = p.rayleigh()
+        for i in np.flatnonzero(~defined):
+            out[ids[i]] = (DomainError(_NO_MULTIPLIER), False)
+        p, ids, lam = p.take(defined), ids[defined], lam[defined]
+    p.stats["iterations"] += iters * len(ids)
+    pairs = _pairs(p, lam, iters, [() if converged else hist[i][-50:]
+                                   for i in ids])
+    for i, pair in zip(ids, pairs):
+        out[i] = (pair, converged)
+
+
+def _iterate(u: _Point, ids, out: list, opts: SolverOptions, head, step,
+             level_set: bool) -> list:
+    """The iteration of both solver loops on the evaluated starts ``u``,
+    row ``i`` the start ``ids[i]`` (``u`` is None when no start evaluated).
+    Each iteration ``head(u)`` returns the residuals and the stop mask,
+    with the multipliers in ``u.lam``, and ``step(u, ids)`` returns
+    :func:`_line_search`'s ``(moved, stalled)``.  A row leaves through
+    :func:`_exit` when it stops, stalls or runs out of budget."""
+    if not ids.size:
+        return out
+    hist = [[] for _ in out]
+    iters = 0
+    for iters in range(opts.max_iter + 1):
+        res, done = head(u)
+        for i, r in zip(ids.tolist(), res.tolist()):
+            hist[i].append(r)
+        if done.any():
+            _exit(u.take(done), ids[done], out, hist, iters, True,
+                  level_set)
+            if done.all():
+                return out
+            u, ids = u.take(~done), ids[~done]
+        if iters == opts.max_iter:
+            break
+        moved, stalled = step(u, ids)
+        if stalled.size:
+            _exit(u.take(stalled), ids[stalled], out, hist, iters, False,
+                  level_set)
+        if moved is None:
+            return out
+        rows, u = moved
+        ids = ids[rows]
+    _exit(u, ids, out, hist, iters, False, level_set)
+    return out
 
 
 def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
@@ -649,23 +715,25 @@ def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
     """Core preconditioned descent loop on a stack of starts.
 
     ``starts`` stacks zero-trace nodal values over a leading axis; the
-    rows iterate in lockstep, and one ``(pair, converged)`` is returned
-    per start, equal to what the start gives alone.  A start whose point
-    cannot be evaluated (see :class:`_Point`) or whose multiplier is
-    undefined gets ``(DomainError, False)`` instead, and the other rows
-    run on; a one-start caller raises it (:func:`_single`).
+    rows iterate in lockstep (:func:`_iterate`), and one
+    ``(pair, converged)`` is returned per start, equal to what the start
+    gives alone.  A start whose point cannot be evaluated (see
+    :class:`_Point`) or whose multiplier is undefined gets
+    ``(DomainError, False)`` instead, and the other rows run on; a
+    one-start caller raises it (:func:`_single`).
 
     Minimizes ``I`` on ``J = alpha``, projecting the start and every trial
     and taking the Rayleigh multiplier.  ``alpha=None`` descends freely on
     ``I - lam0 J`` with multiplier ``lam0`` and stop test
-    ``tol * (1 + |I - lam0 J|)``; it first tries the Newton step with the
-    tangent minus ``lam0`` times the reaction curvature, because the
+    ``tol * (1 + |I - lam0 J|)``; its direction is the Newton step with
+    the tangent minus ``lam0`` times the reaction curvature, because the
     tangent of ``I`` alone only halves the error along the ray through a
     critical point per step (at tol 1e-6 it stopped 3% off in I on the
     n=61 disc).  That shifted tangent is factored by Cholesky, as every
     tangent of this loop; where it is not positive definite, its pivot
-    fails and the row takes the unshifted tangent, as it does when the
-    Newton direction does not descend.
+    fails and :meth:`_Tangent.factor` factors the unshifted tangent.  A
+    direction that is not finite or does not descend is replaced by the
+    steepest descent direction, the residual density.
 
     With ``anchors`` the merit is ``I + mu sum_j c_j^2`` and the
     preconditioner adds the penalty's rank-one curvature per anchor
@@ -673,13 +741,11 @@ def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
     Without it the full step overshoots along the anchors and the line
     search backtracks.
 
-    The start and every trial are one :class:`_Point` per batch; an
-    accepted trial's row is that row's next iterate, so the loop head adds
-    only the densities of ``I'`` and ``J'`` on its gradient and the
-    multiplier.  Each row keeps its own multiplier, stop test and Armijo
-    step, and leaves the batch when it converges, stalls or fails.  The
-    work of all rows is counted in ``stats`` (a fresh dict when not
-    given), which every returned pair carries.
+    The start and every trial are one :class:`_Point` per batch, which
+    carries the merit terms and, at an iterate, the multiplier ``lam``
+    and the residual density ``rho``.  Each row keeps its own Armijo
+    step.  The work of all rows is counted in ``stats`` (a fresh dict
+    when not given), which every returned pair carries.
     """
     dom = setup.dom
     free = alpha is None
@@ -688,7 +754,6 @@ def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
     tangents = _tangents(setup, len(starts), free, _penalty_rows(
         dom, anchors, mu) if penalized else None, stats)
     out = [None] * len(starts)
-    hist = [[] for _ in starts]
 
     def point(values, ids):
         """:func:`_evaluated` at nodal ``values`` of the starts ``ids``,
@@ -700,87 +765,39 @@ def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
             p.merit = p.energy + pen
         return p, kept
 
-    def finish(p, ids, lam, iters, converged):
-        """End the starts ``ids`` at the rows of ``p``."""
-        if not converged and not free:
-            lam, defined = p.rayleigh()
-            for i in np.flatnonzero(~defined):
-                out[ids[i]] = (DomainError(_NO_MULTIPLIER), False)
-            p, ids, lam = p.take(defined), ids[defined], lam[defined]
-        stats["iterations"] += iters * len(ids)
-        pairs = _pairs(p, lam, iters, [() if converged else hist[i][-50:]
-                                       for i in ids])
-        for i, pair in zip(ids, pairs):
-            out[i] = (pair, converged)
-
-    u, kept = point(starts, np.arange(len(starts)))
-    ids = np.arange(len(starts))[kept]
-    if u is None:
-        return out
-    lam = np.full(len(ids), float(lam0))
-    iters = 0
-    for iters in range(opts.max_iter + 1):
-        if not free:
+    def head(u):
+        if free:
+            u.lam = np.full(len(u.values), float(lam0))
+        else:
             # the multiplier must project out the full merit gradient, or
             # the stop test can never fire at a penalized stationary point
-            lam = u.rayleigh(u.pen_dens if penalized else None)[0]
+            u.lam = u.rayleigh(u.pen_dens if penalized else None)[0]
         # the anchors, and so the penalty density, are zero off the interior
-        rho = u.residual(lam) + u.pen_dens
-        res = _dual_norm(setup, rho)
-        for i, r in zip(ids.tolist(), res.tolist()):
-            hist[i].append(r)
-        done = res <= opts.tol * (1.0 + np.abs(u.energy))
-        if done.any():
-            finish(u.take(done), ids[done], lam[done], iters, True)
-            if done.all():
-                return out
-            live = ~done
-            u, ids, lam, rho = u.take(live), ids[live], lam[live], rho[live]
-        if iters == opts.max_iter:
-            break
-        count = len(ids)
-        direction = slope = None
-        pending = np.arange(count)
-        shifts = (lam0 * _reaction_curvature(setup, u.values), None) \
-            if free else (None,)
-        for shift in shifts:
-            sel = _every(pending, count)
-            got = _directions(tangents, ids[sel], u, pending, rho[sel],
-                              None if shift is None else shift[sel])
-            # a failed solve's NaN slope is not negative
-            s = -_qw_dots(dom, rho[sel], got)
-            good = s < 0
-            if not np.isfinite(got).all():
-                good &= np.isfinite(got).reshape(len(got), -1).all(axis=1)
-            if direction is None:
-                if good.all():
-                    direction, slope, pending = got, s, pending[:0]
-                    break
-                direction, slope = rho.copy(), np.empty(count)
-            direction[pending[good]] = got[good]
-            slope[pending[good]] = s[good]
-            pending = pending[~good]
-            if not pending.size:
-                break
-        if pending.size:
-            # no descending tangent direction: steepest descent
-            slope[pending] = -_qw_dots(dom, rho[pending], rho[pending])
-        moved, stalled = _line_search(
-            count, np.arange(count),
-            lambda sel, step: point(u.values[sel] - _rows(step, dom)
-                                    * direction[sel], ids[sel]),
-            lambda trial, sel, step: trial.merit <= (
-                u.merit[sel] + _ARMIJO_C1 * step * slope[sel]),
+        u.rho = u.residual(u.lam) + u.pen_dens
+        res = _dual_norm(setup, u.rho)
+        return res, res <= opts.tol * (1.0 + np.abs(u.energy))
+
+    def step(u, ids):
+        rho = u.rho
+        d = _directions(tangents, ids, u, rho, lam0 * _reaction_curvature(
+            setup, u.values) if free else None)
+        # a failed solve's NaN slope is not negative
+        slope = -_qw_dots(dom, rho, d)
+        steep = ~((slope < 0) & np.isfinite(d).reshape(len(d), -1).all(1))
+        if steep.any():
+            d[steep] = rho[steep]
+            slope[steep] = -_qw_dots(dom, rho[steep], rho[steep])
+        return _line_search(
+            len(ids), np.arange(len(ids)),
+            lambda sel, t: point(u.values[sel] - _rows(t, dom) * d[sel],
+                                 ids[sel]),
+            lambda trial, sel, t: trial.merit <= (
+                u.merit[sel] + _ARMIJO_C1 * t * slope[sel]),
             60, stats)
-        if stalled.size:
-            # line search stalled at machine scale
-            finish(u.take(stalled), ids[stalled], lam[stalled], iters, False)
-        if moved is None:
-            return out
-        rows, u = moved
-        ids, lam = ids[rows], lam[rows]
-    finish(u, ids, lam, iters, False)
-    return out
+
+    u, kept = point(starts, np.arange(len(starts)))
+    return _iterate(u, np.arange(len(starts))[kept], out, opts, head, step,
+                    not free)
 
 
 def _newton_polish(setup: EnergySetup, alpha: float, starts: np.ndarray,
@@ -802,65 +819,88 @@ def _newton_polish(setup: EnergySetup, alpha: float, starts: np.ndarray,
     ``(du, dlam)`` in the Euclidean norm.  No merit is descended, so the
     iteration cannot slide off a sign-changing saddle toward the ground
     state the way plain energy descent does.  The start and every trial
-    are one :class:`_Point` per batch; an accepted trial's row is that
-    row's next iterate, so the loop head adds only ``I`` and the dual
-    norm.  ``starts`` is a stack as in :func:`_descend`, and so are the
-    returned ``(pair, converged)`` per start, the errors and ``stats``;
-    each row factors its own shifted system by LU.
+    are one :class:`_Point` per batch, which carries the multiplier
+    ``lam``, the residual density and the level gap; an accepted trial's
+    row is that row's next iterate, so the loop head adds only ``I`` and
+    the dual norm.  ``starts`` is a stack as in :func:`_descend`, and so
+    are the iteration (:func:`_iterate`), the returned
+    ``(pair, converged)`` per start, the errors and ``stats``; each row
+    factors its own shifted system by LU.
     """
     dom = setup.dom
     stats = _new_stats() if stats is None else stats
     tangents = _tangents(setup, len(starts), True, None, stats, lu=True)
     idx = dom.stiffness_pattern.idx
     out = [None] * len(starts)
-    hist = [[] for _ in starts]
 
-    def residual_at(p, lam_v):
-        """Set the residual terms of ``p`` at the multipliers ``lam_v``."""
-        p.lam = lam_v
-        p.res_dens = p.residual(lam_v)
+    def residual_at(p, lam):
+        """Set the residual terms of ``p`` at the multipliers ``lam``."""
+        p.lam = lam
+        p.res_dens = p.residual(lam)
         p.jgap = p.reaction - alpha
 
-    def correction(i, k_f, jgap):
-        """Row ``i``'s correction ``(du, dlam)`` of the bordered system and
-        its Euclidean norm, from ``k_f = A^-1 f`` and the row's ``k_b``
-        and ``denom``."""
-        dlam_i = (float(bvec[i] @ k_f) - jgap) / denom[i]
-        du_i = -k_f + dlam_i * k[i, 1]
-        return du_i, dlam_i, math.sqrt(float(du_i @ du_i) + dlam_i * dlam_i)
+    def head(u):
+        res = _dual_norm(setup, u.res_dens)
+        # at convergence |J - alpha| is so small that the pair's J(u) is
+        # alpha + jgap exactly (Sterbenz)
+        return res, ((res <= opts.tol * (1.0 + u.level))
+                     & (np.abs(u.jgap) <= 1e-9 * alpha))
 
-    def finish(p, ids, iters, converged):
-        """End the starts ``ids`` at the rows of ``p``; an unconverged row
-        takes its Rayleigh multiplier where that is defined."""
-        lam = p.lam
-        if not converged:
-            ray, defined = p.rayleigh()
-            lam = np.where(defined, ray, lam)
-        stats["iterations"] += iters * len(ids)
-        pairs = _pairs(p, lam, iters, [() if converged else hist[i][-50:]
-                                       for i in ids])
-        for i, pair in zip(ids, pairs):
-            out[i] = (pair, converged)
+    def step(u, ids):
+        count = len(ids)
+        # the two solves of the bordered system, A (k_f, k_b) = (f, b) with
+        # A the tangent minus lam times the reaction curvature and b = qw J';
+        # a failed solve leaves NaN, so its row is stuck below
+        k = _directions(tangents, ids, u,
+                        np.stack([u.res_dens, u.d_J], axis=1),
+                        u.lam[:, None] * _reaction_curvature(setup, u.values))
+        k = np.take(k.reshape(count, 2, -1), idx, axis=2)
+        bvec = np.take((dom.node_qw * u.d_J).reshape(count, -1), idx, axis=1)
+        denom = np.array([float(b @ k_b) for b, k_b in zip(bvec, k[:, 1])])
 
-    def trial_at(sel, t):
-        """The trial points ``u + t du`` of the rows ``sel``."""
-        flat = u.values[sel].reshape(len(t), -1).copy()
-        flat[:, idx] += t[:, None] * du[sel]
-        return _evaluated(_Point(setup, flat.reshape((-1,) + dom.node_shape),
-                                 stats), ids[sel], out)
+        def correction(i, k_f, jgap):
+            """Row ``i``'s correction ``(du, dlam)`` of the bordered system
+            and its Euclidean norm, from ``k_f = A^-1 f`` and the row's
+            ``k_b`` and ``denom``."""
+            dlam_i = (float(bvec[i] @ k_f) - jgap) / denom[i]
+            du_i = -k_f + dlam_i * k[i, 1]
+            return du_i, dlam_i, math.sqrt(float(du_i @ du_i)
+                                           + dlam_i * dlam_i)
 
-    def accept(trial, sel, t):
-        """The natural monotonicity test at the multipliers
-        ``lam + t dlam``; a non-finite norm rejects."""
-        residual_at(trial, u.lam[sel] + t * dlam[sel])
-        # np.take keeps each row contiguous, which a dot product's rounding
-        # depends on; fancy indexing on the second axis does not
-        f_t = np.take((dom.node_qw * trial.res_dens).reshape(len(t), -1),
-                      idx, axis=1)
-        rows = np.arange(len(ids))[sel]
-        norm_t = np.array([correction(i, tangents[ids[i]].solve(f), gap)[2]
-                           for i, f, gap in zip(rows, f_t, trial.jgap)])
-        return norm_t <= (1.0 - 0.25 * t) * norm[rows]
+        du = np.empty((count, idx.size))
+        dlam, norm = np.empty(count), np.full(count, np.nan)
+        for i in np.flatnonzero(denom != 0.0):
+            du[i], dlam[i], norm[i] = correction(i, k[i, 0], u.jgap[i])
+
+        def trial_at(sel, t):
+            """The trial points ``u + t du`` of the rows ``sel``."""
+            flat = u.values[sel].reshape(len(t), -1).copy()
+            flat[:, idx] += t[:, None] * du[sel]
+            return _evaluated(_Point(setup, flat.reshape(
+                (-1,) + dom.node_shape), stats), ids[sel], out)
+
+        def accept(trial, sel, t):
+            """The natural monotonicity test at the multipliers
+            ``lam + t dlam``; a non-finite norm rejects."""
+            residual_at(trial, u.lam[sel] + t * dlam[sel])
+            # np.take keeps each row contiguous, which a dot product's
+            # rounding depends on; fancy indexing on the second axis
+            # does not
+            f_t = np.take((dom.node_qw * trial.res_dens).reshape(len(t), -1),
+                          idx, axis=1)
+            rows = np.arange(count)[sel]
+            norm_t = np.array([correction(i, tangents[ids[i]].solve(f),
+                                          gap)[2]
+                               for i, f, gap in zip(rows, f_t, trial.jgap)])
+            return norm_t <= (1.0 - 0.25 * t) * norm[rows]
+
+        # a singular linearization (zero or non-finite denom) or a
+        # non-finite correction is stuck, as is a stalled row
+        stuck = ~np.isfinite(norm)
+        moved, stalled = _line_search(count, np.flatnonzero(~stuck),
+                                      trial_at, accept, 30, stats)
+        stuck[stalled] = True
+        return moved, np.flatnonzero(stuck)
 
     u, kept = _evaluated(_Point(setup, starts, stats, alpha),
                          np.arange(len(starts)), out)
@@ -871,53 +911,9 @@ def _newton_polish(setup: EnergySetup, alpha: float, starts: np.ndarray,
             out[ids[i]] = (DomainError(_NO_MULTIPLIER), False)
         if not defined.all():
             u, ids, lam = u.take(defined), ids[defined], lam[defined]
-    if not ids.size:
-        return out
-    residual_at(u, lam)
-    iters = 0
-    for iters in range(opts.max_iter + 1):
-        res = _dual_norm(setup, u.res_dens)
-        for i, r in zip(ids.tolist(), res.tolist()):
-            hist[i].append(r)
-        # at convergence |J - alpha| is so small that the pair's J(u) is
-        # alpha + jgap exactly (Sterbenz)
-        done = (res <= opts.tol * (1.0 + u.level)) \
-            & (np.abs(u.jgap) <= 1e-9 * alpha)
-        if done.any():
-            finish(u.take(done), ids[done], iters, True)
-            if done.all():
-                return out
-            u, ids = u.take(~done), ids[~done]
-        if iters == opts.max_iter:
-            break
-        count = len(ids)
-        # the two solves of the bordered system, A (k_f, k_b) = (f, b) with
-        # A the tangent minus lam times the reaction curvature and b = qw J';
-        # a failed solve leaves NaN, so its row is stuck below
-        k = _directions(tangents, ids, u, np.arange(count),
-                        np.stack([u.res_dens, u.d_J], axis=1),
-                        u.lam[:, None] * _reaction_curvature(setup, u.values))
-        k = np.take(k.reshape(count, 2, -1), idx, axis=2)
-        bvec = np.take((dom.node_qw * u.d_J).reshape(count, -1), idx, axis=1)
-        denom = np.array([float(b @ k_b) for b, k_b in zip(bvec, k[:, 1])])
-        du = np.empty((count, idx.size))
-        dlam, norm = np.empty(count), np.full(count, np.nan)
-        for i in np.flatnonzero(denom != 0.0):
-            du[i], dlam[i], norm[i] = correction(i, k[i, 0], u.jgap[i])
-        # a singular linearization (zero or non-finite denom) or a
-        # non-finite correction
-        stuck = ~np.isfinite(norm)
-        moved, stalled = _line_search(count, np.flatnonzero(~stuck),
-                                      trial_at, accept, 30, stats)
-        stuck[stalled] = True
-        if stuck.any():
-            finish(u.take(stuck), ids[stuck], iters, False)
-        if moved is None:
-            return out
-        rows, u = moved
-        ids = ids[rows]
-    finish(u, ids, iters, False)
-    return out
+        if ids.size:
+            residual_at(u, lam)
+    return _iterate(u, ids, out, opts, head, step, True)
 
 
 def minimize_on_level(setup: EnergySetup, alpha: float,

@@ -1,4 +1,6 @@
-"""The package's modules import only from the layers below them."""
+"""Structural rules of the package, read from its syntax trees: modules
+import only from the layers below them, every export is read, and the
+solver has one iteration loop."""
 
 import ast
 import re
@@ -70,3 +72,25 @@ def test_every_export_is_read_by_the_package_or_the_readme():
                     or re.search(rf"\b{re.escape(name)}\b", readme)):
                 unread.append(f"{stem}.{name}")
     assert unread == []
+
+
+def _calls_by_owner(predicate):
+    """``module.owner`` of every node of the package that ``predicate``
+    holds for, the owner being the top-level definition it sits in."""
+    return sorted(f"{path.stem}.{getattr(top, 'name', None)}"
+                  for path in PACKAGE.glob("*.py")
+                  for top in ast.parse(path.read_text()).body
+                  for node in ast.walk(top) if predicate(node))
+
+
+def test_one_iteration_loop_and_one_pair_constructor():
+    # both solver loops run through one iteration driver, and every
+    # EigenPair is certified in one place
+    loops = _calls_by_owner(
+        lambda node: isinstance(node, ast.For)
+        and ast.unparse(node.iter) == "range(opts.max_iter + 1)")
+    assert loops == ["eigensolver._iterate"]
+    built = _calls_by_owner(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "EigenPair")
+    assert built == ["eigensolver._pairs"]

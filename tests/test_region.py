@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 import orlicz_lab as ol
-from orlicz_lab import ConditionFailure, DomainError, region
+from orlicz_lab import ConditionFailure, DomainError, eigensolver, region
 
 from conftest import build_setup
 import oracles as oc
@@ -365,15 +365,23 @@ def test_count_critical_points_falls_back_past_a_failed_cholesky(
     # far above the first eigenvalue some shifted tangents are indefinite:
     # their Cholesky pivot fails, the step takes the unshifted tangent and
     # every start still converges in a few iterations; the failed
-    # factorizations are counted in stats
+    # factorizations are counted in stats, and the fallback factors the
+    # tangent already assembled for the shifted attempt
     calls, failed, outcomes = _probe_lapack(monkeypatch)
+    tensor, assembled = eigensolver._tangent_tensor, []
+
+    def counted(*args):
+        assembled.append(1)
+        return tensor(*args)
+    monkeypatch.setattr(eigensolver, "_tangent_tensor", counted)
     assert ol.count_critical_points(small_disc(n=41), 2000.0, 4,
                                     seed=0) == 2
     assert [pair.iterations for pair, _ in outcomes] == [5, 5, 6, 6]
     assert all(ok for _, ok in outcomes)
-    assert "dgbtrf" not in calls and failed["dpbtrf"] > 0
+    assert "dgbtrf" not in calls and failed["dpbtrf"] == 6
     assert sum(p.stats["factorizations"] for p, _ in outcomes) \
         == calls["dpbtrf"] == 28
+    assert len(assembled) == 22
 
 
 # ---------------------------------------------------------------------------
