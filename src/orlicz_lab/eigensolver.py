@@ -21,12 +21,14 @@ alone: each row keeps its own multiplier, stop test and step length and
 leaves the batch when it converges, stalls or fails, and every row
 reduction is batch-invariant (one dot product or sum per row; a
 matrix-vector product over several rows rounds differently).  A 2D
-ladder rung runs its penalized starts as one batch; the other callers
-pass a stack of one.  Both run through one iteration driver
-(:func:`_iterate`), which owns the iteration count, the residual
+ladder rung runs its penalized starts as one batch, and so does the
+critical-point probe; :func:`minimize_on_level` and the C1 solve of the
+region search pass a stack of one.  Both run through one iteration
+driver (:func:`_iterate`), which owns the iteration count, the residual
 history, the stop test, the shrinking batch and every row's exit
-(:func:`_exit`); a loop gives it only its head (multiplier, residual
-and stop mask) and its step.  The loops evaluate the starts and every
+(:func:`_exit`), the one place a row becomes an :class:`EigenPair`; a
+loop gives it only its head (multiplier, residual and stop mask) and
+its step.  The loops evaluate the starts and every
 line-search trial as one point record per batch (:class:`_Point`) on raw
 nodal arrays, through the kernels behind the public functions of
 :mod:`functionals`: the cell gradient is taken and checked finite once
@@ -204,9 +206,6 @@ def _new_stats() -> dict:
     return dict.fromkeys(STAT_KEYS, 0)
 
 
-_NO_MULTIPLIER = "multiplier undefined: <J'(u), u> is not positive"
-
-
 class _Point:
     """Iterates or line-search trials of a solver loop, stacked over a
     leading axis (one row per start) and evaluated once.
@@ -307,24 +306,21 @@ class _Point:
 
     def rayleigh(self, extra=None):
         """Multipliers ``<I' + extra, u> / <J', u>``, ``extra`` an optional
-        density stacked like ``values``, and whether each is defined
-        (``<J', u>`` positive)."""
+        density stacked like ``values``; ``<J', u>`` must be positive."""
         dom = self.setup.dom
-        den = _qw_dots(dom, self.d_J, self.values)
-        defined = den > 0.0
         num = _qw_dots(dom, self.d_I, self.values)
         if extra is not None:
             num = num + _qw_dots(dom, extra, self.values)
-        return num / np.where(defined, den, 1.0), defined
+        return num / _qw_dots(dom, self.d_J, self.values)
 
 
 def rayleigh_multiplier(setup: EnergySetup, u: GridFunction) -> float:
     """Multiplier estimate ``<I'(u), u> / <J'(u), u>``; positive for u != 0."""
     _check_member(setup, u)
-    lam, defined = _Point(setup, u.values[None], _new_stats()).rayleigh()
-    if not defined[0]:
-        raise DomainError(_NO_MULTIPLIER)
-    return float(lam[0])
+    point = _Point(setup, u.values[None], _new_stats())
+    if not _qw_dot(setup.dom, point.d_J[0], u.values) > 0.0:
+        raise DomainError("multiplier undefined: <J'(u), u> is not positive")
+    return float(point.rayleigh()[0])
 
 
 def residual(setup: EnergySetup, pair: EigenPair) -> float:
@@ -579,17 +575,6 @@ def _directions(tangents: list, ids, point: _Point, rho: np.ndarray,
     return d
 
 
-def _pairs(point: _Point, lam, iters: int, histories) -> list:
-    """The pairs at the rows of ``point`` with multipliers ``lam``,
-    certified afresh, one residual history per row."""
-    setup = point.setup
-    res = _dual_norm(setup, point.residual(lam))
-    return [EigenPair(float(lam[i]), GridFunction(setup.dom, point.values[i]),
-                      float(point.reaction[i]), float(point.level[i]),
-                      float(res[i]), iters, list(hist), point.stats)
-            for i, hist in enumerate(histories)]
-
-
 def _single(outcomes: list):
     """The ``(pair, converged)`` of a one-start call of a solver loop,
     raising the start's error."""
@@ -656,21 +641,22 @@ def _line_search(count: int, search: np.ndarray, trial_at, accept,
 
 def _exit(p: _Point, ids, out: list, hist: list, iters: int,
           converged: bool, level_set: bool):
-    """End the starts ``ids`` at the rows of ``p``, with the multipliers
-    ``p.lam`` and, unconverged, the last 50 residuals of ``hist``.  An
-    unconverged row on a level set takes its Rayleigh multiplier instead,
-    and ends with :class:`DomainError` where that is undefined."""
-    lam = p.lam
-    if level_set and not converged:
-        lam, defined = p.rayleigh()
-        for i in np.flatnonzero(~defined):
-            out[ids[i]] = (DomainError(_NO_MULTIPLIER), False)
-        p, ids, lam = p.take(defined), ids[defined], lam[defined]
+    """End the starts ``ids`` at the rows of ``p``: each becomes an
+    :class:`EigenPair` with the multiplier ``p.lam``, certified afresh,
+    and, unconverged, the last 50 residuals of ``hist``.  An unconverged
+    row on a level set takes its Rayleigh multiplier instead.  That is
+    always defined there: the row is nonzero with ``J(u)`` near
+    ``alpha > 0``, and ``<J'(u), u> >= l1 J(u) > 0`` with ``l1`` the lower
+    index of ``Psi``."""
+    lam = p.rayleigh() if level_set and not converged else p.lam
     p.stats["iterations"] += iters * len(ids)
-    pairs = _pairs(p, lam, iters, [() if converged else hist[i][-50:]
-                                   for i in ids])
-    for i, pair in zip(ids, pairs):
-        out[i] = (pair, converged)
+    setup = p.setup
+    res = _dual_norm(setup, p.residual(lam))
+    for i, start in enumerate(ids):
+        out[start] = (EigenPair(
+            float(lam[i]), GridFunction(setup.dom, p.values[i]),
+            float(p.reaction[i]), float(p.level[i]), float(res[i]), iters,
+            [] if converged else hist[start][-50:], p.stats), converged)
 
 
 def _iterate(u: _Point, ids, out: list, opts: SolverOptions, head, step,
@@ -718,9 +704,8 @@ def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
     rows iterate in lockstep (:func:`_iterate`), and one
     ``(pair, converged)`` is returned per start, equal to what the start
     gives alone.  A start whose point cannot be evaluated (see
-    :class:`_Point`) or whose multiplier is undefined gets
-    ``(DomainError, False)`` instead, and the other rows run on; a
-    one-start caller raises it (:func:`_single`).
+    :class:`_Point`) gets ``(DomainError, False)`` instead, and the other
+    rows run on; a one-start caller raises it (:func:`_single`).
 
     Minimizes ``I`` on ``J = alpha``, projecting the start and every trial
     and taking the Rayleigh multiplier.  ``alpha=None`` descends freely on
@@ -771,7 +756,7 @@ def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
         else:
             # the multiplier must project out the full merit gradient, or
             # the stop test can never fire at a penalized stationary point
-            u.lam = u.rayleigh(u.pen_dens if penalized else None)[0]
+            u.lam = u.rayleigh(u.pen_dens if penalized else None)
         # the anchors, and so the penalty density, are zero off the interior
         u.rho = u.residual(u.lam) + u.pen_dens
         res = _dual_norm(setup, u.rho)
@@ -904,16 +889,10 @@ def _newton_polish(setup: EnergySetup, alpha: float, starts: np.ndarray,
 
     u, kept = _evaluated(_Point(setup, starts, stats, alpha),
                          np.arange(len(starts)), out)
-    ids = np.arange(len(starts))[kept]
     if u is not None:
-        lam, defined = u.rayleigh()
-        for i in np.flatnonzero(~defined):
-            out[ids[i]] = (DomainError(_NO_MULTIPLIER), False)
-        if not defined.all():
-            u, ids, lam = u.take(defined), ids[defined], lam[defined]
-        if ids.size:
-            residual_at(u, lam)
-    return _iterate(u, ids, out, opts, head, step, True)
+        residual_at(u, u.rayleigh())
+    return _iterate(u, np.arange(len(starts))[kept], out, opts, head, step,
+                    True)
 
 
 def minimize_on_level(setup: EnergySetup, alpha: float,
@@ -922,12 +901,14 @@ def minimize_on_level(setup: EnergySetup, alpha: float,
     """Solve the level-constrained minimization and certify the eigenpair.
 
     Descends from ``init`` (default: the one-signed bump) until the dual
-    norm of the projected gradient drops below ``tol * (1 + I(u))``.  The
-    minimizer is then replaced by its absolute value, which leaves ``J``
-    unchanged, and re-polished if that bumps the residual.  The pair's
-    ``stats`` count the work of every step.  Raises
-    :class:`NonConvergenceError` with the last iterate and residual
-    history when the budget runs out or the line search stalls.
+    norm of the projected gradient drops below ``tol * (1 + I(u))``.  A
+    minimizer with negative values is handed back to the descent as its
+    absolute value, which has the same ``J`` and no larger ``I``: the
+    descent's first head certifies it when it is already critical, or the
+    descent goes on from there.  The pair's ``iterations`` and ``stats``
+    count both descents.  Raises :class:`NonConvergenceError` with the
+    last iterate and residual history when the budget of a descent runs
+    out or its line search stalls.
     """
     if alpha <= 0:
         raise DomainError("level alpha must be positive")
@@ -939,22 +920,15 @@ def minimize_on_level(setup: EnergySetup, alpha: float,
     pair, ok = _single(_descend(setup, alpha, init.values[None], opts,
                                 stats=stats))
     if ok and np.any(pair.u.values < 0):
-        flipped = _Point(setup, np.abs(pair.u.values)[None], stats)
-        lam, defined = flipped.rayleigh()
-        if not defined[0]:
-            raise DomainError(_NO_MULTIPLIER)
-        cand, = _pairs(flipped, lam, pair.iterations, [()])
-        if cand.residual <= opts.tol * (1.0 + cand.level):
-            pair = cand
-        else:
-            polish, ok2 = _single(_descend(setup, alpha, cand.u.values[None],
-                                           opts, stats=stats))
-            if ok2 and not np.any(polish.u.values < 0):
-                pair = polish
-            # else: keep the signed certified minimizer
+        pair, ok = _single(_descend(setup, alpha,
+                                    np.abs(pair.u.values)[None], opts,
+                                    stats=stats))
+    # the loop stops at the budget before it searches a line
+    budget = pair.iterations == opts.max_iter
+    # one row per descent: the iterations of both
+    pair.iterations = stats["iterations"]
     if not ok:
-        # the loop stops at the budget before it searches a line
-        cause = ("no convergence" if pair.iterations == opts.max_iter
+        cause = ("no convergence" if budget
                  else "no convergence: the line search stalled")
         raise NonConvergenceError(
             f"{cause} after {pair.iterations} iterations "

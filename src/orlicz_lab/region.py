@@ -34,8 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .eigensolver import (SolverOptions, _descend, _single,
-                          minimize_on_level)
+from .eigensolver import SolverOptions, _descend, minimize_on_level
 from .errors import ConditionFailure, DomainError, OrliczLabError
 from .functionals import EnergySetup, energy_I, energy_J
 from .norms import (GridFunction, gradient_magnitude, luxemburg_values,
@@ -60,9 +59,6 @@ __all__ = [
     "REPORT_COLUMNS",
     "report_row",
 ]
-
-# closed-form Gamma(N/2) for the dimensions in scope
-_GAMMA_HALF = {2: 1.0, 3: math.sqrt(math.pi) / 2.0, 4: 1.0}
 
 
 def _check_radius(r: float):
@@ -183,8 +179,8 @@ def gamma_d(setup: EnergySetup, d: float, on: str = "omega") -> float:
     if dom.ndim < 2:
         raise DomainError("gamma_d needs a 2D domain")
     n_dim = dom.ndim
-    gamma_half = _GAMMA_HALF.get(n_dim, math.gamma(0.5 * n_dim))
-    ball = (math.pi ** (0.5 * n_dim)) / ((0.5 * n_dim) * gamma_half)
+    ball = (math.pi ** (0.5 * n_dim)) / ((0.5 * n_dim)
+                                         * math.gamma(0.5 * n_dim))
     l1, m1 = setup.psi_l, setup.psi_m
     numer = (min(abs(d) ** l1, abs(d) ** m1)
              * float(setup.psi.value(1.0))
@@ -353,13 +349,15 @@ def count_critical_points(setup: EnergySetup, lam: float, starts: int,
                           seed: int = 0) -> int:
     """Advisory probe: cluster count of converged free-energy descents.
 
-    Runs ``starts`` free descents on ``I - lam J`` with the eigensolver's
-    descent loop (``alpha=None``, multiplier ``lam``, stop test
-    ``1e-6 * (1 + |I - lam J|)``, at most 2000 iterations), from
+    Runs ``starts`` free descents on ``I - lam J`` as one batch of the
+    eigensolver's descent loop (``alpha=None``, multiplier ``lam``, stop
+    test ``1e-6 * (1 + |I - lam J|)``, at most 2000 iterations), from
     random smooth fields scaled by amplitudes drawn log-uniformly in
-    [1e-2, 10].  Keeps the converged iterates plus the exact zero function
-    (always a critical point), and counts clusters under the Sobolev-norm
-    metric with a 1e-3 relative separation.  starts = 0 reports 0.
+    [1e-2, 10].  A start that cannot be evaluated raises its error, the
+    first in start order.  Keeps the converged iterates plus the exact
+    zero function (always a critical point), and counts clusters under
+    the Sobolev-norm metric with a 1e-3 relative separation.  starts = 0
+    reports 0.
     Raises :class:`ConditionFailure` ``psi2`` unless Psi grows essentially
     slower than Phi: otherwise ``I - lam J`` need not be coercive, and a
     descent that runs off scales its stop test with the growing energy.
@@ -373,10 +371,10 @@ def count_critical_points(setup: EnergySetup, lam: float, starts: int,
     amplitudes = 10.0 ** rng.uniform(-2.0, 1.0, size=starts)
     opts = SolverOptions(tol=1e-6, max_iter=2000)
     iterates = [np.zeros(dom.node_shape)]
-    for c, amp in zip(cands, amplitudes):
-        pair, ok = _single(_descend(setup, None,
-                                    GridFunction(dom, amp * c).values[None],
-                                    opts, lam0=lam))
+    for pair, ok in _descend(setup, None, amplitudes.reshape(
+            (-1,) + (1,) * dom.ndim) * cands, opts, lam0=lam):
+        if isinstance(pair, Exception):
+            raise pair
         if ok:
             iterates.append(pair.u.values)
     norms = [sobolev_norm(setup.phi, setup.psi, setup.w, setup.w1,

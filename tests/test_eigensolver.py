@@ -176,6 +176,26 @@ def test_stats_count_the_work_of_a_solve(rng):
     assert err.value.last.stats["solves"] == 2
 
 
+def test_signed_minimizer_is_descended_again_from_its_absolute_value():
+    # from sin(2 pi x) the descent reaches the sign-changing saddle in 6
+    # iterations; its absolute value has the same J and no larger I, and
+    # the descent from there takes 12 more, which the pair counts too
+    setup = build_setup(ol.Power(3.0), ol.Power(2.0), _interval(65))
+    init = ol.GridFunction.from_callable(setup.dom,
+                                         lambda x: np.sin(2.0 * np.pi * x))
+    pair = ol.minimize_on_level(setup, 1.0, init=init)
+    assert pair.iterations == pair.stats["iterations"] == 18
+    assert np.all(pair.u.values >= 0.0)
+    assert pair.lam == 49.85883651221473
+    # the negative ground state: the second descent certifies its
+    # absolute value at once
+    quad = build_setup(ol.Power(2.0), ol.Power(2.0), _interval(65))
+    flipped = ol.minimize_on_level(quad, 1.0,
+                                   init=ol.default_init(quad.dom).scaled(-1.0))
+    assert flipped.iterations == flipped.stats["iterations"] == 0
+    assert np.all(flipped.u.values >= 0.0)
+
+
 # ---------------------------------------------------------------------------
 # minimax ladder
 

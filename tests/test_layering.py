@@ -1,9 +1,13 @@
-"""Structural rules of the package, read from its syntax trees: modules
+"""Structural rules of the package.  Read from its syntax trees: modules
 import only from the layers below them, every export is read, and the
-solver has one iteration loop."""
+solver has one iteration loop.  Run in a fresh interpreter: importing
+the package loads neither scipy nor yaml."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import orlicz_lab
@@ -85,7 +89,7 @@ def _calls_by_owner(predicate):
 
 def test_one_iteration_loop_and_one_pair_constructor():
     # both solver loops run through one iteration driver, and every
-    # EigenPair is certified in one place
+    # EigenPair is certified in one place: the row exit of that driver
     loops = _calls_by_owner(
         lambda node: isinstance(node, ast.For)
         and ast.unparse(node.iter) == "range(opts.max_iter + 1)")
@@ -93,4 +97,21 @@ def test_one_iteration_loop_and_one_pair_constructor():
     built = _calls_by_owner(
         lambda node: isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name) and node.func.id == "EigenPair")
-    assert built == ["eigensolver._pairs"]
+    assert built == ["eigensolver._exit"]
+    exits = _calls_by_owner(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "_exit")
+    assert set(exits) == {"eigensolver._iterate"}
+
+
+def test_importing_the_package_loads_no_scipy_and_no_yaml():
+    # scipy loads with the first factorization or table that needs it and
+    # yaml with the first config read, so a bare import pays for neither
+    code = ("import sys, orlicz_lab; print(sorted({m.split('.')[0] for m in "
+            "sys.modules} & {'scipy', 'yaml'}))")
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert run.stdout.strip() == "[]"

@@ -325,10 +325,26 @@ def test_count_critical_points_merges_starts_for_mixed_growth():
     assert ol.count_critical_points(setup, 3.0, 4, seed=1) == 2
 
 
+def test_count_critical_points_runs_one_batch_and_raises_in_start_order(
+        monkeypatch):
+    # all starts go to one descent call; of the starts that end in an
+    # error, the first raises, as a start-by-start probe would
+    batches = []
+
+    def failing(setup, alpha, starts, opts, **kwargs):
+        batches.append(len(starts))
+        return [(DomainError(f"start {i}"), False) if i % 2 else
+                (None, False) for i in range(len(starts))]
+    monkeypatch.setattr(region, "_descend", failing)
+    with pytest.raises(DomainError, match="start 1"):
+        ol.count_critical_points(small_disc(), 1.5, 4, seed=0)
+    assert batches == [4]
+
+
 def _probe_lapack(monkeypatch):
     """Wrap the banded factorizations and the probe's descents: returns
     ``(calls, failed, outcomes)``, LAPACK calls and failed pivots per
-    kernel and each descent's ``(pair, converged)``."""
+    kernel and each start's ``(pair, converged)``."""
     from scipy.linalg import lapack
     calls, failed, outcomes = {}, {}, []
     for name in ("dgbtrf", "dpbtrf"):
@@ -357,7 +373,10 @@ def test_count_critical_points_factors_by_cholesky_only(monkeypatch):
     assert [pair.iterations for pair, _ in outcomes] == [5, 10]
     assert all(ok for _, ok in outcomes)
     assert calls == {"dpbtrf": 15} and failed == {"dpbtrf": 0}
-    assert sum(p.stats["factorizations"] for p, _ in outcomes) == 15
+    # the starts run as one batch, whose pairs share one stats dict
+    stats = outcomes[0][0].stats
+    assert all(pair.stats is stats for pair, _ in outcomes)
+    assert stats["factorizations"] == 15
 
 
 def test_count_critical_points_falls_back_past_a_failed_cholesky(
@@ -379,8 +398,9 @@ def test_count_critical_points_falls_back_past_a_failed_cholesky(
     assert [pair.iterations for pair, _ in outcomes] == [5, 5, 6, 6]
     assert all(ok for _, ok in outcomes)
     assert "dgbtrf" not in calls and failed["dpbtrf"] == 6
-    assert sum(p.stats["factorizations"] for p, _ in outcomes) \
-        == calls["dpbtrf"] == 28
+    stats = outcomes[0][0].stats
+    assert all(pair.stats is stats for pair, _ in outcomes)
+    assert stats["factorizations"] == calls["dpbtrf"] == 28
     assert len(assembled) == 22
 
 
