@@ -120,8 +120,9 @@ def _build_setup(cfg: dict) -> EnergySetup:
 # output plumbing
 
 def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
+    """CSV text of a cell: the shortest repr of any float, else ``str``."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
     return str(x)
 
 
@@ -160,9 +161,8 @@ def cmd_catalog(cfg: dict, body: dict) -> tuple:
     for kind, phi in catalog():
         l, m = simonenko_indices(phi)
         rep = check_delta2(phi)
-        rows.append([kind, phi.label(), repr(l), repr(m),
-                     int(rep.satisfied),
-                     repr(rep.bound if rep.satisfied else rep.witness)])
+        rows.append([kind, phi.label(), l, m, int(rep.satisfied),
+                     rep.bound if rep.satisfied else rep.witness])
     columns = ["kind", "label", "l", "m", "delta2", "bound_or_witness"]
     for row in rows:
         flag = "doubling" if row[4] else "not doubling"
@@ -219,8 +219,7 @@ def cmd_conjugate(cfg: dict, body: dict) -> tuple:
     ss = np.geomspace(s_min, s_max, points)
     vals = np.asarray(phi.conjugate().value(ss), dtype=float)
     errs = _involution_errors(phi, ss)
-    rows = [[repr(float(s)), repr(float(v)), repr(float(e))]
-            for s, v, e in zip(ss, vals, errs)]
+    rows = list(zip(ss, vals, errs))
     worst = float(np.max(errs))
     print(f"conjugate of {phi.label()} on [{s_min:g}, {s_max:g}], "
           f"{points} points; worst involution error {worst:.3e}")
@@ -234,16 +233,15 @@ def cmd_norm(cfg: dict, body: dict) -> tuple:
     w = WeightField(dom, _nodal_values(dom, cfg["weight"], "weight"))
     vals = _nodal_values(dom, body["u"], "norm u")
     u = GridFunction(dom, np.where(dom.mask, vals, 0.0), trace="free")
-    rows = [["luxemburg_state", repr(luxemburg_norm(phi, w, u))],
-            ["gradient", repr(gradient_norm(phi, w, u))]]
+    rows = [["luxemburg_state", luxemburg_norm(phi, w, u)],
+            ["gradient", gradient_norm(phi, w, u)]]
     if cfg["psi"] is not None:
         psi = from_config(cfg["psi"])
         w1 = WeightField(dom, _nodal_values(dom, cfg["weight1"], "weight1"))
-        rows.append(["sobolev", repr(sobolev_norm(phi, psi, w, w1, u))])
+        rows.append(["sobolev", sobolev_norm(phi, psi, w, w1, u)])
     for name, value in rows:
         print(f"{name:16s} {value}")
-    return (["quantity", "value"], rows,
-            {name: float(value) for name, value in rows}, 0)
+    return ["quantity", "value"], rows, dict(rows), 0
 
 
 # the columns of one solved level, in eig.csv and spectrum.csv; alpha is
@@ -252,8 +250,8 @@ _PAIR_COLUMNS = ["alpha", "lambda", "level_I", "residual", "iterations"]
 
 
 def _pair_row(pair) -> list:
-    return [repr(pair.alpha), repr(pair.lam), repr(pair.level),
-            repr(pair.residual), pair.iterations]
+    return [pair.alpha, pair.lam, pair.level, pair.residual,
+            pair.iterations]
 
 
 def cmd_eig(cfg: dict, body: dict) -> tuple:
@@ -263,10 +261,9 @@ def cmd_eig(cfg: dict, body: dict) -> tuple:
           f"I(u) = {pair.level:.8g}  residual {pair.residual:.3e}  "
           f"({pair.iterations} iterations)")
     # the solver's work counts go to the summary only, never to the CSV
-    return (_PAIR_COLUMNS, [_pair_row(pair)],
-            {"alpha": pair.alpha, "lambda": pair.lam,
-             "level_I": pair.level, "residual": pair.residual,
-             "iterations": pair.iterations, "stats": dict(pair.stats)}, 0)
+    row = _pair_row(pair)
+    return (_PAIR_COLUMNS, [row],
+            dict(zip(_PAIR_COLUMNS, row), stats=dict(pair.stats)), 0)
 
 
 def _sweep_levels(body: dict, given) -> list:

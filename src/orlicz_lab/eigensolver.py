@@ -966,7 +966,9 @@ def _subinterval_pair(setup: EnergySetup, j: int, k: int, level: float,
 def _ls_1d(setup: EnergySetup, alpha: float, k_max: int,
            opts: SolverOptions) -> list:
     """Rungs 2..k_max as ``(pair, reliable, stats)``, polished from glued
-    bumps."""
+    bumps.  A rung is reliable when its polish converged and its pair
+    keeps the k pieces of its glue: k - 1 sign changes among the interior
+    values above 1e-3 of max|u|.  The polished pair is kept either way."""
     out = []
     for k in range(2, k_max + 1):
         stats = _new_stats()
@@ -979,8 +981,12 @@ def _ls_1d(setup: EnergySetup, alpha: float, k_max: int,
         init = GridFunction(setup.dom, glued)
         # the glue is near a sign-changing saddle, so relax with the
         # saddle-capable polisher, not with energy descent
-        out.append(_single(_newton_polish(setup, alpha, init.values[None],
-                                          opts, stats)) + (stats,))
+        pair, ok = _single(_newton_polish(setup, alpha, init.values[None],
+                                          opts, stats))
+        u = pair.u.values[setup.dom.interior]
+        signs = np.sign(u[np.abs(u) > 1e-3 * np.max(np.abs(u))])
+        nodal = np.count_nonzero(np.diff(signs)) == k - 1
+        out.append((pair, bool(ok and nodal), stats))
     return out
 
 

@@ -38,8 +38,7 @@ from .eigensolver import SolverOptions, _descend, minimize_on_level
 from .errors import ConditionFailure, DomainError, OrliczLabError
 from .functionals import EnergySetup, energy_I, energy_J
 from .norms import (GridFunction, gradient_magnitude, luxemburg_values,
-                    modular_values, scale_to_modular, smooth_candidates,
-                    sobolev_norm)
+                    modular_values, scale_to_modular, smooth_candidates)
 from .young import sqrt_convexity_holds
 
 __all__ = [
@@ -377,19 +376,18 @@ def count_critical_points(setup: EnergySetup, lam: float, starts: int,
             raise pair
         if ok:
             iterates.append(pair.u.values)
-    norms = [sobolev_norm(setup.phi, setup.psi, setup.w, setup.w1,
-                          GridFunction(dom, v)) for v in iterates]
-    scale = max(max(norms), 1e-12)
-    clusters = []
-    for v in iterates:
-        hit = False
-        for c in clusters:
-            gap = sobolev_norm(setup.phi, setup.psi, setup.w, setup.w1,
-                               GridFunction(dom, v - c))
-            if gap <= 1e-3 * scale:
-                hit = True
-                break
-        if not hit:
+
+    def norms(rows):
+        return (luxemburg_values(setup.psi, setup.w1.values, dom.node_qw,
+                                 rows)
+                + luxemburg_values(setup.phi, setup.w_cells, dom.cell_qw,
+                                   gradient_magnitude(dom, rows)))
+
+    scale = max(float(np.max(norms(np.stack(iterates)))), 1e-12)
+    # the zero field comes first and always starts a cluster
+    clusters = iterates[:1]
+    for v in iterates[1:]:
+        if np.min(norms(v - np.stack(clusters))) > 1e-3 * scale:
             clusters.append(v)
     return len(clusters)
 

@@ -287,12 +287,7 @@ class Plasticity(YoungFunction):
         return (self.alpha, self.alpha + self.beta)
 
     def _value_raw(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        pos = t > 0
-        tp = t[pos]
-        out[pos] = tp ** self.alpha * np.log1p(tp) ** self.beta
-        return out
+        return t ** self.alpha * np.log1p(t) ** self.beta
 
     def _derivative_raw(self, t):
         t = np.asarray(t, dtype=float)
@@ -386,12 +381,7 @@ class Newtonian(YoungFunction):
                                            "build it with a larger t_max"))
 
     def _derivative_raw(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        pos = t > 0
-        tp = t[pos]
-        out[pos] = tp ** (1.0 - self.alpha) * np.arcsinh(tp) ** self.beta
-        return out
+        return t ** (1.0 - self.alpha) * np.arcsinh(t) ** self.beta
 
     def _second_derivative_raw(self, t):
         a, b = self.alpha, self.beta

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
 
@@ -46,6 +46,28 @@ def dirichlet_laplacian_eigenpair(n_nodes: int, extent=(0.0, 1.0)):
     full = np.zeros(n_nodes)
     full[1:-1] = vecs[:, 0]
     return float(vals[0]), full
+
+
+def weighted_dirichlet_eigenvalues(w: np.ndarray, w1: np.ndarray,
+                                   extent=(0.0, 1.0),
+                                   count: int = 1) -> np.ndarray:
+    """Smallest eigenvalues of the weighted 1D Dirichlet stencil problem.
+
+    Dense generalized eigensolve of ``K u = lam M u`` on the interior nodes
+    of a uniform grid whose nodal diffusion and reaction weights are ``w``
+    and ``w1`` (boundary nodes included): ``K = G^T diag(h w_c) G`` with
+    ``G`` the forward difference over ``h`` and ``w_c`` the cell means of
+    ``w``, and ``M = diag(h w1)``, the trapezoid weights of interior nodes.
+    """
+    w, w1 = np.asarray(w, dtype=float), np.asarray(w1, dtype=float)
+    n = w.size
+    h = (float(extent[1]) - float(extent[0])) / (n - 1)
+    w_c = 0.5 * (w[:-1] + w[1:])
+    grad = (np.eye(n - 1, n, k=1) - np.eye(n - 1, n)) / h
+    stiff = grad.T @ np.diag(h * w_c) @ grad
+    inner = slice(1, n - 1)
+    return eigh(stiff[inner, inner], np.diag(h * w1[inner]),
+                eigvals_only=True, subset_by_index=(0, count - 1))
 
 
 def box_laplacian_eigenvalue(n_nodes: int, extent=(0.0, 1.0),

@@ -1,5 +1,6 @@
 """End-to-end runs of the batch front end, in process via main()."""
 
+import ast
 import contextlib
 import copy
 import csv
@@ -7,6 +8,7 @@ import dataclasses
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +150,50 @@ def test_norm_of_unit_constant(tmp_path):
     assert summary["results"]["luxemburg_state"] == pytest.approx(1.0,
                                                                   rel=1e-9)
     assert summary["results"]["gradient"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the writer's number format: the shortest repr of every float, numpy
+# floats included, written in one place
+
+def test_fmt_writes_numpy_floats_as_plain_floats():
+    assert cli._fmt(np.float64(0.1)) == "0.1"
+    assert cli._fmt(np.float32(0.5)) == "0.5"
+    assert cli._fmt(0.1) == repr(0.1)
+    assert [cli._fmt(x) for x in (3, np.int64(3), "a")] == ["3", "3", "a"]
+
+
+def test_only_the_writer_calls_repr():
+    tree = ast.parse(Path(cli.__file__).read_text())
+
+    def reprs(node):
+        return sum(isinstance(call, ast.Call)
+                   and isinstance(call.func, ast.Name)
+                   and call.func.id == "repr" for call in ast.walk(node))
+    fmt, = [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_fmt"]
+    assert reprs(fmt) >= 1
+    assert reprs(tree) == reprs(fmt)
+
+
+def test_conjugate_and_norm_cells_are_plain_numbers(tmp_path):
+    bodies = {"conjugate": {"conjugate": {"points": 7}},
+              "norm": {"psi": {"kind": "power", "p": 2},
+                       "domain": {"shape": "box", "n": 9,
+                                  "extent": [0.0, 1.0]},
+                       "norm": {"u": {"constant": 0.5}}}}
+    cells = []
+    for command, body in bodies.items():
+        cfg = write_cfg(tmp_path, {"phi": NEWTONIAN, **body},
+                        f"{command}.yaml")
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        _, _, rows = read_csv(out, command)
+        cells += [cell for row in rows
+                  for cell in (row if command == "conjugate" else row[1:])]
+    assert len(cells) == 7 * 3 + 3
+    for cell in cells:
+        assert repr(float(cell)) == cell
 
 
 def test_eig_matches_dense_oracle(tmp_path):

@@ -216,6 +216,51 @@ def test_ls_sequence_quadratic_matches_dense_ladder():
     assert cs[0] > cs[1] > cs[2]
 
 
+def _sign_changes(u):
+    """Sign changes among the interior values above 1e-3 of max|u|, the
+    threshold of :func:`_nodal_domains`."""
+    inner = u[1:-1]
+    big = inner[np.abs(inner) > 1e-3 * np.max(np.abs(u))]
+    return int(np.count_nonzero(np.sign(big[1:]) != np.sign(big[:-1])))
+
+
+def test_ls_sequence_flags_weighted_rungs_off_their_nodal_count():
+    # with w = 1 + 50 x^2 the polish of the glued bumps skips the second
+    # eigenvalue: rung 2 converges to the third, with two sign changes,
+    # and rungs 3-4 also lose the nodal count they were glued with
+    w = 1.0 + 50.0 * np.linspace(0.0, 1.0, 129) ** 2
+    setup = build_setup(ol.Power(2.0), ol.Power(2.0), _interval(129),
+                        w_values=w)
+    levels = ol.ls_sequence(setup, 1.0, 4)
+    dense = oc.weighted_dirichlet_eigenvalues(w, np.ones(129), count=4)
+    assert levels[0].pair.lam == pytest.approx(dense[0], rel=1e-6)
+    assert levels[1].pair.lam == pytest.approx(dense[2], rel=1e-6)
+    assert [_sign_changes(lv.pair.u.values) for lv in levels] == [0, 2, 4, 5]
+    assert [lv.reliable for lv in levels] == [True, False, False, False]
+    # the polished pairs are kept, as an unconverged rung's would be
+    assert all(lv.pair.residual <= 1e-8 * (1.0 + lv.pair.level)
+               for lv in levels[1:])
+
+
+@pytest.mark.parametrize("phi, psi, w_slope", [
+    (ol.Power(2.0), ol.Power(2.0), 0.0),
+    (ol.Power(3.0), ol.Power(3.0), 0.0),
+    (ol.Power(3.0), ol.Power(2.0), 0.0),
+    (ol.PowerSum(2.0, 4.0), ol.PowerSum(1.5, 2.5), 0.0),
+    (ol.Power(1.5), ol.Power(1.5), 0.0),
+    (ol.Elasticity(1.5), ol.Elasticity(1.5), 0.0),
+    (ol.Plasticity(2.0, 1.0), ol.Plasticity(2.0, 1.0), 5.0),
+])
+def test_ls_sequence_1d_rungs_keep_their_nodal_count(phi, psi, w_slope):
+    # every rung of these ladders keeps the k pieces it was glued from, so
+    # the nodal test leaves their flags as the polish set them
+    w = 1.0 + w_slope * np.linspace(0.0, 1.0, 129)
+    setup = build_setup(phi, psi, _interval(129), w_values=w)
+    levels = ol.ls_sequence(setup, 1.0, 4)
+    assert [_sign_changes(lv.pair.u.values) for lv in levels] == [0, 1, 2, 3]
+    assert all(lv.reliable for lv in levels)
+
+
 def test_ls_sequence_first_level_agrees_with_minimizer():
     setup = build_setup(ol.Power(2.0), ol.Power(2.0), _interval(129))
     lone = ol.minimize_on_level(setup, 1.0)

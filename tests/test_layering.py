@@ -104,14 +104,33 @@ def test_one_iteration_loop_and_one_pair_constructor():
     assert set(exits) == {"eigensolver._iterate"}
 
 
-def test_importing_the_package_loads_no_scipy_and_no_yaml():
-    # scipy loads with the first factorization or table that needs it and
-    # yaml with the first config read, so a bare import pays for neither
-    code = ("import sys, orlicz_lab; print(sorted({m.split('.')[0] for m in "
-            "sys.modules} & {'scipy', 'yaml'}))")
+def _fresh(code: str) -> str:
+    """Stripped stdout of ``code`` run in a fresh interpreter that imports
+    this package."""
     path = os.pathsep.join(filter(None, (str(PACKAGE.parent),
                                          os.environ.get("PYTHONPATH"))))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=path))
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+def test_importing_the_package_loads_no_scipy_and_no_yaml():
+    # scipy loads with the first factorization or table that needs it and
+    # yaml with the first config read, so a bare import pays for neither
+    assert _fresh("import sys, orlicz_lab; print(sorted({m.split('.')[0] "
+                  "for m in sys.modules} & {'scipy', 'yaml'}))") == "[]"
+
+
+def test_building_a_setup_builds_no_stiffness_pattern_and_loads_no_scipy():
+    # the set-up cost of every solve: a domain and its energy setup defer
+    # the stiffness pattern to the first tangent and scipy to the first
+    # factorization
+    assert _fresh(
+        "import sys, orlicz_lab as ol\n"
+        "dom = ol.GridDomain('box', (0.0, 1.0), 65)\n"
+        "one = ol.WeightField.constant(dom)\n"
+        "ol.EnergySetup(ol.Power(3.0), ol.Power(2.0), one, one, dom)\n"
+        "print('stiffness_pattern' in dom.__dict__, "
+        "'scipy' in {m.split('.')[0] for m in sys.modules})"
+    ) == "False False"
