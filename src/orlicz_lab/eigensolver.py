@@ -53,15 +53,18 @@ descends, and it is the exact Hessian wherever ``phi' >= phi/t`` (powers
 ("frozen coefficient") preconditioner.  For a quadratic ``Phi`` the full
 step reproduces inverse power iteration and the matrix is factored once.
 The sparsity pattern and its band layout are built once per grid.  The
-interior nodes keep their row-major numbering, so the matrix is banded
-(half-bandwidth ``n - 2`` on the box, 1 in 1D).  The loop decides the
-kernel, not the shift: the descent factors every tangent, shifted or not,
-by a banded Cholesky factorization (LAPACK ``dpbtrf``/``dpbtrs``), and a
+interior nodes are numbered by anti-diagonals on the disc and row-major
+on the box and in 1D, whichever is narrower, so the matrix is banded
+(half-bandwidth 28 on the n = 41 disc, ``n - 2`` on the box, 1 in 1D).
+The loop decides the kernel, not the shift: the descent factors every
+tangent, shifted or not, by a banded Cholesky factorization (LAPACK
+``dpbtrf``/``dpbtrs``) of its lower triangle, summed straight into the
+symmetric band, and a
 batch shares the one factor of a quadratic ``Phi`` and solves all its
 rows with one multi-right-hand-side call.  The free-energy probe's
 shifted tangent is positive definite near the minimizers it descends
-to; where it is not, its pivot fails and the unshifted tangent, assembled
-once for both, is factored instead.  Only the saddle polisher, whose
+to; where it is not, its pivot fails and the unshifted tangent, from
+the same cell tensor, is factored instead.  Only the saddle polisher, whose
 bordered systems are indefinite at saddles, takes a row-pivoted banded
 LU (``dgbtrf``/``dgbtrs``).  Only a quadratic ``Phi``'s unshifted
 tangent is reused; every other tangent is assembled and factored afresh
@@ -380,9 +383,12 @@ def _tangent_tensor(setup: EnergySetup, grad) -> np.ndarray:
         sec = phi._derivative_raw(t) / t
         curv = np.maximum(phi._second_derivative_raw(t), sec)
     e = comps / t
-    tensor = (sec * np.eye(dom.ndim)[:, :, None]
-              + (curv - sec) * e[:, None, :] * e[None, :, :])
-    return tensor * setup.w_cell_qw
+    # entry (i, j) is gap e_i e_j, plus sec on the diagonal
+    gap_e = (curv - sec) * e
+    tensor = gap_e[:, None, :] * e[None, :, :]
+    tensor.reshape(-1, t.size)[::dom.ndim + 1] += sec
+    tensor *= setup.w_cell_qw
+    return tensor
 
 
 def _reaction_curvature(setup: EnergySetup, values: np.ndarray) -> np.ndarray:
@@ -443,50 +449,52 @@ class _Tangent:
         """Factor the tangent at the cell gradient ``grad`` (components,
         magnitudes), minus ``diag(shift)`` on the interior when given;
         kept for :meth:`solve`; a failed shifted Cholesky factorization
-        falls back to the unshifted tangent, assembled once for both."""
+        falls back to the unshifted tangent, from the same cell tensor."""
         if shift is None and self._reusable:
             self.stats["factor_reuses"] += 1
             return
-        pat = self.pat
-        data = pat.assemble(_tangent_tensor(self.setup, grad))
-        tries = [data]
-        if shift is not None:
-            shifted = data.copy()
-            shifted[pat.diag] -= shift
-            tries = [shifted] if self._lu else [shifted, data]
-        # scipy.linalg loads with the first factorization, not with the
-        # package
-        from scipy.linalg import lapack
         # free the old factors first
         self._fac = self._piv = self._kb = self._small = None
         self._reusable = False
-        k = pat.bandwidth
-        size = pat.idx.size
-        for entries in tries:
-            # column-major band x size, factored in place
+        pat = self.pat
+        k, size = pat.bandwidth, pat.idx.size
+        tensor = _tangent_tensor(self.setup, grad)
+        # flat column-major band x size, the diagonal in band row ``at``
+        if self._lu:
+            height, at = 3 * k + 1, 2 * k
+            band = np.zeros(size * height)
+            band[pat.band] = pat.assemble(tensor)
+        else:
+            height, at = k + 1, 0
+            band = pat.lower_band(tensor)
+        if shift is not None:
+            band[at::height] -= shift
+        # scipy.linalg loads with the first factorization, not with the
+        # package
+        from scipy.linalg import lapack
+        while True:
+            # factored in place
             if self._lu:
-                band = np.zeros(size * (3 * k + 1))
-                band[pat.band] = entries
                 fac, piv, info = lapack.dgbtrf(
-                    band.reshape(size, 3 * k + 1).T, k, k, overwrite_ab=1)
+                    band.reshape(size, height).T, k, k, overwrite_ab=1)
             else:
-                band = np.zeros(size * (k + 1))
-                band[pat.sym_band] = entries[pat.lower]
-                fac, info = lapack.dpbtrf(band.reshape(size, k + 1).T,
+                fac, info = lapack.dpbtrf(band.reshape(size, height).T,
                                           lower=1, overwrite_ab=1)
                 piv = None
             # a factorization whose pivot fails ran too
             self.stats["factorizations"] += 1
             if info == 0:
                 break
-        else:
-            # info > 0: the leading minor of that order is not positive
-            # (Cholesky), or the pivot of that column is exactly zero (LU)
-            kernel = "dgbtrf" if self._lu else "dpbtrf"
-            raise RuntimeError(f"banded factorization failed "
-                               f"({kernel} info {info})")
+            if shift is None or self._lu:
+                # info > 0: the leading minor of that order is not
+                # positive (Cholesky), or the pivot of that column is
+                # exactly zero (LU)
+                kernel = "dgbtrf" if self._lu else "dpbtrf"
+                raise RuntimeError(f"banded factorization failed "
+                                   f"({kernel} info {info})")
+            band, shift = pat.lower_band(tensor), None
         self._fac, self._piv = fac, piv
-        self._reusable = self._constant and entries is data
+        self._reusable = self._constant and shift is None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``A^-1 rhs`` with the last factorization, for one right-hand

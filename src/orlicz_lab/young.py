@@ -236,6 +236,10 @@ class Power(YoungFunction):
         out = (arr / (self.coeff * self.p)) ** (1.0 / (self.p - 1.0))
         return _ret(out, scalar)
 
+    def inverse(self, y):
+        arr, scalar = _checked(y, "y")
+        return _ret((arr / self.coeff) ** (1.0 / self.p), scalar)
+
 
 class PowerSum(YoungFunction):
     """``t**p / p + t**q / q`` with ``1 < p < q``."""

@@ -208,13 +208,18 @@ def stencil_pattern(interior: np.ndarray, h: float) -> dict:
     """Interior entries of ``sum_c G_c^T A_c G_c`` with the local stencil
     ``G`` of :func:`stencil_gradient`, from a dense coupling matrix.
 
-    Returns the interior flat indices ``idx``, the coupled ``rows`` and
-    ``cols`` in column-major order, their LAPACK general-band (``3k + 1``
-    rows) and symmetric-band (``k + 1`` rows) flat positions ``band`` and
-    ``sym_band``, the stencil products ``coef`` (one row per local entry,
-    one column per tensor entry) and ``assemble(tensor)``, which sums the
-    local entries ``coef @ A_c`` into the dense interior matrix in the
-    order local entry, then cell, and reads off the coupled entries.
+    The interior nodes are numbered row-major, or by the sum of their
+    grid indices (then by the first index) where that gives a strictly
+    smaller half-bandwidth.  Returns the interior flat index ``idx`` of
+    each unknown, the coupled ``rows`` and ``cols`` in column-major order,
+    the half-bandwidth ``bandwidth`` (k), their flat positions ``band``
+    in LAPACK general-band storage (``3k + 1`` rows), the stencil
+    products ``coef`` (one row per local entry, one column per tensor
+    entry), ``assemble(tensor)``, which sums the local entries
+    ``coef @ A_c`` into the dense interior matrix in the order local
+    entry, then cell, and reads off the coupled entries, and
+    ``lower_band(tensor)``, which reads its lower triangle into flat
+    LAPACK symmetric-band storage (``k + 1`` rows).
     """
     n, ndim = interior.shape[0], interior.ndim
     if ndim == 1:
@@ -227,34 +232,49 @@ def stencil_pattern(interior: np.ndarray, h: float) -> dict:
         base = (ii * n + jj).ravel()
         nodes = np.stack([base, base + n, base + 1])
         stencil = np.array([[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]]) / h
-    idx = np.flatnonzero(interior)
-    size, m = idx.size, len(nodes)
-    pos = np.full(interior.size, -1)
-    pos[idx] = np.arange(size)
-    pairs = [(pos[nodes[i]], pos[nodes[j]]) for i in range(m)
-             for j in range(m)]
-    coupled = np.zeros((size, size), dtype=bool)
-    for r, c in pairs:
-        live = (r >= 0) & (c >= 0)
-        coupled[r[live], c[live]] = True
-    cols, rows = np.nonzero(coupled.T)
-    k = int(np.max(np.abs(rows - cols)))
+    m = len(nodes)
+    row_major = np.flatnonzero(interior)
+    grid = np.indices(interior.shape).reshape(ndim, -1)[:, row_major]
+    by_sum = row_major[np.lexsort((grid[0], grid.sum(axis=0)))]
+
+    def numbered(idx):
+        pos = np.full(interior.size, -1)
+        pos[idx] = np.arange(idx.size)
+        pairs = [(pos[nodes[i]], pos[nodes[j]]) for i in range(m)
+                 for j in range(m)]
+        coupled = np.zeros((idx.size, idx.size), dtype=bool)
+        for r, c in pairs:
+            live = (r >= 0) & (c >= 0)
+            coupled[r[live], c[live]] = True
+        cols, rows = np.nonzero(coupled.T)
+        return int(np.max(np.abs(rows - cols))), idx, pairs, rows, cols
+
+    # min keeps the first of equal widths, the row-major numbering
+    k, idx, pairs, rows, cols = min(
+        (numbered(row_major), numbered(by_sum)), key=lambda c: c[0])
+    size = idx.size
     lower = rows >= cols
     coef = np.einsum("ki,lj->ijkl", stencil, stencil).reshape(
         m * m, ndim * ndim)
 
-    def assemble(tensor):
+    def dense_of(tensor):
         local = coef @ tensor.reshape(ndim * ndim, -1)
         dense = np.zeros((size, size))
         for (r, c), vals in zip(pairs, local):
             live = (r >= 0) & (c >= 0)
             np.add.at(dense, (r[live], c[live]), vals[live])
-        return dense[rows, cols]
+        return dense
 
-    return {"idx": idx, "rows": rows, "cols": cols,
-            "band": cols * (3 * k + 1) + 2 * k + rows - cols,
-            "sym_band": cols[lower] * (k + 1) + rows[lower] - cols[lower],
-            "coef": coef, "assemble": assemble}
+    def lower_band(tensor):
+        band = np.zeros(size * (k + 1))
+        band[cols[lower] * (k + 1) + rows[lower] - cols[lower]] = \
+            dense_of(tensor)[rows[lower], cols[lower]]
+        return band
+
+    return {"idx": idx, "rows": rows, "cols": cols, "bandwidth": k,
+            "band": cols * (3 * k + 1) + 2 * k + rows - cols, "coef": coef,
+            "assemble": lambda tensor: dense_of(tensor)[rows, cols],
+            "lower_band": lower_band}
 
 
 def stencil_basis_norms(interior: np.ndarray, node_qw: np.ndarray,

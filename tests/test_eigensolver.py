@@ -940,17 +940,34 @@ def test_tangent_direction_matches_dense(cfg, case):
     assert (tangent._piv is None) == (case != "lu")
 
 
+def _entries_band(pat, entries):
+    """The symmetric band gathered from assembled entries: a zeroed band,
+    then each lower-triangle entry at row ``i - j`` of column ``j``."""
+    k = pat.bandwidth
+    lower = pat.rows >= pat.cols
+    band = np.zeros(pat.idx.size * (k + 1))
+    band[pat.cols[lower] * (k + 1) + pat.rows[lower]
+         - pat.cols[lower]] = entries[lower]
+    return band
+
+
 @pytest.mark.parametrize("cfg", _KERNEL_CFGS, ids=_KERNEL_IDS)
 def test_symmetric_band_positions_hold_the_lower_triangle(cfg):
-    setup, _, dense = _tangent_case(cfg)
+    # the band summed straight from the cells is the lower triangle of the
+    # assembled matrix, bit for bit
+    from orlicz_lab.eigensolver import _tangent_tensor
+    setup, grad, _ = _tangent_case(cfg)
     pat = setup.dom.stiffness_pattern
-    # distinct entry values show that each entry lands in its own place
-    distinct = _stiffness_matrix(pat, np.arange(1.0, pat.rows.size + 1.0))
     size, k = pat.idx.size, pat.bandwidth
-    for values in (dense, distinct.toarray()):
-        entries = values[pat.rows, pat.cols]
-        band = np.zeros((size, k + 1))  # row j is band column j
-        band.ravel()[pat.sym_band] = entries[pat.lower]
+    # an unsymmetric random tensor gives distinct values, which shows that
+    # each contribution lands in its own place
+    rng = np.random.default_rng(17)
+    tensors = (_tangent_tensor(setup, grad),
+               rng.normal(size=(setup.dom.ndim,) * 2 + (
+                   math.prod(setup.dom.cell_shape),)))
+    for tensor in tensors:
+        values = _stiffness_matrix(pat, pat.assemble(tensor)).toarray()
+        band = pat.lower_band(tensor).reshape(size, k + 1)
         back = np.zeros((size, size))
         for r in range(k + 1):
             j = np.arange(size - r)
@@ -958,6 +975,41 @@ def test_symmetric_band_positions_hold_the_lower_triangle(cfg):
             # past the last row the band stays empty
             assert np.all(band[size - r:, r] == 0.0)
         assert np.array_equal(back, np.tril(values))
+
+
+@pytest.mark.parametrize("cfg", _KERNEL_CFGS, ids=_KERNEL_IDS)
+def test_factored_band_equals_the_entries_scatter(monkeypatch, cfg):
+    # the band the Cholesky kernel receives, unshifted and shifted, is the
+    # one gathered from the assembled entries, bit for bit
+    from scipy.linalg import lapack
+    from orlicz_lab.eigensolver import _Tangent, _tangent_tensor
+    setup, grad, dense = _tangent_case(cfg)
+    pat = setup.dom.stiffness_pattern
+    received, real = [], lapack.dpbtrf
+
+    def recorded(ab, **kwargs):
+        received.append(ab.T.ravel().copy())
+        return real(ab, **kwargs)
+    monkeypatch.setattr(lapack, "dpbtrf", recorded)
+    # a varying shift below the lowest eigenvalue keeps it definite
+    rng = np.random.default_rng(19)
+    shift = 0.5 * np.linalg.eigvalsh(dense)[0] * rng.random(pat.idx.size)
+    tangent = _Tangent(setup)
+    tangent.factor(grad)
+    tangent.factor(grad, shift=shift)
+    entries = pat.assemble(_tangent_tensor(setup, grad))
+    shifted = entries.copy()
+    shifted[pat.rows == pat.cols] -= shift
+    assert len(received) == 2
+    assert np.array_equal(received[0], _entries_band(pat, entries))
+    assert np.array_equal(received[1], _entries_band(pat, shifted))
+    # an indefinite shift fails its pivot, and the fallback receives the
+    # unshifted band, summed again from the same cell tensor
+    ev = np.linalg.eigvalsh(dense)
+    j = ev.size // 4
+    tangent.factor(grad, shift=np.full(ev.size, 0.5 * (ev[j] + ev[j + 1])))
+    assert len(received) == 4
+    assert np.array_equal(received[3], _entries_band(pat, entries))
 
 
 def test_quadratic_tangent_switches_kernel_with_the_shift():

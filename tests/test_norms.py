@@ -228,6 +228,27 @@ def test_assembly_equals_the_three_operand_einsum(rng, cfg):
     assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("cfg, bandwidth, index_sum", [
+    ({"shape": "disc", "n": 41, "extent": [1.0]}, 28, True),
+    ({"shape": "disc", "n": 81, "extent": [1.0]}, 56, True),
+    ({"shape": "box", "n": 21, "extent": [0.0, 1.0]}, 19, False),
+    ({"shape": "box", "n": 65, "extent": [0.0, 1.0]}, 63, False),
+    ({"shape": "interval", "n": 65, "extent": [0.0, 1.0]}, 1, False),
+], ids=["disc-n41", "disc-n81", "box-n21", "box-n65", "interval-n65"])
+def test_disc_is_numbered_by_index_sum_where_that_is_narrower(
+        cfg, bandwidth, index_sum):
+    # row-major gives 38 and 78 on the discs, as much as the index sum on
+    # the box, and the same numbering in 1D
+    dom = ol.domain_from_config(cfg)
+    pat = dom.stiffness_pattern
+    assert pat.bandwidth == bandwidth
+    row_major = np.flatnonzero(dom.interior)
+    assert np.array_equal(pat.idx, row_major) != index_sum
+    if index_sum:
+        sums = np.indices(dom.node_shape).sum(axis=0).ravel()[pat.idx]
+        assert np.all(np.diff(sums) >= 0)
+
+
 # Non-dyadic spacings only: with h a power of two, dividing by h is exact
 # and would hide a change in the order of the stencil's operations.
 @pytest.mark.parametrize("weights", ["constant", "random"])
@@ -260,11 +281,12 @@ def test_geometry_equals_the_written_out_stencil(rng, cfg, weights):
                           oc.stencil_adjoint(fields, dom.h))
     pat = dom.stiffness_pattern
     ref = oc.stencil_pattern(dom.interior, dom.h)
-    for key in ("idx", "rows", "cols", "band", "sym_band", "coef"):
+    for key in ("idx", "rows", "cols", "bandwidth", "band", "coef"):
         assert np.array_equal(getattr(pat, key), ref[key]), key
     tensor = rng.normal(size=(dom.ndim, dom.ndim, math.prod(dom.cell_shape)))
     tensor = tensor + tensor.transpose(1, 0, 2)
     assert np.array_equal(pat.assemble(tensor), ref["assemble"](tensor))
+    assert np.array_equal(pat.lower_band(tensor), ref["lower_band"](tensor))
 
     def solve(modular, lo, hi):
         return invert_increasing(modular, np.ones_like(lo), lo=lo, hi=hi)

@@ -48,6 +48,24 @@ def test_power_value_and_derivative():
     assert unit.value(2.0) == pytest.approx(8.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("phi", [ol.Power(1.5), ol.Power(2.0), ol.Power(3.0),
+                                 ol.Power(4.5, 2.0)],
+                         ids=["p1.5", "p2", "p3", "p4.5-coeff2"])
+def test_power_inverse_is_the_closed_form(phi):
+    # (y / coeff)^(1/p), so Phi(Phi^-1(y)) = y to a few ulp, scalars and
+    # arrays alike; zero maps to zero
+    ys = np.geomspace(1e-3, 1e3, 61)
+    back = phi.value(phi.inverse(ys))
+    assert np.all(np.abs(back - ys) <= 1e-15 * ys)
+    for y in (1e-3, 0.7, 1.0, 1e3):
+        x = phi.inverse(y)
+        assert isinstance(x, float)
+        assert abs(phi.value(x) - y) <= 1e-15 * y
+    assert phi.inverse(0.0) == 0.0
+    with pytest.raises(DomainError, match="y must be nonnegative"):
+        phi.inverse(-1.0)
+
+
 def test_plasticity_and_elasticity_values():
     pl = ol.Plasticity(2.0, 1.0)
     t = 1.7
