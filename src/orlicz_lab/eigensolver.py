@@ -11,9 +11,11 @@ the weighted phi-Laplacian.  The solver is projected descent:
     every trial.
 
 Run free, with no level set and a fixed ``lambda``, the same loop descends
-on ``I - lambda J`` for the critical-point probe of the region module.  The
-other solver loop is the ladder's damped Newton polisher, which also
-converges to saddles: its steps pass the natural monotonicity test.
+on ``I - lambda J`` for the critical-point probe of the region module, and
+extends each full step to the minimizer of a cubic model of the merit
+along it.  The other solver loop is the ladder's damped Newton polisher,
+which also converges to saddles: its steps pass the natural monotonicity
+test.
 
 Both loops run a stack of starts in lockstep, one row each, and return
 one ``(pair, converged)`` per start, bit for bit what the start gives
@@ -121,9 +123,11 @@ class SolverOptions:
     max_iter: int = 100_000
 
 
-# Armijo constant of the descent's line search; step factor of both loops
+# Armijo constant of the descent's line search; step factor of both loops;
+# longest step of the free descent's cubic extension
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
+_EXTEND_MAX = 10.0
 
 
 @dataclass
@@ -222,8 +226,8 @@ class _Point:
     evaluated for all rows the first time a loop asks for them, through
     the kernels behind the public functions, and counted per row in
     ``stats``.  Every array attribute, these and the terms a loop sets,
-    holds one entry per row, so :meth:`take` and :meth:`join` carry
-    it along.
+    holds one entry per row, so :meth:`take`, :meth:`join` and
+    :meth:`put` carry it along.
     """
 
     def __init__(self, setup: EnergySetup, values: np.ndarray, stats: dict,
@@ -271,6 +275,18 @@ class _Point:
         out.__dict__.update({k: cat([p.__dict__[k] for p in parts])
                              for k in parts[0].__dict__}, failed={})
         return out
+
+    def put(self, rows, other: "_Point"):
+        """Overwrite the given rows, in place, with the rows of ``other``,
+        which has the same attributes evaluated."""
+        def copy(mine, theirs):
+            if isinstance(mine, np.ndarray):
+                mine[rows] = theirs
+            elif isinstance(mine, tuple):
+                for m, t in zip(mine, theirs):
+                    copy(m, t)
+        for k, v in self.__dict__.items():
+            copy(v, other.__dict__[k])
 
     def row_grad(self, i: int):
         """The cell gradient of row ``i``."""
@@ -619,7 +635,8 @@ def _line_search(count: int, search: np.ndarray, trial_at, accept,
     ``trial_at(sel, step)`` evaluates the rows ``sel`` as :func:`_evaluated`
     does, and ``accept(trial, sel, step)`` tests them.  Returns the
     accepted ``(batch rows, trial point)``, in the order the rows were
-    accepted (None when no row moved), and the rows that stalled."""
+    accepted (None when no row moved), the rows that stalled, and each
+    row's last step."""
     step = np.ones(count)
     accepted = []
     for _ in range(tries):
@@ -644,7 +661,7 @@ def _line_search(count: int, search: np.ndarray, trial_at, accept,
     if len(accepted) > 1:
         accepted = [(np.concatenate([r for r, _ in accepted]),
                      _Point.join([p for _, p in accepted]))]
-    return (accepted[0] if accepted else None), search
+    return (accepted[0] if accepted else None), search, step
 
 
 def _exit(p: _Point, ids, out: list, hist: list, iters: int,
@@ -728,6 +745,19 @@ def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
     direction that is not finite or does not descend is replaced by the
     steepest descent direction, the residual density.
 
+    Far from a critical point that Newton step only scales the amplitude
+    by ``(p - 2)/(p - 1)`` on a ``p``-homogeneous ``I`` (a half for
+    ``p = 3``), so the free descent extends every row that takes the
+    full step (Nocedal and Wright, *Numerical Optimization*, sec. 3.5):
+    the cubic model of its merit ``m(t)`` at ``u - t d`` is fitted to
+    ``m(0)``, ``m'(0)``, ``m(1)`` and ``m'(1) = -<rho(trial), d>``, and
+    where ``m'(1) < 0`` and the model's local minimizer lies beyond 1,
+    that point, capped at ``_EXTEND_MAX``, is one more trial, which
+    replaces the row's trial in place when its merit is lower.  An
+    extension trial that cannot be evaluated is dropped; it never ends
+    its row.  The descent on a level set takes no extension: its trials
+    are projected onto ``J = alpha``, off the line the model describes.
+
     With ``anchors`` the merit is ``I + mu sum_j c_j^2`` and the
     preconditioner adds the penalty's rank-one curvature per anchor
     through the Woodbury identity on the stiffness's factorization.
@@ -748,14 +778,18 @@ def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
         dom, anchors, mu) if penalized else None, stats)
     out = [None] * len(starts)
 
+    def merit_terms(p):
+        """Set the merit terms of the point ``p``."""
+        p.energy = p.level - lam0 * p.reaction if free else p.level
+        pen, p.pen_dens = _penalty_density(dom, p.values, anchors, mu)
+        p.merit = p.energy + pen
+
     def point(values, ids):
         """:func:`_evaluated` at nodal ``values`` of the starts ``ids``,
         with the merit terms."""
         p, kept = _evaluated(_Point(setup, values, stats, alpha), ids, out)
         if p is not None:
-            p.energy = p.level - lam0 * p.reaction if free else p.level
-            pen, p.pen_dens = _penalty_density(dom, p.values, anchors, mu)
-            p.merit = p.energy + pen
+            merit_terms(p)
         return p, kept
 
     def head(u):
@@ -780,13 +814,57 @@ def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
         if steep.any():
             d[steep] = rho[steep]
             slope[steep] = -_qw_dots(dom, rho[steep], rho[steep])
-        return _line_search(
+        moved, stalled, t = _line_search(
             len(ids), np.arange(len(ids)),
             lambda sel, t: point(u.values[sel] - _rows(t, dom) * d[sel],
                                  ids[sel]),
             lambda trial, sel, t: trial.merit <= (
                 u.merit[sel] + _ARMIJO_C1 * t * slope[sel]),
             60, stats)
+        if free and moved is not None:
+            extend(u, d, slope, *moved, t)
+        return moved, stalled
+
+    def extend(u, d, slope, rows, trial, t):
+        """Replace, in place, each row of ``trial`` that took the full
+        step by the minimizer of the cubic model of its merit along the
+        line, when that lies beyond 1 and is lower."""
+        full = np.flatnonzero(t[rows] == 1.0)
+        if not full.size:
+            return
+        at = rows[full]
+        # the model m(s) = f0 + g0 s + c s^2 + e s^3 of the merit at
+        # u - s d matches m(0), m'(0), m(1) and m'(1) = -<rho(trial), d>
+        grad1 = (trial.residual(np.full(len(trial.values), lam0))
+                 + trial.pen_dens)
+        f0, g0, f1 = u.merit[at], slope[at], trial.merit[full]
+        g1 = -_qw_dots(dom, grad1[full], d[at])
+        df = f1 - f0
+        c, e = 3.0 * df - 2.0 * g0 - g1, g0 + g1 - 2.0 * df
+        # the model's local minimizer; NaN, infinite or not positive where
+        # it has none, and a model that falls without end says nothing of
+        # the merit
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_min = -g0 / (c + np.sqrt(c * c - 3.0 * e * g0))
+        grow = np.flatnonzero((g1 < 0) & (s_min > 1.0) & np.isfinite(s_min))
+        if not grow.size:
+            return
+        s_ext = np.minimum(s_min[grow], _EXTEND_MAX)
+        at, full = at[grow], full[grow]
+        stats["trials"] += grow.size
+        ext = _Point(setup, u.values[at] - _rows(s_ext, dom) * d[at], stats)
+        # a failed row's terms are not finite and are dropped below
+        with np.errstate(over="ignore", invalid="ignore"):
+            merit_terms(ext)
+        better = ext.merit < trial.merit[full]
+        better[list(ext.failed)] = False
+        if better.any():
+            if not better.all():
+                ext = ext.take(better)
+            # the trial's densities of I' and J' were taken for m'(1):
+            # put overwrites them too
+            _ = ext.d_I, ext.d_J
+            trial.put(full[better], ext)
 
     u, kept = point(starts, np.arange(len(starts)))
     return _iterate(u, np.arange(len(starts))[kept], out, opts, head, step,
@@ -890,8 +968,8 @@ def _newton_polish(setup: EnergySetup, alpha: float, starts: np.ndarray,
         # a singular linearization (zero or non-finite denom) or a
         # non-finite correction is stuck, as is a stalled row
         stuck = ~np.isfinite(norm)
-        moved, stalled = _line_search(count, np.flatnonzero(~stuck),
-                                      trial_at, accept, 30, stats)
+        moved, stalled, _ = _line_search(count, np.flatnonzero(~stuck),
+                                         trial_at, accept, 30, stats)
         stuck[stalled] = True
         return moved, np.flatnonzero(stuck)
 

@@ -165,10 +165,12 @@ class StiffnessPattern:
     the entries between interior nodes, in column-major order with their
     ``rows`` and ``cols``; ``band`` is each entry's flat position in
     LAPACK general-band storage with room for the LU's fill
-    (``3 bandwidth + 1`` rows, column-major).  The products of stencil
-    entries are kept as the matrix ``coef``, so assembly only computes
-    values: the local entries of every cell in one matrix product
-    ``coef @ A``, summed into place.
+    (``3 bandwidth + 1`` rows, column-major).  That entry indexing
+    (``keep``, ``scatter``, ``rows``, ``cols`` and ``band``) is built on
+    first use, as only the saddle polisher's LU reads it.  The products
+    of stencil entries are kept as the matrix ``coef``, so assembly only
+    computes values: the local entries of every cell in one matrix
+    product ``coef @ A``, summed into place.
     """
 
     def __init__(self, dom: GridDomain):
@@ -198,20 +200,10 @@ class StiffnessPattern:
                              for idx in (inner, by_sum)),
                             key=lambda pair: width(pair[1]))
         self.bandwidth = k = width(num)
-        # local entry (i, j) of a cell couples nodes[i] with nodes[j]
-        rows = np.repeat(num, len(nodes), axis=0).ravel()
-        cols = np.tile(num, (len(nodes), 1)).ravel()
-        self.keep = (rows >= 0) & (cols >= 0)
-        size = self.idx.size
-        keys, self.scatter = np.unique(cols[self.keep] * size
-                                       + rows[self.keep], return_inverse=True)
-        self.rows, self.cols = keys % size, keys // size
-        # A[i, j] sits in row 2k + i - j of column j: k rows of fill from
-        # the row pivoting, then the k superdiagonals, the diagonal and the
-        # k subdiagonals
-        self.band = self.cols * (3 * k + 1) + 2 * k + self.rows - self.cols
-        # A[i, j] with i >= j sits in row i - j of column j
-        self.lower_keep = self.keep & (rows >= cols)
+        self._num = num
+        rows, cols = self._local_pairs()
+        # A[i, j] with i >= j >= 0 sits in row i - j of column j
+        self.lower_keep = (cols >= 0) & (rows >= cols)
         low_r, low_c = rows[self.lower_keep], cols[self.lower_keep]
         self.lower_scatter = low_c * (k + 1) + low_r - low_c
         # entry (i, j) of G_c^T A_c G_c is sum_kl G_c[k, i] A_c[k, l]
@@ -219,6 +211,31 @@ class StiffnessPattern:
         d, m = stencil.shape
         self.coef = np.einsum("ki,lj->ijkl", stencil, stencil).reshape(
             m * m, d * d)
+
+    def _local_pairs(self):
+        """The unknowns ``(rows, cols)`` that each local entry couples,
+        local entry first, then cell, -1 off the interior: entry (i, j)
+        of a cell couples its corners i and j."""
+        num = self._num
+        return (np.repeat(num, len(num), axis=0).ravel(),
+                np.tile(num, (len(num), 1)).ravel())
+
+    def __getattr__(self, name):
+        # the entry indexing of the general band is built on first use:
+        # only the saddle polisher's LU reads it
+        if name not in ("keep", "scatter", "rows", "cols", "band"):
+            raise AttributeError(name)
+        rows, cols = self._local_pairs()
+        self.keep = keep = (rows >= 0) & (cols >= 0)
+        size, k = self.idx.size, self.bandwidth
+        keys, self.scatter = np.unique(cols[keep] * size + rows[keep],
+                                       return_inverse=True)
+        self.rows, self.cols = keys % size, keys // size
+        # A[i, j] sits in row 2k + i - j of column j: k rows of fill from
+        # the row pivoting, then the k superdiagonals, the diagonal and the
+        # k subdiagonals
+        self.band = self.cols * (3 * k + 1) + 2 * k + self.rows - self.cols
+        return getattr(self, name)
 
     def _local(self, tensor: np.ndarray) -> np.ndarray:
         """Every cell's local entries, local entry first, then cell."""
@@ -401,7 +418,13 @@ def _modular(phi: YoungFunction, wq: np.ndarray, rows: np.ndarray
     not depend on the rows stacked with it; a matrix-vector product on
     several rows differs from a lone row's dot by up to 1 ulp.
     """
-    flat = np.abs(rows).reshape(rows.shape[0], -1)
+    return _modular_flat(phi, wq, np.abs(rows).reshape(rows.shape[0], -1))
+
+
+def _modular_flat(phi: YoungFunction, wq: np.ndarray, flat: np.ndarray
+                  ) -> np.ndarray:
+    """:func:`_modular` of rows given by their absolute values, one
+    flattened row each."""
     with np.errstate(over="ignore"):
         vals = phi._value_raw(flat)
     return np.matmul(vals[:, None, :], wq[:, None])[:, 0, 0]

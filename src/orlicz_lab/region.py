@@ -38,7 +38,8 @@ from .eigensolver import SolverOptions, _descend, minimize_on_level
 from .errors import ConditionFailure, DomainError, OrliczLabError
 from .functionals import EnergySetup, energy_I, energy_J
 from .norms import (GridFunction, gradient_magnitude, luxemburg_values,
-                    modular_values, scale_to_modular, smooth_candidates)
+                    scale_to_modular, smooth_candidates, _check_finite,
+                    _modular_flat)
 from .young import sqrt_convexity_holds
 
 __all__ = [
@@ -279,7 +280,10 @@ def _sup_reaction_on_shell(setup: EnergySetup, r_values, cands: np.ndarray,
     ``mags``.
 
     One batched scaling puts the batch onto every shell; each r then
-    takes the largest J over its rescaled batch.
+    takes the largest J over its rescaled batch.  The factors are
+    positive, so ``|s u| = s |u|``: the magnitudes of the batch are taken
+    once, and one finiteness check of ``s max|u|`` per sample and shell
+    covers every rescaled value, as rounding is monotone.
     """
     scales = scale_to_modular(setup.phi, setup.w_cell_qw, mags,
                               np.asarray(r_values, dtype=float))
@@ -289,11 +293,12 @@ def _sup_reaction_on_shell(setup: EnergySetup, r_values, cands: np.ndarray,
         raise DomainError("all shell samples are degenerate")
     if not live.all():
         cands, scales = cands[live], scales[:, live]
-    shape = (-1,) + (1,) * (cands.ndim - 1)
+    flat = np.abs(cands).reshape(len(cands), -1)
+    _check_finite(scales * flat.max(axis=1))
     sups = []
     for row in scales:
-        sup_j = float(np.max(modular_values(
-            setup.psi, setup.w1_node_qw, 1.0, cands * row.reshape(shape))))
+        sup_j = float(np.max(_modular_flat(setup.psi, setup.w1_node_qw,
+                                           flat * row[:, None])))
         if sup_j <= 0:
             raise DomainError("all shell samples are degenerate")
         sups.append(sup_j)
@@ -352,11 +357,13 @@ def count_critical_points(setup: EnergySetup, lam: float, starts: int,
     eigensolver's descent loop (``alpha=None``, multiplier ``lam``, stop
     test ``1e-6 * (1 + |I - lam J|)``, at most 2000 iterations), from
     random smooth fields scaled by amplitudes drawn log-uniformly in
-    [1e-2, 10].  A start that cannot be evaluated raises its error, the
-    first in start order.  Keeps the converged iterates plus the exact
-    zero function (always a critical point), and counts clusters under
-    the Sobolev-norm metric with a 1e-3 relative separation.  starts = 0
-    reports 0.
+    [1e-2, 10].  That loop extends each full step to the minimizer of a
+    cubic model of ``I - lam J`` along it, so a far start does not
+    approach its critical point by halving steps.  A start that cannot
+    be evaluated raises its error, the first in start order.  Keeps the
+    converged iterates plus the exact zero function (always a critical
+    point), and counts clusters under the Sobolev-norm metric with a 1e-3
+    relative separation.  starts = 0 reports 0.
     Raises :class:`ConditionFailure` ``psi2`` unless Psi grows essentially
     slower than Phi: otherwise ``I - lam J`` need not be coercive, and a
     descent that runs off scales its stop test with the growing energy.

@@ -1122,11 +1122,13 @@ def test_quadratic_box_solve_factors_once(monkeypatch):
 
 
 def test_cubic_box_solve_factors_once_per_iteration(monkeypatch):
+    # the level-set descent takes no cubic step extension: one trial each
     made = _count_factorizations(monkeypatch)
     setup = build_setup(ol.Power(3.0), ol.Power(2.0), _unit_box(33))
     pair = ol.minimize_on_level(setup, 1.0, opts=ol.SolverOptions(tol=1e-8))
     assert pair.iterations == 6
     assert sum(made) == 6
+    assert pair.stats["factorizations"] == pair.stats["trials"] == 6
 
 
 def test_quadratic_ladder_tangent_factors_once_per_solve(monkeypatch):

@@ -11,6 +11,7 @@ from orlicz_lab import cli, norms, young
 from orlicz_lab.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+WORKFLOW = README.parent / ".github" / "workflows" / "tier1.yml"
 
 
 def _quick_start() -> str:
@@ -86,3 +87,15 @@ def test_readme_lists_every_config_key():
         assert (doc_default == "required") == (default is ...), name
     for kind in young._KINDS:
         assert f"`{kind}`" in section
+
+
+def test_ci_runs_the_suite_and_the_benchmark_gates():
+    # the benchmark's gates (eigenvalues against recorded values, the
+    # probe's clusters, region CSV determinism) are not tier-1 tests
+    import yaml
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]["steps"]
+    runs = [step["run"] for step in steps if "run" in step]
+    assert any("python -m pytest -q --continue-on-collection-errors" in run
+               for run in runs)
+    assert ("python3 perfbench/run.py --workload all --seconds 1 --trace 0"
+            in runs)

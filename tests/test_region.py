@@ -370,13 +370,13 @@ def test_count_critical_points_factors_by_cholesky_only(monkeypatch):
     # is positive definite, so no LU runs and no start falls back
     calls, failed, outcomes = _probe_lapack(monkeypatch)
     assert ol.count_critical_points(small_disc(n=41), 1.5, 2, seed=0) == 2
-    assert [pair.iterations for pair, _ in outcomes] == [5, 10]
+    assert [pair.iterations for pair, _ in outcomes] == [4, 5]
     assert all(ok for _, ok in outcomes)
-    assert calls == {"dpbtrf": 15} and failed == {"dpbtrf": 0}
+    assert calls == {"dpbtrf": 9} and failed == {"dpbtrf": 0}
     # the starts run as one batch, whose pairs share one stats dict
     stats = outcomes[0][0].stats
     assert all(pair.stats is stats for pair, _ in outcomes)
-    assert stats["factorizations"] == 15
+    assert stats["factorizations"] == 9
 
 
 def test_count_critical_points_falls_back_past_a_failed_cholesky(
@@ -395,13 +395,50 @@ def test_count_critical_points_falls_back_past_a_failed_cholesky(
     monkeypatch.setattr(eigensolver, "_tangent_tensor", counted)
     assert ol.count_critical_points(small_disc(n=41), 2000.0, 4,
                                     seed=0) == 2
-    assert [pair.iterations for pair, _ in outcomes] == [5, 5, 6, 6]
+    assert [pair.iterations for pair, _ in outcomes] == [5, 5, 5, 5]
     assert all(ok for _, ok in outcomes)
     assert "dgbtrf" not in calls and failed["dpbtrf"] == 6
     stats = outcomes[0][0].stats
     assert all(pair.stats is stats for pair, _ in outcomes)
-    assert stats["factorizations"] == calls["dpbtrf"] == 28
-    assert len(assembled) == 22
+    assert stats["factorizations"] == calls["dpbtrf"] == 26
+    assert len(assembled) == 20
+
+
+def test_free_descent_extends_full_steps_past_the_radial_halving():
+    # far from a critical point a Newton step on the 3-homogeneous I only
+    # halves the amplitude: without the extension the probe's far start
+    # (amplitude 7.1, the starts of count_critical_points at seed 0) takes
+    # 10 iterations, 5 of them halving.  The cubic model of the merit
+    # along each full step jumps past that phase; each extension is one
+    # more trial and no factorization
+    setup = small_disc(n=41)
+    amps = 10.0 ** np.random.default_rng(1).uniform(-2.0, 1.0, size=2)
+    near, far = ol.smooth_candidates(setup.dom, 2, 0) * amps[:, None, None]
+    assert amps[1] == pytest.approx(7.1, abs=0.01)
+    opts = ol.SolverOptions(tol=1e-6, max_iter=2000)
+    (ref, ok_ref), (pair, ok) = (eigensolver._single(eigensolver._descend(
+        setup, None, start[None], opts, lam0=1.5)) for start in (near, far))
+    assert ok_ref and ok and pair.iterations <= 6
+    assert pair.stats["factorizations"] == pair.iterations
+    assert pair.stats["trials"] > pair.iterations
+    gap = np.max(np.abs(pair.u.values - ref.u.values))
+    assert gap <= 1e-3 * np.max(np.abs(ref.u.values))
+
+
+def test_free_descent_drops_extension_trials_it_cannot_evaluate(
+        monkeypatch):
+    # with the cap at -1e307 every extension trial steps 1e307 back along
+    # its direction, where I and J overflow and the merit is NaN: each is
+    # dropped, ends no row, and the descents take the path they take
+    # without the extension
+    calls, failed, outcomes = _probe_lapack(monkeypatch)
+    monkeypatch.setattr(eigensolver, "_EXTEND_MAX", -1e307)
+    assert ol.count_critical_points(small_disc(n=41), 1.5, 2, seed=0) == 2
+    assert [pair.iterations for pair, _ in outcomes] == [5, 10]
+    assert all(ok for _, ok in outcomes)
+    stats = outcomes[0][0].stats
+    assert stats["factorizations"] == calls["dpbtrf"] == 15
+    assert stats["trials"] > 15
 
 
 # ---------------------------------------------------------------------------
