@@ -85,9 +85,12 @@ right-hand side at a time.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -239,7 +242,8 @@ class _Point:
             if not np.isfinite(scale).all():
                 for i in np.flatnonzero(~np.isfinite(scale)):
                     self.failed[i] = DomainError(
-                        "t must be finite" if np.isnan(scale[i]) else
+                        f"t must be finite: the point on the level set "
+                        f"J = {alpha:g} overflows" if np.isnan(scale[i]) else
                         "cannot project the zero function onto a level set")
                 scale = np.where(np.isfinite(scale), scale, 0.0)
             values = _rows(scale, setup.dom) * values
@@ -418,19 +422,43 @@ def _reaction_curvature(setup: EnergySetup, values: np.ndarray) -> np.ndarray:
                    axis=1)
 
 
+@cache
+def _lapack():
+    """scipy's f2py LAPACK extension ``scipy/linalg/_flapack``, loaded once,
+    from its file.  Its routines are the ones :mod:`scipy.linalg.lapack`
+    re-exports, but loading the file alone skips ``scipy.linalg``'s package
+    init and the more than 300 modules it imports (``numpy.f2py`` and
+    ``numpy.ma`` among them).  Finding the file imports no scipy module; a
+    scipy without it raises ``ImportError`` naming the path."""
+    package = importlib.util.find_spec("scipy").submodule_search_locations
+    stem = Path(package[0], "linalg", "_flapack")
+    paths = [f"{stem}{suffix}"
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if Path(p).is_file()), None)
+    if path is None:
+        raise ImportError(f"no LAPACK extension at {paths[0]}")
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class _Tangent:
     """Tangent stiffness of ``I`` on the interior of one solve.
 
     Factors in the band layouts of the grid's :class:`StiffnessPattern`
-    (Golub and Van Loan, *Matrix Computations*, sec. 4.3).  The descent's
-    tangents, shifted or not, take a banded Cholesky factorization of
-    their lower triangle (LAPACK ``dpbtrf``/``dpbtrs``): ``k + 1`` band
-    rows and no pivoting.  The unshifted tangent is symmetric positive
-    definite by construction; the free-energy probe's shifted one need
-    not be, and where its pivot fails the unshifted tangent is factored
-    instead.  With ``lu``, the saddle polisher's bordered systems,
-    indefinite at saddles, take a row-pivoted banded LU
-    (``dgbtrf``/``dgbtrs``, ``3k + 1`` band rows).  A non-positive
+    (Golub and Van Loan, *Matrix Computations*, sec. 4.3), with the
+    LAPACK routines of scipy's extension, which the first factorization
+    loads on its own (:func:`_lapack`), not through ``scipy.linalg``.
+    The descent's tangents, shifted or not, take a banded Cholesky
+    factorization of their lower triangle (LAPACK ``dpbtrf``/``dpbtrs``):
+    ``k + 1`` band rows and no pivoting.  The unshifted tangent is
+    symmetric positive definite by construction; the free-energy probe's
+    shifted one need not be, and where its pivot fails the unshifted
+    tangent is factored instead.  With ``lu``, the saddle polisher's
+    bordered systems, indefinite at saddles, take a row-pivoted banded
+    LU (``dgbtrf``/``dgbtrs``, ``3k + 1`` band rows).  A non-positive
     Cholesky pivot of the unshifted tangent or an exactly zero LU pivot
     raises ``RuntimeError``; every factorization is counted, a failed
     one too.  Only a
@@ -485,9 +513,9 @@ class _Tangent:
             band = pat.lower_band(tensor)
         if shift is not None:
             band[at::height] -= shift
-        # scipy.linalg loads with the first factorization, not with the
-        # package
-        from scipy.linalg import lapack
+        # scipy's LAPACK extension loads with the first factorization, not
+        # with the package
+        lapack = _lapack()
         while True:
             # factored in place
             if self._lu:
@@ -516,7 +544,7 @@ class _Tangent:
         """``A^-1 rhs`` with the last factorization, for one right-hand
         side or a block of them in columns; LAPACK solves each column
         alone, so a column's solution does not depend on the others."""
-        from scipy.linalg import lapack
+        lapack = _lapack()
         self.stats["solves"] += 1
         if self._lu:
             k = self.pat.bandwidth
@@ -540,7 +568,7 @@ class _Tangent:
                       idx, axis=1)
         d = self.solve(rhs.T)
         if self.rows is not None:
-            from scipy.linalg import lapack
+            lapack = _lapack()
             if self._kb is None:
                 self._kb = self.solve(self.rows.T)
                 # the LU factors of the small matrix (LAPACK dgetrf, as
@@ -662,6 +690,14 @@ def _line_search(count: int, search: np.ndarray, trial_at, accept,
         accepted = [(np.concatenate([r for r, _ in accepted]),
                      _Point.join([p for _, p in accepted]))]
     return (accepted[0] if accepted else None), search, step
+
+
+def _stops(res: np.ndarray, size: np.ndarray, tol: float) -> np.ndarray:
+    """The stop test ``res <= tol * (1 + |size|)`` of both loops, per row.
+    A row whose residual or size is not finite never passes it, though
+    ``inf <= tol * (1 + inf)`` holds."""
+    return np.isfinite(res) & np.isfinite(size) & (
+        res <= tol * (1.0 + np.abs(size)))
 
 
 def _exit(p: _Point, ids, out: list, hist: list, iters: int,
@@ -802,7 +838,7 @@ def _descend(setup: EnergySetup, alpha: float | None, starts: np.ndarray,
         # the anchors, and so the penalty density, are zero off the interior
         u.rho = u.residual(u.lam) + u.pen_dens
         res = _dual_norm(setup, u.rho)
-        return res, res <= opts.tol * (1.0 + np.abs(u.energy))
+        return res, _stops(res, u.energy, opts.tol)
 
     def step(u, ids):
         rho = u.rho
@@ -914,7 +950,7 @@ def _newton_polish(setup: EnergySetup, alpha: float, starts: np.ndarray,
         res = _dual_norm(setup, u.res_dens)
         # at convergence |J - alpha| is so small that the pair's J(u) is
         # alpha + jgap exactly (Sterbenz)
-        return res, ((res <= opts.tol * (1.0 + u.level))
+        return res, (_stops(res, u.level, opts.tol)
                      & (np.abs(u.jgap) <= 1e-9 * alpha))
 
     def step(u, ids):

@@ -378,6 +378,23 @@ def test_exhausted_solver_exits_3(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_overflowing_level_exits_2_and_writes_no_row(tmp_path, capsys):
+    # at alpha = 1e300 the start's I is inf, which must not pass the stop
+    # test as a converged pair: the first trial overflows and the run fails
+    # naming the level, before any output is written
+    cfg = write_cfg(tmp_path, {
+        "phi": {"kind": "power", "p": 3},
+        "psi": {"kind": "power", "p": 2},
+        "domain": {"shape": "interval", "n": 5, "extent": [0.0, 1.0]},
+        "eig": {"alpha": 1e300}})
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        assert main(["eig", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t must be finite") and "1e+300" in err
+    assert not (out / "eig.csv").exists()
+
+
 def test_spectrum_with_every_level_failed_exits_3(tmp_path, capsys):
     # the sweep reports its failures instead of raising, and the run still
     # writes a header-only CSV and a summary listing each failure

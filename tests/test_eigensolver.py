@@ -2,6 +2,7 @@
 sweeps, checked against independent dense and shooting references."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,29 @@ def test_minimize_rejects_bad_level():
     setup = build_setup(ol.Power(2.0), ol.Power(2.0), _interval(64))
     with pytest.raises(DomainError, match="alpha must be positive"):
         ol.minimize_on_level(setup, 0.0)
+
+
+def test_stop_test_rejects_rows_that_are_not_finite():
+    from orlicz_lab.eigensolver import _stops
+    inf, nan = math.inf, math.nan
+    res = np.array([inf, 1e-9, 1e-9, nan, 1e-9, 1.0])
+    size = np.array([inf, 0.0, inf, 0.0, -inf, 0.0])
+    assert _stops(res, size, 1e-8).tolist() == [False, True, False, False,
+                                                False, False]
+
+
+@pytest.mark.parametrize("grid", [_interval(5),
+                                  {"shape": "disc", "n": 41,
+                                   "extent": [1.0]}],
+                         ids=["interval-n5", "disc-n41"])
+def test_overflowing_level_is_not_a_converged_pair(grid):
+    # at alpha = 1e300 the start's I and residual are inf, and
+    # inf <= tol * (1 + inf): the stop test must not pass such a row, so
+    # the descent steps, its first trial overflows and the level is named
+    setup = build_setup(ol.Power(3.0), ol.Power(2.0), grid)
+    with np.errstate(all="ignore"), pytest.raises(
+            DomainError, match=r"^t must be finite: .* J = 1e\+300 "):
+        ol.minimize_on_level(setup, 1e300)
 
 
 # ---------------------------------------------------------------------------
@@ -977,12 +1001,63 @@ def test_symmetric_band_positions_hold_the_lower_triangle(cfg):
         assert np.array_equal(back, np.tril(values))
 
 
+def test_lapack_handle_matches_scipy_linalg_lapack():
+    # the extension loaded from its file gives scipy.linalg.lapack's
+    # results, array for array, for each of the six routines the solver
+    # calls: an SPD band, a general band that pivots and a dense matrix
+    from scipy.linalg import lapack as reference
+    from orlicz_lab.eigensolver import _lapack
+    handle = _lapack()
+    rng = np.random.default_rng(5)
+    size, k = 12, 2
+    rhs = rng.normal(size=(size, 3))
+    # lower band storage: row r holds the r-th subdiagonal
+    spd = rng.uniform(0.1, 0.5, size=(k + 1, size))
+    spd[0] += 2.0
+    # a zero-ish diagonal and a large subdiagonal make dgbtrf swap rows;
+    # the first 2k + 1 rows of the LU band are the matrix's diagonals
+    general = np.zeros((3 * k + 1, size))
+    general[k:] = rng.normal(size=(2 * k + 1, size))
+    general[2 * k] *= 1e-3
+    dense = rng.normal(size=(5, 5))
+    outs = []
+    for lapack in (handle, reference):
+        chol = lapack.dpbtrf(spd, lower=1)
+        lu = lapack.dgbtrf(general, k, k)
+        dense_lu = lapack.dgetrf(dense)
+        outs.append((chol, lapack.dpbtrs(chol[0], rhs, lower=1),
+                     lu, lapack.dgbtrs(lu[0], k, k, rhs, lu[1]),
+                     dense_lu, lapack.dgetrs(*dense_lu[:2], rhs[:5])))
+    # the LU swapped rows (scipy's pivots are 0-based)
+    assert np.any(outs[0][2][1] != np.arange(size))
+    for mine, theirs in zip(*outs):
+        assert len(mine) == len(theirs)
+        for a, b in zip(mine, theirs):
+            assert np.array_equal(a, b)
+    # every call succeeded (info 0)
+    assert all(out[-1] == 0 for out in outs[0])
+
+
+def test_missing_lapack_extension_raises_naming_its_path(monkeypatch,
+                                                         tmp_path):
+    # one load path and no fallback: a scipy tree without the extension
+    # file is an ImportError that names where the file was looked for
+    import importlib.util
+    from types import SimpleNamespace
+    from orlicz_lab.eigensolver import _lapack
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: (
+        SimpleNamespace(submodule_search_locations=[str(tmp_path)])))
+    with pytest.raises(ImportError,
+                       match=re.escape(str(tmp_path / "linalg" / "_flapack"))):
+        _lapack.__wrapped__()
+
+
 @pytest.mark.parametrize("cfg", _KERNEL_CFGS, ids=_KERNEL_IDS)
 def test_factored_band_equals_the_entries_scatter(monkeypatch, cfg):
     # the band the Cholesky kernel receives, unshifted and shifted, is the
     # one gathered from the assembled entries, bit for bit
-    from scipy.linalg import lapack
-    from orlicz_lab.eigensolver import _Tangent, _tangent_tensor
+    from orlicz_lab.eigensolver import _Tangent, _lapack, _tangent_tensor
+    lapack = _lapack()
     setup, grad, dense = _tangent_case(cfg)
     pat = setup.dom.stiffness_pattern
     received, real = [], lapack.dpbtrf

@@ -122,6 +122,20 @@ def test_importing_the_package_loads_no_scipy_and_no_yaml():
                   "for m in sys.modules} & {'scipy', 'yaml'}))") == "[]"
 
 
+def test_a_solve_loads_neither_scipy_linalg_nor_numpy_f2py():
+    # the factorizations load scipy's LAPACK extension from its file, not
+    # through scipy.linalg, whose package init imports about 300 modules
+    assert _fresh(
+        "import sys, orlicz_lab as ol\n"
+        "dom = ol.GridDomain('box', (0.0, 1.0), 17)\n"
+        "one = ol.WeightField.constant(dom)\n"
+        "setup = ol.EnergySetup(ol.Power(3.0), ol.Power(2.0), one, one, dom)\n"
+        "pair = ol.minimize_on_level(setup, 1.0)\n"
+        "print(pair.stats['factorizations'] > 0, "
+        "sorted({'scipy.linalg', 'numpy.f2py'} & set(sys.modules)))"
+    ) == "True []"
+
+
 def test_building_a_setup_builds_no_stiffness_pattern_and_loads_no_scipy():
     # the set-up cost of every solve: a domain and its energy setup defer
     # the stiffness pattern to the first tangent and scipy to the first

@@ -345,7 +345,7 @@ def _probe_lapack(monkeypatch):
     """Wrap the banded factorizations and the probe's descents: returns
     ``(calls, failed, outcomes)``, LAPACK calls and failed pivots per
     kernel and each start's ``(pair, converged)``."""
-    from scipy.linalg import lapack
+    lapack = eigensolver._lapack()
     calls, failed, outcomes = {}, {}, []
     for name in ("dgbtrf", "dpbtrf"):
         def counted(*args, _real=getattr(lapack, name), _name=name,

@@ -429,8 +429,9 @@ def test_inverse_beyond_the_horizon_raises():
 @pytest.mark.parametrize("module", ["scipy.interpolate", "scipy"])
 def test_package_import_leaves_module_unloaded(module):
     # tabulated and conjugate functions interpolate with the in-package
-    # monotone cubic, and the tangent stiffness loads scipy.linalg with its
-    # first factorization, so the package and the cli load without scipy
+    # monotone cubic, and the tangent stiffness loads scipy's LAPACK
+    # extension with its first factorization, so the package and the cli
+    # load without scipy
     src = os.path.dirname(os.path.dirname(ol.__file__))
     code = ("import sys, orlicz_lab, orlicz_lab.cli; "
             f"print({module!r} in sys.modules)")
