@@ -192,8 +192,11 @@ def default_init(dom: GridDomain) -> GridFunction:
 def _qw_dots(dom: GridDomain, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Quadrature inner products of stacked nodal arrays, one per row; each
     row is summed alone, so it equals :func:`_qw_dot` of that row."""
-    prod = dom.node_qw * a * b
-    return prod.reshape(len(prod), -1).sum(axis=1)
+    # a row that overflows sums to inf or NaN, which the caller's stop
+    # test rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = dom.node_qw * a * b
+        return prod.reshape(len(prod), -1).sum(axis=1)
 
 
 def _qw_dot(dom: GridDomain, a: np.ndarray, b: np.ndarray) -> float:
@@ -246,7 +249,9 @@ class _Point:
                         f"J = {alpha:g} overflows" if np.isnan(scale[i]) else
                         "cannot project the zero function onto a level set")
                 scale = np.where(np.isfinite(scale), scale, 0.0)
-            values = _rows(scale, setup.dom) * values
+            # the zero scale of a failed row may meet an inf in it
+            with np.errstate(invalid="ignore"):
+                values = _rows(scale, setup.dom) * values
         comps = gradient_components(setup.dom, values)
         mag = _cell_magnitude(comps)
         if not np.isfinite(mag).all():
@@ -324,8 +329,10 @@ class _Point:
     def residual(self, lam) -> np.ndarray:
         """Density of ``I' - lam J'``, with one ``lam`` per row."""
         dom = self.setup.dom
-        return np.where(dom.interior, self.d_I - _rows(lam, dom) * self.d_J,
-                        0.0)
+        # an overflowed row gives inf or NaN, which the stop test rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(dom.interior,
+                            self.d_I - _rows(lam, dom) * self.d_J, 0.0)
 
     def rayleigh(self, extra=None):
         """Multipliers ``<I' + extra, u> / <J', u>``, ``extra`` an optional

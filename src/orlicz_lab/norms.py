@@ -533,39 +533,50 @@ def sobolev_norm(phi: YoungFunction, psi: YoungFunction, w: WeightField,
 def smooth_candidates(domain: GridDomain, count: int, seed: int = 0) -> np.ndarray:
     """Zero-trace candidate fields: the fundamental bump plus seeded random
     low-frequency combinations (Fourier modes in tensor shapes, radially
-    cut-off fields on the disc).  Returns an array of nodal layouts."""
+    cut-off fields on the disc).  Returns an array of nodal layouts, the
+    blocks of :func:`_candidate_blocks` stacked."""
+    return np.concatenate(list(_candidate_blocks(domain, count, seed)))
+
+
+# rows per block of a streamed draw: a sampler that reduces each block as
+# it is drawn holds this many fields, whatever their count
+_BLOCK_ROWS = 8
+
+
+def _candidate_blocks(domain: GridDomain, count: int, seed: int = 0):
+    """The fields of :func:`smooth_candidates`, drawn from its one seeded
+    stream as consecutive blocks of at most ``_BLOCK_ROWS`` rows; each
+    block is a new array, filled and masked to zero trace in place."""
     if count < 1:
         raise DomainError("need at least one candidate")
     rng = np.random.default_rng(seed)
-    out = []
     if domain.ndim == 1:
         a, b = domain.extent
         xhat = (domain.axis - a) / (b - a)
-        out.append(np.sin(math.pi * xhat))
-        while len(out) < count:
+        modes = [np.sin((k + 1) * math.pi * xhat) for k in range(8)]
+        bump = modes[0]
+
+        def fill(row):
             coef = rng.standard_normal(8) / (1.0 + np.arange(8)) ** 2
-            u = sum(c * np.sin((k + 1) * math.pi * xhat)
-                    for k, c in enumerate(coef))
-            out.append(u)
+            row[...] = sum(c * mode for c, mode in zip(coef, modes))
     elif domain.kind == "box":
         a, b = domain.extent
         xhat = (domain.axis - a) / (b - a)
         sx = [np.sin((k + 1) * math.pi * xhat) for k in range(4)]
-        out.append(np.outer(sx[0], sx[0]))
-        while len(out) < count:
-            u = np.zeros(domain.node_shape)
+        bump = np.outer(sx[0], sx[0])
+
+        def fill(row):
+            row[...] = 0.0
             for k in range(4):
                 for l in range(4):
                     c = rng.standard_normal() / (1 + k * k + l * l)
-                    u += c * np.outer(sx[k], sx[l])
-            out.append(u)
+                    row += c * np.outer(sx[k], sx[l])
     else:
         radius = domain.D
         dx = domain.nodes[..., 0] - domain.x0[0]
         dy = domain.nodes[..., 1] - domain.x0[1]
         rr = np.hypot(dx, dy) / radius
-        base = np.clip(1.0 - rr * rr, 0.0, None)
-        out.append(base)
+        bump = np.clip(1.0 - rr * rr, 0.0, None)
         # the factors take three frequencies each: build each once, when
         # it is first drawn
         waves = {}
@@ -575,13 +586,25 @@ def smooth_candidates(domain: GridDomain, count: int, seed: int = 0) -> np.ndarr
                 waves[fn, k] = fn(k * math.pi * d / radius)
             return waves[fn, k]
 
-        while len(out) < count:
+        def fill(row):
             p = rng.uniform(1.0, 3.0)
             wobble = 1.0 + 0.3 * wave(np.sin, rng.integers(1, 4), dx) * wave(
                 np.cos, rng.integers(1, 4), dy)
-            out.append(base ** p * wobble)
-    cand = np.stack(out[:count])
-    return np.where(domain.interior, cand, 0.0)
+            np.multiply(bump ** p, wobble, out=row)
+
+    def blocks():
+        outside = ~domain.interior
+        for start in range(0, count, _BLOCK_ROWS):
+            block = np.empty((min(_BLOCK_ROWS, count - start),)
+                             + domain.node_shape)
+            for i, row in enumerate(block, start):
+                if i == 0:
+                    row[...] = bump
+                else:
+                    fill(row)
+            block[:, outside] = 0.0
+            yield block
+    return blocks()
 
 
 # --------------------------------------------------------------------------

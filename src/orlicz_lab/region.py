@@ -28,6 +28,7 @@ annulus variant, so both conventions are always present in the report.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -38,8 +39,8 @@ from .eigensolver import SolverOptions, _descend, minimize_on_level
 from .errors import ConditionFailure, DomainError, OrliczLabError
 from .functionals import EnergySetup, energy_I, energy_J
 from .norms import (GridFunction, gradient_magnitude, luxemburg_values,
-                    scale_to_modular, smooth_candidates, _check_finite,
-                    _modular_flat)
+                    scale_to_modular, smooth_candidates, _BLOCK_ROWS,
+                    _candidate_blocks, _check_finite, _modular_flat)
 from .young import sqrt_convexity_holds
 
 __all__ = [
@@ -218,91 +219,116 @@ def poincare_estimate(setup: EnergySetup, trials: int, seed: int = 0
     """
     if trials < 1:
         raise DomainError("poincare_estimate needs trials >= 1")
-    cand = smooth_candidates(setup.dom, trials, seed)
-    return _poincare_quotient(setup, cand, gradient_magnitude(setup.dom,
-                                                              cand))
+    return _poincare_quotient(setup, _draw(setup.dom, trials, seed))
 
 
-def _poincare_quotient(setup: EnergySetup, cand: np.ndarray,
-                       mags: np.ndarray) -> float:
-    """:func:`poincare_estimate` over the drawn candidates ``cand`` with
-    cell gradient magnitudes ``mags``; the solver run starts from
-    ``cand[0]``, the reference bump."""
+def _poincare_quotient(setup: EnergySetup, blocks) -> float:
+    """:func:`poincare_estimate` over the candidates of ``blocks``, an
+    iterable of (fields, cell gradient magnitudes) blocks, each reduced as
+    it comes; the solver run starts from the first field, the reference
+    bump."""
     dom = setup.dom
+    best, bump = -math.inf, None
+    for cands, mags in blocks:
+        bump = cands[0] if bump is None else bump
+        best = np.maximum(best, _quotient_max(setup, cands, mags))
     # tol 1e-4 takes 8 iterations on the n=81 reference disc against 18 at
     # 1e-6, and the quotient still agrees to 8 digits: it is maximal at the
     # extremal shape, so its error is second order
     opts = SolverOptions(tol=1e-4, max_iter=2000)
     try:
-        pair = minimize_on_level(setup, 1.0, init=GridFunction(dom, cand[0]),
+        pair = minimize_on_level(setup, 1.0, init=GridFunction(dom, bump),
                                  opts=opts)
     except OrliczLabError:
         pass  # the sampled bound stands on its own
     else:
-        cand = np.concatenate([cand, pair.u.values[None, ...]])
-        mags = np.concatenate([mags, gradient_magnitude(
-            dom, pair.u.values)[None, ...]])
-    num = luxemburg_values(setup.psi, setup.w1.values, dom.node_qw, cand)
+        u = pair.u.values[None, ...]
+        best = np.maximum(best, _quotient_max(setup, u,
+                                              gradient_magnitude(dom, u)))
+    if best == -math.inf:
+        raise DomainError("all candidates degenerate; enlarge trials")
+    return float(best)
+
+
+def _quotient_max(setup: EnergySetup, cands: np.ndarray, mags: np.ndarray
+                  ) -> float:
+    """Largest ``||u||_Psi,w1 / ||grad u||_Phi,w`` over the rows ``u`` of
+    ``cands`` with cell gradient magnitudes ``mags``, rows with a zero
+    gradient left out; -inf when every row has one."""
+    dom = setup.dom
+    num = luxemburg_values(setup.psi, setup.w1.values, dom.node_qw, cands)
     den = luxemburg_values(setup.phi, setup.w_cells, dom.cell_qw, mags)
     good = den > 0
-    if not np.any(good):
-        raise DomainError("all candidates degenerate; enlarge trials")
-    return float(np.max(num[good] / den[good]))
+    return np.max(num[good] / den[good], initial=-math.inf)
 
 
 _C1_TRIALS = 24
 
 
-def default_c1(setup: EnergySetup, seed: int = 0, *, cands=None,
-               mags=None) -> float:
+def default_c1(setup: EnergySetup, seed: int = 0, *, blocks=None) -> float:
     """The constant :func:`grid_search` takes when given none:
-    :func:`poincare_estimate` with 24 seeded candidates.  ``cands``, a
-    draw of at least 24 fields at ``seed`` to take them from, comes with
-    ``mags``, its cell gradient magnitudes."""
-    if cands is None:
+    :func:`poincare_estimate` with 24 seeded candidates.  ``blocks``, the
+    24 fields at ``seed`` as (fields, cell gradient magnitudes) blocks, is
+    read instead of a draw of its own."""
+    if blocks is None:
         return poincare_estimate(setup, _C1_TRIALS, seed)
-    return _poincare_quotient(setup, cands[:_C1_TRIALS], mags[:_C1_TRIALS])
+    return _poincare_quotient(setup, blocks)
 
 
-def _draw(dom, samples: int, seed: int, count: int = 0) -> np.ndarray:
-    """One seeded batch of ``max(count, samples + 1)`` fields.  Row 0 is
-    the deterministic reference bump; the shell supremum is defined by
-    random sampling, so its samples are rows 1 to ``samples``."""
+def _draw(dom, count: int, seed: int):
+    """The seeded draw of ``count`` fields as (fields, cell gradient
+    magnitudes) blocks of at most ``_BLOCK_ROWS`` rows; each field is
+    drawn and differentiated once.  Row 0 is the reference bump."""
+    return ((cands, gradient_magnitude(dom, cands))
+            for cands in _candidate_blocks(dom, count, seed))
+
+
+def _rows(blocks, lo: int, hi: int):
+    """Rows ``lo`` to ``hi - 1`` of a draw's blocks, as blocks."""
+    start = 0
+    for cands, mags in blocks:
+        a, b = max(lo - start, 0), min(hi - start, len(cands))
+        if a < b:
+            yield cands[a:b], mags[a:b]
+        start += len(cands)
+
+
+def _check_samples(samples: int):
+    # the shell supremum is defined by random sampling, so its samples are
+    # rows 1 to samples of the draw, after the reference bump
     if samples < 1:
         raise DomainError("need at least one sample")
-    return smooth_candidates(dom, max(count, samples + 1), seed)
 
 
-def _sup_reaction_on_shell(setup: EnergySetup, r_values, cands: np.ndarray,
-                           mags: np.ndarray) -> list:
+def _sup_reaction_on_shell(setup: EnergySetup, r_values, blocks) -> list:
     """Sampled sups of J on the shells I = r, one per r in ``r_values``,
-    over the shell samples ``cands`` with cell gradient magnitudes
-    ``mags``.
+    over the shell samples of ``blocks``, an iterable of (fields, cell
+    gradient magnitudes) blocks, each reduced as it comes.
 
-    One batched scaling puts the batch onto every shell; each r then
-    takes the largest J over its rescaled batch.  The factors are
-    positive, so ``|s u| = s |u|``: the magnitudes of the batch are taken
-    once, and one finiteness check of ``s max|u|`` per sample and shell
-    covers every rescaled value, as rounding is monotone.
+    One batched scaling puts a block onto every shell; each r then keeps
+    the running maximum of J over its rescaled blocks.  The factors are
+    positive, so ``|s u| = s |u|``: the magnitudes are taken once, and
+    one finiteness check of ``s max|u|`` per sample and shell covers every
+    rescaled value, as rounding is monotone.
     """
-    scales = scale_to_modular(setup.phi, setup.w_cell_qw, mags,
-                              np.asarray(r_values, dtype=float))
-    # a sample is degenerate (a zero gradient) on every shell or on none
-    live = np.isfinite(scales[0])
-    if not np.any(live):
+    levels = np.asarray(r_values, dtype=float)
+    sups = np.full(levels.shape, -math.inf)
+    for cands, mags in blocks:
+        scales = scale_to_modular(setup.phi, setup.w_cell_qw, mags, levels)
+        # a sample is degenerate (a zero gradient) on every shell or on none
+        live = np.isfinite(scales[0])
+        if not live.all():
+            cands, scales = cands[live], scales[:, live]
+        flat = np.abs(cands).reshape(len(cands), -1)
+        _check_finite(scales * flat.max(axis=1))
+        for k, row in enumerate(scales):
+            sups[k] = np.maximum(sups[k], np.max(
+                _modular_flat(setup.psi, setup.w1_node_qw,
+                              flat * row[:, None]), initial=-math.inf))
+    # -inf: no live sample on any shell
+    if (sups <= 0).any():
         raise DomainError("all shell samples are degenerate")
-    if not live.all():
-        cands, scales = cands[live], scales[:, live]
-    flat = np.abs(cands).reshape(len(cands), -1)
-    _check_finite(scales * flat.max(axis=1))
-    sups = []
-    for row in scales:
-        sup_j = float(np.max(_modular_flat(setup.psi, setup.w1_node_qw,
-                                           flat * row[:, None])))
-        if sup_j <= 0:
-            raise DomainError("all shell samples are degenerate")
-        sups.append(sup_j)
-    return sups
+    return sups.tolist()
 
 
 def _plateau_energies(setup: EnergySetup, d: float) -> tuple:
@@ -320,7 +346,7 @@ def lambda_interval(setup: EnergySetup, d: float, r: float,
     """Empirical multiplier window (lo, hi, sup_J_r).
 
     lo = I(v_d)/J(v_d) by quadrature; hi = r / sup_J_r with the sampled
-    shell supremum.  Its sample batch is the one :func:`grid_search` draws
+    shell supremum.  Its samples are the ones :func:`grid_search` draws
     once and rescales onto every shell, so the two agree bit for bit at
     equal ``samples`` and ``seed``.  The window is nonempty only when
     lo < hi; callers compare sup_J_r against the analytic envelope
@@ -329,9 +355,9 @@ def lambda_interval(setup: EnergySetup, d: float, r: float,
     _check_region_conditions(setup)
     _check_radius(r)
     i_vd, j_vd = _plateau_energies(setup, d)
-    shell = _draw(setup.dom, samples, seed)[1:]
-    sup_j, = _sup_reaction_on_shell(setup, [r], shell,
-                                    gradient_magnitude(setup.dom, shell))
+    _check_samples(samples)
+    sup_j, = _sup_reaction_on_shell(setup, [r], _rows(
+        _draw(setup.dom, samples + 1, seed), 1, samples + 1))
     return i_vd / j_vd, r / sup_j, sup_j
 
 
@@ -408,9 +434,10 @@ def grid_search(setup: EnergySetup, d_values, r_values,
     The region conditions, the nonempty d and r lists and every r are
     checked once, and every plateau height d must give a positive J(v_d),
     before the constant c1 is computed.  c1 and the shell suprema are
-    computed once and shared across the grid from one seeded draw: its
-    first 24 fields serve c1, its shell samples are scaled onto every
-    shell once, and each r only evaluates J over its rescaled batch.
+    computed once and shared across the grid from one seeded draw, read
+    in blocks: its first 24 fields serve c1, and each block of its shell
+    samples is scaled onto every shell once, each r evaluating J over its
+    rescaled block, so memory does not grow with ``samples``.
     Returns the reports in row-major (d, r) order; callers filter on
     ``admissible``, which holds when r is below its cap and w_tilde_r
     below gamma_d, and on window nonemptiness.
@@ -425,15 +452,19 @@ def grid_search(setup: EnergySetup, d_values, r_values,
     for r in r_values:
         _check_radius(r)
     energies = [_plateau_energies(setup, d) for d in d_values]
+    _check_samples(samples)
     # one draw serves C1 (its first 24 rows) and the shells (rows 1 to
-    # samples); its gradient magnitudes are taken once for both
-    batch = _draw(setup.dom, samples, seed,
-                  _C1_TRIALS if c1 is None else 0)
-    mags = gradient_magnitude(setup.dom, batch)
+    # samples)
+    blocks = _draw(setup.dom, max(samples + 1,
+                                  _C1_TRIALS if c1 is None else 0), seed)
+    kept = []
     if c1 is None:
-        c1 = default_c1(setup, seed=seed, cands=batch, mags=mags)
-    sups = _sup_reaction_on_shell(setup, r_values, batch[1:samples + 1],
-                                  mags[1:samples + 1])
+        # C1's 24 rows are the first blocks; they are kept for the shells,
+        # so the search holds them and one block, whatever ``samples`` is
+        kept = list(itertools.islice(blocks, -(-_C1_TRIALS // _BLOCK_ROWS)))
+        c1 = default_c1(setup, seed=seed, blocks=_rows(kept, 0, _C1_TRIALS))
+    sups = _sup_reaction_on_shell(setup, r_values, _rows(
+        itertools.chain(kept, blocks), 1, samples + 1))
     reports = []
     for d, (i_vd, j_vd) in zip(d_values, energies):
         bounds = energy_bounds_ine(setup, d)

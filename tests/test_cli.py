@@ -8,6 +8,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -388,11 +391,32 @@ def test_overflowing_level_exits_2_and_writes_no_row(tmp_path, capsys):
         "domain": {"shape": "interval", "n": 5, "extent": [0.0, 1.0]},
         "eig": {"alpha": 1e300}})
     out = tmp_path / "o"
-    with np.errstate(all="ignore"):
-        assert main(["eig", "--config", cfg, "--out", str(out)]) == 2
+    assert main(["eig", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: t must be finite") and "1e+300" in err
     assert not (out / "eig.csv").exists()
+
+
+def test_overflowing_level_prints_only_its_error_line(tmp_path):
+    # a fresh interpreter with default warning filters: stderr holds the
+    # one error line and no numpy warning ahead of it
+    cfg = write_cfg(tmp_path, {
+        "phi": {"kind": "power", "p": 3},
+        "psi": {"kind": "power", "p": 2},
+        "domain": {"shape": "interval", "n": 5, "extent": [0.0, 1.0]},
+        "eig": {"alpha": 1e300}})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)),
+        PYTHONWARNINGS="default")
+    run = subprocess.run(
+        [sys.executable, "-m", "orlicz_lab.cli", "eig", "--config", cfg,
+         "--out", str(tmp_path / "o")], capture_output=True, text=True,
+        env=env)
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == [
+        "error: t must be finite: the point on the level set J = 1e+300 "
+        "overflows"]
 
 
 def test_spectrum_with_every_level_failed_exits_3(tmp_path, capsys):

@@ -3,6 +3,7 @@ sweeps, checked against independent dense and shooting references."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -129,9 +130,18 @@ def test_overflowing_level_is_not_a_converged_pair(grid):
     # inf <= tol * (1 + inf): the stop test must not pass such a row, so
     # the descent steps, its first trial overflows and the level is named
     setup = build_setup(ol.Power(3.0), ol.Power(2.0), grid)
-    with np.errstate(all="ignore"), pytest.raises(
-            DomainError, match=r"^t must be finite: .* J = 1e\+300 "):
+    with pytest.raises(DomainError,
+                       match=r"^t must be finite: .* J = 1e\+300 "):
         ol.minimize_on_level(setup, 1e300)
+
+
+def test_overflowing_level_raises_without_a_warning():
+    # the overflow is the error's to report: no numpy warning leaks first
+    setup = build_setup(ol.Power(3.0), ol.Power(2.0), _interval(5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"J = 1e\+300 overflows"):
+            ol.minimize_on_level(setup, 1e300)
 
 
 # ---------------------------------------------------------------------------

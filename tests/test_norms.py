@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import orlicz_lab as ol
-from orlicz_lab import ConfigError, DomainError, HorizonError
+from orlicz_lab import ConfigError, DomainError, HorizonError, norms
 from orlicz_lab.util import invert_increasing
 
 from conftest import build_setup, random_zero_trace
@@ -512,6 +512,23 @@ def test_smooth_candidates_shape_and_determinism():
     assert not np.array_equal(a, c)
     # zero trace: nothing outside the eroded interior
     assert np.all(a[:, ~dom.interior] == 0.0)
+
+
+@pytest.mark.parametrize("cfg", [("interval", (0.0, 1.0)),
+                                 ("box", (0.0, 1.0)), ("disc", (1.0,))],
+                         ids=["interval", "box", "disc"])
+def test_candidates_are_the_stacked_blocks_of_one_stream(cfg):
+    dom = ol.GridDomain(*cfg, 17)
+    block = norms._BLOCK_ROWS
+    blocks = list(norms._candidate_blocks(dom, 2 * block + 3, seed=4))
+    assert [len(b) for b in blocks] == [block, block, 3]
+    whole = ol.smooth_candidates(dom, 2 * block + 3, seed=4)
+    assert np.array_equal(np.concatenate(blocks), whole)
+    # a shorter draw is the head of a longer one: a field does not depend
+    # on how many are drawn after it
+    for count in (1, block - 1, block, block + 1):
+        assert np.array_equal(ol.smooth_candidates(dom, count, seed=4),
+                              whole[:count])
 
 
 def _disc_candidates_one_at_a_time(domain, count, seed):

@@ -102,3 +102,10 @@ def test_ci_runs_the_suite_and_the_benchmark_gates():
     for trace in (0, 1):
         assert (f"python3 perfbench/run.py --workload all --seconds 1 "
                 f"--trace {trace}") in runs
+
+
+def test_suite_fails_on_a_leaked_runtime_warning(pytestconfig):
+    # numpy reports an overflow or an invalid operation as a
+    # RuntimeWarning; the suite, and the CI job that runs it, turn one
+    # that reaches a test into a failure
+    assert "error::RuntimeWarning" in pytestconfig.getini("filterwarnings")

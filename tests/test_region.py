@@ -2,13 +2,15 @@
 and the report plumbing on the reference disc instance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import orlicz_lab as ol
-from orlicz_lab import ConditionFailure, DomainError, eigensolver, region
+from orlicz_lab import (ConditionFailure, DomainError, eigensolver, norms,
+                        region)
 
 from conftest import build_setup
 import oracles as oc
@@ -478,12 +480,12 @@ def _fake_report(lo, hi, admissible, probe):
 def test_grid_search_draws_the_shell_batch_once(monkeypatch):
     setup = small_disc(n=33)
     calls = []
-    draw = region.smooth_candidates
+    draw = region._candidate_blocks
 
     def counted(*args, **kwargs):
         calls.append(args)
         return draw(*args, **kwargs)
-    monkeypatch.setattr(region, "smooth_candidates", counted)
+    monkeypatch.setattr(region, "_candidate_blocks", counted)
     rows = ol.grid_search(setup, [0.1, D_REF], [0.0265, R_REF, 0.0281],
                           samples=16, seed=3, c1=0.45)
     assert len(rows) == 6 and len(calls) == 1
@@ -504,15 +506,29 @@ def test_grid_search_draws_one_batch_for_c1_and_the_shells(monkeypatch,
     want_c1 = ol.poincare_estimate(setup, 24, seed=3)
     want_sup = ol.lambda_interval(setup, D_REF, R_REF, samples=samples,
                                   seed=3)[2]
-    calls = []
-    draw = region.smooth_candidates
+    calls, drawn, differentiated = [], [], []
+    draw, grad = region._candidate_blocks, region.gradient_magnitude
 
     def counted(*args, **kwargs):
         calls.append(args[1])
-        return draw(*args, **kwargs)
-    monkeypatch.setattr(region, "smooth_candidates", counted)
+        for block in draw(*args, **kwargs):
+            drawn.append(block)
+            yield block
+
+    def counted_grad(dom, values):
+        differentiated.append(values)
+        return grad(dom, values)
+    monkeypatch.setattr(region, "_candidate_blocks", counted)
+    monkeypatch.setattr(region, "gradient_magnitude", counted_grad)
     rep, = ol.grid_search(setup, [D_REF], [R_REF], samples=samples, seed=3)
+    # one draw, in blocks, each differentiated once; the one other gradient
+    # is the solver's minimizer's
     assert calls == [max(24, samples + 1)]
+    assert sum(map(len, drawn)) == calls[0]
+    assert all(len(block) <= norms._BLOCK_ROWS for block in drawn)
+    assert [sum(v is block for v in differentiated) for block in drawn] == \
+        [1] * len(drawn)
+    assert len(differentiated) == len(drawn) + 1
     assert rep.c1 == want_c1 and rep.sup_J_r == want_sup
 
 
@@ -553,6 +569,64 @@ def _shell_sups_one_r_at_a_time(setup, r_values, samples, seed):
         sups.append(float(np.max(ol.modular_values(
             setup.psi, setup.w1.values, dom.node_qw, scaled))))
     return sups
+
+
+def _poincare_one_shot(setup, trials, seed):
+    """poincare_estimate as first computed: the whole draw and the solver's
+    minimizer reduced at once, with one gradient per field."""
+    dom = setup.dom
+    cands = ol.smooth_candidates(dom, trials, seed)
+    pair = ol.minimize_on_level(setup, 1.0,
+                                init=ol.GridFunction(dom, cands[0]),
+                                opts=ol.SolverOptions(tol=1e-4, max_iter=2000))
+    rows = np.concatenate([cands, pair.u.values[None]])
+    mags = np.stack([ol.gradient_magnitude(dom, u) for u in rows])
+    num = ol.luxemburg_values(setup.psi, setup.w1.values, dom.node_qw, rows)
+    den = ol.luxemburg_values(setup.phi, setup.w.cell_values(),
+                              setup.dom.cell_qw, mags)
+    return float(np.max(num / den))
+
+
+@pytest.mark.parametrize("grid", [
+    {"shape": "disc", "n": 33, "extent": [1.0]},
+    {"shape": "box", "n": 17, "extent": [0.0, 1.0]}], ids=["disc", "box"])
+def test_streamed_sampler_equals_the_one_shot_references(grid):
+    # the sampler reduces its draw block by block; at sample counts on
+    # either side of a block edge, and past C1's 24 rows, every number is
+    # the one-shot reference's bit for bit
+    setup = build_setup(ol.Power(3.0), ol.Power(2.0), grid)
+    block = norms._BLOCK_ROWS
+    r_values = [0.02, R_REF]
+    c1 = _poincare_one_shot(setup, 24, 3)
+    for samples in (1, block - 1, block, block + 1, 3 * block + 5):
+        reports = ol.grid_search(setup, [D_REF], r_values, samples=samples,
+                                 seed=3)
+        assert [rep.sup_J_r for rep in reports] == \
+            _shell_sups_one_r_at_a_time(setup, r_values, samples, 3)
+        assert [rep.c1 for rep in reports] == [c1, c1]
+        for rep in reports:
+            assert ol.lambda_interval(setup, D_REF, rep.r, samples=samples,
+                                      seed=3) == (*rep.lambda_interval,
+                                                  rep.sup_J_r)
+        assert ol.poincare_estimate(setup, samples, seed=3) == \
+            _poincare_one_shot(setup, samples, 3)
+    assert ol.poincare_estimate(setup, 24, seed=3) == c1
+
+
+def test_shell_sampler_memory_does_not_grow_with_samples():
+    # the draw is reduced block by block, so 1000 samples hold no more
+    # than 48 do (a one-shot batch held 17 times as much)
+    setup = small_disc(n=41)
+    ol.lambda_interval(setup, D_REF, R_REF, samples=48, seed=1)  # warm-up
+    peaks = {}
+    for samples in (48, 1000):
+        tracemalloc.start()
+        try:
+            ol.lambda_interval(setup, D_REF, R_REF, samples=samples, seed=1)
+            peaks[samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1000] <= 2 * peaks[48]
 
 
 def test_powersum_grid_search_matches_one_r_at_a_time():
