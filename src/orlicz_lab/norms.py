@@ -539,8 +539,9 @@ def smooth_candidates(domain: GridDomain, count: int, seed: int = 0) -> np.ndarr
 
 
 # rows per block of a streamed draw: a sampler that reduces each block as
-# it is drawn holds this many fields, whatever their count
-_BLOCK_ROWS = 8
+# it is drawn holds this many fields, whatever their count.  At 4 rows the
+# region sampler's temporaries stay below one solve's on the n=81 disc
+_BLOCK_ROWS = 4
 
 
 def _candidate_blocks(domain: GridDomain, count: int, seed: int = 0):
@@ -549,7 +550,9 @@ def _candidate_blocks(domain: GridDomain, count: int, seed: int = 0):
     block is a new array, filled and masked to zero trace in place."""
     if count < 1:
         raise DomainError("need at least one candidate")
-    rng = np.random.default_rng(seed)
+    # a draw of the bump alone needs no generator, and so loads no
+    # numpy.random
+    rng = np.random.default_rng(seed) if count > 1 else None
     if domain.ndim == 1:
         a, b = domain.extent
         xhat = (domain.axis - a) / (b - a)

@@ -28,7 +28,6 @@ annulus variant, so both conventions are always present in the report.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -39,8 +38,8 @@ from .eigensolver import SolverOptions, _descend, minimize_on_level
 from .errors import ConditionFailure, DomainError, OrliczLabError
 from .functionals import EnergySetup, energy_I, energy_J
 from .norms import (GridFunction, gradient_magnitude, luxemburg_values,
-                    scale_to_modular, smooth_candidates, _BLOCK_ROWS,
-                    _candidate_blocks, _check_finite, _modular_flat)
+                    scale_to_modular, smooth_candidates, _candidate_blocks,
+                    _check_finite, _modular_flat)
 from .young import sqrt_convexity_holds
 
 __all__ = [
@@ -211,11 +210,11 @@ def poincare_estimate(setup: EnergySetup, trials: int, seed: int = 0
     """Empirical lower bound for the embedding constant ``C`` in
     ``||u||_Psi,w1 <= C ||grad u||_Phi,w`` over zero-trace fields.
 
-    Maximizes the ratio over ``trials`` seeded smooth candidates and one
-    constrained-minimizer run on ``setup``, whose optimum is the extremal
-    shape in the power case.  If that run fails with one of the package's
-    own errors (an exhausted iteration budget, say) the sampled bound is
-    returned; any other error propagates.
+    Maximizes the ratio over one constrained-minimizer run on ``setup``,
+    whose optimum is the extremal shape in the power case, and ``trials``
+    seeded smooth candidates.  If that run fails with one of the
+    package's own errors (an exhausted iteration budget, say) the sampled
+    bound is returned; any other error propagates.
     """
     if trials < 1:
         raise DomainError("poincare_estimate needs trials >= 1")
@@ -224,27 +223,27 @@ def poincare_estimate(setup: EnergySetup, trials: int, seed: int = 0
 
 def _poincare_quotient(setup: EnergySetup, blocks) -> float:
     """:func:`poincare_estimate` over the candidates of ``blocks``, an
-    iterable of (fields, cell gradient magnitudes) blocks, each reduced as
-    it comes; the solver run starts from the first field, the reference
-    bump."""
+    iterable of (fields, cell gradient magnitudes) blocks.  The solver run
+    comes first, so it ends before a block is drawn; each block is then
+    reduced as it comes."""
     dom = setup.dom
-    best, bump = -math.inf, None
-    for cands, mags in blocks:
-        bump = cands[0] if bump is None else bump
-        best = np.maximum(best, _quotient_max(setup, cands, mags))
-    # tol 1e-4 takes 8 iterations on the n=81 reference disc against 18 at
-    # 1e-6, and the quotient still agrees to 8 digits: it is maximal at the
-    # extremal shape, so its error is second order
+    best = -math.inf
+    # tol 1e-4 takes 4 iterations on the n=81 reference disc against 5 at
+    # 1e-6 (6 at 1e-8), and the quotient still agrees to 7 digits (2.6e-8
+    # relative below): it is maximal at the extremal shape, so its error is
+    # second order
     opts = SolverOptions(tol=1e-4, max_iter=2000)
     try:
-        pair = minimize_on_level(setup, 1.0, init=GridFunction(dom, bump),
-                                 opts=opts)
+        # the default start is the reference bump, the first field of
+        # every draw, built without drawing
+        pair = minimize_on_level(setup, 1.0, opts=opts)
     except OrliczLabError:
         pass  # the sampled bound stands on its own
     else:
         u = pair.u.values[None, ...]
-        best = np.maximum(best, _quotient_max(setup, u,
-                                              gradient_magnitude(dom, u)))
+        best = _quotient_max(setup, u, gradient_magnitude(dom, u))
+    for cands, mags in blocks:
+        best = np.maximum(best, _quotient_max(setup, cands, mags))
     if best == -math.inf:
         raise DomainError("all candidates degenerate; enlarge trials")
     return float(best)
@@ -268,29 +267,31 @@ _C1_TRIALS = 24
 def default_c1(setup: EnergySetup, seed: int = 0, *, blocks=None) -> float:
     """The constant :func:`grid_search` takes when given none:
     :func:`poincare_estimate` with 24 seeded candidates.  ``blocks``, the
-    24 fields at ``seed`` as (fields, cell gradient magnitudes) blocks, is
-    read instead of a draw of its own."""
+    draw at ``seed`` as (fields, cell gradient magnitudes) blocks, is read
+    instead of a draw of its own, after the solver run and no further
+    than its 24th field."""
     if blocks is None:
         return poincare_estimate(setup, _C1_TRIALS, seed)
-    return _poincare_quotient(setup, blocks)
+    return _poincare_quotient(setup, _head(blocks, _C1_TRIALS))
 
 
 def _draw(dom, count: int, seed: int):
     """The seeded draw of ``count`` fields as (fields, cell gradient
-    magnitudes) blocks of at most ``_BLOCK_ROWS`` rows; each field is
-    drawn and differentiated once.  Row 0 is the reference bump."""
-    return ((cands, gradient_magnitude(dom, cands))
-            for cands in _candidate_blocks(dom, count, seed))
+    magnitudes) blocks of at most ``norms._BLOCK_ROWS`` rows, each drawn
+    when asked for and differentiated once.  Row 0 is the reference
+    bump."""
+    for cands in _candidate_blocks(dom, count, seed):
+        yield cands, gradient_magnitude(dom, cands)
 
 
-def _rows(blocks, lo: int, hi: int):
-    """Rows ``lo`` to ``hi - 1`` of a draw's blocks, as blocks."""
-    start = 0
+def _head(blocks, count: int):
+    """The first ``count`` rows of a draw's blocks, as blocks; no block
+    after them is pulled."""
     for cands, mags in blocks:
-        a, b = max(lo - start, 0), min(hi - start, len(cands))
-        if a < b:
-            yield cands[a:b], mags[a:b]
-        start += len(cands)
+        yield cands[:count], mags[:count]
+        count -= len(cands)
+        if count <= 0:
+            return
 
 
 def _check_samples(samples: int):
@@ -300,31 +301,47 @@ def _check_samples(samples: int):
         raise DomainError("need at least one sample")
 
 
-def _sup_reaction_on_shell(setup: EnergySetup, r_values, blocks) -> list:
-    """Sampled sups of J on the shells I = r, one per r in ``r_values``,
-    over the shell samples of ``blocks``, an iterable of (fields, cell
-    gradient magnitudes) blocks, each reduced as it comes.
+def _shell_pass(setup: EnergySetup, levels: np.ndarray, sups: np.ndarray,
+                blocks, samples: int):
+    """The blocks of a draw, passed on unchanged once their shell samples,
+    rows 1 to ``samples``, have raised ``sups``, the running sampled sups
+    of J on the shells I = r for r in ``levels``."""
+    start = 0
+    for cands, mags in blocks:
+        a, b = max(1 - start, 0), min(samples + 1 - start, len(cands))
+        if a < b:
+            _sup_reaction_on_shell(setup, levels, sups, cands[a:b],
+                                   mags[a:b])
+        start += len(cands)
+        yield cands, mags
 
-    One batched scaling puts a block onto every shell; each r then keeps
-    the running maximum of J over its rescaled blocks.  The factors are
+
+def _sup_reaction_on_shell(setup: EnergySetup, levels: np.ndarray,
+                           sups: np.ndarray, cands: np.ndarray,
+                           mags: np.ndarray):
+    """Raise ``sups[k]``, the running sampled sup of J on the shell
+    I = ``levels[k]``, by the fields ``cands`` with cell gradient
+    magnitudes ``mags``, rescaled onto that shell.
+
+    One batched scaling puts the block onto every shell.  The factors are
     positive, so ``|s u| = s |u|``: the magnitudes are taken once, and
     one finiteness check of ``s max|u|`` per sample and shell covers every
     rescaled value, as rounding is monotone.
     """
-    levels = np.asarray(r_values, dtype=float)
-    sups = np.full(levels.shape, -math.inf)
-    for cands, mags in blocks:
-        scales = scale_to_modular(setup.phi, setup.w_cell_qw, mags, levels)
-        # a sample is degenerate (a zero gradient) on every shell or on none
-        live = np.isfinite(scales[0])
-        if not live.all():
-            cands, scales = cands[live], scales[:, live]
-        flat = np.abs(cands).reshape(len(cands), -1)
-        _check_finite(scales * flat.max(axis=1))
-        for k, row in enumerate(scales):
-            sups[k] = np.maximum(sups[k], np.max(
-                _modular_flat(setup.psi, setup.w1_node_qw,
-                              flat * row[:, None]), initial=-math.inf))
+    scales = scale_to_modular(setup.phi, setup.w_cell_qw, mags, levels)
+    # a sample is degenerate (a zero gradient) on every shell or on none
+    live = np.isfinite(scales[0])
+    if not live.all():
+        cands, scales = cands[live], scales[:, live]
+    flat = np.abs(cands).reshape(len(cands), -1)
+    _check_finite(scales * flat.max(axis=1))
+    for k, row in enumerate(scales):
+        sups[k] = np.maximum(sups[k], np.max(
+            _modular_flat(setup.psi, setup.w1_node_qw, flat * row[:, None]),
+            initial=-math.inf))
+
+
+def _checked_sups(sups: np.ndarray) -> list:
     # -inf: no live sample on any shell
     if (sups <= 0).any():
         raise DomainError("all shell samples are degenerate")
@@ -356,8 +373,11 @@ def lambda_interval(setup: EnergySetup, d: float, r: float,
     _check_radius(r)
     i_vd, j_vd = _plateau_energies(setup, d)
     _check_samples(samples)
-    sup_j, = _sup_reaction_on_shell(setup, [r], _rows(
-        _draw(setup.dom, samples + 1, seed), 1, samples + 1))
+    sups = np.full(1, -math.inf)
+    for _ in _shell_pass(setup, np.array([r]), sups,
+                         _draw(setup.dom, samples + 1, seed), samples):
+        pass
+    sup_j, = _checked_sups(sups)
     return i_vd / j_vd, r / sup_j, sup_j
 
 
@@ -435,9 +455,10 @@ def grid_search(setup: EnergySetup, d_values, r_values,
     checked once, and every plateau height d must give a positive J(v_d),
     before the constant c1 is computed.  c1 and the shell suprema are
     computed once and shared across the grid from one seeded draw, read
-    in blocks: its first 24 fields serve c1, and each block of its shell
-    samples is scaled onto every shell once, each r evaluating J over its
-    rescaled block, so memory does not grow with ``samples``.
+    once in blocks after c1's solver run: each block of shell samples is
+    scaled onto every shell once, each r evaluating J over its rescaled
+    block, and the draw's first 24 fields serve c1, so no block outlives
+    its reductions and memory does not grow with ``samples``.
     Returns the reports in row-major (d, r) order; callers filter on
     ``admissible``, which holds when r is below its cap and w_tilde_r
     below gamma_d, and on window nonemptiness.
@@ -453,18 +474,19 @@ def grid_search(setup: EnergySetup, d_values, r_values,
         _check_radius(r)
     energies = [_plateau_energies(setup, d) for d in d_values]
     _check_samples(samples)
-    # one draw serves C1 (its first 24 rows) and the shells (rows 1 to
-    # samples)
-    blocks = _draw(setup.dom, max(samples + 1,
-                                  _C1_TRIALS if c1 is None else 0), seed)
-    kept = []
+    # one draw serves the shells (rows 1 to samples) and C1 (its first 24
+    # rows): each block is reduced onto the shells, then by C1, and is not
+    # kept
+    sups = np.full(len(r_values), -math.inf)
+    blocks = _shell_pass(setup, np.array(r_values), sups, _draw(
+        setup.dom, max(samples + 1, _C1_TRIALS if c1 is None else 0), seed),
+        samples)
     if c1 is None:
-        # C1's 24 rows are the first blocks; they are kept for the shells,
-        # so the search holds them and one block, whatever ``samples`` is
-        kept = list(itertools.islice(blocks, -(-_C1_TRIALS // _BLOCK_ROWS)))
-        c1 = default_c1(setup, seed=seed, blocks=_rows(kept, 0, _C1_TRIALS))
-    sups = _sup_reaction_on_shell(setup, r_values, _rows(
-        itertools.chain(kept, blocks), 1, samples + 1))
+        # C1's solver run ends before the first block is drawn
+        c1 = default_c1(setup, seed=seed, blocks=blocks)
+    for _ in blocks:  # the rest of the draw, for the shells alone
+        pass
+    sups = _checked_sups(sups)
     reports = []
     for d, (i_vd, j_vd) in zip(d_values, energies):
         bounds = energy_bounds_ine(setup, d)

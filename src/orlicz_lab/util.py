@@ -27,8 +27,16 @@ __all__ = [
 
 # 8-point Gauss-Legendre rule on [-1, 1]; exact for polynomials up to
 # degree 15, which keeps per-panel error near machine precision for the
-# smooth integrands used here.
-_GX, _GW = np.polynomial.legendre.leggauss(8)
+# smooth integrands used here.  The values are numpy's ``leggauss(8)``,
+# written out so that importing the package loads no ``numpy.polynomial``.
+_GX = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+    0.7966664774136267, 0.9602898564975362])
+_GW = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+    0.22238103445337443, 0.10122853629037706])
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny

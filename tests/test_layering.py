@@ -117,14 +117,19 @@ def _fresh(code: str) -> str:
 
 def test_importing_the_package_loads_no_scipy_and_no_yaml():
     # scipy loads with the first factorization or table that needs it and
-    # yaml with the first config read, so a bare import pays for neither
-    assert _fresh("import sys, orlicz_lab; print(sorted({m.split('.')[0] "
-                  "for m in sys.modules} & {'scipy', 'yaml'}))") == "[]"
+    # yaml with the first config read, so a bare import pays for neither;
+    # the Gauss rule is written out, so numpy.polynomial never loads
+    assert _fresh("import sys, orlicz_lab\n"
+                  "loaded = set(sys.modules) | {m.split('.')[0] "
+                  "for m in sys.modules}\n"
+                  "print(sorted(loaded & {'scipy', 'yaml', "
+                  "'numpy.polynomial'}))") == "[]"
 
 
 def test_a_solve_loads_neither_scipy_linalg_nor_numpy_f2py():
     # the factorizations load scipy's LAPACK extension from its file, not
-    # through scipy.linalg, whose package init imports about 300 modules
+    # through scipy.linalg, whose package init imports about 300 modules;
+    # the default start is the bump alone, which draws no random number
     assert _fresh(
         "import sys, orlicz_lab as ol\n"
         "dom = ol.GridDomain('box', (0.0, 1.0), 17)\n"
@@ -132,7 +137,8 @@ def test_a_solve_loads_neither_scipy_linalg_nor_numpy_f2py():
         "setup = ol.EnergySetup(ol.Power(3.0), ol.Power(2.0), one, one, dom)\n"
         "pair = ol.minimize_on_level(setup, 1.0)\n"
         "print(pair.stats['factorizations'] > 0, "
-        "sorted({'scipy.linalg', 'numpy.f2py'} & set(sys.modules)))"
+        "sorted({'scipy.linalg', 'numpy.f2py', 'numpy.random'} "
+        "& set(sys.modules)))"
     ) == "True []"
 
 

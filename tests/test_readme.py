@@ -102,6 +102,14 @@ def test_ci_runs_the_suite_and_the_benchmark_gates():
     for trace in (0, 1):
         assert (f"python3 perfbench/run.py --workload all --seconds 1 "
                 f"--trace {trace}") in runs
+    # pinned: the solver loads scipy's private LAPACK extension by its
+    # path, and the bit-identity checks and recorded benchmark figures hold
+    # for these versions
+    install, = [run for run in runs if "pip install" in run]
+    assert install.split()[:4] == ["python", "-m", "pip", "install"]
+    assert sorted(install.split()[4:]) == [
+        "hypothesis==6.155.2", "numpy==2.4.6", "pytest==9.0.3",
+        "pyyaml==6.0.3", "scipy==1.17.1"]
 
 
 def test_suite_fails_on_a_leaked_runtime_warning(pytestconfig):

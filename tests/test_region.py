@@ -598,7 +598,8 @@ def test_streamed_sampler_equals_the_one_shot_references(grid):
     block = norms._BLOCK_ROWS
     r_values = [0.02, R_REF]
     c1 = _poincare_one_shot(setup, 24, 3)
-    for samples in (1, block - 1, block, block + 1, 3 * block + 5):
+    for samples in (1, block - 1, block, block + 1,
+                    region._C1_TRIALS + block + 1):
         reports = ol.grid_search(setup, [D_REF], r_values, samples=samples,
                                  seed=3)
         assert [rep.sup_J_r for rep in reports] == \
@@ -613,20 +614,41 @@ def test_streamed_sampler_equals_the_one_shot_references(grid):
     assert ol.poincare_estimate(setup, 24, seed=3) == c1
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_shell_sampler_memory_does_not_grow_with_samples():
     # the draw is reduced block by block, so 1000 samples hold no more
     # than 48 do (a one-shot batch held 17 times as much)
     setup = small_disc(n=41)
     ol.lambda_interval(setup, D_REF, R_REF, samples=48, seed=1)  # warm-up
-    peaks = {}
-    for samples in (48, 1000):
-        tracemalloc.start()
-        try:
-            ol.lambda_interval(setup, D_REF, R_REF, samples=samples, seed=1)
-            peaks[samples] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    peaks = {samples: _traced_peak(lambda: ol.lambda_interval(
+        setup, D_REF, R_REF, samples=samples, seed=1))
+        for samples in (48, 1000)}
     assert peaks[1000] <= 2 * peaks[48]
+
+
+def test_grid_search_holds_no_more_than_c1_solve(disc_reference):
+    # C1's solver run ends before the first block is drawn, and no block
+    # is kept once the shells and C1 have read it, so the search peaks at
+    # about the solve's own memory
+    setup = disc_reference
+
+    def search():
+        ol.grid_search(setup, [0.1, D_REF], [0.02, R_REF], samples=48,
+                       seed=1)
+
+    def solve():
+        ol.minimize_on_level(setup, 1.0, opts=ol.SolverOptions(
+            tol=1e-4, max_iter=2000))
+    search()  # warm-up
+    assert _traced_peak(search) <= 1.25 * _traced_peak(solve)
 
 
 def test_powersum_grid_search_matches_one_r_at_a_time():

@@ -6,11 +6,26 @@ import pytest
 
 import orlicz_lab as ol
 from orlicz_lab import DomainError
-from orlicz_lab.util import MonotoneCubic, invert_increasing
+from orlicz_lab.util import (MonotoneCubic, _GW, _GX, gauss_panels,
+                             invert_increasing)
 
 
 def cube(s):
     return s ** 3 / 3.0
+
+
+def test_gauss_rule_is_exact_to_degree_15_and_is_numpys_leggauss():
+    # the rule is written out as literals; it integrates every monomial of
+    # degree <= 15 over [-1, 1] and is numpy's own 8-point rule (whose
+    # rounded values, summed exactly, miss the integral of x^2 by 1.15e-15)
+    for k in range(16):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        got = gauss_panels(lambda x: x ** k, -1.0, 1.0)
+        assert abs(got - exact) <= 2e-15
+    x, w = np.polynomial.legendre.leggauss(8)
+    for ours, numpys in ((_GX, x), (_GW, w)):
+        assert ours.shape == numpys.shape == (8,)
+        assert np.all(np.abs(ours - numpys) <= 2 * np.spacing(np.abs(numpys)))
 
 
 def test_kernel_keeps_the_shape_of_its_input():
