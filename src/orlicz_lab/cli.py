@@ -12,6 +12,7 @@ config keys, failed validity conditions, residual above tolerance).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -126,12 +127,20 @@ def _fmt(x):
     return str(x)
 
 
+def _create(path: str, **kwargs):
+    """Open ``path`` as a new file, unlinking the last run's: truncating
+    a just-written file, or renaming over it, waits on the disk's flush."""
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    return open(path, "w", **kwargs)
+
+
 def _write_outputs(out_dir, command: str, seed: int, columns, rows,
                    results: dict):
     """``<command>.csv`` with the versioned header comment, then
     ``summary.json`` naming it."""
     path = os.path.join(out_dir, f"{command}.csv")
-    with open(path, "w", newline="") as fh:
+    with _create(path, newline="") as fh:
         fh.write(f"# orlicz-lab v{__version__} {command}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -144,7 +153,7 @@ def _write_outputs(out_dir, command: str, seed: int, columns, rows,
         "outputs": [path],
         "results": results,
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+    with _create(os.path.join(out_dir, "summary.json")) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

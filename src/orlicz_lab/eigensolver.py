@@ -454,22 +454,23 @@ def _lapack():
 class _Tangent:
     """Tangent stiffness of ``I`` on the interior of one solve.
 
-    Factors in the band layouts of the grid's :class:`StiffnessPattern`
-    (Golub and Van Loan, *Matrix Computations*, sec. 4.3), with the
-    LAPACK routines of scipy's extension, which the first factorization
-    loads on its own (:func:`_lapack`), not through ``scipy.linalg``.
-    The descent's tangents, shifted or not, take a banded Cholesky
-    factorization of their lower triangle (LAPACK ``dpbtrf``/``dpbtrs``):
-    ``k + 1`` band rows and no pivoting.  The unshifted tangent is
-    symmetric positive definite by construction; the free-energy probe's
-    shifted one need not be, and where its pivot fails the unshifted
-    tangent is factored instead.  With ``lu``, the saddle polisher's
-    bordered systems, indefinite at saddles, take a row-pivoted banded
-    LU (``dgbtrf``/``dgbtrs``, ``3k + 1`` band rows).  A non-positive
-    Cholesky pivot of the unshifted tangent or an exactly zero LU pivot
-    raises ``RuntimeError``; every factorization is counted, a failed
-    one too.  Only a
-    quadratic ``Phi``'s unshifted tangent is reused: it does not depend
+    Factors the band that :meth:`StiffnessPattern.band` sums straight
+    from the cell tensor, in the layout of its kernel (Golub and Van
+    Loan, *Matrix Computations*, sec. 4.3), with the LAPACK routines of
+    scipy's extension, which the first factorization loads on its own
+    (:func:`_lapack`), not through ``scipy.linalg``.  The descent's
+    tangents, shifted or not, take a banded Cholesky factorization of
+    their lower triangle (LAPACK ``dpbtrf``/``dpbtrs``): ``k + 1`` band
+    rows and no pivoting.  The unshifted tangent is symmetric positive
+    definite by construction; the free-energy probe's shifted one need
+    not be, and where its pivot fails the unshifted band is summed again
+    from the same tensor and factored instead.  With ``lu``, the saddle
+    polisher's bordered systems, indefinite at saddles, take a
+    row-pivoted banded LU of the general band (``dgbtrf``/``dgbtrs``,
+    ``3k + 1`` band rows).  A non-positive Cholesky pivot of the
+    unshifted tangent or an exactly zero LU pivot raises
+    ``RuntimeError``; every factorization is counted, a failed one too.
+    Only a quadratic ``Phi``'s unshifted tangent is reused: it does not depend
     on the iterate, so it is factored once, and later unshifted calls
     return at once while the held factor is that one; every other call
     refactors.  The descent on a level set then shares one instance among
@@ -507,30 +508,21 @@ class _Tangent:
         # free the old factors first
         self._fac = self._piv = self._kb = self._small = None
         self._reusable = False
-        pat = self.pat
-        k, size = pat.bandwidth, pat.idx.size
+        k = self.pat.bandwidth
         tensor = _tangent_tensor(self.setup, grad)
-        # flat column-major band x size, the diagonal in band row ``at``
-        if self._lu:
-            height, at = 3 * k + 1, 2 * k
-            band = np.zeros(size * height)
-            band[pat.band] = pat.assemble(tensor)
-        else:
-            height, at = k + 1, 0
-            band = pat.lower_band(tensor)
-        if shift is not None:
-            band[at::height] -= shift
         # scipy's LAPACK extension loads with the first factorization, not
         # with the package
         lapack = _lapack()
         while True:
+            band = self.pat.band(tensor, general=self._lu)
+            if shift is not None:
+                # the diagonal's band row
+                band[2 * k if self._lu else 0] -= shift
             # factored in place
             if self._lu:
-                fac, piv, info = lapack.dgbtrf(
-                    band.reshape(size, height).T, k, k, overwrite_ab=1)
+                fac, piv, info = lapack.dgbtrf(band, k, k, overwrite_ab=1)
             else:
-                fac, info = lapack.dpbtrf(band.reshape(size, height).T,
-                                          lower=1, overwrite_ab=1)
+                fac, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
                 piv = None
             # a factorization whose pivot fails ran too
             self.stats["factorizations"] += 1
@@ -543,7 +535,7 @@ class _Tangent:
                 kernel = "dgbtrf" if self._lu else "dpbtrf"
                 raise RuntimeError(f"banded factorization failed "
                                    f"({kernel} info {info})")
-            band, shift = pat.lower_band(tensor), None
+            shift = None
         self._fac, self._piv = fac, piv
         self._reusable = self._constant and shift is None
 

@@ -159,18 +159,16 @@ class StiffnessPattern:
     is 28 instead of 38 on the n = 41 disc.  On the box both numberings
     give ``n - 2``, and in 1D they are the same (1).
 
-    :meth:`lower_band` sums the cells' lower-triangle contributions
-    straight into LAPACK symmetric-band storage (``bandwidth + 1`` rows,
-    column-major, the diagonal first).  :meth:`assemble` sums them into
-    the entries between interior nodes, in column-major order with their
-    ``rows`` and ``cols``; ``band`` is each entry's flat position in
-    LAPACK general-band storage with room for the LU's fill
-    (``3 bandwidth + 1`` rows, column-major).  That entry indexing
-    (``keep``, ``scatter``, ``rows``, ``cols`` and ``band``) is built on
-    first use, as only the saddle polisher's LU reads it.  The products
-    of stencil entries are kept as the matrix ``coef``, so assembly only
+    :meth:`band` sums the cells' contributions straight into LAPACK band
+    storage, one array column per unknown: with ``general`` every entry,
+    ``A[i, j]`` in row ``2 bandwidth + i - j`` of ``3 bandwidth + 1``,
+    the first ``bandwidth`` rows left for the LU's fill; otherwise the
+    lower triangle, ``A[i, j]`` with ``i >= j`` in row ``i - j`` of
+    ``bandwidth + 1``.  Each layout is built on first use, the general
+    one only for the saddle polisher's LU.  The products of stencil
+    entries are kept as the matrix ``coef``, so a summation only
     computes values: the local entries of every cell in one matrix
-    product ``coef @ A``, summed into place.
+    product ``coef @ A``, added into place local entry first, then cell.
     """
 
     def __init__(self, dom: GridDomain):
@@ -196,64 +194,49 @@ class StiffnessPattern:
         sums = np.indices(dom.node_shape).sum(axis=0).ravel()[inner]
         by_sum = inner[np.argsort(sums, kind="stable")]
         # min keeps the first of equal widths, the row-major numbering
-        self.idx, num = min(((idx, corner_unknowns(idx))
-                             for idx in (inner, by_sum)),
-                            key=lambda pair: width(pair[1]))
-        self.bandwidth = k = width(num)
-        self._num = num
-        rows, cols = self._local_pairs()
-        # A[i, j] with i >= j >= 0 sits in row i - j of column j
-        self.lower_keep = (cols >= 0) & (rows >= cols)
-        low_r, low_c = rows[self.lower_keep], cols[self.lower_keep]
-        self.lower_scatter = low_c * (k + 1) + low_r - low_c
+        self.idx, self._num = min(((idx, corner_unknowns(idx))
+                                   for idx in (inner, by_sum)),
+                                  key=lambda pair: width(pair[1]))
+        self.bandwidth = width(self._num)
         # entry (i, j) of G_c^T A_c G_c is sum_kl G_c[k, i] A_c[k, l]
         # G_c[l, j]: one row of coef per (i, j), one column per (k, l)
         d, m = stencil.shape
         self.coef = np.einsum("ki,lj->ijkl", stencil, stencil).reshape(
             m * m, d * d)
 
-    def _local_pairs(self):
-        """The unknowns ``(rows, cols)`` that each local entry couples,
-        local entry first, then cell, -1 off the interior: entry (i, j)
-        of a cell couples its corners i and j."""
-        num = self._num
-        return (np.repeat(num, len(num), axis=0).ravel(),
-                np.tile(num, (len(num), 1)).ravel())
+    def _layout(self, general: bool):
+        """The band height, which local entries land in the band and
+        their flat positions there."""
+        num, k = self._num, self.bandwidth
+        # the unknowns that local entry (i, j) of each cell couples: its
+        # corners i and j, -1 off the interior; broadcast, not repeated,
+        # as the layout is built in the middle of a solve
+        rows, cols = np.broadcast_arrays(num[:, None], num[None])
+        height, at = (3 * k + 1, 2 * k) if general else (k + 1, 0)
+        keep = (cols >= 0) & ((rows >= 0) if general else (rows >= cols))
+        # A[i, j] sits in row at + i - j of column j
+        return (height, keep.ravel(),
+                cols[keep] * (height - 1) + at + rows[keep])
 
-    def __getattr__(self, name):
-        # the entry indexing of the general band is built on first use:
-        # only the saddle polisher's LU reads it
-        if name not in ("keep", "scatter", "rows", "cols", "band"):
-            raise AttributeError(name)
-        rows, cols = self._local_pairs()
-        self.keep = keep = (rows >= 0) & (cols >= 0)
-        size, k = self.idx.size, self.bandwidth
-        keys, self.scatter = np.unique(cols[keep] * size + rows[keep],
-                                       return_inverse=True)
-        self.rows, self.cols = keys % size, keys // size
-        # A[i, j] sits in row 2k + i - j of column j: k rows of fill from
-        # the row pivoting, then the k superdiagonals, the diagonal and the
-        # k subdiagonals
-        self.band = self.cols * (3 * k + 1) + 2 * k + self.rows - self.cols
-        return getattr(self, name)
+    @cached_property
+    def _lower(self):
+        return self._layout(general=False)
 
-    def _local(self, tensor: np.ndarray) -> np.ndarray:
-        """Every cell's local entries, local entry first, then cell."""
-        return (self.coef @ tensor.reshape(self.coef.shape[1], -1)).ravel()
+    @cached_property
+    def _general(self):
+        return self._layout(general=True)
 
-    def assemble(self, tensor: np.ndarray) -> np.ndarray:
-        """Entry values for per-cell tensors of shape ``(ndim, ndim, cells)``."""
-        return np.bincount(
-            self.scatter, weights=self._local(tensor)[self.keep],
-            minlength=self.rows.size)
-
-    def lower_band(self, tensor: np.ndarray) -> np.ndarray:
-        """The lower triangle for per-cell tensors of shape
-        ``(ndim, ndim, cells)`` in flat symmetric-band storage, each band
-        entry summed in the order :meth:`assemble` sums its entry."""
-        return np.bincount(
-            self.lower_scatter, weights=self._local(tensor)[self.lower_keep],
-            minlength=self.idx.size * (self.bandwidth + 1))
+    def band(self, tensor: np.ndarray, general: bool = False) -> np.ndarray:
+        """The band storage, ``(height, unknowns)``, of the matrix for
+        per-cell tensors of shape ``(ndim, ndim, cells)``."""
+        height, keep, pos = self._general if general else self._lower
+        # one expression, so that every cell's local entries are freed
+        # before the band is allocated
+        weights = (self.coef @ tensor.reshape(self.coef.shape[1], -1)
+                   ).ravel()[keep]
+        band = np.bincount(pos, weights=weights,
+                           minlength=self.idx.size * height)
+        return band.reshape(-1, height).T
 
 
 class WeightField:

@@ -211,15 +211,16 @@ def stencil_pattern(interior: np.ndarray, h: float) -> dict:
     The interior nodes are numbered row-major, or by the sum of their
     grid indices (then by the first index) where that gives a strictly
     smaller half-bandwidth.  Returns the interior flat index ``idx`` of
-    each unknown, the coupled ``rows`` and ``cols`` in column-major order,
-    the half-bandwidth ``bandwidth`` (k), their flat positions ``band``
-    in LAPACK general-band storage (``3k + 1`` rows), the stencil
+    each unknown, the half-bandwidth ``bandwidth`` (k), the stencil
     products ``coef`` (one row per local entry, one column per tensor
-    entry), ``assemble(tensor)``, which sums the local entries
+    entry), ``dense_of(tensor)``, which sums the local entries
     ``coef @ A_c`` into the dense interior matrix in the order local
-    entry, then cell, and reads off the coupled entries, and
-    ``lower_band(tensor)``, which reads its lower triangle into flat
-    LAPACK symmetric-band storage (``k + 1`` rows).
+    entry, then cell, and two readings of that matrix into LAPACK band
+    storage, ``(rows, unknowns)``: ``lower_band(tensor)``, its lower
+    triangle in symmetric storage (``k + 1`` rows, ``A[i, j]`` in row
+    ``i - j``), and ``general_band(tensor)``, every coupled entry in
+    general storage with room for the LU's fill (``3k + 1`` rows,
+    ``A[i, j]`` in row ``2k + i - j``).
     """
     n, ndim = interior.shape[0], interior.ndim
     if ndim == 1:
@@ -253,7 +254,6 @@ def stencil_pattern(interior: np.ndarray, h: float) -> dict:
     k, idx, pairs, rows, cols = min(
         (numbered(row_major), numbered(by_sum)), key=lambda c: c[0])
     size = idx.size
-    lower = rows >= cols
     coef = np.einsum("ki,lj->ijkl", stencil, stencil).reshape(
         m * m, ndim * ndim)
 
@@ -265,16 +265,17 @@ def stencil_pattern(interior: np.ndarray, h: float) -> dict:
             np.add.at(dense, (r[live], c[live]), vals[live])
         return dense
 
-    def lower_band(tensor):
-        band = np.zeros(size * (k + 1))
-        band[cols[lower] * (k + 1) + rows[lower] - cols[lower]] = \
-            dense_of(tensor)[rows[lower], cols[lower]]
-        return band
+    def read_band(tensor, keep, height, at):
+        band = np.zeros((size, height))
+        band[cols[keep], at + rows[keep] - cols[keep]] = \
+            dense_of(tensor)[rows[keep], cols[keep]]
+        return band.T
 
-    return {"idx": idx, "rows": rows, "cols": cols, "bandwidth": k,
-            "band": cols * (3 * k + 1) + 2 * k + rows - cols, "coef": coef,
-            "assemble": lambda tensor: dense_of(tensor)[rows, cols],
-            "lower_band": lower_band}
+    return {"idx": idx, "bandwidth": k, "coef": coef, "dense_of": dense_of,
+            "lower_band": lambda tensor: read_band(tensor, rows >= cols,
+                                                   k + 1, 0),
+            "general_band": lambda tensor: read_band(tensor, rows >= 0,
+                                                     3 * k + 1, 2 * k)}
 
 
 def stencil_basis_norms(interior: np.ndarray, node_qw: np.ndarray,

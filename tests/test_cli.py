@@ -235,6 +235,26 @@ def test_eig_byte_determinism(tmp_path):
     assert sa == sb and sa["seed"] == 7
 
 
+def test_rerun_replaces_its_outputs_instead_of_rewriting_them(tmp_path):
+    # a re-run into the same --out unlinks the last run's files and
+    # creates them anew: rewriting a just-written file in place waits on
+    # the disk's flush.  A hard link keeps the old file, which the re-run
+    # leaves as it was
+    cfg = write_cfg(tmp_path, EIG_CFG)
+    out = tmp_path / "runs"
+    assert main(["eig", "--config", cfg, "--out", str(out)]) == 0
+    first = (out / "eig.csv").read_bytes()
+    old, summary = tmp_path / "old.csv", tmp_path / "old.json"
+    os.link(out / "eig.csv", old)
+    os.link(out / "summary.json", summary)
+    with open(old, "a") as fh:
+        fh.write("# marker\n")
+    assert main(["eig", "--config", cfg, "--out", str(out)]) == 0
+    assert old.read_bytes() == first + b"# marker\n"
+    assert (out / "eig.csv").read_bytes() == first
+    assert not os.path.samefile(out / "summary.json", summary)
+
+
 def test_spectrum_sorted_and_repeatable(tmp_path):
     # levels are solved in increasing order with warm starts; two runs of
     # one config give the same bytes

@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import orlicz_lab as ol
 from orlicz_lab import DomainError, NonConvergenceError
@@ -468,11 +467,11 @@ def _unit_box(n):
     return {"shape": "box", "n": n, "extent": [0.0, 1.0]}
 
 
-def _stiffness_matrix(pat, data):
-    """The assembled interior stiffness as a sparse matrix, built from the
-    pattern's row and column of each entry."""
-    size = pat.idx.size
-    return sp.csc_matrix((data, (pat.rows, pat.cols)), shape=(size, size))
+def _stiffness_matrix(setup, tensor):
+    """The dense interior stiffness for per-cell tensors of shape
+    ``(ndim, ndim, cells)``, summed by the written-out stencil oracle."""
+    dom = setup.dom
+    return oc.stencil_pattern(dom.interior, dom.h)["dense_of"](tensor)
 
 
 @pytest.mark.parametrize("cfg", [_unit_box(17),
@@ -491,8 +490,7 @@ def test_tangent_is_the_hessian_where_curvature_dominates(cfg, phi):
     v = random_zero_trace(dom, rng).values
     pat = dom.stiffness_pattern
     got = _stiffness_matrix(
-        pat, pat.assemble(_tangent_tensor(setup, _gradient(dom, u)))) \
-        @ v.ravel()[pat.idx]
+        setup, _tangent_tensor(setup, _gradient(dom, u))) @ v.ravel()[pat.idx]
     eps = 1e-5
 
     def weak(vals):
@@ -571,8 +569,7 @@ def test_penalized_direction_solves_the_merit_tangent():
                        rtol=0.0, atol=1e-10 * np.max(np.abs(fd)))
 
     grad = _gradient(dom, u)
-    dense = _stiffness_matrix(
-        pat, pat.assemble(_tangent_tensor(setup, grad))).toarray()
+    dense = _stiffness_matrix(setup, _tangent_tensor(setup, grad))
     for a_vals, a_nrm2 in anchors:
         b = math.sqrt(2.0 * mu) * qw * a_vals.ravel()[idx] / a_nrm2
         dense += np.outer(b, b)
@@ -882,11 +879,8 @@ def _tangent_case(cfg, phi=ol.Power(3.0)):
     """(setup, cell gradient of a smooth field, dense tangent there)."""
     from orlicz_lab.eigensolver import _tangent_tensor
     setup = build_setup(phi, ol.Power(2.0), cfg)
-    pat = setup.dom.stiffness_pattern
     grad = _gradient(setup.dom, ol.smooth_candidates(setup.dom, 2, seed=5)[1])
-    dense = _stiffness_matrix(
-        pat, pat.assemble(_tangent_tensor(setup, grad))).toarray()
-    return setup, grad, dense
+    return setup, grad, _stiffness_matrix(setup, _tangent_tensor(setup, grad))
 
 
 def _rel_err(got, want):
@@ -974,21 +968,23 @@ def test_tangent_direction_matches_dense(cfg, case):
     assert (tangent._piv is None) == (case != "lu")
 
 
-def _entries_band(pat, entries):
-    """The symmetric band gathered from assembled entries: a zeroed band,
-    then each lower-triangle entry at row ``i - j`` of column ``j``."""
-    k = pat.bandwidth
-    lower = pat.rows >= pat.cols
-    band = np.zeros(pat.idx.size * (k + 1))
-    band[pat.cols[lower] * (k + 1) + pat.rows[lower]
-         - pat.cols[lower]] = entries[lower]
+def _entries_band(setup, tensor, shift=None, general=False):
+    """The written-out stencil oracle's band storage of the matrix for
+    per-cell tensors, minus ``diag(shift)`` when given: the lower triangle
+    in symmetric storage, or with ``general`` every entry, with room for
+    the LU's fill."""
+    dom = setup.dom
+    ref = oc.stencil_pattern(dom.interior, dom.h)
+    band = ref["general_band" if general else "lower_band"](tensor)
+    if shift is not None:
+        band[2 * ref["bandwidth"] if general else 0] -= shift
     return band
 
 
 @pytest.mark.parametrize("cfg", _KERNEL_CFGS, ids=_KERNEL_IDS)
 def test_symmetric_band_positions_hold_the_lower_triangle(cfg):
     # the band summed straight from the cells is the lower triangle of the
-    # assembled matrix, bit for bit
+    # oracle's dense matrix, bit for bit
     from orlicz_lab.eigensolver import _tangent_tensor
     setup, grad, _ = _tangent_case(cfg)
     pat = setup.dom.stiffness_pattern
@@ -1000,14 +996,15 @@ def test_symmetric_band_positions_hold_the_lower_triangle(cfg):
                rng.normal(size=(setup.dom.ndim,) * 2 + (
                    math.prod(setup.dom.cell_shape),)))
     for tensor in tensors:
-        values = _stiffness_matrix(pat, pat.assemble(tensor)).toarray()
-        band = pat.lower_band(tensor).reshape(size, k + 1)
+        values = _stiffness_matrix(setup, tensor)
+        band = pat.band(tensor)
+        assert band.shape == (k + 1, size)
         back = np.zeros((size, size))
         for r in range(k + 1):
             j = np.arange(size - r)
-            back[j + r, j] = band[j, r]
+            back[j + r, j] = band[r, j]
             # past the last row the band stays empty
-            assert np.all(band[size - r:, r] == 0.0)
+            assert np.all(band[r, size - r:] == 0.0)
         assert np.array_equal(back, np.tril(values))
 
 
@@ -1064,37 +1061,58 @@ def test_missing_lapack_extension_raises_naming_its_path(monkeypatch,
 
 @pytest.mark.parametrize("cfg", _KERNEL_CFGS, ids=_KERNEL_IDS)
 def test_factored_band_equals_the_entries_scatter(monkeypatch, cfg):
-    # the band the Cholesky kernel receives, unshifted and shifted, is the
-    # one gathered from the assembled entries, bit for bit
+    # the band each kernel receives is the oracle's, bit for bit: the
+    # Cholesky kernel's unshifted and shifted, the polisher LU's shifted
     from orlicz_lab.eigensolver import _Tangent, _lapack, _tangent_tensor
     lapack = _lapack()
     setup, grad, dense = _tangent_case(cfg)
-    pat = setup.dom.stiffness_pattern
-    received, real = [], lapack.dpbtrf
-
-    def recorded(ab, **kwargs):
-        received.append(ab.T.ravel().copy())
-        return real(ab, **kwargs)
-    monkeypatch.setattr(lapack, "dpbtrf", recorded)
+    received = {"dpbtrf": [], "dgbtrf": []}
+    for name, real in [(name, getattr(lapack, name)) for name in received]:
+        def recorded(ab, *args, real=real, seen=received[name], **kwargs):
+            seen.append(ab.copy())
+            return real(ab, *args, **kwargs)
+        monkeypatch.setattr(lapack, name, recorded)
     # a varying shift below the lowest eigenvalue keeps it definite
     rng = np.random.default_rng(19)
-    shift = 0.5 * np.linalg.eigvalsh(dense)[0] * rng.random(pat.idx.size)
+    size = dense.shape[0]
+    shift = 0.5 * np.linalg.eigvalsh(dense)[0] * rng.random(size)
     tangent = _Tangent(setup)
     tangent.factor(grad)
     tangent.factor(grad, shift=shift)
-    entries = pat.assemble(_tangent_tensor(setup, grad))
-    shifted = entries.copy()
-    shifted[pat.rows == pat.cols] -= shift
-    assert len(received) == 2
-    assert np.array_equal(received[0], _entries_band(pat, entries))
-    assert np.array_equal(received[1], _entries_band(pat, shifted))
+    tensor = _tangent_tensor(setup, grad)
+    cholesky = received["dpbtrf"]
+    assert len(cholesky) == 2
+    assert np.array_equal(cholesky[0], _entries_band(setup, tensor))
+    assert np.array_equal(cholesky[1], _entries_band(setup, tensor, shift))
     # an indefinite shift fails its pivot, and the fallback receives the
     # unshifted band, summed again from the same cell tensor
     ev = np.linalg.eigvalsh(dense)
-    j = ev.size // 4
-    tangent.factor(grad, shift=np.full(ev.size, 0.5 * (ev[j] + ev[j + 1])))
-    assert len(received) == 4
-    assert np.array_equal(received[3], _entries_band(pat, entries))
+    j = size // 4
+    indefinite = np.full(size, 0.5 * (ev[j] + ev[j + 1]))
+    tangent.factor(grad, shift=indefinite)
+    assert len(cholesky) == 4
+    assert np.array_equal(cholesky[3], _entries_band(setup, tensor))
+    # the polisher's LU pivots through the same shift; its band holds
+    # every entry, with the fill rows still zero
+    _Tangent(setup, lu=True).factor(grad, shift=indefinite)
+    (general,) = received["dgbtrf"]
+    assert np.array_equal(general, _entries_band(setup, tensor, indefinite,
+                                                 general=True))
+    assert not general[:setup.dom.stiffness_pattern.bandwidth].any()
+
+
+def test_general_band_layout_is_built_only_for_the_polisher():
+    # the descent, on a level set and free, factors by Cholesky and builds
+    # the symmetric layout alone; the ladder's polisher adds the general
+    setup = build_setup(ol.Power(3.0), ol.Power(2.0),
+                        {"shape": "disc", "n": 41, "extent": [1.0]})
+    ol.minimize_on_level(setup, 1.0)
+    assert ol.count_critical_points(setup, 1.5, 2, seed=0) >= 1
+    built = setup.dom.stiffness_pattern.__dict__
+    assert "_lower" in built and "_general" not in built
+    setup = build_setup(ol.Power(2.0), ol.Power(2.0), _unit_box(11))
+    ol.ls_sequence(setup, 1.0, 2)
+    assert "_general" in setup.dom.stiffness_pattern.__dict__
 
 
 def test_quadratic_tangent_switches_kernel_with_the_shift():

@@ -154,3 +154,19 @@ def test_building_a_setup_builds_no_stiffness_pattern_and_loads_no_scipy():
         "print('stiffness_pattern' in dom.__dict__, "
         "'scipy' in {m.split('.')[0] for m in sys.modules})"
     ) == "False False"
+
+
+def test_one_band_summation_for_both_tangent_kernels():
+    # the symmetric and the general band are summed from the cells by one
+    # bincount, neither is built by a hook on attribute lookup, and no
+    # module reads a second assembly of the matrix entries
+    tree = ast.parse((PACKAGE / "norms.py").read_text())
+    (pattern,) = [top for top in tree.body if isinstance(top, ast.ClassDef)
+                  and top.name == "StiffnessPattern"]
+    assert "__getattr__" not in {node.name for node in pattern.body
+                                 if isinstance(node, ast.FunctionDef)}
+    sums = [node for node in ast.walk(pattern) if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "np.bincount"]
+    assert len(sums) == 1
+    assert _calls_by_owner(lambda node: isinstance(node, ast.Attribute)
+                           and node.attr == "assemble") == []

@@ -222,10 +222,28 @@ def test_assembly_equals_the_three_operand_einsum(rng, cfg):
     tensor = rng.normal(size=(dom.ndim, dom.ndim, cells))
     tensor = tensor + tensor.transpose(1, 0, 2)
     local = np.einsum("ki,klc,lj->ijc", stencil, tensor, stencil)
-    want = np.bincount(pat.scatter, weights=local.ravel()[pat.keep],
-                       minlength=pat.rows.size)
-    got = pat.assemble(tensor)
-    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    # each corner's unknown, -1 off the interior, which lands in a
+    # dropped last row and column
+    size, k = pat.idx.size, pat.bandwidth
+    unknown = np.full(dom.interior.size, -1)
+    unknown[pat.idx] = np.arange(size)
+    flat = np.arange(dom.interior.size).reshape(dom.node_shape)
+    corners = [unknown[flat[ix].ravel()] for ix in dom.corner_ix]
+    dense = np.zeros((size + 1, size + 1))
+    for i, row in enumerate(corners):
+        for j, col in enumerate(corners):
+            np.add.at(dense, (row, col), local[i, j])
+    dense = dense[:-1, :-1]
+    i, j = np.indices(dense.shape)
+    for general, height, at in ((False, k + 1, 0), (True, 3 * k + 1, 2 * k)):
+        # A[i, j] in row at + i - j of column j, the lower triangle alone
+        # in symmetric storage
+        keep = (np.abs(i - j) <= k) & (general | (i >= j))
+        want = np.zeros((height, size))
+        want[at + i[keep] - j[keep], j[keep]] = dense[keep]
+        got = pat.band(tensor, general=general)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("cfg, bandwidth, index_sum", [
@@ -281,12 +299,13 @@ def test_geometry_equals_the_written_out_stencil(rng, cfg, weights):
                           oc.stencil_adjoint(fields, dom.h))
     pat = dom.stiffness_pattern
     ref = oc.stencil_pattern(dom.interior, dom.h)
-    for key in ("idx", "rows", "cols", "bandwidth", "band", "coef"):
+    for key in ("idx", "bandwidth", "coef"):
         assert np.array_equal(getattr(pat, key), ref[key]), key
     tensor = rng.normal(size=(dom.ndim, dom.ndim, math.prod(dom.cell_shape)))
     tensor = tensor + tensor.transpose(1, 0, 2)
-    assert np.array_equal(pat.assemble(tensor), ref["assemble"](tensor))
-    assert np.array_equal(pat.lower_band(tensor), ref["lower_band"](tensor))
+    assert np.array_equal(pat.band(tensor), ref["lower_band"](tensor))
+    assert np.array_equal(pat.band(tensor, general=True),
+                          ref["general_band"](tensor))
 
     def solve(modular, lo, hi):
         return invert_increasing(modular, np.ones_like(lo), lo=lo, hi=hi)
